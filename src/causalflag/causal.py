@@ -3,6 +3,10 @@
 Chart coordinates are Hermitian matrices for the Lagrangian families
 (the invariant cone is the positive definite cone) and Minkowski
 n-vectors for SO(n, 2) (the cone is the open future lightcone).
+
+Every relation and cone margin comes from one stacked kernel over a
+stack of coordinate differences; the functions taking one point or one
+pair call it with a stack of one.
 """
 
 from __future__ import annotations
@@ -12,10 +16,11 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, ModelMismatch, NotTransverse, PointsNotInBothCharts
+from .errors import EmptyInput, ModelMismatch, NonFiniteInput, NotTransverse, PointsNotInBothCharts
 from .groups import GroupElement, GroupModel
 from .kmat import KMat
-from .linalg import Signature, hermitian_eigenvalues, signature
+from .linalg import check_hermitian, frobenius_norms, signature
+from .scalars import QUATERNION
 from .shilov import (
     ShilovPoint,
     act,
@@ -37,6 +42,14 @@ class FutureRelation(Enum):
     EQUAL = "EQUAL"
 
 
+# relation codes of the stacked kernel: indices into _RELATIONS
+_RELATIONS = tuple(FutureRelation)
+_FUTURE, _PAST, _LIGHTCONE, _NEITHER, _EQUAL = range(5)
+
+# ordered pairs per kernel call in the hull scan; bounds the scan's working memory
+_SCAN_BLOCK = 4096
+
+
 def _coord_like(model: GroupModel, X):
     if model.is_lagrangian:
         if not isinstance(X, KMat):
@@ -45,14 +58,67 @@ def _coord_like(model: GroupModel, X):
     return np.asarray(X, dtype=float).reshape(-1)
 
 
-def coord_diff(model: GroupModel, X, Y):
-    X, Y = _coord_like(model, X), _coord_like(model, Y)
-    return Y - X
+def _stack(model: GroupModel, coords):
+    """Chart coordinates as one array: an embedded (k, d, d) stack or a (k, n) Minkowski stack.
+
+    Real coordinates stay real.  This is where every causal routine takes
+    its input, so NaN or inf anywhere raises NonFiniteInput.
+    """
+    if model.is_lagrangian:
+        r = model.rank
+        mats = [_coord_like(model, X).astag(model.tag) for X in coords]
+        S = np.array([X.a for X in mats]).reshape(len(mats), r, r)
+        if model.tag == QUATERNION:
+            B = np.array([X.b for X in mats]).reshape(len(mats), r, r)
+            S = np.block([[S, B], [-np.conj(B), np.conj(S)]])
+    else:
+        S = np.array([_coord_like(model, X) for X in coords], dtype=float).reshape(len(coords), model.rank)
+    if not np.isfinite(S).all():
+        raise NonFiniteInput("chart coordinates must be finite")
+    return S
 
 
-def coord_dist(model: GroupModel, X, Y) -> float:
-    d = coord_diff(model, X, Y)
-    return d.norm() if model.is_lagrangian else float(np.linalg.norm(d))
+def _norms(model: GroupModel, D):
+    """Norms of a coordinate stack: KMat.norm per matrix, Euclidean per Minkowski vector."""
+    if model.is_lagrangian:
+        return frobenius_norms(D, model.tag)
+    return np.linalg.norm(D, axis=-1)
+
+
+def _relations(model: GroupModel, D):
+    """Relation code, forward margin, zero band and norm of each coordinate difference in D.
+
+    Lagrangian families: D is an embedded (k, d, d) stack and one eigvalsh
+    call decides everything.  The forward margin is the minimal eigenvalue
+    and the band is 1e-9 * max(1, max |eigenvalue|).  SO(n, 2): D is a
+    (k, n) Minkowski stack; the forward margin is v_n - |v_space|.
+    """
+    if model.is_lagrangian:
+        H, norm = check_hermitian(D, model.tag)
+        lam = np.linalg.eigvalsh(H)
+        fwd, top = lam[:, 0], lam[:, -1]
+        band = 1e-9 * np.maximum(1.0, np.maximum(-fwd, top))
+        past = -top
+        light = (top <= band) | (fwd >= -band)  # semidefinite with kernel
+    else:
+        norm = _norms(model, D)
+        band = 1e-9 * np.maximum(1.0, norm)
+        space = np.linalg.norm(D[:, :-1], axis=-1)
+        fwd = D[:, -1] - space
+        past = -D[:, -1] - space
+        psi = np.sum(D[:, :-1] ** 2, axis=-1) - D[:, -1] ** 2
+        light = np.abs(psi) <= 2 * band * np.maximum(1.0, norm)
+    code = np.where(light, _LIGHTCONE, _NEITHER)
+    code = np.where(past > band, _PAST, code)
+    code = np.where(fwd > band, _FUTURE, code)
+    code = np.where(norm <= band, _EQUAL, code)  # the last assignment takes precedence
+    return code, fwd, band, norm
+
+
+def _single(model: GroupModel, D):
+    """(code, forward margin, band) of a stack of one difference."""
+    code, fwd, band, _ = _relations(model, D)
+    return int(code[0]), float(fwd[0]), float(band[0])
 
 
 def cone_margin(model: GroupModel, X) -> float:
@@ -62,10 +128,7 @@ def cone_margin(model: GroupModel, X) -> float:
     cone is {psi < 0, v_n > 0} and the margin is min(v_n - |v_space|)
     style, here sqrt-free: v_n - ||spatial part||.
     """
-    X = _coord_like(model, X)
-    if model.is_lagrangian:
-        return float(hermitian_eigenvalues(X)[-1])
-    return float(X[-1] - np.linalg.norm(X[:-1]))
+    return _single(model, _stack(model, [X]))[1]
 
 
 def zero_band(model: GroupModel, X) -> float:
@@ -75,31 +138,13 @@ def zero_band(model: GroupModel, X) -> float:
 
 
 def in_cone(model: GroupModel, X) -> bool:
-    X = _coord_like(model, X)
-    return cone_margin(model, X) > zero_band(model, X)
+    _, fwd, band = _single(model, _stack(model, [X]))
+    return fwd > band
 
 
 def future_membership(model: GroupModel, X, Y) -> FutureRelation:
     """Classify Y relative to X by the position of Y - X w.r.t. the cone."""
-    D = coord_diff(model, X, Y)
-    tol = zero_band(model, D)
-    if (D.norm() if model.is_lagrangian else np.linalg.norm(D)) <= tol:
-        return FutureRelation.EQUAL
-    fwd = cone_margin(model, D)
-    bwd = cone_margin(model, -D)
-    if fwd > tol:
-        return FutureRelation.STRICT_FUTURE
-    if bwd > tol:
-        return FutureRelation.STRICT_PAST
-    if model.is_lagrangian:
-        sig = signature(D, zero_tol=tol)
-        if sig.neg == 0 or sig.pos == 0:  # semidefinite with kernel
-            return FutureRelation.LIGHTCONE
-        return FutureRelation.NEITHER
-    psi = minkowski_form(D)
-    if abs(psi) <= 2 * tol * max(1.0, float(np.linalg.norm(D))):
-        return FutureRelation.LIGHTCONE
-    return FutureRelation.NEITHER
+    return _RELATIONS[_single(model, _stack(model, [Y]) - _stack(model, [X]))[0]]
 
 
 def classify_orbit(model: GroupModel, X):
@@ -134,17 +179,10 @@ class Diamond:
 
 
 def diamond_membership(d: Diamond, Z, closed=False) -> bool:
-    lo = future_membership(d.model, d.x, Z)
-    hi = future_membership(d.model, Z, d.y)
-    if closed:
-        ok = {FutureRelation.STRICT_FUTURE, FutureRelation.LIGHTCONE, FutureRelation.EQUAL}
-        return lo in ok and hi in ok
-    return lo == FutureRelation.STRICT_FUTURE and hi == FutureRelation.STRICT_FUTURE
-
-
-def _pair_margin(model: GroupModel, X, Y, Z) -> float:
-    """min of the two cone margins placing Z inside the closed diamond [X, Y]."""
-    return min(cone_margin(model, coord_diff(model, X, Z)), cone_margin(model, coord_diff(model, Z, Y)))
+    # relations of Z to x and of y to Z, in one kernel call
+    codes = _relations(d.model, _stack(d.model, [Z, d.y]) - _stack(d.model, [d.x, Z]))[0]
+    ok = (_FUTURE, _LIGHTCONE, _EQUAL) if closed else (_FUTURE,)
+    return bool(np.isin(codes, ok).all())
 
 
 # ------------------------------------------------------------------------ hull
@@ -164,37 +202,48 @@ class Hull:
     points: list
     pairs: list = field(default_factory=list)
 
+    def __post_init__(self):
+        self._points = _stack(self.model, self.points)
+        self._lo = _stack(self.model, [X for X, _ in self.pairs])
+        self._hi = _stack(self.model, [Y for _, Y in self.pairs])
+
     def margin(self, Z) -> float:
         """Positive inside, negative outside; magnitude is the deciding margin."""
-        best = -np.inf
-        for X, Y in self.pairs:
-            best = max(best, _pair_margin(self.model, X, Y, Z))
-        for X in self.points:
-            best = max(best, -coord_dist(self.model, X, Z))
-        return float(best)
+        z = _stack(self.model, [Z])
+        # Z lies in the closed diamond [X, Y] iff Z - X and Y - Z are both in the closed cone
+        fwd = _relations(self.model, np.concatenate([z - self._lo, self._hi - z]))[1]
+        k = len(self._lo)
+        inside = np.max(np.minimum(fwd[:k], fwd[k:]), initial=-np.inf)
+        nearest = np.min(_norms(self.model, self._points - z), initial=np.inf)
+        return float(max(inside, -nearest))
 
     def membership(self, Z, tol=None) -> bool:
+        margin = self.margin(Z)  # first, so that non-finite Z raises NonFiniteInput
         if tol is None:
             tol = zero_band(self.model, Z)
-        return self.margin(Z) >= -tol
+        return margin >= -tol
 
 
 def causal_hull(model: GroupModel, points) -> Hull:
-    """Hull of a finite coordinate list: all diamonds over causally related pairs."""
+    """Hull of a finite coordinate list: all diamonds over causally related pairs.
+
+    The ordered pairs (i, j) are scanned in row blocks of the stacked
+    kernel; the pair list keeps the nested-loop order of (i, j).
+    """
     points = [_coord_like(model, X) for X in points]
     if not points:
         raise EmptyInput("causal_hull of an empty list")
+    P = _stack(model, points)
+    n = len(points)
+    rows = max(1, _SCAN_BLOCK // n)
     pairs = []
-    for i in range(len(points)):
-        for j in range(len(points)):
-            if i == j:
-                continue
-            rel = future_membership(model, points[i], points[j])
-            if rel in (FutureRelation.STRICT_FUTURE, FutureRelation.LIGHTCONE):
-                d = coord_diff(model, points[i], points[j])
-                if rel == FutureRelation.LIGHTCONE and cone_margin(model, d) < -zero_band(model, d):
-                    continue  # past-pointing lightcone pair; the mirror (j, i) records it
-                pairs.append((points[i], points[j]))
+    for i0 in range(0, n, rows):
+        D = P[None, :] - P[i0 : i0 + rows, None]  # D[i, j] = P[j] - P[i0 + i]
+        code, fwd, band, _ = _relations(model, D.reshape(-1, *P.shape[1:]))
+        # a past-pointing lightcone pair is left to its mirror (j, i)
+        keep = (code == _FUTURE) | ((code == _LIGHTCONE) & (fwd >= -band))
+        for i, j in zip(*np.nonzero(keep.reshape(-1, n))):
+            pairs.append((points[i0 + i], points[j]))
     return Hull(model, points, pairs)
 
 

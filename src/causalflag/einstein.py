@@ -9,7 +9,6 @@ exactly two of the three factors.
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     BoundaryNotBracketed,
@@ -19,6 +18,7 @@ from .errors import (
     NotPairwiseTransverse,
 )
 from .groups import SO_N2, GroupModel
+from .linalg import null_space
 from .shilov import ShilovPoint
 
 LIGHTCONE_TOL = 1e-9
@@ -129,7 +129,7 @@ def random_photon(model: GroupModel, rng, through=None):
     _check_model(model)
     b = model.form().a
     u = through.frame if through is not None else random_ein_point(model, rng).frame
-    N = scipy.linalg.null_space((b @ u).reshape(1, -1))
+    N = null_space((b @ u).reshape(1, -1))
     for _ in range(100):
         # random 2-plane in u-perp; solve for an isotropic direction inside it
         y = N @ rng.standard_normal(N.shape[1])

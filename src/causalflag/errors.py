@@ -95,3 +95,7 @@ class BoundaryNotBracketed(CausalFlagError):
 
 class InvalidFrame(CausalFlagError):
     pass
+
+
+class NonFiniteInput(CausalFlagError):
+    pass

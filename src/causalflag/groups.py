@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, UnknownPreset
 from .kmat import KMat
@@ -281,6 +280,8 @@ def random_lie_element(model: GroupModel, rng) -> KMat:
 
 def group_exp(model: GroupModel, Z: KMat) -> GroupElement:
     """exp of a Lie algebra element, via scaling-and-squaring on the embedding."""
+    import scipy.linalg  # imported here so that importing causalflag does not load scipy
+
     E = scipy.linalg.expm(Z.embed())
     return GroupElement(model, KMat.unembed(model.tag, E))
 

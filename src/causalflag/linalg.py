@@ -1,6 +1,6 @@
 """Spectral routines at small fixed sizes: eigenvalues, signatures, singular values.
 
-All decompositions run through numpy/scipy LAPACK wrappers on the complex
+All decompositions run through numpy's LAPACK wrappers on the complex
 embedding, which is deterministic for fixed input bits.  Quaternionic
 spectra are read off the embedding with multiplicities halved.
 """
@@ -34,11 +34,27 @@ class Signature:
         return (self.pos, self.neg, self.zero)
 
 
-def check_hermitian(X: KMat, tol=HERMITIAN_TOL):
-    defect = (X - X.H).norm()
-    scale = max(1.0, X.norm())
-    if defect > tol * scale:
-        raise NotHermitian(f"Hermitian defect {defect:.3e} exceeds {tol:.1e} * {scale:.3e}")
+def frobenius_norms(E, tag):
+    """Frobenius norms of a stack (..., d, d) of embedded matrices, in the units of KMat.norm."""
+    norms = np.linalg.norm(E, axis=(-2, -1))
+    return norms / np.sqrt(2.0) if tag == QUATERNION else norms
+
+
+def check_hermitian(E, tag, tol=HERMITIAN_TOL):
+    """Hermitian parts and norms of a stack (..., d, d) of embedded matrices.
+
+    Raises NotHermitian where the defect |X - X^H| exceeds tol * max(1, |X|);
+    NaN and inf fail the guard.
+    """
+    EH = np.conj(np.swapaxes(E, -1, -2))
+    norms = frobenius_norms(E, tag)
+    defect = frobenius_norms(E - EH, tag)
+    scale = np.maximum(1.0, norms)
+    bad = ~(defect <= tol * scale)
+    if bad.any():
+        k = np.flatnonzero(bad)[0]
+        raise NotHermitian(f"Hermitian defect {defect.flat[k]:.3e} exceeds {tol:.1e} * {scale.flat[k]:.3e}")
+    return 0.5 * (E + EH), norms
 
 
 def hermitian_eigenvalues(X: KMat, tol=HERMITIAN_TOL):
@@ -49,17 +65,11 @@ def hermitian_eigenvalues(X: KMat, tol=HERMITIAN_TOL):
     """
     if X.rows != X.cols:
         raise NotHermitian("matrix is not square")
-    check_hermitian(X, tol)
-    M = X.embed()
-    M = 0.5 * (M + np.conj(M).T)
+    M, _ = check_hermitian(X.embed(), X.tag, tol)
     vals = np.linalg.eigvalsh(M)[::-1]
     if X.tag == QUATERNION:
         vals = vals[::2]
     return vals.copy()
-
-
-def default_zero_tol(X: KMat):
-    return 1e-9 * max(1.0, X.opnorm())
 
 
 def signature(X: KMat, zero_tol=None) -> Signature:
@@ -93,11 +103,8 @@ def eig_moduli(g: KMat):
     return vals
 
 
-def min_eigenvalue(X: KMat):
-    return float(hermitian_eigenvalues(X)[-1])
-
-
-def is_positive_definite(X: KMat, zero_tol=None):
-    if zero_tol is None:
-        zero_tol = default_zero_tol(X)
-    return min_eigenvalue(X) > zero_tol
+def null_space(A):
+    """Orthonormal basis (columns) of ker A; singular values up to eps * max(A.shape) * s_max count as zero."""
+    _, s, vh = np.linalg.svd(A, full_matrices=True)
+    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * max(A.shape)))
+    return vh[rank:].conj().T

@@ -5,85 +5,6 @@ quaternionic linear algebra of the library can run through the complex
 embedding  q -> [[a, b], [-conj(b), conj(a)]].
 """
 
-from __future__ import annotations
-
-import math
-
 REAL = "R"
 COMPLEX = "C"
 QUATERNION = "H"
-
-TAGS = (REAL, COMPLEX, QUATERNION)
-
-#: number of real components per scalar
-COMPONENTS = {REAL: 1, COMPLEX: 2, QUATERNION: 4}
-
-
-class Quaternion:
-    """A quaternion w + x i + y j + z k, stored as the complex pair (a, b) = (w + x i, y + z i)."""
-
-    __slots__ = ("a", "b")
-
-    def __init__(self, a=0.0, b=0.0):
-        self.a = complex(a)
-        self.b = complex(b)
-
-    @classmethod
-    def from_components(cls, w, x=0.0, y=0.0, z=0.0):
-        return cls(complex(w, x), complex(y, z))
-
-    @property
-    def components(self):
-        return (self.a.real, self.a.imag, self.b.real, self.b.imag)
-
-    def __add__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.a + other.a, self.b + other.b)
-
-    def __sub__(self, other):
-        other = _coerce(other)
-        return Quaternion(self.a - other.a, self.b - other.b)
-
-    def __neg__(self):
-        return Quaternion(-self.a, -self.b)
-
-    def __mul__(self, other):
-        # (a1 + b1 j)(a2 + b2 j) = (a1 a2 - b1 conj(b2)) + (a1 b2 + b1 conj(a2)) j
-        other = _coerce(other)
-        a = self.a * other.a - self.b * other.b.conjugate()
-        b = self.a * other.b + self.b * other.a.conjugate()
-        return Quaternion(a, b)
-
-    def __rmul__(self, other):
-        return _coerce(other) * self
-
-    def conjugate(self):
-        return Quaternion(self.a.conjugate(), -self.b)
-
-    def norm(self):
-        return math.sqrt(abs(self.a) ** 2 + abs(self.b) ** 2)
-
-    def inverse(self):
-        n2 = abs(self.a) ** 2 + abs(self.b) ** 2
-        if n2 == 0.0:
-            raise ZeroDivisionError("inverse of zero quaternion")
-        c = self.conjugate()
-        return Quaternion(c.a / n2, c.b / n2)
-
-    def __eq__(self, other):
-        other = _coerce(other)
-        return self.a == other.a and self.b == other.b
-
-    def __repr__(self):
-        w, x, y, z = self.components
-        return f"Quaternion({w!r}, {x!r}, {y!r}, {z!r})"
-
-
-def _coerce(value):
-    if isinstance(value, Quaternion):
-        return value
-    if isinstance(value, (int, float)):
-        return Quaternion(value, 0.0)
-    if isinstance(value, complex):
-        return Quaternion(value, 0.0)
-    raise TypeError(f"cannot interpret {value!r} as a quaternion")

@@ -8,7 +8,6 @@ and isotropic lines in R^{n+2} for SO(n, 2).
 from __future__ import annotations
 
 import numpy as np
-import scipy.linalg
 
 from .errors import (
     IllConditioned,
@@ -20,7 +19,7 @@ from .errors import (
 )
 from .groups import SO_N2, GroupElement, GroupModel
 from .kmat import KMat
-from .linalg import check_hermitian
+from .linalg import check_hermitian, null_space
 from .scalars import QUATERNION
 
 ISOTROPY_TOL = 1e-8
@@ -223,7 +222,7 @@ def chart_point(model: GroupModel, X) -> ShilovPoint:
     if model.is_lagrangian:
         if not isinstance(X, KMat):
             X = KMat(model.tag, X)
-        check_hermitian(X)
+        check_hermitian(X.embed(), X.tag)
         return ShilovPoint(model, KMat.vstack([KMat.eye(model.tag, model.rank), X]))
     v = np.asarray(X, dtype=float).reshape(-1)
     n = model.rank
@@ -319,7 +318,7 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
         raise NotTransverse("degenerate pairing")
     w = w * (2.0 / pairing)
     # b-orthogonal complement of span(u, w), with its (n-1, 1) Gram diagonalized
-    N = scipy.linalg.null_space(np.vstack([u @ b, w @ b]))
+    N = null_space(np.vstack([u @ b, w @ b]))
     G = N.T @ b @ N
     vals, vecs = np.linalg.eigh(G)
     order = np.argsort(-vals)  # positives first, the single negative last

@@ -131,6 +131,23 @@ def test_hull_queries(tmp_path):
     assert report["report"]["memberships"] == [True, False]
 
 
+@pytest.mark.parametrize("bad", ["1e309", "NaN"])
+def test_hull_non_finite_points_exit_2(tmp_path, bad):
+    pts = tmp_path / "pts.json"
+    pts.write_text(f"[[[0.0, 0.0], [0.0, 0.0]], [[1.0, 0.0], [0.0, 1.0]], [[{bad}, 0.0], [0.0, 1.0]]]")
+    out = tmp_path / "rep"
+    r = run_cli(["hull", "--model", "sp4", "--points", str(pts), "--out", str(out)])
+    assert r.returncode == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == "NonFiniteInput"
+
+
+def test_cli_import_does_not_load_scipy():
+    code = "import sys, causalflag.cli; sys.exit('scipy' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ)).returncode == 0
+
+
 def test_config_flags_win(tmp_path):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"trials": 100}))
