@@ -21,7 +21,7 @@ from .groups import GroupElement, model_preset
 from .kmat import KMat
 from .shilov import ShilovPoint, chart_point
 
-TOLERANCE_KEYS = {"margin_floor", "dedup_tol", "band"}
+TOLERANCE_KEYS = {"margin_floor"}
 
 
 # ------------------------------------------------------- deterministic output
@@ -212,23 +212,26 @@ def _cmd_rep_gap(args, tol):
     return report, report["passed"]
 
 
-def _cmd_rep_limitset(args, tol):
+def _limit_sample(args, tol, max_len=None):
+    """sample_limit_set with the subcommand's flags and the configured margin_floor."""
     from . import reps
-    from .shilov import transversality_margin
 
     rep = _load_rep(args.rep)
-    kwargs = {}
-    if "margin_floor" in tol:
-        kwargs["margin_floor"] = tol["margin_floor"]
-    sample = reps.sample_limit_set(rep, args.max_word_len, per_length_cap=args.per_length_cap,
-                                   seed=args.seed, **kwargs)
+    kwargs = {"margin_floor": tol["margin_floor"]} if "margin_floor" in tol else {}
+    sample = reps.sample_limit_set(rep, args.max_word_len if max_len is None else max_len,
+                                   per_length_cap=args.per_length_cap, seed=args.seed, **kwargs)
+    return rep, sample
+
+
+def _cmd_rep_limitset(args, tol):
+    from .shilov import transversality_margins
+
+    rep, sample = _limit_sample(args, tol)
     min_margin = None
     if len(sample) > 1:
-        min_margin = min(
-            transversality_margin(p, q)
-            for i, p in enumerate(sample.points)
-            for q in sample.points[i + 1:]
-        )
+        Q = np.stack([p.ortho for p in sample.points])
+        i, j = np.triu_indices(len(Q), 1)
+        min_margin = float(np.min(transversality_margins(rep.model, Q[i], Q[j])))
     report = {
         "n_points": len(sample),
         "word_lengths": sample.word_lengths,
@@ -251,9 +254,7 @@ def _cmd_rep_limitset(args, tol):
 def _cmd_rep_verify_maslov0(args, tol):
     from . import reps
 
-    rep = _load_rep(args.rep)
-    sample = reps.sample_limit_set(rep, args.max_word_len, per_length_cap=args.per_length_cap,
-                                   seed=args.seed)
+    _, sample = _limit_sample(args, tol)
     report = reps.verify_maslov_zero(sample, args.triples, seed=args.seed)
     report["n_points"] = len(sample)
     return report, report["violations"] == 0
@@ -262,9 +263,7 @@ def _cmd_rep_verify_maslov0(args, tol):
 def _cmd_rep_certificate(args, tol):
     from . import reps
 
-    rep = _load_rep(args.rep)
-    sample = reps.sample_limit_set(rep, args.max_word_len, per_length_cap=args.per_length_cap,
-                                   seed=args.seed)
+    rep, sample = _limit_sample(args, tol)
     cert = reps.proper_domain_certificate(rep, sample, probe_count=args.probes, seed=args.seed)
     report = {
         "kind": "CERTIFICATE(SAMPLED)",
@@ -280,9 +279,7 @@ def _cmd_rep_certificate(args, tol):
 def _cmd_rep_core(args, tol):
     from . import reps
 
-    rep = _load_rep(args.rep)
-    sample = reps.sample_limit_set(rep, max(args.max_word_len, 4),
-                                   per_length_cap=args.per_length_cap, seed=args.seed)
+    rep, sample = _limit_sample(args, tol, max(args.max_word_len, 4))
     out = reps.convex_core_sample(rep, sample, [reps.domain_center(rep.model)], args.max_word_len)
     report = {
         "ideal_residual": out["ideal_residual"],

@@ -98,19 +98,6 @@ def negative_lifts(limit_pts) -> np.ndarray:
     return L
 
 
-def _membership_margin(lifts: np.ndarray, b: np.ndarray, v: np.ndarray) -> float:
-    """Signed margin for the invisible domain: positive strictly inside.
-
-    With the negative lift family fixed, membership means every pairing
-    with a limit lift has one common sign; the margin is the smallest
-    pairing magnitude, negated when the signs disagree.
-    """
-    vals = lifts @ b @ v
-    if np.all(vals < 0) or np.all(vals > 0):
-        return float(np.min(np.abs(vals)))
-    return float(-np.min(np.abs(vals)))
-
-
 def random_ein_point(model: GroupModel, rng) -> ShilovPoint:
     """Uniform-ish random isotropic line."""
     n = model.rank
@@ -223,7 +210,6 @@ def hilbert_distance(domain, x, y, t_span=1e8, tol=1e-12) -> float:
         return domain(x + t * (y - x))
 
     def boundary(direction):
-        lo, hi = (1.0, None) if direction > 0 else (0.0, None)
         t_in = 1.0 if direction > 0 else 0.0
         t_out = direction
         while member(t_out):

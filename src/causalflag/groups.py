@@ -40,8 +40,8 @@ class GroupModel:
     def __post_init__(self):
         if self.family not in _FAMILY_TAG:
             raise ModelMismatch(f"unknown family {self.family!r}")
-        if self.rank < 1 or (self.family != SO_N2 and self.rank < 1):
-            raise ModelMismatch("rank must be positive")
+        if self.rank < (2 if self.family == SO_N2 else 1):
+            raise ModelMismatch(f"rank {self.rank} is too small for family {self.family}")
 
     @property
     def tag(self):

@@ -190,10 +190,6 @@ class KMat:
         n, m = mat.shape[0] // 2, mat.shape[1] // 2
         return cls(QUATERNION, mat[:n, :m], mat[:n, m:])
 
-    @property
-    def embed_factor(self):
-        return 2 if self.tag == QUATERNION else 1
-
     # ------------------------------------------------------------------- norms
 
     def norm(self):

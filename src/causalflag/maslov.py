@@ -41,7 +41,7 @@ def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
         transversality_margin(b, c),
         transversality_margin(a, c),
     )
-    if min(margins) <= MARGIN_TOL:
+    if not all(m > MARGIN_TOL for m in margins):
         raise NotPairwiseTransverse(f"margins {margins} not all above {MARGIN_TOL:.1e}")
     S = standardize_pair(a, c)
     X = chart_coordinates(act(S, b))

@@ -27,7 +27,6 @@ from .groups import (
     GroupModel,
     alpha_r,
     in_levi_block_form,
-    levi_block,
     lyapunov_projection,
     model_preset,
     random_lie_perturbation,
@@ -43,6 +42,7 @@ from .shilov import (
     chart_coordinates,
     chart_point,
     transversality_margin,
+    transversality_margins,
 )
 
 GAP_FLOOR = 1e-3
@@ -278,14 +278,22 @@ def pingpong_certificate(rep: Representation, half_width=PINGPONG_HALF_WIDTH, sc
 
 @dataclass
 class WordBall:
+    """Reduced words up to max_len and their matrices as one embedded stack.
+
+    stack[i] is the complex embedding of the product of words[i] (real
+    models keep the real matrix, which is its own embedding); element(i)
+    wraps one entry as a group element without copying it.
+    """
+
     max_len: int
     words: list
-    elements: list
+    stack: np.ndarray
+    lengths: np.ndarray
+    model: GroupModel
     dedup: dict = field(default_factory=lambda: {"enabled": False})
 
-    @property
-    def lengths(self):
-        return np.array([len(w) for w in self.words])
+    def element(self, i) -> GroupElement:
+        return GroupElement(self.model, KMat.unembed(self.model.tag, self.stack[i]), _check=False)
 
 
 def _free_ball_count(n_gens: int, max_len: int) -> int:
@@ -297,12 +305,22 @@ def _free_ball_count(n_gens: int, max_len: int) -> int:
     return total
 
 
+def _bucket_keys(stack: np.ndarray, tol: float) -> list:
+    """One rounding-bucket key (bytes) per matrix of the stack."""
+    flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
+    cells = np.round(flat / tol).astype(np.int64)
+    return cells.view(np.dtype((np.void, cells.shape[1] * 8))).ravel().tolist()
+
+
 def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_CAP) -> WordBall:
     """All reduced words up to max_len, lexicographic within each length.
 
-    With dedup_tol set, words whose matrices land in the same rounding
-    bucket as an earlier word are dropped (surface relators force such
-    coincidences; free presets are unaffected).
+    Each length is one batched product frontier[parent] @ gen[letter] over
+    the (parent, letter) grid without inverse letters; the grid is read
+    row-major, which keeps the (length, word) order.  With dedup_tol set,
+    words whose matrices land in the same rounding bucket as an earlier
+    word are dropped (surface relators force such coincidences; free
+    presets are unaffected).
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -310,59 +328,48 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     if expected > cap:
         raise BallTooLarge(f"free ball size {expected} exceeds the cap {cap}")
     letters = sorted(rep.letters)
-    mats = {l: rep.gens[l].g for l in letters}
-    words, elements = [], []
-    seen = {}
+    inverse = np.array([letters.index(_inverse_name(l)) for l in letters])
+    real = rep.model.tag == REAL
+    gens = np.stack([rep.gens[l].g.a if real else rep.gens[l].g.embed() for l in letters])
+    frontier = np.eye(gens.shape[1], dtype=gens.dtype)[None]
+    last = np.array([-1])  # letter index ending each frontier word
+    frontier_words = [()]
+    seen = set(_bucket_keys(frontier, dedup_tol)) if dedup_tol else None
+    words, levels = [], []
     removed = 0
-    ident = KMat.eye(rep.model.tag, rep.model.dim)
-    if dedup_tol:
-        seen[_bucket(ident, dedup_tol)] = ()
-
-    # breadth-first by length so the output is ordered by (length, word)
-    frontier = [((), ident)]
     for _ in range(max_len):
-        nxt = []
-        for word, g in frontier:
-            for l in letters:
-                if word and l == _inverse_name(word[-1]):
-                    continue
-                w2 = word + (l,)
-                g2 = g @ mats[l]
-                if dedup_tol:
-                    key = _bucket(g2, dedup_tol)
-                    if key in seen:
-                        removed += 1
-                        continue
-                    seen[key] = w2
-                words.append(w2)
-                elements.append(GroupElement(rep.model, g2, _check=False))
-                nxt.append((w2, g2))
-        frontier = nxt
+        parent, letter = np.nonzero(inverse[None, :] != last[:, None])
+        level = np.matmul(frontier[parent], gens[letter])
+        if dedup_tol:
+            keep = []
+            for i, key in enumerate(_bucket_keys(level, dedup_tol)):
+                if key in seen:
+                    removed += 1
+                else:
+                    seen.add(key)
+                    keep.append(i)
+            parent, letter, level = parent[keep], letter[keep], level[keep]
+        frontier_words = [frontier_words[p] + (letters[l],)
+                          for p, l in zip(parent.tolist(), letter.tolist())]
+        words += frontier_words
+        levels.append(level)
+        frontier, last = level, letter
     return WordBall(
         max_len,
         words,
-        elements,
+        np.concatenate(levels),
+        np.repeat(np.arange(1, max_len + 1), [len(level) for level in levels]),
+        rep.model,
         dedup={"enabled": bool(dedup_tol), "tol": dedup_tol, "removed": removed},
     )
-
-
-def _bucket(g: KMat, tol: float):
-    E = g.embed()
-    if np.iscomplexobj(E):
-        return (
-            np.round(E.real / tol).astype(np.int64).tobytes(),
-            np.round(E.imag / tol).astype(np.int64).tobytes(),
-        )
-    return np.round(E / tol).astype(np.int64).tobytes()
 
 
 # ------------------------------------------------------------------ gap report
 
 
-def _batched_alpha(model: GroupModel, elements) -> np.ndarray:
-    """alpha_r of the Cartan projection for a list of elements, batched."""
-    E = np.stack([e.g.embed() for e in elements])
-    s = np.linalg.svd(E, compute_uv=False)
+def _batched_alpha(model: GroupModel, stack) -> np.ndarray:
+    """alpha_r of the Cartan projection for a stack of embedded elements."""
+    s = np.linalg.svd(stack.astype(complex, copy=False), compute_uv=False)
     if model.is_lagrangian:
         mult = 2 if model.tag == QUATERNION else 1
         eps_r = np.log(s[:, (model.rank - 1) * mult])
@@ -381,7 +388,7 @@ def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP, ball=None
     if ball is None:
         dedup_tol = 1e-9 if rep.relator else None
         ball = enumerate_ball(rep, max_len, dedup_tol=dedup_tol, cap=cap)
-    alphas = _batched_alpha(rep.model, ball.elements)
+    alphas = _batched_alpha(rep.model, ball.stack)
     lengths = ball.lengths
     per_length_min = {}
     for L in range(1, max_len + 1):
@@ -487,17 +494,25 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
         if len(idx) > per_length_cap:
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
+    # kept points, stacked for one vectorized distance and det per candidate
+    probe = base_points(rep.model)[0]
+    projectors = np.empty((len(chosen),) + probe.projector().shape, probe.ortho.dtype)
+    orthos = np.empty((len(chosen),) + probe.ortho.shape, probe.ortho.dtype)
     points, word_lengths, residuals, words = [], [], [], []
     for i in chosen:
         try:
-            pt, res = _attract(ball.elements[i], 1e-12, 10_000, seed)
+            pt, res = _attract(ball.element(i), 1e-12, 10_000, seed)
         except (NoGap, NonConvergence):
             continue
-        if any(
-            pt.distance(q) < 1e-6 or transversality_margin(pt, q) <= margin_floor
-            for q in points
-        ):
+        k = len(points)
+        P = pt.projector()
+        near = np.linalg.norm(projectors[:k] - P, axis=(1, 2)) < 1e-6
+        Q = np.broadcast_to(pt.ortho, orthos[:k].shape)
+        margins = transversality_margins(rep.model, Q, orthos[:k])
+        if near.any() or (margins <= margin_floor).any():
             continue
+        projectors[k] = P
+        orthos[k] = pt.ortho
         points.append(pt)
         word_lengths.append(len(ball.words[i]))
         residuals.append(res)
@@ -578,11 +593,12 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     model = rep.model
     ball = enumerate_ball(rep, orbit_len, dedup_tol=1e-9 if rep.relator else None)
     center = domain_center(model)
-    orbit = [center] + [act(g, center) for g in ball.elements]
-    targets = orbit + list(sample.points)
+    orbit = [center] + [act(ball.element(i), center) for i in range(len(ball.words))]
+    targets = np.stack([pt.ortho for pt in orbit + list(sample.points)])
 
     def margin_against(z0):
-        return min(transversality_margin(pt, z0) for pt in targets)
+        z = np.broadcast_to(z0.ortho, targets.shape)
+        return float(np.min(transversality_margins(model, targets, z)))
 
     candidates = [("dual_center", dual_center(model))]
     _, p_minus = base_points(model)
@@ -624,7 +640,8 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     orbit_lens = [0] * len(base_pts)
     if max_len >= 1:
         ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
-        for w, g in zip(ball.words, ball.elements):
+        for i, w in enumerate(ball.words):
+            g = ball.element(i)
             for bp in base_pts:
                 orbit_pts.append(act(g, bp))
                 orbit_lens.append(len(w))
@@ -687,29 +704,24 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
         if not in_levi_block_form(rep.gens[name]):
             raise NotInLevi(f"generator {name!r} is not block-diagonal")
     ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
-    half = model.rank // 2
+    r = model.rank
+    half = r // 2
     mult = 2 if model.tag == QUATERNION else 1
-    checked = 0
-    violations = []
-    min_upper = np.inf
-    max_lower = -np.inf
-    for word, g in zip(ball.words, ball.elements):
-        if len(word) <= 2:
-            continue
-        s = np.linalg.svd(levi_block(g).embed(), compute_uv=False)
-        upper = np.log(s[(half - 1) * mult])
-        lower = np.log(s[half * mult])
-        checked += 1
-        min_upper = min(min_upper, upper)
-        max_lower = max(max_lower, lower)
-        if not (upper > 0.0 > lower):
-            violations.append("".join(word))
+    # the Levi block's embedding: rows and columns 0:r, plus dim:dim+r over H
+    idx = np.r_[0:r, model.dim:model.dim + r] if mult == 2 else np.arange(r)
+    long = np.flatnonzero(ball.lengths > 2)
+    blocks = ball.stack[long[:, None, None], idx[:, None], idx]
+    s = np.linalg.svd(blocks.astype(complex, copy=False), compute_uv=False)
+    upper = np.log(s[:, (half - 1) * mult])
+    lower = np.log(s[:, half * mult])
+    violations = ["".join(ball.words[i]) for i in long[~((upper > 0.0) & (0.0 > lower))]]
+    checked = len(long)
     return {
         "max_len": max_len,
         "words_checked": checked,
         "violations": violations[:20],
         "n_violations": len(violations),
-        "min_upper": float(min_upper) if checked else None,
-        "max_lower": float(max_lower) if checked else None,
+        "min_upper": float(np.min(upper)) if checked else None,
+        "max_lower": float(np.max(lower)) if checked else None,
         "passed": bool(checked and not violations),
     }

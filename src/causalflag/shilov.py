@@ -13,11 +13,12 @@ from .errors import (
     IllConditioned,
     InvalidFrame,
     ModelMismatch,
+    NonFiniteInput,
     NotHermitian,
     NotInChart,
     NotTransverse,
 )
-from .groups import SO_N2, GroupElement, GroupModel
+from .groups import GroupElement, GroupModel
 from .kmat import KMat
 from .linalg import check_hermitian, null_space
 from .scalars import QUATERNION
@@ -83,30 +84,33 @@ class ShilovPoint:
                 frame = KMat(model.tag, frame)
             if frame.shape != (2 * model.rank, model.rank):
                 raise InvalidFrame(f"expected a {2 * model.rank}x{model.rank} frame, got {frame.shape}")
+            E = frame.embed()
+            if not np.isfinite(E).all():
+                raise NonFiniteInput("frame has a non-finite entry")
             self.frame = frame
             if checked:
                 iso = (frame.H @ model.form() @ frame).norm()
-                if iso > ISOTROPY_TOL * max(1.0, frame.norm() ** 2):
+                if not (iso <= ISOTROPY_TOL * max(1.0, frame.norm() ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            self._ortho = self._orthonormal_embedded()
+            Q, R = np.linalg.qr(E)
+            diag = np.abs(np.diag(R))
+            if not (np.min(diag) >= 1e-10 * max(1.0, np.max(diag))):
+                raise InvalidFrame("rank-deficient frame")
+            self._ortho = Q
         else:
             v = np.asarray(frame, dtype=float).reshape(-1)
             if v.shape != (model.dim,):
                 raise InvalidFrame(f"expected a vector of length {model.dim}")
+            if not np.isfinite(v).all():
+                raise NonFiniteInput("vector has a non-finite entry")
             nv = np.linalg.norm(v)
-            if nv < 1e-12:
+            if not (nv >= 1e-12):
                 raise InvalidFrame("zero vector")
             b = model.form().a
-            if abs(v @ b @ v) > ISOTROPY_TOL * nv**2:
-                raise InvalidFrame(f"isotropy defect {abs(v @ b @ v):.3e}")
+            iso = abs(v @ b @ v)
+            if not (iso <= ISOTROPY_TOL * nv**2):
+                raise InvalidFrame(f"isotropy defect {iso:.3e}")
             self.frame = v / nv
-
-    def _orthonormal_embedded(self):
-        E = self.frame.embed()
-        Q, R = np.linalg.qr(E)
-        if np.min(np.abs(np.diag(R))) < 1e-10 * max(1.0, np.max(np.abs(np.diag(R)))):
-            raise InvalidFrame("rank-deficient frame")
-        return Q
 
     @property
     def ortho(self):
@@ -127,9 +131,6 @@ class ShilovPoint:
         if other.model != self.model:
             raise ModelMismatch("cannot compare points of different models")
         return float(np.linalg.norm(self.projector() - other.projector()))
-
-    def close_to(self, other, tol=1e-8):
-        return self.distance(other) <= tol
 
     def to_json(self):
         if self.model.is_lagrangian:
@@ -200,14 +201,20 @@ def transversality_margin(x: ShilovPoint, y: ShilovPoint) -> float:
     """Scale-free margin: |det| of the stacked orthonormal frames (or |b(u,v)|)."""
     if x.model != y.model:
         raise ModelMismatch("points belong to different models")
-    if x.model.is_lagrangian:
-        M = np.hstack([x.ortho, y.ortho])
-        d = abs(np.linalg.det(M))
-        if x.model.tag == QUATERNION:
-            d = np.sqrt(d)
-        return float(d)
-    b = x.model.form().a
-    return float(abs(x.frame @ b @ y.frame))
+    return float(transversality_margins(x.model, x.ortho[None], y.ortho[None])[0])
+
+
+def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
+    """transversality_margin of each pair (X[k], Y[k]) of orthonormal representatives.
+
+    X and Y are stacks of ``ortho`` arrays: one LAPACK det per pair for the
+    Lagrangian families, one dot per pair for SO(n, 2).
+    """
+    if model.is_lagrangian:
+        d = np.abs(np.linalg.det(np.concatenate([X, Y], axis=-1)))
+        return np.sqrt(d) if model.tag == QUATERNION else d
+    b = model.form().a
+    return np.abs((X @ b)[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def transverse(x: ShilovPoint, y: ShilovPoint, tol=TRANSVERSALITY_TOL) -> bool:

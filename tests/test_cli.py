@@ -172,6 +172,47 @@ def test_config_rejections(tmp_path):
     assert r2.returncode == 1
 
 
+@pytest.mark.parametrize("key", ["dedup_tol", "band"])
+def test_unread_tolerance_keys_are_rejected(tmp_path, key):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {key: 1e-9}}))
+    r = run_cli(["rep-gap", "--rep", "tau0-sp4-f2", "--max-word-len", "2", "--config", str(cfg)])
+    assert r.returncode == 1
+    assert "unknown tolerance key" in r.stderr
+
+
+@pytest.mark.parametrize("command", [
+    ["rep-limitset"],
+    ["rep-verify-maslov0", "--triples", "20"],
+    ["rep-certificate", "--probes", "2"],
+    ["rep-core"],
+])
+def test_margin_floor_reaches_the_limit_sampler(tmp_path, monkeypatch, capsys, command):
+    from causalflag import cli, reps
+
+    seen = []
+    sampler = reps.sample_limit_set
+
+    def spy(*args, **kwargs):
+        seen.append(kwargs.get("margin_floor"))
+        return sampler(*args, **kwargs)
+
+    monkeypatch.setattr(reps, "sample_limit_set", spy)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"margin_floor": 1e-3}}))
+    argv = command + ["--rep", "tau0-sp4-f2", "--max-word-len", "4"]
+    assert cli.main(argv + ["--config", str(cfg)]) == 0
+    assert seen == [1e-3]
+    sparse = json.loads(capsys.readouterr().out)["report"]
+    assert cli.main(argv) == 0
+    assert seen == [1e-3, None]
+    dense = json.loads(capsys.readouterr().out)["report"]
+    if command[0] == "rep-verify-maslov0":
+        assert sparse["n_points"] < dense["n_points"]
+    elif command[0] == "rep-certificate":
+        assert sparse["n_limit_points"] < dense["n_limit_points"]
+
+
 def test_ein_commands(tmp_path):
     rng = np.random.default_rng(23)
     pts = []

@@ -5,7 +5,11 @@ import pytest
 
 from causalflag.errors import ModelMismatch, NotUnimodular, OddRank, UnknownPreset
 from causalflag.groups import (
+    SO_N2,
+    SP,
+    SOSTAR,
     GroupElement,
+    GroupModel,
     alpha_r,
     cartan_projection,
     form_defect,
@@ -35,6 +39,16 @@ def test_preset_shapes():
     assert model_preset("so42").dim == 6
     with pytest.raises(UnknownPreset):
         model_preset("nope")
+
+
+def test_model_rank_guard():
+    with pytest.raises(ModelMismatch):
+        GroupModel(SO_N2, 1)  # SO(1, 2)
+    for family in (SP, SOSTAR):
+        with pytest.raises(ModelMismatch):
+            GroupModel(family, 0)
+    assert GroupModel(SO_N2, 2).dim == 4
+    assert GroupModel(SP, 1).dim == 2
 
 
 def test_form_squares():

@@ -71,6 +71,25 @@ def test_non_transverse_triple_rejected():
         maslov_index(a, a, c)
 
 
+@pytest.mark.parametrize("slot", [0, 1, 2])
+def test_nan_margin_in_any_slot_is_rejected(monkeypatch, slot):
+    import causalflag.maslov as maslov_module
+
+    model = model_preset("sp4")
+    a, b, c = (chart_point(model, v * KMat.eye("R", 2)) for v in (-2.0, 0.0, 2.0))
+    assert maslov_index(a, b, c).idx == 2
+    real = maslov_module.transversality_margin
+    calls = []
+
+    def nan_in_slot(x, y):
+        calls.append(None)
+        return float("nan") if len(calls) - 1 == slot else real(x, y)
+
+    monkeypatch.setattr(maslov_module, "transversality_margin", nan_in_slot)
+    with pytest.raises(NotPairwiseTransverse):
+        maslov_index(a, b, c)
+
+
 @pytest.mark.parametrize("name", LAGRANGIAN + ["so42"])
 def test_cyclic_and_swap_symmetry(name):
     model = model_preset(name)

@@ -3,8 +3,16 @@
 import numpy as np
 import pytest
 
-from causalflag.errors import BallTooLarge, NotInLevi, TooFewPoints, UnknownPreset
-from causalflag.groups import group_exp, model_preset, random_lie_element
+from causalflag.errors import (
+    BallTooLarge,
+    NoGap,
+    NonConvergence,
+    NotInLevi,
+    TooFewPoints,
+    UnknownPreset,
+)
+from causalflag.groups import group_exp, levi_block, model_preset, random_lie_element
+from causalflag.kmat import KMat
 from causalflag.reps import (
     Representation,
     anosov_gap_report,
@@ -79,6 +87,66 @@ def test_surface_ball_is_strictly_smaller_than_free():
     assert ball.dedup["removed"] > 0
 
 
+ALL_PRESETS = ["f2-fuchsian-sl2", "tau0-sp4-f2", "tau0-su22-f2",
+               "tau0-sostar8-f2", "genus2-sl2", "tau0-sp4-genus2"]
+
+
+def library_ball(rep, max_len):
+    """The ball with the dedup tolerance the library's pipelines use."""
+    return enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
+
+
+def reference_ball(rep, max_len, tol):
+    """Per-word enumeration: one KMat product and one rounding bucket per word."""
+
+    def bucket(g):
+        E = g.embed()
+        return (np.round(E.real / tol).astype(np.int64).tobytes(),
+                np.round(E.imag / tol).astype(np.int64).tobytes())
+
+    ident = KMat.eye(rep.model.tag, rep.model.dim)
+    seen = {bucket(ident)}
+    words, removed = [], 0
+    frontier = [((), ident)]
+    for _ in range(max_len):
+        nxt = []
+        for word, g in frontier:
+            for letter in sorted(rep.letters):
+                if word and letter == word[-1].swapcase():
+                    continue
+                g2 = g @ rep.gens[letter].g
+                key = bucket(g2)
+                if key in seen:
+                    removed += 1
+                    continue
+                seen.add(key)
+                words.append(word + (letter,))
+                nxt.append((word + (letter,), g2))
+        frontier = nxt
+    return words, removed
+
+
+@pytest.mark.parametrize("pid", ALL_PRESETS)
+def test_ball_stack_equals_word_products(pid):
+    rep = preset(pid)
+    ball = library_ball(rep, 3)
+    assert len(ball.stack) == len(ball.words)
+    assert ball.lengths.tolist() == [len(w) for w in ball.words]
+    for i, word in enumerate(ball.words):
+        E = rep.word_element(word).g.embed()
+        assert np.array_equal(ball.stack[i], E)
+        assert np.array_equal(ball.element(i).g.embed(), E)
+
+
+@pytest.mark.parametrize("pid", ["genus2-sl2", "tau0-sp4-genus2"])
+def test_surface_ball_dedup_matches_per_word_reference(pid):
+    rep = preset(pid)
+    ball = enumerate_ball(rep, 4, dedup_tol=1e-9)
+    words, removed = reference_ball(rep, 4, 1e-9)
+    assert ball.words == words
+    assert ball.dedup["removed"] == removed > 0
+
+
 def test_ball_cap():
     rep = preset("tau0-sp4-f2")
     with pytest.raises(BallTooLarge):
@@ -93,6 +161,92 @@ def test_gap_reports_pass():
         assert report["zero_gap_words"] == 0
         mins = [report["per_length_min"][str(L)] for L in range(1, 6)]
         assert mins[0] > 0.0
+
+
+def reference_gap_report(rep, max_len):
+    ball = library_ball(rep, max_len)
+    model = rep.model
+    k = (model.rank - 1) * (2 if model.tag == "H" else 1) if model.is_lagrangian else 1
+    alphas = np.array([
+        2.0 * max(np.log(np.linalg.svd(rep.word_element(w).g.embed(), compute_uv=False)[k]), 0.0)
+        for w in ball.words
+    ])
+    per_length_min = {L: float(np.min(alphas[ball.lengths == L])) for L in range(1, max_len + 1)}
+    slope, intercept = np.polyfit(np.arange(1, max_len + 1), list(per_length_min.values()), 1)
+    zero_words = int(np.sum(alphas <= 0.0))
+    return {
+        "max_len": max_len,
+        "n_words": len(ball.words),
+        "slope": float(slope),
+        "intercept": float(intercept),
+        "min_margin": float(np.min(alphas)),
+        "zero_gap_words": zero_words,
+        "per_length_min": {str(L): v for L, v in per_length_min.items()},
+        "passed": bool(slope > 0.05 and zero_words == 0),
+    }
+
+
+def reference_levi_report(rep, max_len):
+    half = rep.model.rank // 2
+    mult = 2 if rep.model.tag == "H" else 1
+    uppers, lowers, violations = [], [], []
+    for word in library_ball(rep, max_len).words:
+        if len(word) <= 2:
+            continue
+        s = np.linalg.svd(levi_block(rep.word_element(word)).embed(), compute_uv=False)
+        uppers.append(np.log(s[(half - 1) * mult]))
+        lowers.append(np.log(s[half * mult]))
+        if not (uppers[-1] > 0.0 > lowers[-1]):
+            violations.append("".join(word))
+    return {
+        "max_len": max_len,
+        "words_checked": len(uppers),
+        "violations": violations[:20],
+        "n_violations": len(violations),
+        "min_upper": float(min(uppers)),
+        "max_lower": float(max(lowers)),
+        "passed": not violations,
+    }
+
+
+@pytest.mark.parametrize("pid,max_len", [("tau0-sp4-f2", 5), ("tau0-su22-f2", 4),
+                                         ("tau0-sostar8-f2", 4), ("tau0-sp4-genus2", 3)])
+def test_gap_reports_equal_per_element_references(pid, max_len):
+    rep = preset(pid)
+    assert anosov_gap_report(rep, max_len) == reference_gap_report(rep, max_len)
+    assert levi_gap_report(rep, max_len) == reference_levi_report(rep, max_len)
+
+
+def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6):
+    """Kept words of the pairwise keep/merge scan over attracting points."""
+    ball = library_ball(rep, max_len)
+    rng = np.random.default_rng(seed)
+    chosen = []
+    for L in range(3, max_len + 1):
+        idx = np.nonzero(ball.lengths == L)[0]
+        if len(idx) > per_length_cap:
+            idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
+        chosen.extend(int(i) for i in idx)
+    points, words = [], []
+    for i in chosen:
+        try:
+            pt = attracting_point(rep.word_element(ball.words[i]), seed=seed)
+        except (NoGap, NonConvergence):
+            continue
+        if any(pt.distance(q) < 1e-6 or transversality_margin(pt, q) <= margin_floor
+               for q in points):
+            continue
+        points.append(pt)
+        words.append(ball.words[i])
+    return words
+
+
+@pytest.mark.parametrize("pid", ["tau0-sp4-f2", "tau0-sostar8-f2", "tau0-sp4-genus2"])
+def test_limit_sample_keeps_the_reference_words(pid):
+    rep = preset(pid)
+    sample = sample_limit_set(rep, 6 if rep.relator is None else 4, seed=0)
+    assert sample.words == reference_limit_words(rep, 6 if rep.relator is None else 4)
+    assert len(sample) >= 20
 
 
 def test_attracting_point_is_fixed():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from causalflag.errors import InvalidFrame, NotInChart, NotTransverse
+from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import group_exp, model_preset, random_lie_element
 from causalflag.kmat import KMat
 from causalflag.shilov import (
@@ -82,6 +82,28 @@ def test_frame_isotropy_gate():
     F[2, 1] = 1.0  # omega(e1, e3) = -1, so span(e1, e3) is not isotropic
     with pytest.raises(InvalidFrame):
         ShilovPoint(model, KMat("R", F))
+
+
+def test_non_finite_vector_is_rejected():
+    model = model_preset("so42")
+    with pytest.raises(NonFiniteInput):
+        ShilovPoint(model, [np.nan, 0.0, 0.0, 0.0, 1.0, 0.0])
+    with pytest.raises(NonFiniteInput):
+        ShilovPoint(model, [np.inf, 0.0, 0.0, 0.0, np.inf, 0.0])
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN)
+@pytest.mark.parametrize("checked", [True, False])
+def test_non_finite_frame_is_rejected(name, checked):
+    model = model_preset(name)
+    _, p_minus = base_points(model)
+    F = p_minus.frame.copy()
+    F.a[3, 1] = np.inf
+    with pytest.raises(NonFiniteInput):
+        ShilovPoint(model, F, checked=checked)
+    F.a[3, 1] = np.nan
+    with pytest.raises(NonFiniteInput):
+        ShilovPoint(model, F, checked=checked)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
