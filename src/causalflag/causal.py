@@ -30,7 +30,6 @@ from .shilov import (
     minkowski_form,
     standardize_pair,
     transversality_margin,
-    transverse,
 )
 
 

@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from .errors import CausalFlagError
-from .groups import GroupElement, model_preset
+from .groups import model_preset
 from .kmat import KMat
 from .shilov import ShilovPoint, chart_point
 

@@ -3,7 +3,11 @@
 Points are isotropic lines of a form of signature (n, 2).  The sign
 product of pairwise lift pairings gives a fast Maslov classifier for
 triples; it is lift-independent since flipping one lift's sign flips
-exactly two of the three factors.
+exactly two of the three factors.  Negativity three by three is an
+O(n^2) check on one Gram matrix: flip each lift so that it pairs
+negatively with lift 0, and the family is negative iff every pairing is
+then negative.  Membership in the invisible domain is one pairing per
+limit point against those negative lifts.
 """
 
 from __future__ import annotations
@@ -51,51 +55,47 @@ def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
     return 0 if p_ab * p_bc * p_ac < 0 else 2
 
 
-def check_negative(limit_pts, tol=LIGHTCONE_TOL):
+def check_negative(limit_pts):
     """Raise unless every triple of the list has sign 0 (negative 3 by 3)."""
-    n = len(limit_pts)
-    for i in range(n):
-        for j in range(i + 1, n):
-            if abs(pairing(limit_pts[i], limit_pts[j])) <= tol:
-                raise LimitSetNotNegative(f"points {i}, {j} are lightcone-related")
-    for i in range(n):
-        for j in range(i + 1, n):
-            for k in range(j + 1, n):
-                if ein_maslov_sign(limit_pts[i], limit_pts[j], limit_pts[k]) != 0:
-                    raise LimitSetNotNegative(f"triple ({i}, {j}, {k}) is not negative")
+    negative_lifts(limit_pts)
 
 
-def invisible_domain_membership(limit_pts, x: ShilovPoint, checked=False) -> bool:
-    """True iff x is transverse to every limit point with index 0 against every pair."""
-    if len(limit_pts) > 1000:
-        raise ValueError("limit list capped at 1000 points")
-    if not checked:
-        check_negative(limit_pts)
-    for xi in limit_pts:
-        if lightcone_membership(xi, x):
-            return False
-    for i in range(len(limit_pts)):
-        for j in range(i + 1, len(limit_pts)):
-            if ein_maslov_sign(limit_pts[i], x, limit_pts[j]) != 0:
-                return False
-    return True
+def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
+    """True iff x is transverse to every limit point with index 0 against every pair.
+
+    With negative lifts u_i, the sign of (u_i, x, u_j) is 0 iff
+    b(u_i, x) b(u_j, x) > 0, so x is invisible iff its pairings with the
+    lifts are nonzero and share one sign.
+    """
+    vals = negative_lifts(limit_pts) @ x.model.form().a @ x.frame
+    if np.any(np.abs(vals) <= LIGHTCONE_TOL):
+        return False
+    return bool(np.all(vals < 0) or np.all(vals > 0))
 
 
 def negative_lifts(limit_pts) -> np.ndarray:
-    """Lifts with signs fixed so that every pairwise pairing is negative."""
+    """Lifts with signs fixed so that every pairwise pairing is negative.
+
+    One Gram matrix decides negativity three by three: flip each lift so
+    that b(u_0, u_k) < 0; the triple (0, j, k) is then negative iff
+    b(u_j, u_k) < 0, and a family is negative iff all of these are.
+    """
     if not limit_pts:
         raise LimitSetNotNegative("empty limit set")
-    b = limit_pts[0].model.form().a
-    lifts = [p.frame.copy() for p in limit_pts]
-    for i in range(1, len(lifts)):
-        if lifts[0] @ b @ lifts[i] > 0:
-            lifts[i] = -lifts[i]
-    L = np.stack(lifts)
-    gram = L @ b @ L.T
-    off = gram[~np.eye(len(lifts), dtype=bool)]
-    if len(off) and np.max(off) >= -LIGHTCONE_TOL:
-        raise LimitSetNotNegative("no consistent negative family of lifts")
-    return L
+    _check_model(limit_pts[0].model)
+    L = np.stack([p.frame for p in limit_pts])
+    gram = L @ limit_pts[0].model.form().a @ L.T
+    iu = np.triu_indices(len(L), 1)
+    close = np.flatnonzero(np.abs(gram[iu]) <= LIGHTCONE_TOL)
+    if len(close):
+        raise LimitSetNotNegative(f"points {iu[0][close[0]]}, {iu[1][close[0]]} are lightcone-related")
+    flip = np.where(gram[0] > 0, -1.0, 1.0)
+    flip[0] = 1.0
+    positive = np.flatnonzero((flip[:, None] * gram * flip[None, :])[iu] > 0)
+    if len(positive):
+        j, k = iu[0][positive[0]], iu[1][positive[0]]
+        raise LimitSetNotNegative(f"triple (0, {j}, {k}) is not negative")
+    return L * flip[:, None]
 
 
 def random_ein_point(model: GroupModel, rng) -> ShilovPoint:
@@ -141,10 +141,9 @@ def random_photon(model: GroupModel, rng, through=None):
 
 def photon_convexity_check(limit_pts, n_photons: int, seed, scan=1000) -> dict:
     """Scan random photons: membership along each must form a single arc."""
-    check_negative(limit_pts)
+    lifts = negative_lifts(limit_pts)
     model = limit_pts[0].model
     b = model.form().a
-    lifts = negative_lifts(limit_pts)
     rng = np.random.default_rng(seed)
     violations = 0
     vacuous = 0

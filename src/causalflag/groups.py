@@ -121,7 +121,7 @@ class GroupElement:
             raise ModelMismatch(f"expected {self.model.dim}x{self.model.dim} matrix, got {self.g.shape}")
         if self._check:
             defect = form_defect(self.model, self.g)
-            if defect > FORM_TOL:
+            if not (defect <= FORM_TOL):
                 raise ModelMismatch(f"form-preservation defect {defect:.3e} exceeds {FORM_TOL:.1e}")
 
     @classmethod

@@ -72,11 +72,10 @@ def hermitian_eigenvalues(X: KMat, tol=HERMITIAN_TOL):
     return vals.copy()
 
 
-def signature(X: KMat, zero_tol=None) -> Signature:
-    """Counts of eigenvalues above, below, and inside the zero band."""
+def signature(X: KMat) -> Signature:
+    """Counts of eigenvalues above, below, and inside the zero band 1e-9 * max(1, max |lambda|)."""
     vals = hermitian_eigenvalues(X)
-    if zero_tol is None:
-        zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
+    zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
     pos = int(np.sum(vals > zero_tol))
     neg = int(np.sum(vals < -zero_tol))
     return Signature(pos, neg, len(vals) - pos - neg)

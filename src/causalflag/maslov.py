@@ -1,9 +1,18 @@
 """Maslov index of pairwise transverse triples.
 
-The triple (a, b, c) is standardized so that (a, c) becomes the base
-pair; the orbit of the middle point is then read off the Sylvester
-signature of its chart coordinate.  Only |r - 2i| is a well-defined
-invariant; we report i as min(i, r - i) alongside it.
+One kernel, ``maslov_indices``, computes the index for stacks of triples
+of orthonormal representatives (``ShilovPoint.ortho``).  On the
+Lagrangian families it is Kashiwara's index: the signature of the
+quadratic form q(x1, x2, x3) = w(x1, x2) + w(x2, x3) + w(x3, x1) on
+L1 + L2 + L3 (Kashiwara-Schapira, Sheaves on Manifolds, App. A.3), read
+off one ``eigvalsh`` of the Hermitian part of the 3x3 block matrix with
+Qa^H J Qb, Qb^H J Qc and Qc^H J Qa in the slots (1,2), (2,3) and (3,1).
+No chart, standardization or solve is involved.  Clerc and Orsted ("The
+Maslov index revisited", Transform. Groups 2001) show that this index
+covers the Shilov boundary of every tube-type domain; on SO(n, 2) it is
+0 when the three pairings of the unit lifts multiply to a negative
+number and 2 otherwise.  Only |r - 2i| is a well-defined invariant; the
+scalar ``maslov_index`` reports i as min(i, r - i) alongside it.
 """
 
 from __future__ import annotations
@@ -12,13 +21,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .causal import classify_orbit
-from .errors import DegenerateSignature, IllConditioned, NotPairwiseTransverse
+from .errors import DegenerateSignature, ModelMismatch, NotPairwiseTransverse
 from .groups import GroupModel
-from .linalg import signature
-from .shilov import ShilovPoint, act, chart_coordinates, standardize_pair, transversality_margin
+from .scalars import QUATERNION, REAL
+from .shilov import ShilovPoint, _socharts_lift, transversality_margins
 
 MARGIN_TOL = 1e-9
+_CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
 
 
 @dataclass(frozen=True)
@@ -32,60 +41,63 @@ class TripleType:
         assert (self.idx - self.rank) % 2 == 0
 
 
-def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
-    """Type and Maslov index of a pairwise transverse triple."""
-    model = a.model
-    r = model.r
-    margins = (
-        transversality_margin(a, b),
-        transversality_margin(b, c),
-        transversality_margin(a, c),
-    )
-    if not all(m > MARGIN_TOL for m in margins):
-        raise NotPairwiseTransverse(f"margins {margins} not all above {MARGIN_TOL:.1e}")
-    S = standardize_pair(a, c)
-    X = chart_coordinates(act(S, b))
-    if model.is_lagrangian:
-        sig = signature(X)
-        if sig.zero > 0:
-            raise DegenerateSignature(f"signature {sig.as_tuple()} has a kernel")
-        i = sig.pos
-    else:
-        i_plus, i_minus = classify_orbit(model, X)
-        if i_plus + i_minus != 2:
-            raise DegenerateSignature("middle point lies on a lightcone stratum")
-        i = i_plus
-    return TripleType(min(i, r - i), abs(r - 2 * i), r)
-
-
-def _random_transverse_triple(model: GroupModel, rng, margin_floor=1e-6, max_tries=200):
-    from .causal import random_signature_coord  # local import to avoid a cycle at import time
-    from .shilov import base_points, chart_point, transverse
-
-    for _ in range(max_tries):
-        if model.is_lagrangian:
-            r = model.rank
-            pts = []
-            for _k in range(3):
-                from .kmat import KMat
-
-                X = KMat.random(model.tag, r, r, rng)
-                pts.append(chart_point(model, 0.5 * (X + X.H)))
-        else:
-            n = model.rank
-            pts = [chart_point(model, rng.standard_normal(n)) for _k in range(3)]
-        m = min(
-            transversality_margin(pts[0], pts[1]),
-            transversality_margin(pts[1], pts[2]),
-            transversality_margin(pts[0], pts[2]),
-        )
-        if m > margin_floor:
-            return pts, m
-    raise NotPairwiseTransverse("could not sample a well-separated triple")
-
-
 def _adjoint(M):
     return np.conj(np.swapaxes(M, -1, -2))
+
+
+def _embedded_form(model: GroupModel):
+    """The preserved form acting on embedded representatives: J (real on Sp(2r, R)) or b."""
+    if not model.is_lagrangian:
+        return model.form().a
+    J = model.form().embed()
+    return J.real if model.tag == REAL else J
+
+
+def maslov_indices(model: GroupModel, A, B, C):
+    """Index of each triple (A[k], B[k], C[k]) of orthonormal representatives.
+
+    Returns (idx, margin, valid): the invariant |r - 2i|, the smallest of
+    the three pairwise transversality margins, and a mask that is False
+    where a margin is not above MARGIN_TOL (NaN included) or where an
+    eigenvalue of Kashiwara's form falls in the band
+    1e-9 * max(1, max |lambda|).
+    """
+    margin = np.minimum(
+        np.minimum(transversality_margins(model, A, B), transversality_margins(model, B, C)),
+        transversality_margins(model, A, C),
+    )
+    valid = margin > MARGIN_TOL
+    J = _embedded_form(model)
+    if not model.is_lagrangian:
+        pairing = lambda X, Y: np.sum((X @ J) * Y, axis=-1)
+        negative = pairing(A, B) * pairing(B, C) * pairing(C, A) < 0
+        return np.where(negative, 0, 2), margin, valid
+    d = A.shape[-1]
+    T = np.zeros(A.shape[:-2] + (3 * d, 3 * d), dtype=np.result_type(A, B, C, J))
+    T[..., :d, d : 2 * d] = _adjoint(A) @ J @ B
+    T[..., d : 2 * d, 2 * d :] = _adjoint(B) @ J @ C
+    T[..., 2 * d :, :d] = _adjoint(C) @ J @ A
+    ev = np.linalg.eigvalsh(0.5 * (T + _adjoint(T)))
+    band = 1e-9 * np.maximum(1.0, np.max(np.abs(ev), axis=-1))[..., None]
+    valid &= ~np.any(np.abs(ev) <= band, axis=-1)
+    mult = 2 if model.tag == QUATERNION else 1
+    idx = np.abs(np.sum(ev > band, axis=-1) - np.sum(ev < -band, axis=-1)) // mult
+    return idx, margin, valid
+
+
+def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
+    """Type and Maslov index of a pairwise transverse triple (a batch of one)."""
+    model = a.model
+    if b.model != model or c.model != model:
+        raise ModelMismatch("points belong to different models")
+    idx, margin, valid = maslov_indices(model, a.ortho[None], b.ortho[None], c.ortho[None])
+    if not margin[0] > MARGIN_TOL:
+        raise NotPairwiseTransverse(f"smallest margin {margin[0]:.3e} not above {MARGIN_TOL:.1e}")
+    if not valid[0]:
+        raise DegenerateSignature("Kashiwara's form of the triple has a kernel")
+    r = model.r
+    idx = int(idx[0])
+    return TripleType((r - idx) // 2, idx, r)
 
 
 def _batch_hermitian(model: GroupModel, n, rng):
@@ -129,6 +141,21 @@ def _batch_frames(model: GroupModel, X):
     return F
 
 
+def _chart_frames(model: GroupModel, n, rng):
+    """Frames of n random chart points; on SO(n, 2), their lifts as (n+2) x 1 columns."""
+    if model.is_lagrangian:
+        return _batch_frames(model, _batch_hermitian(model, n, rng))
+    return _socharts_lift(model, rng.standard_normal((n, model.rank)))[..., None]
+
+
+def _orthonormal(model: GroupModel, F):
+    """The ``ShilovPoint.ortho`` stack of a stack of frames (or lift columns)."""
+    if model.is_lagrangian:
+        return np.linalg.qr(F)[0]
+    v = F[..., 0]
+    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+
+
 def _batch_group(model: GroupModel, n, rng, J):
     """Stack of embedded group elements exp(Z) with |Z| about one half."""
     import scipy.linalg
@@ -147,81 +174,35 @@ def _batch_group(model: GroupModel, n, rng, J):
         Z[:, :h, h:] = B
         Z[:, h:, :h] = -np.conj(B)
         Z[:, h:, h:] = np.conj(A)
-    Z = 0.5 * (Z + J @ _adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = -J
+    Z = 0.5 * (Z - _adjoint(J) @ _adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = J^H for J and b
     mult = np.sqrt(2.0) if model.tag == "H" else 1.0
     norms = np.linalg.norm(Z, axis=(1, 2)) / mult
     Z = Z * (0.5 / np.maximum(norms, 1e-300))[:, None, None]
     return scipy.linalg.expm(Z)
 
 
-def _batch_idx(model: GroupModel, Fa, Fb, Fc, J):
-    """Vectorized index of frame triples; returns (idx, margins, valid)."""
-    r = model.rank
-    m = 2 if model.tag == "H" else 1
-    d = r * m
-    Qa = np.linalg.qr(Fa)[0]
-    Qb = np.linalg.qr(Fb)[0]
-    Qc = np.linalg.qr(Fc)[0]
-
-    def margin(Qx, Qy):
-        return np.abs(np.linalg.det(np.concatenate([Qx, Qy], axis=2))) ** (1.0 / m)
-
-    margins = np.minimum(np.minimum(margin(Qa, Qb), margin(Qb, Qc)), margin(Qa, Qc))
-    valid = margins > MARGIN_TOL
-    # standardize (a, c) to the base pair, then read the middle chart coordinate
-    P = _adjoint(Qa) @ J @ Qc
-    safe = np.abs(np.linalg.det(P)) > 1e-300
-    valid &= safe
-    Pinv = np.linalg.inv(np.where(safe[:, None, None], P, np.eye(d)))
-    T = np.concatenate([Qa, -Qc @ Pinv], axis=2)
-    s = np.linalg.svd(T, compute_uv=False)
-    valid &= s[:, -1] > 1e-12 * s[:, 0]
-    mid = np.linalg.solve(np.where(valid[:, None, None], T, np.eye(2 * d)), Qb)
-    top = np.swapaxes(mid[:, :d, :], 1, 2)
-    bot = np.swapaxes(mid[:, d:, :], 1, 2)
-    st = np.linalg.svd(top, compute_uv=False)
-    ok_top = st[:, -1] > 1e-12 * np.maximum(st[:, 0], 1.0)
-    valid &= ok_top
-    X = np.swapaxes(
-        np.linalg.solve(np.where(ok_top[:, None, None], top, np.eye(d)), bot), 1, 2
-    )
-    defect = np.linalg.norm(X - _adjoint(X), axis=(1, 2))
-    valid &= defect <= 1e-7 * np.maximum(1.0, np.linalg.norm(X, axis=(1, 2)))
-    ev = np.linalg.eigvalsh(0.5 * (X + _adjoint(X)))
-    tol = 1e-9 * np.maximum(1.0, np.max(np.abs(ev), axis=1))
-    valid &= ~np.any(np.abs(ev) <= tol[:, None], axis=1)
-    pos = np.sum(ev > tol[:, None], axis=1) // m
-    return np.abs(r - 2 * pos), margins, valid
-
-
-def maslov_invariance_report(model: GroupModel, n_trials: int, seed, chunk=512) -> dict:
+def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     """G-invariance and swap symmetry of the index on random triples.
 
-    The Lagrangian families run through a vectorized pipeline (same
-    algorithm as maslov_index, trial-stacked); SO(n, 2) uses the scalar
-    path.  Trials whose margins or conditioning fall inside the guard
-    bands are counted as skipped, never as passes.
+    Each chunk of trials draws three stacks of chart points and a stack of
+    group elements exp(Z), then runs the kernel on the base, moved and
+    swapped triples.  Trials whose margins or eigenvalues fall inside the
+    guard bands, or whose base margin is not above 1e-6, are counted as
+    skipped, never as passes.
     """
-    if not model.is_lagrangian:
-        return _invariance_loop(model, n_trials, seed)
-    J = model.form().embed()
-    if model.tag == "R":
-        J = J.real
+    J = _embedded_form(model)
     rng = np.random.default_rng(seed)
     violations = 0
     skipped = 0
     margins_all = []
-    done = 0
-    while done < n_trials:
-        n = min(chunk, n_trials - done)
-        done += n
-        Fa = _batch_frames(model, _batch_hermitian(model, n, rng))
-        Fb = _batch_frames(model, _batch_hermitian(model, n, rng))
-        Fc = _batch_frames(model, _batch_hermitian(model, n, rng))
+    for start in range(0, n_trials, _CHUNK):
+        n = min(_CHUNK, n_trials - start)
+        F = [_chart_frames(model, n, rng) for _ in range(3)]
         g = _batch_group(model, n, rng, J)
-        base_idx, base_margin, base_ok = _batch_idx(model, Fa, Fb, Fc, J)
-        moved_idx, _, moved_ok = _batch_idx(model, g @ Fa, g @ Fb, g @ Fc, J)
-        swap_idx, _, swap_ok = _batch_idx(model, Fa, Fc, Fb, J)
+        A, B, C = (_orthonormal(model, Fk) for Fk in F)
+        base_idx, base_margin, base_ok = maslov_indices(model, A, B, C)
+        moved_idx, _, moved_ok = maslov_indices(model, *(_orthonormal(model, g @ Fk) for Fk in F))
+        swap_idx, _, swap_ok = maslov_indices(model, A, C, B)
         valid = base_ok & moved_ok & swap_ok & (base_margin > 1e-6)
         bad = valid & ((moved_idx != base_idx) | (swap_idx != base_idx))
         violations += int(np.sum(bad))
@@ -235,40 +216,4 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed, chunk=512) 
         "skipped": skipped,
         "min_margin": float(np.min(margins)) if len(margins) else None,
         "median_margin": float(np.median(margins)) if len(margins) else None,
-    }
-
-
-def _invariance_loop(model: GroupModel, n_trials: int, seed) -> dict:
-    from .groups import group_exp, random_lie_element
-
-    rng = np.random.default_rng(seed)
-    violations = 0
-    skipped = 0
-    margins = []
-    for _ in range(n_trials):
-        try:
-            (a, b, c), m = _random_transverse_triple(model, rng)
-        except NotPairwiseTransverse:
-            skipped += 1
-            continue
-        Z = random_lie_element(model, rng)
-        Z = (0.5 / max(Z.norm(), 1e-300)) * Z
-        g = group_exp(model, Z)
-        try:
-            base = maslov_index(a, b, c)
-            moved = maslov_index(act(g, a), act(g, b), act(g, c))
-            swapped = maslov_index(a, c, b)
-        except (NotPairwiseTransverse, DegenerateSignature, IllConditioned):
-            skipped += 1
-            continue
-        margins.append(m)
-        if moved.idx != base.idx or swapped.idx != base.idx:
-            violations += 1
-    return {
-        "model": model.to_json(),
-        "trials": n_trials,
-        "violations": violations,
-        "skipped": skipped,
-        "min_margin": float(min(margins)) if margins else None,
-        "median_margin": float(np.median(margins)) if margins else None,
     }

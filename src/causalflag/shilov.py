@@ -239,17 +239,15 @@ def chart_point(model: GroupModel, X) -> ShilovPoint:
 
 
 def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
+    """Lifts p_plus + w + q p_minus of chart vectors v (..., n), with q = -psi(v) / 4."""
     n = model.rank
-    e1 = np.zeros(n + 2)
-    e1[0] = 1.0
-    en1 = np.zeros(n + 2)
-    en1[n] = 1.0
-    p_plus = e1 + en1
-    p_minus = e1 - en1
-    basis = _spatial_basis(model)
-    w = sum(v[i] * basis[i] for i in range(n))
-    q = -minkowski_form(v) / 4.0
-    return p_plus + w + q * p_minus
+    q = -(np.sum(v[..., :-1] ** 2, axis=-1) - v[..., -1] ** 2) / 4.0
+    lift = np.empty(v.shape[:-1] + (n + 2,))
+    lift[..., 0] = 1.0 + q
+    lift[..., 1:n] = v[..., :-1]
+    lift[..., n] = 1.0 - q
+    lift[..., n + 1] = v[..., -1]
+    return lift
 
 
 def chart_coordinates(x: ShilovPoint):

@@ -108,6 +108,20 @@ def test_rep_build_roundtrip(tmp_path):
     assert r2.returncode == 0
 
 
+def test_rep_build_nan_entry_exits_2(tmp_path):
+    out = tmp_path / "rep"
+    assert run_cli(["rep-build", "--rep", "f2-fuchsian-sl2", "--out", str(out)]).returncode == 0
+    data = json.loads((out / "rep.json").read_text())
+    data["gens"]["a"]["g"]["entries"][0] = [float("nan")]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    r = run_cli(["rep-build", "--rep", str(bad), "--out", str(tmp_path / "bad")])
+    assert r.returncode == 2
+    report = json.loads((tmp_path / "bad" / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == "ModelMismatch"
+
+
 def test_rep_limitset_csv(tmp_path):
     out = tmp_path / "ls"
     r = run_cli(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "5",

@@ -95,6 +95,57 @@ def test_non_negative_family_rejected():
         check_negative(pts + [bad])
 
 
+def reference_check_negative(limit_pts):
+    """The triple loop: every pair off the lightcone, then every triple of sign 0."""
+    n = len(limit_pts)
+    for i in range(n):
+        for j in range(i + 1, n):
+            if abs(pairing(limit_pts[i], limit_pts[j])) <= 1e-9:
+                raise LimitSetNotNegative(f"points {i}, {j} are lightcone-related")
+    for i in range(n):
+        for j in range(i + 1, n):
+            for k in range(j + 1, n):
+                if ein_maslov_sign(limit_pts[i], limit_pts[j], limit_pts[k]) != 0:
+                    raise LimitSetNotNegative(f"triple ({i}, {j}, {k}) is not negative")
+
+
+def verdict(check, pts):
+    try:
+        check(pts)
+    except LimitSetNotNegative as e:
+        return str(e)
+    return "negative"
+
+
+@pytest.mark.parametrize("wobble", [0.0, 0.05, 0.3, 1.0])
+def test_negativity_matches_the_triple_loop(wobble):
+    # families on a wobbled time slice, some with a repeated (lightcone-related) point
+    rng = np.random.default_rng(int(100 * wobble))
+    seen = set()
+    for trial in range(30):
+        pts = []
+        for _ in range(int(rng.integers(3, 10))):
+            x = rng.standard_normal(4)
+            t = np.array([1.0, 0.0]) + wobble * rng.standard_normal(2)
+            pts.append(ShilovPoint(MODEL, np.concatenate([x / np.linalg.norm(x), t / np.linalg.norm(t)])))
+        if trial % 5 == 4:
+            pts.append(ShilovPoint(MODEL, pts[1].frame.copy()))
+        expected = verdict(reference_check_negative, pts)
+        assert verdict(check_negative, pts) == expected
+        seen.add(expected.split(" ")[0])
+        if expected != "negative":
+            continue
+        for _ in range(20):
+            x = random_ein_point(MODEL, rng)
+            member = not any(lightcone_membership(q, x) for q in pts) and all(
+                ein_maslov_sign(pts[i], x, pts[j]) == 0
+                for i in range(len(pts))
+                for j in range(i + 1, len(pts))
+            )
+            assert invisible_domain_membership(pts, x) == member
+    assert "negative" in seen
+
+
 def test_invisible_domain_membership():
     pts = time_slice_family(5, seed=7)
     # a point on the lightcone of a limit point is never invisible
@@ -108,7 +159,7 @@ def test_invisible_domain_membership():
         x = random_ein_point(MODEL, rng)
         if any(lightcone_membership(q, x) for q in pts):
             continue
-        member = invisible_domain_membership(pts, x, checked=True)
+        member = invisible_domain_membership(pts, x)
         signs = all(
             ein_maslov_sign(pts[i], x, pts[j]) == 0
             for i in range(len(pts))
@@ -118,6 +169,21 @@ def test_invisible_domain_membership():
         seen_inside |= member
         seen_outside |= not member
     assert seen_inside and seen_outside
+
+
+def test_invisible_domain_excludes_the_lightcone_band():
+    # y is 2e-12 off the lightcone of pts[0], on the same side as its other pairings
+    pts = time_slice_family(5, seed=7)
+    b = MODEL.form().a
+    u0, u1 = negative_lifts(pts)[:2]
+    v0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
+    s = 1e-6
+    v = v0 + (s - u0 @ b @ v0) / (u0 @ b @ u1) * u1  # b(u0, v) = s
+    y = ShilovPoint(MODEL, u0 - 2.0 * s / (v @ b @ v) * v)  # isotropic, b(u0, y) = -2 s^2 / b(v, v)
+    vals = negative_lifts(pts) @ b @ y.frame
+    assert lightcone_membership(pts[0], y) and 0 < abs(vals[0])
+    assert np.all(vals < 0)
+    assert not invisible_domain_membership(pts, y)
 
 
 def test_random_photon_is_isotropic_pair():

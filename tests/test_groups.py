@@ -77,6 +77,15 @@ def test_form_defect_gate():
         GroupElement(model, 2.0 * KMat.eye("R", 4))
 
 
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "so42"])
+def test_form_check_rejects_nan(name):
+    model = model_preset(name)
+    g = KMat.eye(model.tag, model.dim)
+    g.a[0, 0] = np.nan
+    with pytest.raises(ModelMismatch):
+        GroupElement(model, g)
+
+
 def test_cartan_projection_of_levi_diagonal():
     model = model_preset("sp4")
     g = tau_p(np.diag([3.0, 1.0 / 3.0]), model)

@@ -5,13 +5,14 @@ import pytest
 
 from causalflag.errors import (
     BallTooLarge,
+    ModelMismatch,
     NoGap,
     NonConvergence,
     NotInLevi,
     TooFewPoints,
     UnknownPreset,
 )
-from causalflag.groups import group_exp, levi_block, model_preset, random_lie_element
+from causalflag.groups import GroupElement, group_exp, levi_block, model_preset, random_lie_element
 from causalflag.kmat import KMat
 from causalflag.reps import (
     Representation,
@@ -46,6 +47,16 @@ def test_presets_build_and_pair_inverses():
         assert set(rep.gen_names) <= set(rep.gens)
         for name in rep.gen_names:
             assert rep.gens[name].form_defect() < 1e-10
+
+
+def test_inverse_pairing_check_rejects_nan():
+    rep = preset("tau0-sp4-f2")
+    gens = dict(rep.gens)
+    bad = gens[rep.gen_names[0]].g.embed().real.copy()
+    bad[0, 0] = np.nan
+    gens[rep.gen_names[0]] = GroupElement(rep.model, KMat("R", bad), _check=False)
+    with pytest.raises(ModelMismatch):
+        Representation(rep.model, gens, rep.gen_names)
 
 
 def test_genus2_relator_vanishes():
