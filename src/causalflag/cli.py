@@ -237,6 +237,7 @@ def _cmd_rep_limitset(args, tol):
         "word_lengths": sample.word_lengths,
         "max_residual": max(sample.residuals) if sample.residuals else None,
         "min_pairwise_margin": min_margin,
+        "excluded": sample.excluded,
     }
     if args.out and args.csv:
         os.makedirs(args.out, exist_ok=True)

@@ -26,6 +26,9 @@ from .linalg import null_space
 from .shilov import ShilovPoint
 
 LIGHTCONE_TOL = 1e-9
+PHOTON_SCAN = 1000  # points per photon in photon_convexity_check
+HILBERT_T_SPAN = 1e8  # largest affine parameter searched for a boundary point
+HILBERT_TOL = 1e-12  # relative bisection width of a boundary point
 
 
 def _check_model(model: GroupModel):
@@ -40,9 +43,9 @@ def pairing(x: ShilovPoint, y: ShilovPoint) -> float:
     return float(x.frame @ b @ y.frame)
 
 
-def lightcone_membership(x: ShilovPoint, y: ShilovPoint, tol=LIGHTCONE_TOL) -> bool:
+def lightcone_membership(x: ShilovPoint, y: ShilovPoint) -> bool:
     """True iff y lies on the lightcone of x (non-transverse pair)."""
-    return abs(pairing(x, y)) <= tol
+    return abs(pairing(x, y)) <= LIGHTCONE_TOL
 
 
 def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
@@ -139,7 +142,7 @@ def random_photon(model: GroupModel, rng, through=None):
     return None
 
 
-def photon_convexity_check(limit_pts, n_photons: int, seed, scan=1000) -> dict:
+def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
     """Scan random photons: membership along each must form a single arc."""
     lifts = negative_lifts(limit_pts)
     model = limit_pts[0].model
@@ -156,7 +159,7 @@ def photon_convexity_check(limit_pts, n_photons: int, seed, scan=1000) -> dict:
             vacuous += 1
             continue
         u, w = ph
-        thetas = np.linspace(0.0, np.pi, scan, endpoint=False)
+        thetas = np.linspace(0.0, np.pi, PHOTON_SCAN, endpoint=False)
         # photon points cos(th) u + sin(th) w, margins vectorized over the scan
         pts = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), w)
         norms = np.linalg.norm(pts, axis=1)
@@ -189,7 +192,7 @@ def photon_convexity_check(limit_pts, n_photons: int, seed, scan=1000) -> dict:
 # ------------------------------------------------------------- Hilbert metric
 
 
-def hilbert_distance(domain, x, y, t_span=1e8, tol=1e-12) -> float:
+def hilbert_distance(domain, x, y) -> float:
     """log cross ratio distance for a convex membership oracle on a line.
 
     domain(p) -> bool must be convex along the affine line p(t) = x + t (y - x);
@@ -214,9 +217,9 @@ def hilbert_distance(domain, x, y, t_span=1e8, tol=1e-12) -> float:
         while member(t_out):
             t_in = t_out
             t_out *= 2.0
-            if abs(t_out) > t_span:
+            if abs(t_out) > HILBERT_T_SPAN:
                 raise BoundaryNotBracketed("no boundary point within the scan span")
-        while abs(t_out - t_in) > tol * max(1.0, abs(t_in)):
+        while abs(t_out - t_in) > HILBERT_TOL * max(1.0, abs(t_in)):
             mid = 0.5 * (t_in + t_out)
             if member(mid):
                 t_in = mid

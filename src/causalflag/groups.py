@@ -26,6 +26,8 @@ SOSTAR = "SOSTAR"
 SO_N2 = "SO_N2"
 
 FORM_TOL = 1e-8
+LEVI_TOL = 1e-8  # off-diagonal block norm allowed in Levi block form, relative to the element
+LYAPUNOV_K_MAX = 64  # largest power k of the mu(g^k)/k cross-check
 
 _FAMILY_TAG = {SP: REAL, SU: COMPLEX, SOSTAR: QUATERNION, SO_N2: REAL}
 
@@ -178,11 +180,11 @@ def cartan_projection(elem: GroupElement) -> np.ndarray:
     return np.maximum(eps, 0.0)
 
 
-def lyapunov_projection(elem: GroupElement, k_max: int = 64, cross_check: bool = False) -> np.ndarray:
+def lyapunov_projection(elem: GroupElement, cross_check: bool = False) -> np.ndarray:
     """Log moduli of eigenvalues, dominant chamber ordering.
 
     Computed directly from the eigenvalue moduli; optionally cross-checked
-    against mu(g^k)/k at k = k_max when the spectral gaps allow it.
+    against mu(g^k)/k at k = LYAPUNOV_K_MAX when the spectral gaps allow it.
     """
     mods = eig_moduli(elem.g)
     if np.any(mods < 1e-300):
@@ -197,7 +199,7 @@ def lyapunov_projection(elem: GroupElement, k_max: int = 64, cross_check: bool =
         k = 1
         # keep the power's singular value spread inside floating range
         growth = float(np.max(lam)) if len(lam) else 0.0
-        while 2 * k <= k_max and 2 * k * max(growth, 1e-6) <= 12.0:
+        while 2 * k <= LYAPUNOV_K_MAX and 2 * k * max(growth, 1e-6) <= 12.0:
             power = power @ power
             k *= 2
         mu_k = cartan_projection(power) / k
@@ -247,13 +249,13 @@ def tau_p(A, model: GroupModel) -> GroupElement:
     return GroupElement(model, mat)
 
 
-def in_levi_block_form(elem: GroupElement, tol=1e-8) -> bool:
+def in_levi_block_form(elem: GroupElement) -> bool:
     """True when the element is block-diagonal diag(m, conj(m)^-T)."""
     if not elem.model.is_lagrangian:
         return False
     r = elem.model.rank
     off = KMat.hstack([elem.g.block(0, r, r, 2 * r), elem.g.block(r, 2 * r, 0, r)])
-    return off.norm() <= tol * max(1.0, elem.g.norm())
+    return off.norm() <= LEVI_TOL * max(1.0, elem.g.norm())
 
 
 def levi_block(elem: GroupElement) -> KMat:

@@ -16,6 +16,7 @@ from .kmat import KMat
 from .scalars import QUATERNION
 
 HERMITIAN_TOL = 1e-8
+SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -40,24 +41,42 @@ def frobenius_norms(E, tag):
     return norms / np.sqrt(2.0) if tag == QUATERNION else norms
 
 
-def check_hermitian(E, tag, tol=HERMITIAN_TOL):
+def _flat_norms(X):
+    """np.linalg.norm(X[k]) for every k of a stack, bit for bit.
+
+    numpy's flat norm is sqrt(re.re + im.im) over BLAS dots; a stacked
+    (1, n) @ (n, 1) matmul runs the same dot per item, where a norm over
+    axes would sum in another order.
+    """
+    F = X.reshape(len(X), int(np.prod(X.shape[1:])))
+
+    def dots(V):
+        return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
+
+    if np.iscomplexobj(F):
+        return np.sqrt(dots(F.real) + dots(F.imag))
+    return np.sqrt(dots(F))
+
+
+def check_hermitian(E, tag):
     """Hermitian parts and norms of a stack (..., d, d) of embedded matrices.
 
-    Raises NotHermitian where the defect |X - X^H| exceeds tol * max(1, |X|);
+    Raises NotHermitian where the defect |X - X^H| exceeds HERMITIAN_TOL * max(1, |X|);
     NaN and inf fail the guard.
     """
     EH = np.conj(np.swapaxes(E, -1, -2))
     norms = frobenius_norms(E, tag)
     defect = frobenius_norms(E - EH, tag)
     scale = np.maximum(1.0, norms)
-    bad = ~(defect <= tol * scale)
+    bad = ~(defect <= HERMITIAN_TOL * scale)
     if bad.any():
         k = np.flatnonzero(bad)[0]
-        raise NotHermitian(f"Hermitian defect {defect.flat[k]:.3e} exceeds {tol:.1e} * {scale.flat[k]:.3e}")
+        raise NotHermitian(f"Hermitian defect {defect.flat[k]:.3e} exceeds "
+                           f"{HERMITIAN_TOL:.1e} * {scale.flat[k]:.3e}")
     return 0.5 * (E + EH), norms
 
 
-def hermitian_eigenvalues(X: KMat, tol=HERMITIAN_TOL):
+def hermitian_eigenvalues(X: KMat):
     """Real eigenvalues of a Hermitian matrix, descending.
 
     Quaternionic input is routed through the complex adjoint embedding;
@@ -65,7 +84,7 @@ def hermitian_eigenvalues(X: KMat, tol=HERMITIAN_TOL):
     """
     if X.rows != X.cols:
         raise NotHermitian("matrix is not square")
-    M, _ = check_hermitian(X.embed(), X.tag, tol)
+    M, _ = check_hermitian(X.embed(), X.tag)
     vals = np.linalg.eigvalsh(M)[::-1]
     if X.tag == QUATERNION:
         vals = vals[::2]
@@ -81,14 +100,14 @@ def signature(X: KMat) -> Signature:
     return Signature(pos, neg, len(vals) - pos - neg)
 
 
-def singular_values(g: KMat, rel_floor=1e-12):
+def singular_values(g: KMat):
     """Descending singular values; quaternionic duplicates dropped."""
     if g.rows != g.cols:
         raise Singular("singular values of non-square input are not needed here")
     s = np.linalg.svd(g.embed(), compute_uv=False)
     if g.tag == QUATERNION:
         s = s[::2]
-    if s[-1] <= rel_floor * s[0]:
+    if s[-1] <= SINGULAR_FLOOR * s[0]:
         raise Singular(f"minimal singular value {s[-1]:.3e} below floor")
     return s.copy()
 

@@ -25,27 +25,35 @@ from .errors import (
 from .groups import (
     GroupElement,
     GroupModel,
-    alpha_r,
     in_levi_block_form,
-    lyapunov_projection,
     model_preset,
     random_lie_perturbation,
     tau_p,
 )
 from .kmat import KMat
 from .scalars import QUATERNION, REAL
+from .linalg import _flat_norms
 from .shilov import (
     ShilovPoint,
     _quat_frame_from_embedded,
-    act,
+    act_stack,
     base_points,
-    chart_coordinates,
+    chart_coordinates_stack,
     chart_point,
     transversality_margins,
 )
 
 GAP_FLOOR = 1e-3
 BALL_CAP = 10**7
+ATTRACT_TOL = 1e-12  # projector move that ends a word's power iteration
+ATTRACT_MAX_ITER = 10_000  # power-iteration steps allowed per word
+ATTRACT_RESIDUAL = 1e-8  # largest invariance residual of an attracting point
+CERT_ORBIT_LEN = 4  # word length of the ball whose orbit the certificate avoids
+CORE_HULL_CAP = 150  # orbit points the convex core's hull is built on
+# why sample_limit_set drops a drawn word, in LimitSample.excluded
+EXCLUSION_REASONS = ("no_gap", "no_convergence", "residual", "near", "margin")
+_NO_GAP, _NO_CONVERGENCE, _RESIDUAL, _NEAR, _MARGIN = range(len(EXCLUSION_REASONS))
+_UNDERFLOW = len(EXCLUSION_REASONS)  # an eigenvalue modulus below 1e-300; counted as no_convergence
 PINGPONG_HALF_WIDTH = 0.36  # must sit in (arctan(1/3) complement bound, pi/8); see certificate
 
 
@@ -417,57 +425,105 @@ def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP, ball=None
 # ------------------------------------------------------------- limit sampling
 
 
-def _attract(g: GroupElement, tol, max_iter, seed):
-    model = g.model
-    if alpha_r(lyapunov_projection(g)) <= GAP_FLOOR:
-        raise NoGap("no eigenvalue-modulus gap at the boundary rank")
-    E = g.g.embed()
-    E = E / np.max(np.abs(E))
-    if model.is_lagrangian:
-        ncols = model.rank * (2 if model.tag == QUATERNION else 1)
-    else:
-        ncols = 1
+def _embedded_elements(model: GroupModel, stack) -> np.ndarray:
+    """The complex embedding of every ball element: element(i).g.embed() for each i, as one stack."""
+    if model.tag == QUATERNION:
+        n = stack.shape[-1] // 2
+        a, b = stack[:, :n, :n], stack[:, :n, n:]
+        return np.block([[a, b], [-np.conj(b), np.conj(a)]])
+    return stack.astype(complex)
+
+
+def _attracting_frames(model: GroupModel, E, seed):
+    """One stacked power iteration toward the attracting points of a stack of embedded elements.
+
+    Returns (Z, residuals, reason): Z[k] is the settled orthonormal column
+    frame of E[k], residuals[k] its invariance residual, and reason[k] the
+    index in EXCLUSION_REASONS of the guard it failed (_UNDERFLOW for an
+    eigenvalue modulus underflow), or -1.  Each element runs exactly the
+    steps of a power iteration of its own: the gap test of
+    alpha_r(lyapunov_projection(g)) > GAP_FLOOR, one starting frame drawn
+    from default_rng(seed), QR steps until the projector moves less than
+    ATTRACT_TOL (an element that has settled is frozen), at most
+    ATTRACT_MAX_ITER steps, and a residual of at most ATTRACT_RESIDUAL.
+    """
+    N, d = len(E), E.shape[-1]
+    reason = np.full(N, -1)
+    mods = np.sort(np.abs(np.linalg.eigvals(E)), axis=-1)[:, ::-1]
+    if model.tag == QUATERNION:
+        mods = mods[:, ::2]
+    boundary = model.rank if model.is_lagrangian else 2
+    alpha = 2.0 * np.maximum(np.log(mods[:, boundary - 1]), 0.0)
+    reason[~(alpha > GAP_FLOOR)] = _NO_GAP
+    reason[np.any(mods < 1e-300, axis=1)] = _UNDERFLOW
+    ncols = model.rank * (2 if model.tag == QUATERNION else 1) if model.is_lagrangian else 1
     rng = np.random.default_rng(seed)
-    if np.iscomplexobj(E):
-        Z = rng.standard_normal((E.shape[0], ncols)) + 1j * rng.standard_normal((E.shape[0], ncols))
-    else:
-        Z = rng.standard_normal((E.shape[0], ncols))
-    Z, _ = np.linalg.qr(Z)
-    P_prev = Z @ np.conj(Z).T
-    for _ in range(max_iter):
-        Z, _ = np.linalg.qr(E @ Z)
-        P = Z @ np.conj(Z).T
-        move = np.linalg.norm(P - P_prev)
-        P_prev = P
-        if move < tol:
+    Z0 = rng.standard_normal((d, ncols)) + 1j * rng.standard_normal((d, ncols))
+    Z0, _ = np.linalg.qr(Z0)
+    live = np.flatnonzero(reason < 0)
+    En = E[live] / np.max(np.abs(E[live]), axis=(1, 2), keepdims=True)
+    Z = np.repeat(Z0[None], len(live), axis=0)
+    P = Z @ np.conj(np.swapaxes(Z, -1, -2))
+    active = np.arange(len(live))
+    for _ in range(ATTRACT_MAX_ITER):
+        if not len(active):
             break
-    else:
-        raise NonConvergence(f"power iteration did not settle below {tol:.1e}")
-    GZ = E @ Z
-    residual = float(np.linalg.norm(GZ - Z @ (np.conj(Z).T @ GZ)) / max(np.linalg.norm(GZ), 1e-300))
-    if residual > 1e-8:
-        raise NonConvergence(f"invariance residual {residual:.3e}")
-    if model.is_lagrangian:
-        if model.tag == QUATERNION:
-            frame = _quat_frame_from_embedded(Z)
-        else:
-            frame = KMat.unembed(model.tag, Z)
-        return ShilovPoint(model, frame), residual
-    return ShilovPoint(model, np.real(Z[:, 0])), residual
+        Zk, _ = np.linalg.qr(En[active] @ Z[active])
+        Pk = Zk @ np.conj(np.swapaxes(Zk, -1, -2))
+        moved = ~(_flat_norms(Pk - P[active]) < ATTRACT_TOL)
+        Z[active], P[active] = Zk, Pk
+        active = active[moved]
+    GZ = En @ Z
+    residuals = np.full(N, np.nan)
+    off = GZ - Z @ (np.conj(np.swapaxes(Z, -1, -2)) @ GZ)
+    residuals[live] = _flat_norms(off) / np.maximum(_flat_norms(GZ), 1e-300)
+    settled = np.ones(len(live), bool)
+    settled[active] = False
+    reason[live[~settled]] = _NO_CONVERGENCE
+    reason[live[settled & (residuals[live] > ATTRACT_RESIDUAL)]] = _RESIDUAL
+    frames = np.zeros((N, d, ncols), complex)
+    frames[live] = Z
+    return frames, residuals, reason
 
 
-def attracting_point(g: GroupElement, tol=1e-12, max_iter=10_000, seed=0) -> ShilovPoint:
-    """Attracting boundary point of a gapped element, by power iteration."""
-    pt, _ = _attract(g, tol, max_iter, seed)
-    return pt
+def _point(model: GroupModel, Z) -> ShilovPoint:
+    """The checked boundary point spanned by a settled power-iteration frame."""
+    if not model.is_lagrangian:
+        return ShilovPoint(model, np.real(Z[:, 0]))
+    if model.tag == QUATERNION:
+        return ShilovPoint(model, _quat_frame_from_embedded(Z))
+    return ShilovPoint(model, KMat.unembed(model.tag, Z))
+
+
+def attracting_point(g: GroupElement, seed=0) -> ShilovPoint:
+    """Attracting boundary point of a gapped element: the stacked power iteration on a stack of one.
+
+    Raises NoGap without an eigenvalue-modulus gap at the boundary rank and
+    NonConvergence when the iteration does not settle within
+    ATTRACT_MAX_ITER steps or leaves an invariance residual above
+    ATTRACT_RESIDUAL.
+    """
+    Z, residuals, reason = _attracting_frames(g.model, g.g.embed()[None], seed)
+    if reason[0] == _NO_GAP:
+        raise NoGap("no eigenvalue-modulus gap at the boundary rank")
+    if reason[0] == _UNDERFLOW:
+        raise NonConvergence("eigenvalue modulus underflow")
+    if reason[0] == _NO_CONVERGENCE:
+        raise NonConvergence(f"power iteration did not settle below {ATTRACT_TOL:.1e}")
+    if reason[0] == _RESIDUAL:
+        raise NonConvergence(f"invariance residual {residuals[0]:.3e}")
+    return _point(g.model, Z[0])
 
 
 @dataclass
 class LimitSample:
+    """Kept limit points with their words; excluded counts the dropped words by reason."""
+
     points: list
     word_lengths: list
     residuals: list
     words: list
+    excluded: dict = field(default_factory=dict)
 
     def __len__(self):
         return len(self.points)
@@ -477,12 +533,18 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
                      margin_floor=1e-6) -> LimitSample:
     """Attracting points of seed-sampled words, deduplicated by separation.
 
-    A new point is kept only when it is at least 1e-6 away in frame
-    distance and at least margin_floor away in transversality margin from
-    every kept point; the second clause merges boundary points so close
-    that downstream triple computations would sit inside the tolerance
-    band anyway.
+    Up to per_length_cap words per length from 3 on are drawn, and their
+    attracting points come from one stacked power iteration
+    (_attracting_frames).  In candidate order, a point is kept only when it
+    is at least 1e-6 away in frame distance and more than margin_floor
+    away in transversality margin from every point kept before it; the
+    second clause merges boundary points so close that downstream triple
+    computations would sit inside the tolerance band anyway.  excluded
+    counts the dropped words by reason (EXCLUSION_REASONS; a word both
+    near and under the margin counts as near); with the kept points they
+    add up to the words drawn.
     """
+    model = rep.model
     dedup_tol = 1e-9 if rep.relator else None
     ball = enumerate_ball(rep, max_len, dedup_tol=dedup_tol)
     lengths = ball.lengths
@@ -493,30 +555,34 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
         if len(idx) > per_length_cap:
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
+    Z, res, reason = _attracting_frames(model, _embedded_elements(model, ball.stack[chosen]), seed)
     # kept points, stacked for one vectorized distance and det per candidate
-    probe = base_points(rep.model)[0]
+    probe = base_points(model)[0]
     projectors = np.empty((len(chosen),) + probe.projector().shape, probe.ortho.dtype)
     orthos = np.empty((len(chosen),) + probe.ortho.shape, probe.ortho.dtype)
     points, word_lengths, residuals, words = [], [], [], []
-    for i in chosen:
-        try:
-            pt, res = _attract(ball.element(i), 1e-12, 10_000, seed)
-        except (NoGap, NonConvergence):
-            continue
+    for c in np.flatnonzero(reason < 0):
+        pt = _point(model, Z[c])
         k = len(points)
         P = pt.projector()
-        near = np.linalg.norm(projectors[:k] - P, axis=(1, 2)) < 1e-6
+        if (np.linalg.norm(projectors[:k] - P, axis=(1, 2)) < 1e-6).any():
+            reason[c] = _NEAR
+            continue
         Q = np.broadcast_to(pt.ortho, orthos[:k].shape)
-        margins = transversality_margins(rep.model, Q, orthos[:k])
-        if near.any() or (margins <= margin_floor).any():
+        if (transversality_margins(model, Q, orthos[:k]) <= margin_floor).any():
+            reason[c] = _MARGIN
             continue
         projectors[k] = P
         orthos[k] = pt.ortho
         points.append(pt)
-        word_lengths.append(len(ball.words[i]))
-        residuals.append(res)
-        words.append(ball.words[i])
-    return LimitSample(points, word_lengths, residuals, words)
+        word = ball.words[chosen[c]]
+        word_lengths.append(len(word))
+        residuals.append(float(res[c]))
+        words.append(word)
+    reason[reason == _UNDERFLOW] = _NO_CONVERGENCE
+    counts = np.bincount(reason[reason >= 0], minlength=len(EXCLUSION_REASONS))
+    excluded = dict(zip(EXCLUSION_REASONS, counts.tolist()))
+    return LimitSample(points, word_lengths, residuals, words, excluded)
 
 
 def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
@@ -562,22 +628,23 @@ def dual_center(model: GroupModel):
 
 
 def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_count=50,
-                              seed=0, orbit_len=4) -> dict:
+                              seed=0) -> dict:
     """Sampled evidence for a proper invariant domain: a point z0 avoided by the action.
 
     The certificate passes when the orbit of the standard diamond's
-    center and every limit point stay transverse to z0 with margin above
-    1e-6; this is CERTIFICATE(SAMPLED) evidence, not a proof.  The first
+    center under the ball of length CERT_ORBIT_LEN (one stacked action)
+    and every limit point stay transverse to z0 with margin above 1e-6;
+    this is CERTIFICATE(SAMPLED) evidence, not a proof.  The first
     candidate is the dual diamond's center, which every graph over a
     definite matrix misses; the chart's base point itself generically
     touches fixed Lagrangians of block-diagonal elements, so it comes
     second.
     """
     model = rep.model
-    ball = enumerate_ball(rep, orbit_len, dedup_tol=1e-9 if rep.relator else None)
+    ball = enumerate_ball(rep, CERT_ORBIT_LEN, dedup_tol=1e-9 if rep.relator else None)
     center = domain_center(model)
-    orbit = [center] + [act(ball.element(i), center) for i in range(len(ball.words))]
-    targets = np.stack([pt.ortho for pt in orbit + list(sample.points)])
+    _, orbit = act_stack(ball.stack, center)
+    targets = np.concatenate([center.ortho[None], orbit] + [pt.ortho[None] for pt in sample.points])
 
     def margin_against(z0):
         z = np.broadcast_to(z0.ortho, targets.shape)
@@ -603,53 +670,60 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
             best = (label, z0, m)
         if m > 1e-6:
             return {"z0": z0, "min_margin": float(m), "candidate": label,
-                    "orbit_size": len(orbit), "passed": True}
+                    "orbit_size": 1 + len(orbit), "passed": True}
     raise NoCertificate(f"best candidate {best[0]} has margin {best[2]:.3e}")
 
 
-def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_len,
-                       orbit_cap=150) -> dict:
+def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_len) -> dict:
     """Causal hull of a finite orbit plus its ideal residual against the limit sample.
 
-    The residual is the Hausdorff frame distance between the longest-word
-    orbit points and the sampled limit set; it should shrink as max_len
-    grows.  The hull itself is built on a capped, deterministic subsample
-    of the orbit to keep the pair scan affordable.
+    The orbit is the base points and their images under the ball of
+    length max_len (one stacked action per base point, word-major), with
+    chart coordinates from one batched solve.  The residual is the
+    Hausdorff frame distance between the orbit points and the sampled
+    limit set; it should shrink as max_len grows.  The hull itself is
+    built on a deterministic subsample of at most CORE_HULL_CAP orbit
+    points to keep the pair scan affordable.
     """
     from .causal import causal_hull
 
     model = rep.model
-    orbit_pts = list(base_pts)
-    orbit_lens = [0] * len(base_pts)
+    frames = np.stack([bp.frame.embed() if model.is_lagrangian else bp.frame for bp in base_pts])
+    orthos = np.stack([bp.ortho for bp in base_pts])
     if max_len >= 1:
         ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
-        for i, w in enumerate(ball.words):
-            g = ball.element(i)
-            for bp in base_pts:
-                orbit_pts.append(act(g, bp))
-                orbit_lens.append(len(w))
-    coords = [chart_coordinates(pt) for pt in orbit_pts]
-    if len(coords) > orbit_cap:
-        keep = np.unique(np.linspace(0, len(coords) - 1, orbit_cap).astype(int))
-        hull_coords = [coords[i] for i in keep]
-    else:
-        hull_coords = coords
+        # word-major: the images of every base point under word i, then under word i + 1
+        F, Q = zip(*(act_stack(ball.stack, bp) for bp in base_pts))
+        frames = np.concatenate([frames, np.stack(F, axis=1).reshape(-1, *frames.shape[1:])])
+        orthos = np.concatenate([orthos, np.stack(Q, axis=1).reshape(-1, *orthos.shape[1:])])
+    coords = chart_coordinates_stack(model, frames, orthos)
+    n = len(coords)
+    keep = np.arange(n)
+    if n > CORE_HULL_CAP:
+        keep = np.unique(np.linspace(0, n - 1, CORE_HULL_CAP).astype(int))
+    hull_coords = [KMat.unembed(model.tag, coords[i]) if model.is_lagrangian else coords[i] for i in keep]
     core = causal_hull(model, hull_coords)
-    L_max = max(orbit_lens)
-    if L_max == 0 or not len(sample):
+    if max_len < 1 or not len(sample):
         residual = None
     else:
         # how far the sampled ideal points still are from the finite orbit;
         # nonincreasing in max_len since the orbit only grows
-        O = np.stack([pt.projector() for pt in orbit_pts])
-        S = np.stack([pt.projector() for pt in sample.points])
+        O = _projectors(model, orthos)
+        S = _projectors(model, np.stack([pt.ortho for pt in sample.points]))
         o2 = np.real(np.einsum("kij,kij->k", O, np.conj(O)))
         s2 = np.real(np.einsum("kij,kij->k", S, np.conj(S)))
         cross = np.real(np.einsum("kij,lij->kl", S, np.conj(O)))
         d2 = np.maximum(s2[:, None] + o2[None, :] - 2.0 * cross, 0.0)
         residual = float(np.max(np.sqrt(np.min(d2, axis=1))))
     return {"core": core, "ideal_residual": residual,
-            "orbit_size": len(orbit_pts), "hull_points": len(hull_coords)}
+            "orbit_size": n, "hull_points": len(hull_coords)}
+
+
+def _projectors(model: GroupModel, orthos) -> np.ndarray:
+    """ShilovPoint.projector of each point of a stack of orthos."""
+    if model.is_lagrangian:
+        return orthos @ np.conj(np.swapaxes(orthos, -1, -2))
+    return orthos[:, :, None] * orthos[:, None, :]
 
 
 # ---------------------------------------------------------------- deformation

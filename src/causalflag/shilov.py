@@ -20,8 +20,8 @@ from .errors import (
 )
 from .groups import GroupElement, GroupModel
 from .kmat import KMat
-from .linalg import check_hermitian, null_space
-from .scalars import QUATERNION
+from .linalg import _flat_norms, check_hermitian, null_space
+from .scalars import QUATERNION, REAL
 
 ISOTROPY_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-9
@@ -217,8 +217,8 @@ def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
     return np.abs((X @ b)[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
-def transverse(x: ShilovPoint, y: ShilovPoint, tol=TRANSVERSALITY_TOL) -> bool:
-    return transversality_margin(x, y) > tol
+def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
+    return transversality_margin(x, y) > TRANSVERSALITY_TOL
 
 
 # ---------------------------------------------------------------------- charts
@@ -283,6 +283,63 @@ def chart_coordinates(x: ShilovPoint):
     return v
 
 
+def _raise_first(checks):
+    """Raise as a loop of per-point guards would: the first failing point, its first failing check.
+
+    checks lists (ok, error) pairs in guard order: ok is a mask over the
+    stack and error(k) builds the exception for point k.
+    """
+    firsts = [int(np.argmin(ok)) if not ok.all() else len(ok) for ok, _ in checks]
+    k = min(firsts)
+    if k < len(checks[0][0]):
+        raise checks[firsts.index(k)][1](k)
+
+
+def chart_coordinates_stack(model: GroupModel, frames, orthos):
+    """chart_coordinates of every point of a stack, from the (frames, orthos) of act_stack.
+
+    The Lagrangian families take one batched solve and give the embedded
+    (k, d, d) stack of Hermitian coordinates (real for real models), the
+    form causal works on; SO(n, 2) gives a (k, n) Minkowski stack.  The
+    values are those of chart_coordinates, and NotInChart and NotHermitian
+    are raised as a loop over the points would raise them.
+    """
+    _, p_minus = base_points(model)
+    margins = transversality_margins(model, orthos, np.broadcast_to(p_minus.ortho, orthos.shape))
+    in_chart = margins >= TRANSVERSALITY_TOL
+    checks = [(in_chart, lambda k: NotInChart("point is not transverse to the chart base"))]
+    if not model.is_lagrangian:
+        _raise_first(checks)
+        n = model.rank
+        W = frames @ model.form().a
+        # rescale each lift so that b(xi, e1 - e_{n+1}) = 2
+        W = W * (2.0 / (W[:, 0] - W[:, n]))[:, None]
+        return np.concatenate([W[:, 1:n], -W[:, n + 1:]], axis=1)
+    r = model.rank
+    quat = model.tag == QUATERNION
+    rows = np.r_[0:r, 2 * r:3 * r] if quat else np.arange(r)
+    top, bot = frames[in_chart][:, rows], frames[in_chart][:, rows + r]
+    X = np.zeros((len(frames),) + top.shape[1:], complex)
+    # X = solve(top^T, bot^T)^T per point, as chart_coordinates computes it
+    X[in_chart] = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
+    # the KMat parts of each coordinate and of its adjoint X.H
+    if quat:
+        parts = (X[:, :r, :r], X[:, :r, r:])
+        adjoints = (np.conj(np.swapaxes(parts[0], -1, -2)), -np.swapaxes(parts[1], -1, -2))
+    else:
+        parts = (X.real if model.tag == REAL else X,)
+        adjoints = (np.conj(np.swapaxes(parts[0], -1, -2)),)
+    defect = np.sqrt(sum(np.sum(np.abs(p - q) ** 2, axis=(1, 2)) for p, q in zip(parts, adjoints)))
+    norm = np.sqrt(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
+    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, norm)),
+                   lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}")))
+    _raise_first(checks)
+    C = [0.5 * (p + q) for p, q in zip(parts, adjoints)]
+    if quat:
+        return np.block([[C[0], C[1]], [-np.conj(C[1]), np.conj(C[0])]])
+    return C[0]
+
+
 # -------------------------------------------------------------- standardization
 
 
@@ -293,6 +350,46 @@ def act(g: GroupElement, x: ShilovPoint) -> ShilovPoint:
         # the action of a form-preserving element keeps the frame isotropic
         return ShilovPoint(x.model, g.g @ x.frame, checked=False)
     return ShilovPoint(x.model, g.g.a @ x.frame)
+
+
+def act_stack(G, x: ShilovPoint):
+    """act(g, x) for every g of a stack G of ball matrices, as (frames, orthos) arrays.
+
+    G holds what WordBall.stack holds: the real matrix for real models and
+    the complex embedding otherwise.  frames[k] is the embedded frame of
+    g_k @ x.frame (the unit lift on SO(n, 2)) and orthos[k] the ortho of
+    act(g_k, x), bit for bit: the products are those of KMat @ and the QR
+    is batched.  ShilovPoint's guards run on the whole stack.
+    """
+    model = x.model
+    if not model.is_lagrangian:
+        V = G @ x.frame
+        nv = _flat_norms(V)
+        iso = np.abs(np.matmul((V @ model.form().a)[:, None, :], V[:, :, None])[:, 0, 0])
+        _raise_first([
+            (np.isfinite(V).all(axis=1), lambda k: NonFiniteInput("vector has a non-finite entry")),
+            (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
+            (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
+        ])
+        V = V / nv[:, None]
+        return V, V
+    F = x.frame
+    if model.tag == QUATERNION:
+        n = G.shape[-1] // 2
+        ga, gb = G[:, :n, :n], G[:, :n, n:]
+        a = ga @ F.a - gb @ np.conj(F.b)
+        b = ga @ F.b + gb @ np.conj(F.a)
+        E = np.block([[a, b], [-np.conj(b), np.conj(a)]])
+    else:
+        E = (G @ F.a).astype(complex)
+    Q, R = np.linalg.qr(E)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    _raise_first([
+        (np.isfinite(E).all(axis=(1, 2)), lambda k: NonFiniteInput("frame has a non-finite entry")),
+        (np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
+         lambda k: InvalidFrame("rank-deficient frame")),
+    ])
+    return E, Q
 
 
 def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:

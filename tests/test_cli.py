@@ -130,6 +130,10 @@ def test_rep_limitset_csv(tmp_path):
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["n_points"] >= 10
     assert report["report"]["min_pairwise_margin"] > 1e-6
+    # 36 words of length 3, 100 drawn of each longer length: every one is kept or excluded
+    excluded = report["report"]["excluded"]
+    assert sorted(excluded) == ["margin", "near", "no_convergence", "no_gap", "residual"]
+    assert sum(excluded.values()) + report["report"]["n_points"] == 36 + 2 * 100
     lines = (out / "limitset.csv").read_text().strip().splitlines()
     assert len(lines) == report["report"]["n_points"] + 1
 

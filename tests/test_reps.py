@@ -12,10 +12,23 @@ from causalflag.errors import (
     TooFewPoints,
     UnknownPreset,
 )
-from causalflag.groups import GroupElement, group_exp, levi_block, model_preset, random_lie_element
+from causalflag import reps
+from causalflag.groups import (
+    GroupElement,
+    alpha_r,
+    group_exp,
+    levi_block,
+    lyapunov_projection,
+    model_preset,
+    random_lie_element,
+    tau_p,
+)
 from causalflag.kmat import KMat
 from causalflag.reps import (
+    EXCLUSION_REASONS,
+    GAP_FLOOR,
     Representation,
+    _attracting_frames,
     anosov_gap_report,
     attracting_point,
     conjugate,
@@ -32,7 +45,17 @@ from causalflag.reps import (
     sample_limit_set,
     verify_maslov_zero,
 )
-from causalflag.shilov import act, transversality_margin
+from causalflag.causal import causal_hull
+from causalflag.shilov import (
+    ShilovPoint,
+    _quat_frame_from_embedded,
+    act,
+    base_points,
+    chart_coordinates,
+    chart_point,
+    transversality_margin,
+    transversality_margins,
+)
 
 
 def test_unknown_preset():
@@ -228,8 +251,47 @@ def test_gap_reports_equal_per_element_references(pid, max_len):
     assert levi_gap_report(rep, max_len) == reference_levi_report(rep, max_len)
 
 
+def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
+    """Per-word power iteration: (attracting point, invariance residual) of one element.
+
+    One QR, projector and norm per step, with the gap test of
+    lyapunov_projection; the stacked iteration must match it bit for bit.
+    """
+    model = g.model
+    if alpha_r(lyapunov_projection(g)) <= GAP_FLOOR:
+        raise NoGap("no eigenvalue-modulus gap at the boundary rank")
+    E = g.g.embed()
+    E = E / np.max(np.abs(E))
+    if model.is_lagrangian:
+        ncols = model.rank * (2 if model.tag == "H" else 1)
+    else:
+        ncols = 1
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((E.shape[0], ncols)) + 1j * rng.standard_normal((E.shape[0], ncols))
+    Z, _ = np.linalg.qr(Z)
+    P_prev = Z @ np.conj(Z).T
+    for _ in range(max_iter):
+        Z, _ = np.linalg.qr(E @ Z)
+        P = Z @ np.conj(Z).T
+        move = np.linalg.norm(P - P_prev)
+        P_prev = P
+        if move < tol:
+            break
+    else:
+        raise NonConvergence(f"power iteration did not settle below {tol:.1e}")
+    GZ = E @ Z
+    residual = float(np.linalg.norm(GZ - Z @ (np.conj(Z).T @ GZ)) / max(np.linalg.norm(GZ), 1e-300))
+    if residual > 1e-8:
+        raise NonConvergence(f"invariance residual {residual:.3e}")
+    if not model.is_lagrangian:
+        return ShilovPoint(model, np.real(Z[:, 0])), residual
+    if model.tag == "H":
+        return ShilovPoint(model, _quat_frame_from_embedded(Z)), residual
+    return ShilovPoint(model, KMat.unembed(model.tag, Z)), residual
+
+
 def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6):
-    """Kept words of the pairwise keep/merge scan over attracting points."""
+    """Words, residuals, points and exclusion counts of the per-word keep/merge scan."""
     ball = library_ball(rep, max_len)
     rng = np.random.default_rng(seed)
     chosen = []
@@ -238,26 +300,117 @@ def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor
         if len(idx) > per_length_cap:
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
-    points, words = [], []
+    points, words, residuals = [], [], []
+    excluded = dict.fromkeys(EXCLUSION_REASONS, 0)
     for i in chosen:
         try:
-            pt = attracting_point(rep.word_element(ball.words[i]), seed=seed)
-        except (NoGap, NonConvergence):
+            pt, res = reference_attract(ball.element(i), seed=seed)
+        except NoGap:
+            excluded["no_gap"] += 1
             continue
-        if any(pt.distance(q) < 1e-6 or transversality_margin(pt, q) <= margin_floor
-               for q in points):
+        except NonConvergence as err:
+            excluded["residual" if "residual" in str(err) else "no_convergence"] += 1
+            continue
+        if any(pt.distance(q) < 1e-6 for q in points):
+            excluded["near"] += 1
+            continue
+        if any(transversality_margin(pt, q) <= margin_floor for q in points):
+            excluded["margin"] += 1
             continue
         points.append(pt)
         words.append(ball.words[i])
-    return words
+        residuals.append(res)
+    return {"words": words, "residuals": residuals, "points": points, "excluded": excluded,
+            "drawn": len(chosen)}
+
+
+def check_limit_sample_against_reference(pid, seed):
+    """sample_limit_set equals the per-word scan: words, residuals, points and exclusion counts."""
+    rep = preset(pid)
+    max_len = 4 if rep.relator else 6
+    sample = sample_limit_set(rep, max_len, seed=seed)
+    ref = reference_limit_words(rep, max_len, seed=seed)
+    assert sample.words == ref["words"]
+    assert sample.residuals == ref["residuals"]
+    assert sample.word_lengths == [len(w) for w in ref["words"]]
+    assert all(np.array_equal(p.ortho, q.ortho) for p, q in zip(sample.points, ref["points"]))
+    assert sample.excluded == ref["excluded"]
+    assert sum(sample.excluded.values()) + len(sample) == ref["drawn"]
+    return sample
 
 
 @pytest.mark.parametrize("pid", ["tau0-sp4-f2", "tau0-sostar8-f2", "tau0-sp4-genus2"])
 def test_limit_sample_keeps_the_reference_words(pid):
-    rep = preset(pid)
-    sample = sample_limit_set(rep, 6 if rep.relator is None else 4, seed=0)
-    assert sample.words == reference_limit_words(rep, 6 if rep.relator is None else 4)
-    assert len(sample) >= 20
+    assert len(check_limit_sample_against_reference(pid, 0)) >= 20
+    check_limit_sample_against_reference(pid, 3)
+
+
+@pytest.mark.parametrize("pid", ["f2-fuchsian-sl2", "tau0-su22-f2", "genus2-sl2"])
+def test_limit_sample_equals_per_word_reference(pid):
+    for seed in (0, 3):
+        check_limit_sample_against_reference(pid, seed)
+
+
+def mixed_stack():
+    """A fast gapped word, an elliptic element (no gap) and a slowly converging gapped element."""
+    rep = preset("tau0-sp4-f2")
+    c, s = np.cos(0.7), np.sin(0.7)
+    return rep.model, [rep.word_element(("a", "b")),
+                       tau_p(np.array([[c, -s], [s, c]]), rep.model),
+                       tau_p(np.diag([1.02, 1 / 1.02]), rep.model)]
+
+
+def test_stacked_iteration_freezes_settled_words():
+    model, (fast, elliptic, slow) = mixed_stack()
+    Z, residuals, reason = _attracting_frames(model, np.stack([g.g.embed() for g in (fast, elliptic, slow)]), 5)
+    assert reason.tolist() == [-1, EXCLUSION_REASONS.index("no_gap"), -1]
+    for k, g in [(0, fast), (2, slow)]:
+        pt, res = reference_attract(g, seed=5)
+        assert residuals[k] == res
+        assert np.array_equal(attracting_point(g, seed=5).ortho, pt.ortho)
+    with pytest.raises(NoGap, match="no eigenvalue-modulus gap"):
+        attracting_point(elliptic)
+
+
+def test_iteration_cap_and_residual_exclusions(monkeypatch):
+    model, (fast, elliptic, slow) = mixed_stack()
+    E = np.stack([g.g.embed() for g in (fast, elliptic, slow)])
+    monkeypatch.setattr(reps, "ATTRACT_MAX_ITER", 200)
+    _, _, reason = _attracting_frames(model, E, 0)
+    assert [EXCLUSION_REASONS[k] if k >= 0 else None for k in reason] == [None, "no_gap", "no_convergence"]
+    with pytest.raises(NonConvergence, match="did not settle below 1.0e-12"):
+        attracting_point(slow)
+    with pytest.raises(NonConvergence):
+        reference_attract(slow, max_iter=200)
+    monkeypatch.setattr(reps, "ATTRACT_MAX_ITER", 1)
+    rep = preset("tau0-sp4-f2")
+    sample = sample_limit_set(rep, 4)
+    assert len(sample) == 0
+    assert sample.excluded == {"no_gap": 0, "no_convergence": 36 + 100, "residual": 0, "near": 0, "margin": 0}
+    monkeypatch.setattr(reps, "ATTRACT_MAX_ITER", 10_000)
+    monkeypatch.setattr(reps, "ATTRACT_RESIDUAL", -1.0)
+    assert sample_limit_set(rep, 4).excluded["residual"] == 36 + 100
+    with pytest.raises(NonConvergence, match="invariance residual"):
+        attracting_point(fast)
+
+
+def test_eigenvalue_underflow_counts_as_no_convergence(monkeypatch):
+    model = model_preset("sp4")
+    g = GroupElement(model, KMat("R", np.diag([1e301, 2.0, 1e-301, 0.5])))
+    with pytest.raises(NonConvergence, match="eigenvalue modulus underflow"):
+        attracting_point(g)
+    underflow = _attracting_frames(model, g.g.embed()[None], 0)[2][0]
+    stacked = reps._attracting_frames
+
+    def first_word_underflows(model, E, seed):
+        Z, residuals, reason = stacked(model, E, seed)
+        reason[0] = underflow
+        return Z, residuals, reason
+
+    monkeypatch.setattr(reps, "_attracting_frames", first_word_underflows)
+    sample = sample_limit_set(preset("tau0-sp4-f2"), 4)
+    assert sample.excluded["no_convergence"] == 1
+    assert sum(sample.excluded.values()) + len(sample) == 36 + 100
 
 
 def test_attracting_point_is_fixed():
@@ -310,6 +463,68 @@ def test_proper_domain_certificate():
     assert cert["min_margin"] > 1e-6
     # the dual diamond center should win immediately for the Levi preset
     assert cert["candidate"] == "dual_center"
+
+
+def reference_certificate(rep, sample, probe_count, seed, orbit_len=4):
+    """proper_domain_certificate with one act per orbit element."""
+    model = rep.model
+    ball = library_ball(rep, orbit_len)
+    center = domain_center(model)
+    orbit = [center] + [act(ball.element(i), center) for i in range(len(ball.words))]
+    targets = np.stack([pt.ortho for pt in orbit + list(sample.points)])
+    candidates = [("dual_center", dual_center(model)), ("p_minus", base_points(model)[1])]
+    rng = np.random.default_rng(seed)
+    for k in range(probe_count):
+        X = KMat.random(model.tag, model.rank, model.rank, rng)
+        candidates.append((f"probe_{k}", chart_point(model, 4.0 * 0.5 * (X + X.H))))
+    for label, z0 in candidates:
+        m = float(np.min(transversality_margins(model, targets, np.broadcast_to(z0.ortho, targets.shape))))
+        if m > 1e-6:
+            return {"z0": z0, "min_margin": m, "candidate": label, "orbit_size": len(orbit), "passed": True}
+    raise AssertionError("no certificate")
+
+
+def reference_core(rep, sample, base_pts, max_len, orbit_cap=150):
+    """convex_core_sample with one act and one chart_coordinates call per orbit point."""
+    orbit_pts = list(base_pts)
+    if max_len >= 1:
+        ball = library_ball(rep, max_len)
+        orbit_pts += [act(ball.element(i), bp) for i in range(len(ball.words)) for bp in base_pts]
+    coords = [chart_coordinates(pt) for pt in orbit_pts]
+    if len(coords) > orbit_cap:
+        coords = [coords[i] for i in np.unique(np.linspace(0, len(coords) - 1, orbit_cap).astype(int))]
+    core = causal_hull(rep.model, coords)
+    residual = None
+    if max_len >= 1:
+        O = np.stack([pt.projector() for pt in orbit_pts])
+        S = np.stack([pt.projector() for pt in sample.points])
+        o2 = np.real(np.einsum("kij,kij->k", O, np.conj(O)))
+        s2 = np.real(np.einsum("kij,kij->k", S, np.conj(S)))
+        cross = np.real(np.einsum("kij,lij->kl", S, np.conj(O)))
+        d2 = np.maximum(s2[:, None] + o2[None, :] - 2.0 * cross, 0.0)
+        residual = float(np.max(np.sqrt(np.min(d2, axis=1))))
+        # the Hausdorff frame distance, up to roundoff
+        assert residual == pytest.approx(max(min(pt.distance(q) for q in orbit_pts) for pt in sample.points), abs=1e-7)
+    return core, residual, len(orbit_pts), len(coords)
+
+
+@pytest.mark.parametrize("pid,max_len", [("tau0-sp4-f2", 6), ("tau0-sp4-genus2", 4), ("tau0-sostar8-f2", 5)])
+def test_certificate_and_core_equal_per_element_references(pid, max_len):
+    rep = preset(pid)
+    sample = sample_limit_set(rep, max_len, seed=1)
+    cert = proper_domain_certificate(rep, sample, probe_count=5, seed=1)
+    ref = reference_certificate(rep, sample, 5, 1)
+    assert np.array_equal(cert.pop("z0").ortho, ref.pop("z0").ortho)
+    assert cert == ref
+    base = [domain_center(rep.model)]
+    for L in (0, 2, 3):
+        out = convex_core_sample(rep, sample, base, L)
+        core, residual, orbit_size, hull_points = reference_core(rep, sample, base, L)
+        assert (out["orbit_size"], out["hull_points"]) == (orbit_size, hull_points)
+        assert len(out["core"].pairs) == len(core.pairs)
+        for (X, Y), (U, V) in zip(out["core"].pairs, core.pairs):
+            assert np.array_equal(X.embed(), U.embed()) and np.array_equal(Y.embed(), V.embed())
+        assert out["ideal_residual"] == residual
 
 
 def test_convex_core_residual_shrinks():

@@ -4,13 +4,15 @@ import numpy as np
 import pytest
 
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
-from causalflag.groups import group_exp, model_preset, random_lie_element
+from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
 from causalflag.kmat import KMat
 from causalflag.shilov import (
     ShilovPoint,
     act,
+    act_stack,
     base_points,
     chart_coordinates,
+    chart_coordinates_stack,
     chart_point,
     standardize_pair,
     transversality_margin,
@@ -177,3 +179,51 @@ def test_point_json_roundtrip():
             p = chart_point(model, rng.standard_normal(4))
         q = ShilovPoint.from_json(p.to_json())
         assert p.distance(q) < 1e-12
+
+
+def random_point(model, rng):
+    if model.is_lagrangian:
+        return chart_point(model, random_hermitian(model, rng))
+    from causalflag.einstein import random_ein_point
+
+    return random_ein_point(model, rng)
+
+
+def ball_stack(model, rng, count, scale=0.5):
+    """Random elements as WordBall holds them: one C-ordered stack of the real matrix or
+    the complex embedding, and the elements WordBall.element(i) wraps."""
+    gs = [random_element(model, rng, scale) for _ in range(count)]
+    G = np.stack([g.g.a if model.tag == "R" else g.g.embed() for g in gs])
+    return G, [GroupElement(model, KMat.unembed(model.tag, M), _check=False) for M in G]
+
+
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "sp8", "so32", "so42"])
+def test_stacked_orbit_matches_per_element_act(name):
+    from causalflag.causal import _stack
+
+    model = model_preset(name)
+    rng = np.random.default_rng(17)
+    x = random_point(model, rng)
+    G, gs = ball_stack(model, rng, 24, scale=1.5)
+    frames, orthos = act_stack(G, x)
+    coords = chart_coordinates_stack(model, frames, orthos)
+    for k, g in enumerate(gs):
+        y = act(g, x)
+        assert np.array_equal(orthos[k], y.ortho)
+        assert np.array_equal(frames[k], y.frame.embed() if model.is_lagrangian else y.frame)
+        assert np.array_equal(coords[k], _stack(model, [chart_coordinates(y)])[0])
+
+
+@pytest.mark.parametrize("name", ["sp4", "sostar8", "so42"])
+def test_stacked_orbit_guards(name):
+    model = model_preset(name)
+    rng = np.random.default_rng(4)
+    x = random_point(model, rng)
+    G, _ = ball_stack(model, rng, 3)
+    G[1, 0, 0] = np.nan
+    with pytest.raises(NonFiniteInput):
+        act_stack(G, x)
+    p_plus, p_minus = base_points(model)
+    frames = np.stack([p.frame.embed() if model.is_lagrangian else p.frame for p in (p_plus, p_minus)])
+    with pytest.raises(NotInChart):
+        chart_coordinates_stack(model, frames, np.stack([p_plus.ortho, p_minus.ortho]))
