@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyInput, ModelMismatch, NonFiniteInput, NotTransverse, PointsNotInBothCharts
 from .groups import GroupElement, GroupModel
-from .kmat import KMat
+from .kmat import KMat, _chi
 from .linalg import check_hermitian, frobenius_norms, signature
 from .scalars import QUATERNION
 from .shilov import (
@@ -47,6 +47,7 @@ _FUTURE, _PAST, _LIGHTCONE, _NEITHER, _EQUAL = range(5)
 
 # ordered pairs per kernel call in the hull scan; bounds the scan's working memory
 _SCAN_BLOCK = 4096
+POSITIVE_FLOOR = 0.1  # smallest eigenvalue of random_positive_coord
 
 
 def _coord_like(model: GroupModel, X):
@@ -68,8 +69,7 @@ def _stack(model: GroupModel, coords):
         mats = [_coord_like(model, X).astag(model.tag) for X in coords]
         S = np.array([X.a for X in mats]).reshape(len(mats), r, r)
         if model.tag == QUATERNION:
-            B = np.array([X.b for X in mats]).reshape(len(mats), r, r)
-            S = np.block([[S, B], [-np.conj(B), np.conj(S)]])
+            S = _chi(S, np.array([X.b for X in mats]).reshape(len(mats), r, r))
     else:
         S = np.array([_coord_like(model, X) for X in coords], dtype=float).reshape(len(coords), model.rank)
     if not np.isfinite(S).all():
@@ -90,7 +90,9 @@ def _relations(model: GroupModel, D):
     Lagrangian families: D is an embedded (k, d, d) stack and one eigvalsh
     call decides everything.  The forward margin is the minimal eigenvalue
     and the band is 1e-9 * max(1, max |eigenvalue|).  SO(n, 2): D is a
-    (k, n) Minkowski stack; the forward margin is v_n - |v_space|.
+    (k, n) Minkowski stack; the forward margin is v_n - |v_space|.  A
+    difference whose Hermitian part or norm overflows raises NonFiniteInput;
+    past that, every eigenvalue, band and margin is bounded by the norm.
     """
     if model.is_lagrangian:
         H, norm = check_hermitian(D, model.tag)
@@ -101,6 +103,8 @@ def _relations(model: GroupModel, D):
         light = (top <= band) | (fwd >= -band)  # semidefinite with kernel
     else:
         norm = _norms(model, D)
+        if not np.isfinite(norm).all():
+            raise NonFiniteInput("a coordinate difference overflows")
         band = 1e-9 * np.maximum(1.0, norm)
         space = np.linalg.norm(D[:, :-1], axis=-1)
         fwd = D[:, -1] - space
@@ -131,9 +135,11 @@ def cone_margin(model: GroupModel, X) -> float:
 
 
 def zero_band(model: GroupModel, X) -> float:
-    if model.is_lagrangian:
-        return 1e-9 * max(1.0, _coord_like(model, X).opnorm())
-    return 1e-9 * max(1.0, float(np.linalg.norm(X)))
+    """1e-9 * max(1, |X|): the operator norm, or the Euclidean one on SO(n, 2); NonFiniteInput if |X| is not finite."""
+    norm = _coord_like(model, X).opnorm() if model.is_lagrangian else float(np.linalg.norm(X))
+    if not np.isfinite(norm):
+        raise NonFiniteInput("the norm of a chart coordinate is not finite")
+    return 1e-9 * max(1.0, norm)
 
 
 def in_cone(model: GroupModel, X) -> bool:
@@ -213,14 +219,15 @@ class Hull:
         fwd = _relations(self.model, np.concatenate([z - self._lo, self._hi - z]))[1]
         k = len(self._lo)
         inside = np.max(np.minimum(fwd[:k], fwd[k:]), initial=-np.inf)
-        nearest = np.min(_norms(self.model, self._points - z), initial=np.inf)
-        return float(max(inside, -nearest))
+        dist = _norms(self.model, self._points - z)
+        if not np.isfinite(dist).all():
+            raise NonFiniteInput("a distance to a hull point overflows")
+        return float(max(inside, -np.min(dist, initial=np.inf)))
 
-    def membership(self, Z, tol=None) -> bool:
+    def membership(self, Z) -> bool:
+        """Whether the margin of Z is at least -zero_band(Z)."""
         margin = self.margin(Z)  # first, so that non-finite Z raises NonFiniteInput
-        if tol is None:
-            tol = zero_band(self.model, Z)
-        return margin >= -tol
+        return margin >= -zero_band(self.model, Z)
 
 
 def causal_hull(model: GroupModel, points) -> Hull:
@@ -364,10 +371,11 @@ def random_signature_coord(model: GroupModel, i: int, rng):
     return M.H @ D @ M
 
 
-def random_positive_coord(model: GroupModel, rng, floor=0.1):
+def random_positive_coord(model: GroupModel, rng):
+    """Random positive definite chart coordinate N^H N + POSITIVE_FLOOR * I."""
     r = model.rank
     N = KMat.random(model.tag, r, r, rng)
-    return N.H @ N + floor * KMat.eye(model.tag, r)
+    return N.H @ N + POSITIVE_FLOOR * KMat.eye(model.tag, r)
 
 
 def sylvester_orbit_check(model: GroupModel, i: int, trials: int, seed) -> dict:

@@ -20,6 +20,17 @@ from .scalars import COMPLEX, QUATERNION, REAL
 _TAG_ORDER = {REAL: 0, COMPLEX: 1, QUATERNION: 2}
 
 
+def _chi(a, b):
+    """The adjoint embedding [[a, b], [-conj(b), conj(a)]] of a stack of quaternionic parts (..., n, m)."""
+    n, m = a.shape[-2:]
+    out = np.empty(a.shape[:-2] + (2 * n, 2 * m), dtype=complex)
+    out[..., :n, :m] = a
+    out[..., :n, m:] = b
+    out[..., n:, :m] = -np.conj(b)
+    out[..., n:, m:] = np.conj(a)
+    return out
+
+
 class KMat:
     """Matrix over one of the three ground fields."""
 
@@ -172,13 +183,7 @@ class KMat:
             return self.a.astype(complex)
         if self.tag == COMPLEX:
             return self.a
-        n, m = self.a.shape
-        out = np.empty((2 * n, 2 * m), dtype=complex)
-        out[:n, :m] = self.a
-        out[:n, m:] = self.b
-        out[n:, :m] = -np.conj(self.b)
-        out[n:, m:] = np.conj(self.a)
-        return out
+        return _chi(self.a, self.b)
 
     @classmethod
     def unembed(cls, tag, mat):
@@ -209,12 +214,6 @@ class KMat:
         inv = np.linalg.inv(self.embed())
         return KMat.unembed(self.tag, inv)
 
-    def solve(self, rhs):
-        """Solve self @ X = rhs."""
-        x, y = self._promoted(rhs)
-        sol = np.linalg.solve(x.embed(), y.embed())
-        return KMat.unembed(x.tag, sol)
-
     # ------------------------------------------------------------------ blocks
 
     def block(self, r0, r1, c0, c1):
@@ -241,13 +240,6 @@ class KMat:
         if tag == QUATERNION:
             return cls(tag, np.vstack([m.a for m in mats]), np.vstack([m.b for m in mats]))
         return cls(tag, np.vstack([m.a for m in mats]))
-
-    @classmethod
-    def block_diag(cls, m1, m2):
-        x, y = m1._promoted(m2)
-        top = cls.hstack([x, cls.zeros(x.tag, x.rows, y.cols)])
-        bot = cls.hstack([cls.zeros(x.tag, y.rows, x.cols), y])
-        return cls.vstack([top, bot])
 
     # ----------------------------------------------------------- serialization
 

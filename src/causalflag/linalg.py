@@ -7,11 +7,12 @@ spectra are read off the embedding with multiplicities halved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NotHermitian, Singular
+from .errors import NonFiniteInput, NotHermitian, Singular
 from .kmat import KMat
 from .scalars import QUATERNION
 
@@ -48,7 +49,7 @@ def _flat_norms(X):
     (1, n) @ (n, 1) matmul runs the same dot per item, where a norm over
     axes would sum in another order.
     """
-    F = X.reshape(len(X), int(np.prod(X.shape[1:])))
+    F = X.reshape(len(X), math.prod(X.shape[1:]))
 
     def dots(V):
         return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
@@ -62,7 +63,8 @@ def check_hermitian(E, tag):
     """Hermitian parts and norms of a stack (..., d, d) of embedded matrices.
 
     Raises NotHermitian where the defect |X - X^H| exceeds HERMITIAN_TOL * max(1, |X|);
-    NaN and inf fail the guard.
+    NaN and inf fail the guard.  Raises NonFiniteInput where a norm overflows,
+    which covers every Hermitian part that would.
     """
     EH = np.conj(np.swapaxes(E, -1, -2))
     norms = frobenius_norms(E, tag)
@@ -73,6 +75,9 @@ def check_hermitian(E, tag):
         k = np.flatnonzero(bad)[0]
         raise NotHermitian(f"Hermitian defect {defect.flat[k]:.3e} exceeds "
                            f"{HERMITIAN_TOL:.1e} * {scale.flat[k]:.3e}")
+    # a finite norm (squares summed unscaled) bounds every entry by 1.4e154: the Hermitian part is finite
+    if not np.isfinite(norms).all():
+        raise NonFiniteInput("a matrix norm overflows")
     return 0.5 * (E + EH), norms
 
 

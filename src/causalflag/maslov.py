@@ -23,6 +23,7 @@ import numpy as np
 
 from .errors import DegenerateSignature, ModelMismatch, NotPairwiseTransverse
 from .groups import GroupModel
+from .kmat import _chi
 from .scalars import QUATERNION, REAL
 from .shilov import ShilovPoint, _socharts_lift, transversality_margins
 
@@ -111,34 +112,19 @@ def _batch_hermitian(model: GroupModel, n, rng):
         return 0.5 * (G + _adjoint(G))
     A = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
     B = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    a = 0.5 * (A + _adjoint(A))
-    b = 0.5 * (B - np.swapaxes(B, 1, 2))
-    out = np.empty((n, 2 * r, 2 * r), dtype=complex)
-    out[:, :r, :r] = a
-    out[:, :r, r:] = b
-    out[:, r:, :r] = -np.conj(b)
-    out[:, r:, r:] = np.conj(a)
-    return out
+    return _chi(0.5 * (A + _adjoint(A)), 0.5 * (B - np.swapaxes(B, 1, 2)))
 
 
 def _batch_frames(model: GroupModel, X):
     """Embedded chart-point frames [I; X], respecting the quaternion embedding."""
-    n = X.shape[0]
-    r = model.rank
+    n, r = X.shape[0], model.rank
+    eye = np.broadcast_to(np.eye(r), (n, r, r))
     if model.tag != "H":
-        eye = np.eye(r) if model.tag == "R" else np.eye(r, dtype=complex)
-        return np.concatenate([np.broadcast_to(eye, (n, r, r)), X], axis=1)
-    # chi([I; X]) interleaves the j-part blocks below the identity rows
-    Xa = X[:, :r, :r]
-    Xb = X[:, :r, r:]
-    F = np.zeros((n, 4 * r, 2 * r), dtype=complex)
-    F[:, :r, :r] = np.eye(r)
-    F[:, r : 2 * r, :r] = Xa
-    F[:, r : 2 * r, r:] = Xb
-    F[:, 2 * r : 3 * r, r:] = np.eye(r)
-    F[:, 3 * r :, :r] = -np.conj(Xb)
-    F[:, 3 * r :, r:] = np.conj(Xa)
-    return F
+        return np.concatenate([eye, X], axis=1)
+    # chi([I; X]) of the parts [I; Xa] and [0; Xb]
+    a = np.concatenate([eye, X[:, :r, :r]], axis=1)
+    b = np.concatenate([np.zeros((n, r, r)), X[:, :r, r:]], axis=1)
+    return _chi(a, b)
 
 
 def _chart_frames(model: GroupModel, n, rng):
@@ -169,11 +155,7 @@ def _batch_group(model: GroupModel, n, rng, J):
         h = d // 2
         A = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
         B = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
-        Z = np.empty((n, d, d), dtype=complex)
-        Z[:, :h, :h] = A
-        Z[:, :h, h:] = B
-        Z[:, h:, :h] = -np.conj(B)
-        Z[:, h:, h:] = np.conj(A)
+        Z = _chi(A, B)
     Z = 0.5 * (Z - _adjoint(J) @ _adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = J^H for J and b
     mult = np.sqrt(2.0) if model.tag == "H" else 1.0
     norms = np.linalg.norm(Z, axis=(1, 2)) / mult

@@ -30,12 +30,15 @@ from .groups import (
     random_lie_perturbation,
     tau_p,
 )
-from .kmat import KMat
+from .kmat import KMat, _chi
 from .scalars import QUATERNION, REAL
 from .linalg import _flat_norms
 from .shilov import (
     ShilovPoint,
+    _guard,
+    _projectors,
     _quat_frame_from_embedded,
+    _view,
     act_stack,
     base_points,
     chart_coordinates_stack,
@@ -55,6 +58,7 @@ EXCLUSION_REASONS = ("no_gap", "no_convergence", "residual", "near", "margin")
 _NO_GAP, _NO_CONVERGENCE, _RESIDUAL, _NEAR, _MARGIN = range(len(EXCLUSION_REASONS))
 _UNDERFLOW = len(EXCLUSION_REASONS)  # an eigenvalue modulus below 1e-300; counted as no_convergence
 PINGPONG_HALF_WIDTH = 0.36  # must sit in (arctan(1/3) complement bound, pi/8); see certificate
+PINGPONG_SCAN = 128  # sampled angles per letter in the ping-pong contraction scan
 
 
 def _inverse_name(name: str) -> str:
@@ -232,13 +236,13 @@ def _arc_contains(center, half_width, theta):
     return half_width - abs(d)
 
 
-def pingpong_certificate(rep: Representation, half_width=PINGPONG_HALF_WIDTH, scan=128) -> dict:
+def pingpong_certificate(rep: Representation) -> dict:
     """Verify the ping-pong configuration of a rank-one pair on RP^1.
 
-    Each letter gets the arc of the given half width around its attracting
-    direction; the check is that the arcs are pairwise disjoint and every
-    letter maps the complement of its repelling arc strictly inside its
-    own arc.  Reports the worst margins; margins must be positive.
+    Each letter gets the arc of half width PINGPONG_HALF_WIDTH around its
+    attracting direction; the check is that the arcs are pairwise disjoint
+    and every letter maps the complement of its repelling arc strictly
+    inside its own arc.  Reports the worst margins; margins must be positive.
     """
     if rep.sl2 is None and not (rep.model.family == "SP" and rep.model.rank == 1):
         raise ModelMismatch("the interval check runs on the rank-one SL(2, R) model")
@@ -256,6 +260,7 @@ def pingpong_certificate(rep: Representation, half_width=PINGPONG_HALF_WIDTH, sc
         centers[letter] = _angle_mod_pi(np.real(V[:, top]))
     # pairwise disjointness of the four arcs on the circle R / pi Z
     letters = sorted(mats)
+    half_width = PINGPONG_HALF_WIDTH
     sep = np.inf
     for i in range(len(letters)):
         for j in range(i + 1, len(letters)):
@@ -268,7 +273,7 @@ def pingpong_certificate(rep: Representation, half_width=PINGPONG_HALF_WIDTH, sc
         c_att = centers[letter]
         c_rep = centers[_inverse_name(letter)]
         # complement of the repelling arc, sampled including its endpoints
-        thetas = c_rep + half_width + np.linspace(0.0, np.pi - 2 * half_width, scan)
+        thetas = c_rep + half_width + np.linspace(0.0, np.pi - 2 * half_width, PINGPONG_SCAN)
         for th in thetas:
             contraction = min(contraction, _arc_contains(c_att, half_width, _act_angle(A, th)))
     return {
@@ -385,16 +390,14 @@ def _batched_alpha(model: GroupModel, stack) -> np.ndarray:
     return 2.0 * np.maximum(eps_r, 0.0)
 
 
-def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP, ball=None) -> dict:
+def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
     """Fit a linear lower bound for alpha_r(mu(w)) over the word ball.
 
     This is finite-ball evidence only: PASS means the fitted slope over
     the per-length minima exceeds 0.05 and no word past the identity has
     a vanishing gap.
     """
-    if ball is None:
-        dedup_tol = 1e-9 if rep.relator else None
-        ball = enumerate_ball(rep, max_len, dedup_tol=dedup_tol, cap=cap)
+    ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None, cap=cap)
     alphas = _batched_alpha(rep.model, ball.stack)
     lengths = ball.lengths
     per_length_min = {}
@@ -429,8 +432,7 @@ def _embedded_elements(model: GroupModel, stack) -> np.ndarray:
     """The complex embedding of every ball element: element(i).g.embed() for each i, as one stack."""
     if model.tag == QUATERNION:
         n = stack.shape[-1] // 2
-        a, b = stack[:, :n, :n], stack[:, :n, n:]
-        return np.block([[a, b], [-np.conj(b), np.conj(a)]])
+        return _chi(stack[:, :n, :n], stack[:, :n, n:])
     return stack.astype(complex)
 
 
@@ -486,13 +488,22 @@ def _attracting_frames(model: GroupModel, E, seed):
     return frames, residuals, reason
 
 
-def _point(model: GroupModel, Z) -> ShilovPoint:
-    """The checked boundary point spanned by a settled power-iteration frame."""
+def _limit_frames(model: GroupModel, Z):
+    """The points spanned by a stack of settled power-iteration frames, as (frames, orthos) arrays.
+
+    frames are embedded frames (unit lifts on SO(n, 2)), as act_stack gives
+    them: the real part of the frame over R, the quaternionic frame
+    recovered from the j-invariant span over H.  The point guards run on
+    the whole stack.
+    """
     if not model.is_lagrangian:
-        return ShilovPoint(model, np.real(Z[:, 0]))
+        V = _guard(model, np.ascontiguousarray(Z[:, :, 0].real))
+        return V, V
     if model.tag == QUATERNION:
-        return ShilovPoint(model, _quat_frame_from_embedded(Z))
-    return ShilovPoint(model, KMat.unembed(model.tag, Z))
+        E = _chi(*_quat_frame_from_embedded(Z))
+    else:
+        E = Z.real.astype(complex) if model.tag == REAL else Z
+    return E, _guard(model, E)
 
 
 def attracting_point(g: GroupElement, seed=0) -> ShilovPoint:
@@ -512,7 +523,8 @@ def attracting_point(g: GroupElement, seed=0) -> ShilovPoint:
         raise NonConvergence(f"power iteration did not settle below {ATTRACT_TOL:.1e}")
     if reason[0] == _RESIDUAL:
         raise NonConvergence(f"invariance residual {residuals[0]:.3e}")
-    return _point(g.model, Z[0])
+    frames, orthos = _limit_frames(g.model, Z)
+    return _view(g.model, frames[0], orthos[0])
 
 
 @dataclass
@@ -535,7 +547,9 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
 
     Up to per_length_cap words per length from 3 on are drawn, and their
     attracting points come from one stacked power iteration
-    (_attracting_frames).  In candidate order, a point is kept only when it
+    (_attracting_frames); the converged ones are guarded, orthonormalized
+    and projected in one stacked pass, and only the kept points become
+    ShilovPoint objects.  In candidate order, a point is kept only when it
     is at least 1e-6 away in frame distance and more than margin_floor
     away in transversality margin from every point kept before it; the
     second clause merges boundary points so close that downstream triple
@@ -556,29 +570,26 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
     Z, res, reason = _attracting_frames(model, _embedded_elements(model, ball.stack[chosen]), seed)
-    # kept points, stacked for one vectorized distance and det per candidate
-    probe = base_points(model)[0]
-    projectors = np.empty((len(chosen),) + probe.projector().shape, probe.ortho.dtype)
-    orthos = np.empty((len(chosen),) + probe.ortho.shape, probe.ortho.dtype)
-    points, word_lengths, residuals, words = [], [], [], []
-    for c in np.flatnonzero(reason < 0):
-        pt = _point(model, Z[c])
-        k = len(points)
-        P = pt.projector()
-        if (np.linalg.norm(projectors[:k] - P, axis=(1, 2)) < 1e-6).any():
+    live = np.flatnonzero(reason < 0)
+    frames, orthos = _limit_frames(model, Z[live])
+    projectors = _projectors(model, orthos)
+    # the kept points' projectors and orthos, in keeping order
+    kept_P, kept_Q = np.empty_like(projectors), np.empty_like(orthos)
+    kept = []
+    for i, c in enumerate(live):
+        k = len(kept)
+        if (np.linalg.norm(kept_P[:k] - projectors[i], axis=(1, 2)) < 1e-6).any():
             reason[c] = _NEAR
-            continue
-        Q = np.broadcast_to(pt.ortho, orthos[:k].shape)
-        if (transversality_margins(model, Q, orthos[:k]) <= margin_floor).any():
+        elif (transversality_margins(model, np.broadcast_to(orthos[i], kept_Q[:k].shape), kept_Q[:k])
+              <= margin_floor).any():
             reason[c] = _MARGIN
-            continue
-        projectors[k] = P
-        orthos[k] = pt.ortho
-        points.append(pt)
-        word = ball.words[chosen[c]]
-        word_lengths.append(len(word))
-        residuals.append(float(res[c]))
-        words.append(word)
+        else:
+            kept_P[k], kept_Q[k] = projectors[i], orthos[i]
+            kept.append(i)
+    points = [_view(model, frames[i], orthos[i]) for i in kept]
+    words = [ball.words[chosen[c]] for c in live[kept]]
+    residuals = [float(res[c]) for c in live[kept]]
+    word_lengths = [len(word) for word in words]
     reason[reason == _UNDERFLOW] = _NO_CONVERGENCE
     counts = np.bincount(reason[reason >= 0], minlength=len(EXCLUSION_REASONS))
     excluded = dict(zip(EXCLUSION_REASONS, counts.tolist()))
@@ -717,13 +728,6 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
         residual = float(np.max(np.sqrt(np.min(d2, axis=1))))
     return {"core": core, "ideal_residual": residual,
             "orbit_size": n, "hull_points": len(hull_coords)}
-
-
-def _projectors(model: GroupModel, orthos) -> np.ndarray:
-    """ShilovPoint.projector of each point of a stack of orthos."""
-    if model.is_lagrangian:
-        return orthos @ np.conj(np.swapaxes(orthos, -1, -2))
-    return orthos[:, :, None] * orthos[:, None, :]
 
 
 # ---------------------------------------------------------------- deformation

@@ -19,7 +19,7 @@ from .errors import (
     NotTransverse,
 )
 from .groups import GroupElement, GroupModel
-from .kmat import KMat
+from .kmat import KMat, _chi
 from .linalg import _flat_norms, check_hermitian, null_space
 from .scalars import QUATERNION, REAL
 
@@ -27,104 +27,130 @@ ISOTROPY_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-9
 
 
-def _jmap(v):
-    """Antilinear map on embedded vectors implementing right multiplication by j."""
-    n = v.shape[0] // 2
-    return np.concatenate([-np.conj(v[n:]), np.conj(v[:n])])
-
-
 def _quat_frame_from_embedded(E):
-    """Recover a quaternionic frame from a j-invariant complex column span."""
-    n, k = E.shape[0] // 2, E.shape[1]
-    basis = []
-    cols_a, cols_b = [], []
-    for _ in range(k // 2):
-        v = None
-        for j in range(k):
-            w = E[:, j].copy()
-            for b in basis:
-                w -= b * np.vdot(b, w)
-            nw = np.linalg.norm(w)
-            if nw > 1e-8:
-                v = w / nw
-                break
-        if v is None:
-            raise InvalidFrame("embedded span is not j-invariant of the expected dimension")
-        jv = _jmap(v)
+    """Quaternionic frame parts (A, B) of each j-invariant complex column span in a stack E.
+
+    E is (N, 2n, k) and the frames are A + B j, each (N, n, k / 2).  Per
+    item this is a greedy Gram-Schmidt: every step takes the first column
+    whose residual against the basis so far is longer than 1e-8, and then
+    its image under right multiplication by j.  The dots and norms are
+    those of np.vdot and np.linalg.norm per column, so every item gets the
+    bits a loop over the items would.
+    """
+    N, d, k = E.shape
+    n = d // 2
+    # the columns as contiguous rows, (N, k, 2n): a dot over a strided view rounds differently
+    cols = np.ascontiguousarray(np.swapaxes(E, 1, 2))
+    items = np.arange(N)
+
+    def deflate(W, basis):
+        # W -= b * vdot(b, W) for each basis vector b in turn, on every row of W
         for b in basis:
-            jv -= b * np.vdot(b, jv)
-        jv /= np.linalg.norm(jv)
+            W = W - b[:, None, :] * np.matmul(np.conj(b)[:, None, None, :], W[..., None])[..., 0]
+        return W
+
+    basis, parts_a, parts_b = [], [], []
+    for _ in range(k // 2):
+        W = deflate(cols, basis)
+        nw = _flat_norms(W.reshape(N * k, d)).reshape(N, k)
+        long = nw > 1e-8
+        if not long.any(axis=1).all():
+            raise InvalidFrame("embedded span is not j-invariant of the expected dimension")
+        first = np.argmax(long, axis=1)
+        v = W[items, first] / nw[items, first][:, None]
+        jv = deflate(np.concatenate([-np.conj(v[:, n:]), np.conj(v[:, :n])], axis=1)[:, None], basis)[:, 0]
+        jv = jv / _flat_norms(jv)[:, None]
         basis += [v, jv]
-        cols_a.append(v[:n])
-        cols_b.append(-np.conj(v[n:]))
-    return KMat(QUATERNION, np.stack(cols_a, axis=1), np.stack(cols_b, axis=1))
+        parts_a.append(v[:, :n])
+        parts_b.append(-np.conj(v[:, n:]))
+    return np.stack(parts_a, axis=-1), np.stack(parts_b, axis=-1)
 
 
-def orthonormalize_frame(F: KMat) -> KMat:
-    """Column-orthonormal frame with the same span (quaternion-aware)."""
-    E = F.embed()
+def _raise_first(checks):
+    """Raise as a loop of per-point guards would: the first failing point, its first failing check.
+
+    checks lists (ok, error) pairs in guard order: ok is a mask over the
+    stack and error(k) builds the exception for point k.
+    """
+    firsts = [int(np.argmin(ok)) if not ok.all() else len(ok) for ok, _ in checks]
+    k = min(firsts)
+    if k < len(checks[0][0]):
+        raise checks[firsts.index(k)][1](k)
+
+
+def _guard(model: GroupModel, E):
+    """The point guards on a stack of embedded frames (lifts on SO(n, 2)); returns their orthos.
+
+    Raises NonFiniteInput for a non-finite entry, then InvalidFrame for a
+    zero vector or an isotropy defect on SO(n, 2), or for a rank-deficient
+    frame (read off the R factors of one batched QR), as a loop over the
+    points would raise.  The orthos are the QR's Q factors, and the unit
+    vectors on SO(n, 2).
+    """
+    kind = "frame" if model.is_lagrangian else "vector"
+    _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
+                   lambda k: NonFiniteInput(f"{kind} has a non-finite entry"))])
+    if not model.is_lagrangian:
+        nv = _flat_norms(E)
+        iso = np.abs(np.matmul((E @ model.form().a)[:, None, :], E[:, :, None])[:, 0, 0])
+        _raise_first([
+            (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
+            (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
+        ])
+        return E / nv[:, None]
     Q, R = np.linalg.qr(E)
-    if np.min(np.abs(np.diag(R))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(R)))):
-        raise InvalidFrame("rank-deficient frame")
-    if F.tag == QUATERNION:
-        return _quat_frame_from_embedded(Q)
-    return KMat.unembed(F.tag, Q)
+    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
+    _raise_first([(np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
+                   lambda k: InvalidFrame("rank-deficient frame"))])
+    return Q
+
+
+def _projectors(model: GroupModel, orthos) -> np.ndarray:
+    """ShilovPoint.projector of each point of a stack of orthos."""
+    if model.is_lagrangian:
+        return orthos @ np.conj(np.swapaxes(orthos, -1, -2))
+    return orthos[:, :, None] * orthos[:, None, :]
 
 
 class ShilovPoint:
-    """A Lagrangian (frame representative) or an isotropic line (vector representative)."""
+    """A Lagrangian (frame representative) or an isotropic line (vector representative).
+
+    Construction runs the stacked point guards (_guard) on a batch of one;
+    a Lagrangian frame must also be isotropic for the model's form.  The
+    points of act and of the limit samplers are views of guarded stacks
+    (_view) and skip that isotropy check: their frames are images of
+    points, or attracting subspaces, of form-preserving elements.
+    """
 
     __slots__ = ("model", "frame", "_ortho")
 
-    def __init__(self, model: GroupModel, frame, checked=True):
+    def __init__(self, model: GroupModel, frame):
         self.model = model
-        self._ortho = None
         if model.is_lagrangian:
             if not isinstance(frame, KMat):
                 frame = KMat(model.tag, frame)
             if frame.shape != (2 * model.rank, model.rank):
                 raise InvalidFrame(f"expected a {2 * model.rank}x{model.rank} frame, got {frame.shape}")
             E = frame.embed()
-            if not np.isfinite(E).all():
-                raise NonFiniteInput("frame has a non-finite entry")
-            self.frame = frame
-            if checked:
+            if np.isfinite(E).all():  # a non-finite frame fails the guard first
                 iso = (frame.H @ model.form() @ frame).norm()
                 if not (iso <= ISOTROPY_TOL * max(1.0, frame.norm() ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            Q, R = np.linalg.qr(E)
-            diag = np.abs(np.diag(R))
-            if not (np.min(diag) >= 1e-10 * max(1.0, np.max(diag))):
-                raise InvalidFrame("rank-deficient frame")
-            self._ortho = Q
+            self.frame = frame
+            self._ortho = _guard(model, E[None])[0]
         else:
-            v = np.asarray(frame, dtype=float).reshape(-1)
+            v = np.ascontiguousarray(frame, dtype=float).reshape(-1)
             if v.shape != (model.dim,):
                 raise InvalidFrame(f"expected a vector of length {model.dim}")
-            if not np.isfinite(v).all():
-                raise NonFiniteInput("vector has a non-finite entry")
-            nv = np.linalg.norm(v)
-            if not (nv >= 1e-12):
-                raise InvalidFrame("zero vector")
-            b = model.form().a
-            iso = abs(v @ b @ v)
-            if not (iso <= ISOTROPY_TOL * nv**2):
-                raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            self.frame = v / nv
+            self.frame = self._ortho = _guard(model, v[None])[0]
 
     @property
     def ortho(self):
         """Orthonormal embedded representative (complex matrix or unit vector)."""
-        if self.model.is_lagrangian:
-            return self._ortho
-        return self.frame
+        return self._ortho
 
     def projector(self):
-        if self.model.is_lagrangian:
-            Q = self.ortho
-            return Q @ np.conj(Q).T
-        v = self.frame
-        return np.outer(v, v)
+        return _projectors(self.model, self._ortho[None])[0]
 
     def distance(self, other: "ShilovPoint") -> float:
         """Representative-independent distance (projector Frobenius norm)."""
@@ -146,6 +172,15 @@ class ShilovPoint:
 
     def __repr__(self):
         return f"ShilovPoint({self.model.family}, rank={self.model.rank})"
+
+
+def _view(model: GroupModel, frame, ortho) -> ShilovPoint:
+    """The point of one item of guarded stacks: its embedded frame (unit vector) and its ortho."""
+    x = object.__new__(ShilovPoint)
+    x.model = model
+    x.frame = KMat.unembed(model.tag, frame).copy() if model.is_lagrangian else frame
+    x._ortho = ortho
+    return x
 
 
 # ------------------------------------------------------------------ basepoints
@@ -251,58 +286,24 @@ def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
 
 
 def chart_coordinates(x: ShilovPoint):
-    """Inverse of chart_point on the set of points transverse to p_minus."""
+    """Inverse of chart_point on the points transverse to p_minus; chart_coordinates_stack of one."""
     model = x.model
-    _, p_minus = base_points(model)
-    if transversality_margin(x, p_minus) < TRANSVERSALITY_TOL:
-        raise NotInChart("point is not transverse to the chart base")
-    if model.is_lagrangian:
-        r = model.rank
-        F = x.frame
-        top = F.block(0, r, 0, r)
-        bot = F.block(r, 2 * r, 0, r)
-        X = KMat.unembed(model.tag, np.linalg.solve(top.embed().T, bot.embed().T).T)
-        defect = (X - X.H).norm()
-        if defect > 1e-7 * max(1.0, X.norm()):
-            raise NotHermitian(f"chart coordinate defect {defect:.3e}")
-        return 0.5 * (X + X.H)
-    n = model.rank
-    b = model.form().a
-    xi = x.frame.copy()
-    # rescale the lift so that b(xi, e1 - e_{n+1}) = 2
-    raw_minus = np.zeros(n + 2)
-    raw_minus[0] = 1.0
-    raw_minus[n] = -1.0
-    denom = xi @ b @ raw_minus
-    xi = xi * (2.0 / denom)
-    basis = _spatial_basis(model)
-    v = np.empty(n)
-    for i in range(n - 1):
-        v[i] = xi @ b @ basis[i]
-    v[n - 1] = -(xi @ b @ basis[n - 1])
-    return v
-
-
-def _raise_first(checks):
-    """Raise as a loop of per-point guards would: the first failing point, its first failing check.
-
-    checks lists (ok, error) pairs in guard order: ok is a mask over the
-    stack and error(k) builds the exception for point k.
-    """
-    firsts = [int(np.argmin(ok)) if not ok.all() else len(ok) for ok, _ in checks]
-    k = min(firsts)
-    if k < len(checks[0][0]):
-        raise checks[firsts.index(k)][1](k)
+    if not model.is_lagrangian:
+        return chart_coordinates_stack(model, x.frame[None], x.ortho[None])[0]
+    X = chart_coordinates_stack(model, x.frame.embed()[None], x.ortho[None])[0]
+    return KMat.unembed(model.tag, X)
 
 
 def chart_coordinates_stack(model: GroupModel, frames, orthos):
-    """chart_coordinates of every point of a stack, from the (frames, orthos) of act_stack.
+    """Chart coordinates of every point of a stack, from the (frames, orthos) of act_stack.
 
-    The Lagrangian families take one batched solve and give the embedded
-    (k, d, d) stack of Hermitian coordinates (real for real models), the
-    form causal works on; SO(n, 2) gives a (k, n) Minkowski stack.  The
-    values are those of chart_coordinates, and NotInChart and NotHermitian
-    are raised as a loop over the points would raise them.
+    The Lagrangian families take one batched solve X = solve(top^T, bot^T)^T
+    and give the Hermitian parts of the coordinates as an embedded (k, d, d)
+    stack (real for real models), the form causal works on; SO(n, 2) gives a
+    (k, n) Minkowski stack.  NotInChart (margin to p_minus below
+    TRANSVERSALITY_TOL) and NotHermitian (|X - X^H| not within
+    1e-7 * max(1, |X|), NaN included) are raised as a loop over the points
+    would raise them.
     """
     _, p_minus = base_points(model)
     margins = transversality_margins(model, orthos, np.broadcast_to(p_minus.ortho, orthos.shape))
@@ -318,9 +319,9 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     r = model.rank
     quat = model.tag == QUATERNION
     rows = np.r_[0:r, 2 * r:3 * r] if quat else np.arange(r)
-    top, bot = frames[in_chart][:, rows], frames[in_chart][:, rows + r]
+    F = frames[in_chart]
+    top, bot = F[:, rows], F[:, rows + r]
     X = np.zeros((len(frames),) + top.shape[1:], complex)
-    # X = solve(top^T, bot^T)^T per point, as chart_coordinates computes it
     X[in_chart] = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
     # the KMat parts of each coordinate and of its adjoint X.H
     if quat:
@@ -335,61 +336,42 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
                    lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}")))
     _raise_first(checks)
     C = [0.5 * (p + q) for p, q in zip(parts, adjoints)]
-    if quat:
-        return np.block([[C[0], C[1]], [-np.conj(C[1]), np.conj(C[0])]])
-    return C[0]
+    return _chi(*C) if quat else C[0]
 
 
 # -------------------------------------------------------------- standardization
 
 
 def act(g: GroupElement, x: ShilovPoint) -> ShilovPoint:
+    """The image g . x: act_stack on a batch of one."""
     if g.model != x.model:
         raise ModelMismatch("group element and point live in different models")
-    if x.model.is_lagrangian:
-        # the action of a form-preserving element keeps the frame isotropic
-        return ShilovPoint(x.model, g.g @ x.frame, checked=False)
-    return ShilovPoint(x.model, g.g.a @ x.frame)
+    frames, orthos = act_stack((g.g.a if x.model.tag == REAL else g.g.embed())[None], x)
+    return _view(x.model, frames[0], orthos[0])
 
 
 def act_stack(G, x: ShilovPoint):
-    """act(g, x) for every g of a stack G of ball matrices, as (frames, orthos) arrays.
+    """The images g_k . x of a point under a stack G of ball matrices, as (frames, orthos) arrays.
 
     G holds what WordBall.stack holds: the real matrix for real models and
     the complex embedding otherwise.  frames[k] is the embedded frame of
-    g_k @ x.frame (the unit lift on SO(n, 2)) and orthos[k] the ortho of
-    act(g_k, x), bit for bit: the products are those of KMat @ and the QR
-    is batched.  ShilovPoint's guards run on the whole stack.
+    g_k @ x.frame (the unit lift on SO(n, 2)), its products those of
+    KMat @, and orthos[k] its ortho.  The point guards (_guard) run on the
+    whole stack; the Lagrangian isotropy check does not, since the action
+    preserves the form.
     """
     model = x.model
     if not model.is_lagrangian:
-        V = G @ x.frame
-        nv = _flat_norms(V)
-        iso = np.abs(np.matmul((V @ model.form().a)[:, None, :], V[:, :, None])[:, 0, 0])
-        _raise_first([
-            (np.isfinite(V).all(axis=1), lambda k: NonFiniteInput("vector has a non-finite entry")),
-            (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
-            (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
-        ])
-        V = V / nv[:, None]
+        V = _guard(model, G @ x.frame)
         return V, V
     F = x.frame
     if model.tag == QUATERNION:
         n = G.shape[-1] // 2
         ga, gb = G[:, :n, :n], G[:, :n, n:]
-        a = ga @ F.a - gb @ np.conj(F.b)
-        b = ga @ F.b + gb @ np.conj(F.a)
-        E = np.block([[a, b], [-np.conj(b), np.conj(a)]])
+        E = _chi(ga @ F.a - gb @ np.conj(F.b), ga @ F.b + gb @ np.conj(F.a))
     else:
         E = (G @ F.a).astype(complex)
-    Q, R = np.linalg.qr(E)
-    diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
-    _raise_first([
-        (np.isfinite(E).all(axis=(1, 2)), lambda k: NonFiniteInput("frame has a non-finite entry")),
-        (np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
-         lambda k: InvalidFrame("rank-deficient frame")),
-    ])
-    return E, Q
+    return E, _guard(model, E)
 
 
 def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
@@ -400,8 +382,12 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     if not transverse(a, c):
         raise NotTransverse("standardize_pair requires a transverse pair")
     if model.is_lagrangian:
-        A = orthonormalize_frame(a.frame)
-        C = orthonormalize_frame(c.frame)
+        # orthonormal frames with the spans of a and c: their orthos, read back over the field
+        if model.tag == QUATERNION:
+            parts = _quat_frame_from_embedded(np.stack([a.ortho, c.ortho]))
+            A, C = (KMat(QUATERNION, parts[0][k], parts[1][k]) for k in range(2))
+        else:
+            A, C = (KMat.unembed(model.tag, x.ortho) for x in (a, c))
         J = model.form()
         P = A.H @ J @ C
         Pc = P.embed()

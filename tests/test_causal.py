@@ -18,6 +18,7 @@ from causalflag.causal import (
     random_positive_coord,
     random_signature_coord,
     sylvester_orbit_check,
+    zero_band,
 )
 from causalflag.errors import EmptyInput, NonFiniteInput, NotTransverse
 from causalflag.groups import model_preset
@@ -269,3 +270,24 @@ def test_hull_rejects_non_finite_input(bad):
     so = model_preset("so42")
     with pytest.raises(NonFiniteInput):
         causal_hull(so, [np.zeros(4), np.array([0.0, 0.0, bad, 1.0])])
+
+
+@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
+def test_overflow_from_finite_input_fails_closed():
+    # finite coordinates whose norms, Hermitian parts or distances overflow
+    sp4, so = model_preset("sp4"), model_preset("so42")
+    with pytest.raises(NonFiniteInput):
+        zero_band(sp4, np.full((2, 2), 1e308))
+    with pytest.raises(NonFiniteInput):
+        zero_band(so, np.array([1e200, 0.0, 0.0, 1e200]))
+    with pytest.raises(NonFiniteInput):
+        classify_orbit(so, np.array([np.nan, 0.0, 0.0, 1.0]))
+    with pytest.raises(NonFiniteInput):
+        in_cone(sp4, np.array([[1e308, 1e308], [1e308, 1e308]]))
+    with pytest.raises(NonFiniteInput):
+        cone_margin(so, np.array([1e200, 0.0, 0.0, 1e200]))
+    # a hull without pairs decides by the distance to its points alone
+    with pytest.raises(NonFiniteInput):
+        causal_hull(so, [np.zeros(4)]).margin(np.array([1e200, 0.0, 0.0, 1e200]))
+    with pytest.raises(NonFiniteInput):
+        causal_hull(sp4, [np.zeros((2, 2))]).margin(np.diag([1e200, 1e200]))

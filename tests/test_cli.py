@@ -161,6 +161,23 @@ def test_hull_non_finite_points_exit_2(tmp_path, bad):
     assert report["error"] == "NonFiniteInput"
 
 
+@pytest.mark.parametrize("model,points,query", [
+    ("sp4", "[[[1e300, 0], [0, 1]], [[2, 0], [0, 3]]]",
+     "[[[1e308, 0], [0, 1e308]], [[-1e308, 0], [0, -1e308]]]"),
+    ("so42", "[[0, 0, 0, 0], [0, 0, 0, 1]]", "[[1e200, 0, 0, 1e200]]"),
+], ids=["sp4", "so42"])
+def test_hull_overflow_exits_2(tmp_path, model, points, query):
+    # finite coordinates whose differences overflow the Hermitian part (sp4) or the norm (so42)
+    pts, q, out = tmp_path / "pts.json", tmp_path / "q.json", tmp_path / "rep"
+    pts.write_text(points)
+    q.write_text(query)
+    r = run_cli(["hull", "--model", model, "--points", str(pts), "--query", str(q), "--out", str(out)])
+    assert r.returncode == 2
+    report = json.loads((out / "report.json").read_text())
+    assert report["passed"] is False
+    assert report["error"] == "NonFiniteInput"
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, causalflag.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ)).returncode == 0

@@ -36,13 +36,6 @@ def test_inverse():
         assert I.dist(KMat.eye(tag, 3)) < 1e-10
 
 
-def test_solve_matches_inverse():
-    A = KMat.random(QUATERNION, 3, 3, rng) + 3.0 * KMat.eye(QUATERNION, 3)
-    B = KMat.random(QUATERNION, 3, 2, rng)
-    X = A.solve(B)
-    assert (A @ X).dist(B) < 1e-10
-
-
 def test_quaternion_norm_matches_embedding():
     A = KMat.random(QUATERNION, 3, 3, rng)
     assert abs(A.norm() - np.linalg.norm(A.embed()) / np.sqrt(2.0)) < 1e-12
@@ -70,9 +63,6 @@ def test_stacking_and_blocks():
     assert V.shape == (4, 2)
     assert V.block(0, 2, 0, 2).dist(A) == 0.0
     assert V.block(2, 4, 0, 2).dist(B) == 0.0
-    D = KMat.block_diag(A, B)
-    assert D.shape == (4, 4)
-    assert D.block(0, 2, 2, 4).norm() == 0.0
 
 
 def test_json_roundtrip():

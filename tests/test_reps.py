@@ -46,12 +46,15 @@ from causalflag.reps import (
     verify_maslov_zero,
 )
 from causalflag.causal import causal_hull
+from reference_points import (
+    ReferencePoint,
+    reference_act,
+    reference_chart_coordinates,
+    reference_quat_frame,
+)
 from causalflag.shilov import (
-    ShilovPoint,
-    _quat_frame_from_embedded,
     act,
     base_points,
-    chart_coordinates,
     chart_point,
     transversality_margin,
     transversality_margins,
@@ -284,10 +287,10 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
     if residual > 1e-8:
         raise NonConvergence(f"invariance residual {residual:.3e}")
     if not model.is_lagrangian:
-        return ShilovPoint(model, np.real(Z[:, 0])), residual
+        return ReferencePoint(model, np.real(Z[:, 0])), residual
     if model.tag == "H":
-        return ShilovPoint(model, _quat_frame_from_embedded(Z)), residual
-    return ShilovPoint(model, KMat.unembed(model.tag, Z)), residual
+        return ReferencePoint(model, reference_quat_frame(Z)), residual
+    return ReferencePoint(model, KMat.unembed(model.tag, Z)), residual
 
 
 def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6):
@@ -470,7 +473,7 @@ def reference_certificate(rep, sample, probe_count, seed, orbit_len=4):
     model = rep.model
     ball = library_ball(rep, orbit_len)
     center = domain_center(model)
-    orbit = [center] + [act(ball.element(i), center) for i in range(len(ball.words))]
+    orbit = [center] + [reference_act(ball.element(i), center) for i in range(len(ball.words))]
     targets = np.stack([pt.ortho for pt in orbit + list(sample.points)])
     candidates = [("dual_center", dual_center(model)), ("p_minus", base_points(model)[1])]
     rng = np.random.default_rng(seed)
@@ -489,8 +492,8 @@ def reference_core(rep, sample, base_pts, max_len, orbit_cap=150):
     orbit_pts = list(base_pts)
     if max_len >= 1:
         ball = library_ball(rep, max_len)
-        orbit_pts += [act(ball.element(i), bp) for i in range(len(ball.words)) for bp in base_pts]
-    coords = [chart_coordinates(pt) for pt in orbit_pts]
+        orbit_pts += [reference_act(ball.element(i), bp) for i in range(len(ball.words)) for bp in base_pts]
+    coords = [reference_chart_coordinates(pt) for pt in orbit_pts]
     if len(coords) > orbit_cap:
         coords = [coords[i] for i in np.unique(np.linspace(0, len(coords) - 1, orbit_cap).astype(int))]
     core = causal_hull(rep.model, coords)

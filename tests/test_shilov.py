@@ -2,10 +2,17 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
 from causalflag.kmat import KMat
+from reference_points import (
+    ReferencePoint,
+    reference_act,
+    reference_chart_coordinates,
+    reference_standardize_pair,
+)
 from causalflag.shilov import (
     ShilovPoint,
     act,
@@ -95,17 +102,30 @@ def test_non_finite_vector_is_rejected():
 
 
 @pytest.mark.parametrize("name", LAGRANGIAN)
-@pytest.mark.parametrize("checked", [True, False])
-def test_non_finite_frame_is_rejected(name, checked):
+@pytest.mark.parametrize("as_kmat", [True, False])
+def test_non_finite_frame_is_rejected(name, as_kmat):
+    # a KMat frame, or the raw array ShilovPoint wraps (p_minus has no j-part)
     model = model_preset(name)
     _, p_minus = base_points(model)
     F = p_minus.frame.copy()
-    F.a[3, 1] = np.inf
-    with pytest.raises(NonFiniteInput):
-        ShilovPoint(model, F, checked=checked)
-    F.a[3, 1] = np.nan
-    with pytest.raises(NonFiniteInput):
-        ShilovPoint(model, F, checked=checked)
+    for bad in (np.inf, np.nan):
+        F.a[3, 1] = bad
+        with pytest.raises(NonFiniteInput):
+            ShilovPoint(model, F if as_kmat else F.a)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_degenerate_frames_are_rejected(name):
+    # a zero frame is isotropic, so the rank (zero-vector) guard must catch it, alone and in a stack
+    model = model_preset(name)
+    message = "rank-deficient frame" if model.is_lagrangian else "zero vector"
+    zero = KMat.zeros(model.tag, 2 * model.rank, model.rank) if model.is_lagrangian else np.zeros(model.dim)
+    with pytest.raises(InvalidFrame, match=message):
+        ShilovPoint(model, zero)
+    G, _ = ball_stack(model, np.random.default_rng(5), 3)
+    G[1] = 0.0
+    with pytest.raises(InvalidFrame, match=message):
+        act_stack(G, base_points(model)[0])
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -208,10 +228,40 @@ def test_stacked_orbit_matches_per_element_act(name):
     frames, orthos = act_stack(G, x)
     coords = chart_coordinates_stack(model, frames, orthos)
     for k, g in enumerate(gs):
-        y = act(g, x)
+        y = reference_act(g, x)
         assert np.array_equal(orthos[k], y.ortho)
         assert np.array_equal(frames[k], y.frame.embed() if model.is_lagrangian else y.frame)
-        assert np.array_equal(coords[k], _stack(model, [chart_coordinates(y)])[0])
+        assert np.array_equal(coords[k], _stack(model, [reference_chart_coordinates(y)])[0])
+
+
+def kmat_equal(X, Y):
+    if isinstance(X, KMat):
+        return X.tag == Y.tag and np.array_equal(X.a, Y.a) and (X.b is None or np.array_equal(X.b, Y.b))
+    return np.array_equal(X, Y)
+
+
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "sp8", "so32", "so42"])
+def test_point_paths_equal_the_references(name):
+    """ShilovPoint, act, chart_coordinates and standardize_pair against the per-point bodies they replaced."""
+    model = model_preset(name)
+    rng = np.random.default_rng(23)
+    for _ in range(8):
+        x, c = random_point(model, rng), random_point(model, rng)
+        if model.is_lagrangian:
+            # a frame that is not orthonormal: a change of representative of x
+            U = KMat.random(model.tag, model.rank, model.rank, rng) + 2.0 * KMat.eye(model.tag, model.rank)
+            frame = x.frame @ U
+        else:
+            frame = -2.5 * x.frame
+        assert np.array_equal(ShilovPoint(model, frame).ortho, ReferencePoint(model, frame).ortho)
+        g = random_element(model, rng, scale=1.5)
+        y, y_ref = act(g, x), reference_act(g, x)
+        assert kmat_equal(y.frame, y_ref.frame)
+        assert np.array_equal(y.ortho, y_ref.ortho)
+        assert np.array_equal(y.projector(), y_ref.projector())
+        assert kmat_equal(chart_coordinates(y), reference_chart_coordinates(y_ref))
+        if model.is_lagrangian and transversality_margin(x, c) > 1e-3:
+            assert kmat_equal(standardize_pair(x, c).g, reference_standardize_pair(x, c).g)
 
 
 @pytest.mark.parametrize("name", ["sp4", "sostar8", "so42"])
@@ -227,3 +277,59 @@ def test_stacked_orbit_guards(name):
     frames = np.stack([p.frame.embed() if model.is_lagrangian else p.frame for p in (p_plus, p_minus)])
     with pytest.raises(NotInChart):
         chart_coordinates_stack(model, frames, np.stack([p_plus.ortho, p_minus.ortho]))
+
+
+# Derandomized property tests: hypothesis draws the seeds of the random points, frames and elements.
+PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
+seeds = st.integers(0, 2**32 - 1)
+
+
+def coordinate_error(X, Y):
+    """|X - Y| / max(1, |X|) for two chart coordinates."""
+    if isinstance(X, KMat):
+        return X.dist(Y) / max(1.0, X.norm())
+    return np.linalg.norm(X - Y) / max(1.0, np.linalg.norm(X))
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@PROPERTY
+@given(seed=seeds)
+def test_change_of_frame_representative(name, seed):
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    assume(transversality_margin(x, base_points(model)[1]) > 1e-3)
+    if model.is_lagrangian:
+        U = KMat.random(model.tag, model.rank, model.rank, rng)  # quaternionic on sostar8
+        assume(np.linalg.cond(U.embed()) < 1e3)
+        y = ShilovPoint(model, x.frame @ U)
+    else:
+        y = ShilovPoint(model, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * x.frame)
+    assert np.linalg.norm(y.projector() - x.projector()) <= 1e-10
+    assert coordinate_error(chart_coordinates(x), chart_coordinates(y)) <= 1e-9
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@PROPERTY
+@given(seed=seeds)
+def test_change_of_chart_roundtrip(name, seed):
+    from causalflag.causal import ChartedChart
+
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    z, w = random_point(model, rng), random_point(model, rng)
+    assume(transversality_margin(z, w) > 0.05)
+    chart = ChartedChart.at_point(z, w)
+    X = random_hermitian(model, rng) if model.is_lagrangian else rng.standard_normal(model.rank)
+    assert coordinate_error(X, chart.coords(chart.point(X))) <= 1e-8
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+@PROPERTY
+@given(seed=seeds)
+def test_action_composes(name, seed):
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    g, h = random_element(model, rng, scale=1.5), random_element(model, rng, scale=1.5)
+    assert np.linalg.norm(act(g, act(h, x)).projector() - act(g @ h, x).projector()) <= 1e-9
