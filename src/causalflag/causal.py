@@ -18,9 +18,8 @@ import numpy as np
 
 from .errors import EmptyInput, ModelMismatch, NonFiniteInput, NotTransverse, PointsNotInBothCharts
 from .groups import GroupElement, GroupModel
-from .kmat import KMat, _chi
-from .linalg import check_hermitian, frobenius_norms, signature
-from .scalars import QUATERNION
+from .kmat import KMat, adjoint, as_embedded, draw, embed_real, product
+from .linalg import check_hermitian, frobenius_norms, signature, signature_counts
 from .shilov import (
     ShilovPoint,
     act,
@@ -48,28 +47,26 @@ _FUTURE, _PAST, _LIGHTCONE, _NEITHER, _EQUAL = range(5)
 # ordered pairs per kernel call in the hull scan; bounds the scan's working memory
 _SCAN_BLOCK = 4096
 POSITIVE_FLOOR = 0.1  # smallest eigenvalue of random_positive_coord
+_SYLVESTER_CHUNK = 4096  # trials per stacked draw of the Sylvester check; bounds its working memory
 
 
 def _coord_like(model: GroupModel, X):
+    """A chart coordinate as the API holds it: a KMat (an embedded array is wrapped) or a Minkowski vector."""
     if model.is_lagrangian:
-        if not isinstance(X, KMat):
-            X = KMat(model.tag, X)
-        return X
+        return X if isinstance(X, KMat) else KMat.unembed(model.tag, as_embedded(model.tag, X))
     return np.asarray(X, dtype=float).reshape(-1)
 
 
 def _stack(model: GroupModel, coords):
-    """Chart coordinates as one array: an embedded (k, d, d) stack or a (k, n) Minkowski stack.
+    """Chart coordinates (KMat or embedded arrays) as one array.
 
-    Real coordinates stay real.  This is where every causal routine takes
+    The Lagrangian families give an embedded (k, d, d) stack and SO(n, 2)
+    a (k, n) Minkowski stack.  This is where every causal routine takes
     its input, so NaN or inf anywhere raises NonFiniteInput.
     """
     if model.is_lagrangian:
-        r = model.rank
-        mats = [_coord_like(model, X).astag(model.tag) for X in coords]
-        S = np.array([X.a for X in mats]).reshape(len(mats), r, r)
-        if model.tag == QUATERNION:
-            S = _chi(S, np.array([X.b for X in mats]).reshape(len(mats), r, r))
+        d = model.form().shape[0] // 2
+        S = np.array([as_embedded(model.tag, X) for X in coords]).reshape(len(coords), d, d)
     else:
         S = np.array([_coord_like(model, X) for X in coords], dtype=float).reshape(len(coords), model.rank)
     if not np.isfinite(S).all():
@@ -78,7 +75,7 @@ def _stack(model: GroupModel, coords):
 
 
 def _norms(model: GroupModel, D):
-    """Norms of a coordinate stack: KMat.norm per matrix, Euclidean per Minkowski vector."""
+    """Norms of a coordinate stack: the field's Frobenius norm per matrix, Euclidean per Minkowski vector."""
     if model.is_lagrangian:
         return frobenius_norms(D, model.tag)
     return np.linalg.norm(D, axis=-1)
@@ -136,7 +133,10 @@ def cone_margin(model: GroupModel, X) -> float:
 
 def zero_band(model: GroupModel, X) -> float:
     """1e-9 * max(1, |X|): the operator norm, or the Euclidean one on SO(n, 2); NonFiniteInput if |X| is not finite."""
-    norm = _coord_like(model, X).opnorm() if model.is_lagrangian else float(np.linalg.norm(X))
+    if model.is_lagrangian:
+        norm = float(np.linalg.norm(as_embedded(model.tag, X), 2))
+    else:
+        norm = float(np.linalg.norm(X))
     if not np.isfinite(norm):
         raise NonFiniteInput("the norm of a chart coordinate is not finite")
     return 1e-9 * max(1.0, norm)
@@ -154,10 +154,10 @@ def future_membership(model: GroupModel, X, Y) -> FutureRelation:
 
 def classify_orbit(model: GroupModel, X):
     """Sylvester orbit label (i_plus, i_minus) of a chart coordinate."""
-    X = _coord_like(model, X)
     if model.is_lagrangian:
-        sig = signature(X)
+        sig = signature(as_embedded(model.tag, X), model.tag)
         return (sig.pos, sig.neg)
+    X = _coord_like(model, X)
     psi = minkowski_form(X)
     tol = zero_band(model, X)
     if psi > tol:
@@ -297,6 +297,8 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
     Probes near a lightcone boundary (margin inside the tolerance band in
     either chart) are flagged WITHIN_TOL and not counted as disagreements.
     """
+    if n_probe < 1:
+        raise ValueError("n_probe must be at least 1")
     model = chart_a.base.model
     for x in points:
         if not (chart_a.contains(x) and chart_b.contains(x)):
@@ -317,15 +319,14 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
             t = rng.random()
             if model.is_lagrangian:
                 Z = X + t * (Y - X)
-                noise = KMat.random(model.tag, Z.rows, Z.cols, rng)
-                Z = Z + (0.3 * rng.random()) * (0.5 * (noise + noise.H))
+                noise = _random_hermitian(model, rng)
+                Z = Z + (0.3 * rng.random()) * noise
             else:
                 Z = X + t * (Y - X) + 0.3 * rng.random() * rng.standard_normal(len(X))
         else:
             X = coords_a[rng.integers(len(coords_a))]
             if model.is_lagrangian:
-                noise = KMat.random(model.tag, X.rows, X.cols, rng)
-                Z = X + 0.5 * (0.5 * (noise + noise.H))
+                Z = X + 0.5 * _random_hermitian(model, rng)
             else:
                 Z = X + 0.5 * rng.standard_normal(len(X))
         probe = chart_a.point(Z)
@@ -352,50 +353,73 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
 # --------------------------------------------------------------- Sylvester law
 
 
-def random_signature_coord(model: GroupModel, i: int, rng):
-    """Random chart coordinate with Sylvester invariant (i, r - i, 0)."""
+def _random_hermitian(model: GroupModel, rng) -> KMat:
+    """The Hermitian part (X + X^H) / 2 of a KMat.random draw X."""
+    E = KMat.random(model.tag, model.rank, model.rank, rng).embed()
+    return KMat.unembed(model.tag, 0.5 * (E + adjoint(E)))
+
+
+def _signature_coords(model: GroupModel, i: int, n: int, rng):
+    """n random chart coordinates M^H D M with Sylvester invariant (i, r - i, 0), as an embedded stack.
+
+    D = diag(1, ..., 1, -1, ..., -1) with i ones.  Every M is a standard
+    normal draw, redrawn (only where rejected) until its condition number
+    is below 1e4; a stack of one draws as KMat.random does.
+    """
     if not model.is_lagrangian:
         raise ModelMismatch("signature sampling targets the Lagrangian families")
-    r = model.rank
-    diag = np.diag([1.0] * i + [-1.0] * (r - i))
-    if model.tag == "R":
-        D = KMat("R", diag)
-    elif model.tag == "C":
-        D = KMat("C", diag.astype(complex))
-    else:
-        D = KMat("H", diag.astype(complex), np.zeros((r, r), dtype=complex))
-    while True:
-        M = KMat.random(model.tag, r, r, rng)
-        if np.linalg.cond(M.embed()) < 1e4:
-            break
-    return M.H @ D @ M
+    r, tag = model.rank, model.tag
+    M = draw(tag, (n, r, r), rng)
+    redraw = np.flatnonzero(~(np.linalg.cond(M) < 1e4))
+    while len(redraw):
+        M[redraw] = draw(tag, (len(redraw), r, r), rng)
+        redraw = redraw[~(np.linalg.cond(M[redraw]) < 1e4)]
+    D = embed_real(np.diag([1.0] * i + [-1.0] * (r - i)), tag)
+    return product(product(adjoint(M), D, tag), M, tag)
 
 
-def random_positive_coord(model: GroupModel, rng):
-    """Random positive definite chart coordinate N^H N + POSITIVE_FLOOR * I."""
-    r = model.rank
-    N = KMat.random(model.tag, r, r, rng)
-    return N.H @ N + POSITIVE_FLOOR * KMat.eye(model.tag, r)
+def _positive_coords(model: GroupModel, n: int, rng):
+    """n random positive definite chart coordinates N^H N + POSITIVE_FLOOR * I, as an embedded stack."""
+    if not model.is_lagrangian:
+        raise ModelMismatch("positive sampling targets the Lagrangian families")
+    r, tag = model.rank, model.tag
+    N = draw(tag, (n, r, r), rng)
+    return product(adjoint(N), N, tag) + POSITIVE_FLOOR * embed_real(np.eye(r), tag)
+
+
+def random_signature_coord(model: GroupModel, i: int, rng) -> KMat:
+    """Random chart coordinate with Sylvester invariant (i, r - i, 0): _signature_coords of one."""
+    return KMat.unembed(model.tag, _signature_coords(model, i, 1, rng)[0])
+
+
+def random_positive_coord(model: GroupModel, rng) -> KMat:
+    """Random positive definite chart coordinate N^H N + POSITIVE_FLOOR * I: _positive_coords of one."""
+    return KMat.unembed(model.tag, _positive_coords(model, 1, rng)[0])
 
 
 def sylvester_orbit_check(model: GroupModel, i: int, trials: int, seed) -> dict:
-    """Empirical check that adding a future vector never lowers the positive index."""
+    """Empirical check that adding a future vector never lowers the positive index.
+
+    The trials are drawn in chunks of _SYLVESTER_CHUNK, each as two stacks
+    (signature coordinates, then positive ones), and one stacked eigvalsh
+    per chunk decides every signature.
+    """
     if not 0 <= i <= model.r:
         raise ValueError("orbit index out of range")
+    if trials < 1:
+        raise ValueError("trials must be at least 1")
     rng = np.random.default_rng(seed)
-    failures = 0
-    histogram = {j: 0 for j in range(model.r + 1)}
-    for _ in range(trials):
-        X = random_signature_coord(model, i, rng)
-        Y = random_positive_coord(model, rng)
-        pos = signature(X + Y).pos
-        histogram[pos] += 1
-        if pos < i:
-            failures += 1
+    pos = []
+    for start in range(0, trials, _SYLVESTER_CHUNK):
+        n = min(_SYLVESTER_CHUNK, trials - start)
+        X = _signature_coords(model, i, n, rng)
+        pos.append(signature_counts(X + _positive_coords(model, n, rng), model.tag)[0])
+    pos = np.concatenate(pos)
+    histogram = np.bincount(pos, minlength=model.r + 1)
     return {
         "model": model.to_json(),
         "i": i,
         "trials": trials,
-        "failures": failures,
-        "histogram": {str(k): v for k, v in histogram.items()},
+        "failures": int(np.sum(pos < i)),
+        "histogram": {str(k): int(v) for k, v in enumerate(histogram)},
     }

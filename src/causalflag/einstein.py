@@ -39,7 +39,7 @@ def _check_model(model: GroupModel):
 def pairing(x: ShilovPoint, y: ShilovPoint) -> float:
     """b(u, v) on the stored unit lifts."""
     _check_model(x.model)
-    b = x.model.form().a
+    b = x.model.form()
     return float(x.frame @ b @ y.frame)
 
 
@@ -70,7 +70,7 @@ def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
     b(u_i, x) b(u_j, x) > 0, so x is invisible iff its pairings with the
     lifts are nonzero and share one sign.
     """
-    vals = negative_lifts(limit_pts) @ x.model.form().a @ x.frame
+    vals = negative_lifts(limit_pts) @ x.model.form() @ x.frame
     if np.any(np.abs(vals) <= LIGHTCONE_TOL):
         return False
     return bool(np.all(vals < 0) or np.all(vals > 0))
@@ -87,7 +87,7 @@ def negative_lifts(limit_pts) -> np.ndarray:
         raise LimitSetNotNegative("empty limit set")
     _check_model(limit_pts[0].model)
     L = np.stack([p.frame for p in limit_pts])
-    gram = L @ limit_pts[0].model.form().a @ L.T
+    gram = L @ limit_pts[0].model.form() @ L.T
     iu = np.triu_indices(len(L), 1)
     close = np.flatnonzero(np.abs(gram[iu]) <= LIGHTCONE_TOL)
     if len(close):
@@ -117,7 +117,7 @@ def random_ein_point(model: GroupModel, rng) -> ShilovPoint:
 def random_photon(model: GroupModel, rng, through=None):
     """A totally isotropic 2-plane, as a pair of b-orthogonal isotropic lifts."""
     _check_model(model)
-    b = model.form().a
+    b = model.form()
     u = through.frame if through is not None else random_ein_point(model, rng).frame
     N = null_space((b @ u).reshape(1, -1))
     for _ in range(100):
@@ -144,9 +144,11 @@ def random_photon(model: GroupModel, rng, through=None):
 
 def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
     """Scan random photons: membership along each must form a single arc."""
+    if n_photons < 1:
+        raise ValueError("n_photons must be at least 1")
     lifts = negative_lifts(limit_pts)
     model = limit_pts[0].model
-    b = model.form().a
+    b = model.form()
     rng = np.random.default_rng(seed)
     violations = 0
     vacuous = 0

@@ -6,7 +6,9 @@ Families:
   SOSTAR  SO*(4r)     quaternionic 2r x 2r, g^H J g = J
   SO_N2   SO(n, 2)    real (n+2) x (n+2), g^T b g = b
 
-with J = [[0, -I_r], [I_r, 0]] and b = diag(1,...,1, -1, -1).
+with J = [[0, -I_r], [I_r, 0]] and b = diag(1,...,1, -1, -1).  Forms,
+elements and Lie algebra elements are embedded arrays (see kmat): real
+on SP and SO(n, 2), complex on SU, the 4r x 4r adjoint matrix on SO*.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, UnknownPreset
-from .kmat import KMat
-from .linalg import eig_moduli, singular_values
+from .kmat import KMat, _chi, _parts, adjoint, draw, embed_real, in_layout, norm, product
+from .linalg import eig_moduli, frobenius_norms, singular_values
 from .scalars import COMPLEX, QUATERNION, REAL
 
 SP = "SP"
@@ -63,23 +65,19 @@ class GroupModel:
         """Matrix size of the model."""
         return 2 * self.rank if self.is_lagrangian else self.rank + 2
 
-    def form(self) -> KMat:
-        cached = _FORM_CACHE.get((self.family, self.rank))
-        if cached is not None:
-            return cached
-        built = self._build_form()
-        _FORM_CACHE[(self.family, self.rank)] = built
-        return built
-
-    def _build_form(self) -> KMat:
-        if self.is_lagrangian:
+    def form(self) -> np.ndarray:
+        """The preserved form as an embedded array (read-only, built once per model)."""
+        key = (self.family, self.rank)
+        if key not in _FORM_CACHE:
             r = self.rank
-            J = np.block([[np.zeros((r, r)), -np.eye(r)], [np.eye(r), np.zeros((r, r))]])
-            if self.tag == QUATERNION:
-                return KMat(QUATERNION, J.astype(complex), np.zeros((2 * r, 2 * r), dtype=complex))
-            return KMat(self.tag, J.astype(complex) if self.tag == COMPLEX else J)
-        n = self.rank
-        return KMat(REAL, np.diag([1.0] * n + [-1.0, -1.0]))
+            if self.is_lagrangian:
+                J = np.block([[np.zeros((r, r)), -np.eye(r)], [np.eye(r), np.zeros((r, r))]])
+                F = embed_real(J, self.tag)
+            else:
+                F = np.diag([1.0] * r + [-1.0, -1.0])
+            F.flags.writeable = False
+            _FORM_CACHE[key] = F
+        return _FORM_CACHE[key]
 
     def to_json(self):
         return {"family": self.family, "rank": self.rank}
@@ -112,54 +110,68 @@ def model_preset(name: str) -> GroupModel:
 
 @dataclass
 class GroupElement:
+    """A group element held as its embedded array g (see kmat).
+
+    A checked element must have the model's embedded shape and field, the
+    chi layout over H, and preserve the form within FORM_TOL; otherwise
+    construction raises ModelMismatch.  Unchecked construction (_check=False)
+    is for arrays the library built as products and inverses of elements.
+    """
+
     model: GroupModel
-    g: KMat
+    g: np.ndarray
     _check: bool = field(default=True, repr=False)
 
     def __post_init__(self):
-        if self.g.tag != self.model.tag:
-            raise ModelMismatch(f"scalar tag {self.g.tag} does not match family {self.model.family}")
-        if self.g.shape != (self.model.dim, self.model.dim):
-            raise ModelMismatch(f"expected {self.model.dim}x{self.model.dim} matrix, got {self.g.shape}")
         if self._check:
-            defect = form_defect(self.model, self.g)
+            size = self.model.form().shape[0]
+            real = self.model.tag == REAL
+            if real and np.iscomplexobj(self.g):
+                raise ModelMismatch(f"family {self.model.family} takes real matrices")
+            g = self.g = np.asarray(self.g, dtype=float if real else complex)
+            if g.shape != (size, size):
+                raise ModelMismatch(f"expected a {size}x{size} embedded matrix, got {g.shape}")
+            if self.model.tag == QUATERNION and not in_layout(g):
+                raise ModelMismatch("the matrix is not in the quaternionic (chi) layout")
+            defect = form_defect(self.model, g)
             if not (defect <= FORM_TOL):
                 raise ModelMismatch(f"form-preservation defect {defect:.3e} exceeds {FORM_TOL:.1e}")
 
     @classmethod
     def identity(cls, model: GroupModel):
-        return cls(model, KMat.eye(model.tag, model.dim), _check=False)
+        F = model.form()
+        return cls(model, np.eye(F.shape[0], dtype=F.dtype), _check=False)
 
     def __matmul__(self, other: "GroupElement"):
         if other.model != self.model:
             raise ModelMismatch("cannot multiply elements of different models")
-        return GroupElement(self.model, self.g @ other.g, _check=False)
+        return GroupElement(self.model, product(self.g, other.g, self.model.tag), _check=False)
 
     def inv(self):
         # g^{-1} = F^{-1} g^H F for the preserved form F; cheap and exactly form-compatible
-        F = self.model.form()
-        if self.model.is_lagrangian:
-            ginv = (-1.0 * F) @ self.g.H @ F  # J^{-1} = -J
-        else:
-            ginv = F @ self.g.T @ F  # b^{-1} = b
-        return GroupElement(self.model, ginv, _check=False)
+        F, tag = self.model.form(), self.model.tag
+        Finv = -1.0 * F if self.model.is_lagrangian else F  # J^{-1} = -J, b^{-1} = b
+        return GroupElement(self.model, product(product(Finv, adjoint(self.g), tag), F, tag), _check=False)
 
     def form_defect(self):
         return form_defect(self.model, self.g)
 
     def to_json(self):
-        return {"model": self.model.to_json(), "g": self.g.to_json()}
+        return {"model": self.model.to_json(), "g": KMat.unembed(self.model.tag, self.g).to_json()}
 
     @classmethod
     def from_json(cls, obj):
-        return cls(GroupModel.from_json(obj["model"]), KMat.from_json(obj["g"]))
+        model = GroupModel.from_json(obj["model"])
+        g = KMat.from_json(obj["g"])
+        if g.tag != model.tag:
+            raise ModelMismatch(f"scalar tag {g.tag} does not match family {model.family}")
+        return cls(model, g.embed())
 
 
-def form_defect(model: GroupModel, g: KMat) -> float:
-    F = model.form()
-    if model.is_lagrangian:
-        return (g.H @ F @ g - F).norm() / F.norm()
-    return (g.T @ F @ g - F).norm() / F.norm()
+def form_defect(model: GroupModel, g) -> float:
+    """|g^H F g - F| / |F| for an embedded matrix g (norms in the field's units)."""
+    F, tag = model.form(), model.tag
+    return norm(product(product(adjoint(g), F, tag), g, tag) - F, tag) / norm(F, tag)
 
 
 # ---------------------------------------------------------------- projections
@@ -171,7 +183,7 @@ def cartan_projection(elem: GroupElement) -> np.ndarray:
     Singular values of these models come in pairs (s, 1/s); the vector of
     the top-half logarithms is weakly decreasing and nonnegative.
     """
-    s = singular_values(elem.g)
+    s = singular_values(elem.g, elem.model.tag)
     if elem.model.is_lagrangian:
         eps = np.log(s[: elem.model.rank])
     else:
@@ -186,7 +198,7 @@ def lyapunov_projection(elem: GroupElement, cross_check: bool = False) -> np.nda
     Computed directly from the eigenvalue moduli; optionally cross-checked
     against mu(g^k)/k at k = LYAPUNOV_K_MAX when the spectral gaps allow it.
     """
-    mods = eig_moduli(elem.g)
+    mods = eig_moduli(elem.g, elem.model.tag)
     if np.any(mods < 1e-300):
         raise NonConvergence("eigenvalue modulus underflow")
     if elem.model.is_lagrangian:
@@ -240,52 +252,63 @@ def tau_p(A, model: GroupModel) -> GroupElement:
         [m, np.zeros((r, r))],
         [np.zeros((r, r)), m_inv_t],
     ])
-    if model.tag == QUATERNION:
-        mat = KMat(QUATERNION, g.astype(complex), np.zeros((2 * r, 2 * r), dtype=complex))
-    elif model.tag == COMPLEX:
-        mat = KMat(COMPLEX, g.astype(complex))
-    else:
-        mat = KMat(REAL, g)
-    return GroupElement(model, mat)
+    return GroupElement(model, embed_real(g, model.tag))
+
+
+def _levi_index(model: GroupModel):
+    """Embedded indices of the field rows (columns) 0..r-1, the Levi block m's; adding r gives rows r..2r-1."""
+    r = model.rank
+    return np.r_[0:r, 2 * r:3 * r] if model.tag == QUATERNION else np.arange(r)
 
 
 def in_levi_block_form(elem: GroupElement) -> bool:
     """True when the element is block-diagonal diag(m, conj(m)^-T)."""
     if not elem.model.is_lagrangian:
         return False
-    r = elem.model.rank
-    off = KMat.hstack([elem.g.block(0, r, r, 2 * r), elem.g.block(r, 2 * r, 0, r)])
-    return off.norm() <= LEVI_TOL * max(1.0, elem.g.norm())
+    top = _levi_index(elem.model)
+    bottom = top + elem.model.rank
+    off = np.concatenate([elem.g[np.ix_(top, bottom)], elem.g[np.ix_(bottom, top)]])
+    tag = elem.model.tag
+    return frobenius_norms(off, tag) <= LEVI_TOL * max(1.0, frobenius_norms(elem.g, tag))
 
 
-def levi_block(elem: GroupElement) -> KMat:
-    r = elem.model.rank
-    return elem.g.block(0, r, 0, r)
+def levi_block(elem: GroupElement) -> np.ndarray:
+    """The embedded top-left r x r block m of an element diag(m, conj(m)^-T)."""
+    top = _levi_index(elem.model)
+    return elem.g[np.ix_(top, top)]
 
 
 # ---------------------------------------------------------------- Lie algebra
 
 
-def lie_projection(model: GroupModel, Z: KMat) -> KMat:
-    """Project an arbitrary matrix onto the Lie algebra of the model."""
-    F = model.form()
-    if model.is_lagrangian:
-        # condition Z^H J + J Z = 0; projection Z -> (Z - J^{-1} Z^H J)/2 with J^{-1} = -J
-        return 0.5 * (Z - (-1.0 * F) @ Z.H @ F)
-    return 0.5 * (Z - F @ Z.T @ F)  # b^{-1} = b
+def lie_projection(model: GroupModel, Z) -> np.ndarray:
+    """Project an arbitrary embedded matrix onto the Lie algebra of the model."""
+    F, tag = model.form(), model.tag
+    # condition Z^H F + F Z = 0; projection Z -> (Z - F^{-1} Z^H F)/2 with J^{-1} = -J, b^{-1} = b
+    Finv = -1.0 * F if model.is_lagrangian else F
+    return 0.5 * (Z - product(product(Finv, adjoint(Z), tag), F, tag))
 
 
-def random_lie_element(model: GroupModel, rng) -> KMat:
-    Z = KMat.random(model.tag, model.dim, model.dim, rng)
-    return lie_projection(model, Z)
+def random_lie_element(model: GroupModel, rng) -> np.ndarray:
+    """The Lie algebra projection of a standard normal embedded matrix (the draw of KMat.random)."""
+    return lie_projection(model, draw(model.tag, (model.dim, model.dim), rng))
 
 
-def group_exp(model: GroupModel, Z: KMat) -> GroupElement:
-    """exp of a Lie algebra element, via scaling-and-squaring on the embedding."""
+def group_exp(model: GroupModel, Z) -> GroupElement:
+    """exp of an embedded Lie algebra element, via scaling-and-squaring.
+
+    expm runs in complex arithmetic on every family, which fixes the bits
+    of seeded deformations (the real part is taken on the real families);
+    over H its result is laid out again from its top blocks.
+    """
     import scipy.linalg  # imported here so that importing causalflag does not load scipy
 
-    E = scipy.linalg.expm(Z.embed())
-    return GroupElement(model, KMat.unembed(model.tag, E))
+    E = scipy.linalg.expm(Z.astype(complex, copy=False))
+    if model.tag == REAL:
+        E = E.real
+    elif model.tag == QUATERNION:
+        E = _chi(*_parts(E))
+    return GroupElement(model, E)
 
 
 def random_lie_perturbation(elem: GroupElement, eps: float, seed) -> GroupElement:
@@ -296,5 +319,5 @@ def random_lie_perturbation(elem: GroupElement, eps: float, seed) -> GroupElemen
         return elem
     rng = np.random.default_rng(seed)
     Z = random_lie_element(elem.model, rng)
-    Z = (1.0 / max(Z.norm(), 1e-300)) * Z
+    Z = (1.0 / max(norm(Z, elem.model.tag), 1e-300)) * Z
     return elem @ group_exp(elem.model, eps * Z)

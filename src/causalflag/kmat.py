@@ -1,20 +1,25 @@
-"""Dense matrices over R, C, and H with a uniform interface.
+"""Matrices over R, C and H: the embedded arrays the library computes with, and KMat at the API edge.
 
-Real and complex matrices wrap a numpy array directly.  A quaternionic
-matrix Q = A + B*j is stored as the complex pair (A, B); its complex
-adjoint embedding is
+Every matrix is worked on as one array, its embedding: the real matrix
+over R, the complex matrix over C, and over H the complex adjoint
+embedding of Q = A + B*j,
 
     chi(Q) = [[A, B], [-conj(B), conj(A)]],
 
 a multiplicative *-homomorphism, so eigenvalues, singular values and
 determinants of quaternionic matrices are computed on chi(Q) and read
-back with halved multiplicities.
+back with halved multiplicities.  Sums, real multiples and adjoints keep
+the chi layout bit for bit; products over H go through ``product``, which
+multiplies the (A, B) parts and lays the result out again.  KMat holds a
+matrix by its parts where one crosses the API edge: JSON, chart
+coordinates and seeded draws.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from .errors import ModelMismatch
 from .scalars import COMPLEX, QUATERNION, REAL
 
 _TAG_ORDER = {REAL: 0, COMPLEX: 1, QUATERNION: 2}
@@ -31,77 +36,127 @@ def _chi(a, b):
     return out
 
 
+def _parts(E):
+    """The quaternionic parts (a, b) of a stack of chi arrays: views of the top blocks."""
+    n, m = E.shape[-2] // 2, E.shape[-1] // 2
+    return E[..., :n, :m], E[..., :n, m:]
+
+
+def adjoint(E):
+    """Conjugate transpose of a stack of embedded matrices (chi of the quaternionic adjoint over H).
+
+    A real stack gives its transposed view.
+    """
+    T = np.swapaxes(E, -1, -2)
+    return np.conj(T) if np.iscomplexobj(T) else T
+
+
+def product(X, Y, tag):
+    """The product of embedded matrices (stacks broadcast).
+
+    Over R and C a plain matmul; over H the quaternionic product
+    (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j
+    of the parts, laid out again by _chi.
+    """
+    if tag != QUATERNION:
+        return X @ Y
+    a1, b1 = _parts(X)
+    a2, b2 = _parts(Y)
+    return _chi(a1 @ a2 - b1 @ np.conj(b2), a1 @ b2 + b1 @ np.conj(a2))
+
+
+def embed_real(M, tag):
+    """The embedded array of a real matrix M taken over the field of tag."""
+    if tag == REAL:
+        return M
+    if tag == COMPLEX:
+        return M.astype(complex)
+    return _chi(M.astype(complex), np.zeros(M.shape, dtype=complex))
+
+
+def concat(mats, axis, tag):
+    """np.concatenate of embedded matrices along a field axis (-2 rows, -1 columns), in chi layout over H."""
+    if tag != QUATERNION:
+        return np.concatenate(mats, axis=axis)
+    return _chi(*(np.concatenate(p, axis=axis) for p in zip(*map(_parts, mats))))
+
+
+def norm(E, tag) -> float:
+    """Frobenius norm of one embedded matrix, in the field's units: over H, that of the parts."""
+    if tag == QUATERNION:
+        a, b = _parts(E)
+        return float(np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
+    return float(np.linalg.norm(E))
+
+
+def in_layout(E) -> bool:
+    """Whether a complex array of even shape is in chi layout: its bottom blocks mirror its top blocks."""
+    a, b = _parts(E)
+    n, m = a.shape[-2:]
+    # NaN mirrors NaN here: a non-finite entry is left to the guards that name it
+    return (np.array_equal(E[..., n:, :m], -np.conj(b), equal_nan=True)
+            and np.array_equal(E[..., n:, m:], np.conj(a), equal_nan=True))
+
+
+def draw(tag, shape, rng):
+    """Standard normal embedded matrices of field shape (..., n, m); KMat.random is a draw of one."""
+    if tag == REAL:
+        return rng.standard_normal(shape)
+    a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+    if tag == COMPLEX:
+        return a
+    return _chi(a, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+
+
+def as_embedded(tag, X):
+    """The embedded array of a KMat (promoted to tag), or an array taken as already embedded.
+
+    Arrays are real over R and complex otherwise; over H an array must be
+    in chi layout (ModelMismatch otherwise).
+    """
+    if isinstance(X, KMat):
+        return X.astag(tag).embed()
+    if tag == REAL:
+        if np.iscomplexobj(X):
+            raise ModelMismatch("a real family takes real matrices")
+        return np.asarray(X, dtype=float)
+    E = np.asarray(X, dtype=complex)
+    if tag == QUATERNION and not (E.ndim >= 2 and E.shape[-2] % 2 == 0 == E.shape[-1] % 2 and in_layout(E)):
+        raise ModelMismatch("a quaternionic array must be in chi layout")
+    return E
+
+
+def _field_array(a, tag):
+    """a as a 2-D float (R) or complex (C, H) array; a 2-D array of that dtype is kept as it is."""
+    dtype = np.float64 if tag == REAL else np.complex128
+    if isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == dtype:
+        return a
+    return np.atleast_2d(np.asarray(a, dtype=dtype))
+
+
 class KMat:
-    """Matrix over one of the three ground fields."""
+    """Matrix over one of the three ground fields, held by its parts: the value type at the API edge."""
 
     __slots__ = ("tag", "a", "b")
 
     def __init__(self, tag, a, b=None):
+        if tag not in _TAG_ORDER:
+            raise ValueError(f"unknown scalar tag {tag!r}")
         self.tag = tag
-        if tag == REAL:
-            if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.float64):
-                a = np.atleast_2d(np.asarray(a, dtype=float))
-            self.a = a
-            self.b = None
-        elif tag == COMPLEX:
-            if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.complex128):
-                a = np.atleast_2d(np.asarray(a, dtype=complex))
-            self.a = a
-            self.b = None
-        elif tag == QUATERNION:
-            if not (isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == np.complex128):
-                a = np.atleast_2d(np.asarray(a, dtype=complex))
-            self.a = a
-            if b is None:
-                b = np.zeros_like(a)
-            elif not (isinstance(b, np.ndarray) and b.ndim == 2 and b.dtype == np.complex128):
-                b = np.atleast_2d(np.asarray(b, dtype=complex))
-            self.b = b
+        self.a = _field_array(a, tag)
+        self.b = None
+        if tag == QUATERNION:
+            self.b = np.zeros_like(self.a) if b is None else _field_array(b, tag)
             if self.a.shape != self.b.shape:
                 raise ValueError("quaternion parts must share a shape")
-        else:
-            raise ValueError(f"unknown scalar tag {tag!r}")
-
-    # ------------------------------------------------------------------ basics
-
-    @property
-    def shape(self):
-        return self.a.shape
-
-    @property
-    def rows(self):
-        return self.a.shape[0]
-
-    @property
-    def cols(self):
-        return self.a.shape[1]
 
     @classmethod
     def eye(cls, tag, n):
-        if tag == QUATERNION:
-            return cls(tag, np.eye(n, dtype=complex), np.zeros((n, n), dtype=complex))
         return cls(tag, np.eye(n))
 
     @classmethod
-    def zeros(cls, tag, n, m=None):
-        m = n if m is None else m
-        if tag == QUATERNION:
-            z = np.zeros((n, m), dtype=complex)
-            return cls(tag, z, z.copy())
-        return cls(tag, np.zeros((n, m)))
-
-    @classmethod
     def random(cls, tag, n, m, rng):
-        if tag == REAL:
-            return cls(tag, rng.standard_normal((n, m)))
-        if tag == COMPLEX:
-            return cls(tag, rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m)))
-        a = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        b = rng.standard_normal((n, m)) + 1j * rng.standard_normal((n, m))
-        return cls(tag, a, b)
-
-    def copy(self):
-        return KMat(self.tag, self.a.copy(), None if self.b is None else self.b.copy())
+        return cls.unembed(tag, draw(tag, (n, m), rng))
 
     # -------------------------------------------------------------- arithmetic
 
@@ -115,11 +170,9 @@ class KMat:
     def astag(self, tag):
         if tag == self.tag:
             return self
-        if self.tag == REAL and tag == COMPLEX:
-            return KMat(COMPLEX, self.a.astype(complex))
-        if self.tag in (REAL, COMPLEX) and tag == QUATERNION:
-            return KMat(QUATERNION, self.a.astype(complex), np.zeros_like(self.a, dtype=complex))
-        raise ValueError(f"cannot convert {self.tag} matrix to {tag}")
+        if _TAG_ORDER[tag] < _TAG_ORDER[self.tag]:
+            raise ValueError(f"cannot convert {self.tag} matrix to {tag}")
+        return KMat(tag, self.a.astype(complex))  # a quaternionic matrix gets a zero j-part
 
     def __add__(self, other):
         x, y = self._promoted(other)
@@ -133,11 +186,6 @@ class KMat:
             return KMat(QUATERNION, x.a - y.a, x.b - y.b)
         return KMat(x.tag, x.a - y.a)
 
-    def __neg__(self):
-        if self.tag == QUATERNION:
-            return KMat(QUATERNION, -self.a, -self.b)
-        return KMat(self.tag, -self.a)
-
     def __mul__(self, scalar):
         scalar = float(scalar)
         if self.tag == QUATERNION:
@@ -146,42 +194,11 @@ class KMat:
 
     __rmul__ = __mul__
 
-    def __matmul__(self, other):
-        x, y = self._promoted(other)
-        if x.tag == QUATERNION:
-            # (A1 + B1 j)(A2 + B2 j) = (A1 A2 - B1 conj(B2)) + (A1 B2 + B1 conj(A2)) j
-            a = x.a @ y.a - x.b @ np.conj(y.b)
-            b = x.a @ y.b + x.b @ np.conj(y.a)
-            return KMat(QUATERNION, a, b)
-        return KMat(x.tag, x.a @ y.a)
-
-    @property
-    def H(self):
-        """Conjugate transpose."""
-        if self.tag == REAL:
-            return KMat(REAL, self.a.T)
-        if self.tag == COMPLEX:
-            return KMat(COMPLEX, np.conj(self.a).T)
-        return KMat(QUATERNION, np.conj(self.a).T, -self.b.T)
-
-    @property
-    def T(self):
-        """Plain transpose (only meaningful over R and C)."""
-        if self.tag == QUATERNION:
-            raise ValueError("plain transpose is not used for quaternionic matrices")
-        return KMat(self.tag, self.a.T)
-
     # --------------------------------------------------------------- embedding
 
     def embed(self):
-        """Complex matrix faithfully representing this one.
-
-        R and C matrices embed as themselves; a quaternionic n x m matrix
-        embeds as the 2n x 2m complex adjoint matrix.
-        """
-        if self.tag == REAL:
-            return self.a.astype(complex)
-        if self.tag == COMPLEX:
+        """The embedded array: the matrix itself over R and C, the 2n x 2m adjoint matrix over H."""
+        if self.b is None:
             return self.a
         return _chi(self.a, self.b)
 
@@ -192,72 +209,21 @@ class KMat:
             return cls(REAL, mat.real)
         if tag == COMPLEX:
             return cls(COMPLEX, mat)
-        n, m = mat.shape[0] // 2, mat.shape[1] // 2
-        return cls(QUATERNION, mat[:n, :m], mat[:n, m:])
-
-    # ------------------------------------------------------------------- norms
-
-    def norm(self):
-        if self.tag == QUATERNION:
-            return float(np.sqrt(np.sum(np.abs(self.a) ** 2) + np.sum(np.abs(self.b) ** 2)))
-        return float(np.linalg.norm(self.a))
+        return cls(QUATERNION, *_parts(mat))
 
     def opnorm(self):
         return float(np.linalg.norm(self.embed(), 2))
-
-    def dist(self, other):
-        return (self - other).norm()
-
-    # ------------------------------------------------------------------ linalg
-
-    def inv(self):
-        inv = np.linalg.inv(self.embed())
-        return KMat.unembed(self.tag, inv)
-
-    # ------------------------------------------------------------------ blocks
-
-    def block(self, r0, r1, c0, c1):
-        if self.tag == QUATERNION:
-            return KMat(QUATERNION, self.a[r0:r1, c0:c1], self.b[r0:r1, c0:c1])
-        return KMat(self.tag, self.a[r0:r1, c0:c1])
-
-    @classmethod
-    def hstack(cls, mats):
-        tags = {m.tag for m in mats}
-        if len(tags) != 1:
-            raise ValueError("hstack requires a uniform tag")
-        tag = tags.pop()
-        if tag == QUATERNION:
-            return cls(tag, np.hstack([m.a for m in mats]), np.hstack([m.b for m in mats]))
-        return cls(tag, np.hstack([m.a for m in mats]))
-
-    @classmethod
-    def vstack(cls, mats):
-        tags = {m.tag for m in mats}
-        if len(tags) != 1:
-            raise ValueError("vstack requires a uniform tag")
-        tag = tags.pop()
-        if tag == QUATERNION:
-            return cls(tag, np.vstack([m.a for m in mats]), np.vstack([m.b for m in mats]))
-        return cls(tag, np.vstack([m.a for m in mats]))
 
     # ----------------------------------------------------------- serialization
 
     def to_json(self):
         """JSON object {tag, rows, cols, entries}, entries flat row-major component tuples."""
-        comp = []
-        for i in range(self.rows):
-            for j in range(self.cols):
-                if self.tag == REAL:
-                    comp.append([float(self.a[i, j])])
-                elif self.tag == COMPLEX:
-                    comp.append([float(self.a[i, j].real), float(self.a[i, j].imag)])
-                else:
-                    comp.append([
-                        float(self.a[i, j].real), float(self.a[i, j].imag),
-                        float(self.b[i, j].real), float(self.b[i, j].imag),
-                    ])
-        return {"tag": self.tag, "rows": self.rows, "cols": self.cols, "entries": comp}
+        parts = [self.a] if self.tag == REAL else [self.a.real, self.a.imag]
+        if self.tag == QUATERNION:
+            parts += [self.b.real, self.b.imag]
+        rows, cols = self.a.shape
+        entries = np.stack(parts, axis=-1).reshape(rows * cols, len(parts)).tolist()
+        return {"tag": self.tag, "rows": rows, "cols": cols, "entries": entries}
 
     @classmethod
     def from_json(cls, obj):
@@ -274,4 +240,4 @@ class KMat:
         return cls(QUATERNION, a, b)
 
     def __repr__(self):
-        return f"KMat({self.tag}, {self.rows}x{self.cols})"
+        return f"KMat({self.tag}, {self.a.shape[0]}x{self.a.shape[1]})"

@@ -1,8 +1,9 @@
 """Spectral routines at small fixed sizes: eigenvalues, signatures, singular values.
 
-All decompositions run through numpy's LAPACK wrappers on the complex
-embedding, which is deterministic for fixed input bits.  Quaternionic
-spectra are read off the embedding with multiplicities halved.
+All decompositions run through numpy's LAPACK wrappers on embedded
+arrays (see kmat; real for the real families), which is deterministic
+for fixed input bits.  Quaternionic spectra are read off the embedding
+with multiplicities halved.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonFiniteInput, NotHermitian, Singular
-from .kmat import KMat
 from .scalars import QUATERNION
 
 HERMITIAN_TOL = 1e-8
@@ -37,7 +37,7 @@ class Signature:
 
 
 def frobenius_norms(E, tag):
-    """Frobenius norms of a stack (..., d, d) of embedded matrices, in the units of KMat.norm."""
+    """Frobenius norms of a stack (..., d, d) of embedded matrices, in the units of kmat.norm."""
     norms = np.linalg.norm(E, axis=(-2, -1))
     return norms / np.sqrt(2.0) if tag == QUATERNION else norms
 
@@ -81,47 +81,54 @@ def check_hermitian(E, tag):
     return 0.5 * (E + EH), norms
 
 
-def hermitian_eigenvalues(X: KMat):
-    """Real eigenvalues of a Hermitian matrix, descending.
+def hermitian_eigenvalues(E, tag):
+    """Real eigenvalues of an embedded Hermitian matrix, or of each of a stack (..., d, d), descending.
 
-    Quaternionic input is routed through the complex adjoint embedding;
-    each eigenvalue there appears twice and the duplicates are dropped.
+    Each eigenvalue of a quaternionic matrix appears twice in its
+    embedding and the duplicates are dropped.  check_hermitian guards the input.
     """
-    if X.rows != X.cols:
+    if E.ndim < 2 or E.shape[-1] != E.shape[-2]:
         raise NotHermitian("matrix is not square")
-    M, _ = check_hermitian(X.embed(), X.tag)
-    vals = np.linalg.eigvalsh(M)[::-1]
-    if X.tag == QUATERNION:
-        vals = vals[::2]
+    M, _ = check_hermitian(E, tag)
+    vals = np.linalg.eigvalsh(M)[..., ::-1]
+    if tag == QUATERNION:
+        vals = vals[..., ::2]
     return vals.copy()
 
 
-def signature(X: KMat) -> Signature:
-    """Counts of eigenvalues above, below, and inside the zero band 1e-9 * max(1, max |lambda|)."""
-    vals = hermitian_eigenvalues(X)
-    zero_tol = 1e-9 * max(1.0, float(np.max(np.abs(vals))) if len(vals) else 1.0)
-    pos = int(np.sum(vals > zero_tol))
-    neg = int(np.sum(vals < -zero_tol))
-    return Signature(pos, neg, len(vals) - pos - neg)
+def signature_counts(E, tag):
+    """(pos, neg) eigenvalue counts above and below the zero band, per matrix of an embedded Hermitian stack.
+
+    The band is 1e-9 * max(1, max |lambda|); one eigvalsh decides the whole stack.
+    """
+    vals = hermitian_eigenvalues(E, tag)
+    zero_tol = 1e-9 * np.maximum(1.0, np.max(np.abs(vals), axis=-1, initial=0.0))[..., None]
+    return np.sum(vals > zero_tol, axis=-1), np.sum(vals < -zero_tol, axis=-1)
 
 
-def singular_values(g: KMat):
-    """Descending singular values; quaternionic duplicates dropped."""
-    if g.rows != g.cols:
+def signature(E, tag) -> Signature:
+    """Sylvester signature of one embedded Hermitian matrix: signature_counts on a stack of one."""
+    pos, neg = signature_counts(E[None], tag)
+    dim = E.shape[-1] // (2 if tag == QUATERNION else 1)
+    return Signature(int(pos[0]), int(neg[0]), dim - int(pos[0]) - int(neg[0]))
+
+
+def singular_values(E, tag):
+    """Descending singular values of an embedded square matrix; quaternionic duplicates dropped."""
+    if E.shape[-1] != E.shape[-2]:
         raise Singular("singular values of non-square input are not needed here")
-    s = np.linalg.svd(g.embed(), compute_uv=False)
-    if g.tag == QUATERNION:
+    s = np.linalg.svd(E, compute_uv=False)
+    if tag == QUATERNION:
         s = s[::2]
     if s[-1] <= SINGULAR_FLOOR * s[0]:
         raise Singular(f"minimal singular value {s[-1]:.3e} below floor")
     return s.copy()
 
 
-def eig_moduli(g: KMat):
-    """Moduli of eigenvalues, descending; quaternionic duplicates dropped."""
-    vals = np.abs(np.linalg.eigvals(g.embed()))
-    vals = np.sort(vals)[::-1]
-    if g.tag == QUATERNION:
+def eig_moduli(E, tag):
+    """Moduli of the eigenvalues of an embedded matrix, descending; quaternionic duplicates dropped."""
+    vals = np.sort(np.abs(np.linalg.eigvals(E)))[::-1]
+    if tag == QUATERNION:
         vals = vals[::2]
     return vals
 

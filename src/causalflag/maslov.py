@@ -23,9 +23,9 @@ import numpy as np
 
 from .errors import DegenerateSignature, ModelMismatch, NotPairwiseTransverse
 from .groups import GroupModel
-from .kmat import _chi
-from .scalars import QUATERNION, REAL
-from .shilov import ShilovPoint, _socharts_lift, transversality_margins
+from .kmat import _chi, adjoint
+from .scalars import QUATERNION
+from .shilov import ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
 
 MARGIN_TOL = 1e-9
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
@@ -42,18 +42,6 @@ class TripleType:
         assert (self.idx - self.rank) % 2 == 0
 
 
-def _adjoint(M):
-    return np.conj(np.swapaxes(M, -1, -2))
-
-
-def _embedded_form(model: GroupModel):
-    """The preserved form acting on embedded representatives: J (real on Sp(2r, R)) or b."""
-    if not model.is_lagrangian:
-        return model.form().a
-    J = model.form().embed()
-    return J.real if model.tag == REAL else J
-
-
 def maslov_indices(model: GroupModel, A, B, C):
     """Index of each triple (A[k], B[k], C[k]) of orthonormal representatives.
 
@@ -68,17 +56,17 @@ def maslov_indices(model: GroupModel, A, B, C):
         transversality_margins(model, A, C),
     )
     valid = margin > MARGIN_TOL
-    J = _embedded_form(model)
+    J = model.form()
     if not model.is_lagrangian:
         pairing = lambda X, Y: np.sum((X @ J) * Y, axis=-1)
         negative = pairing(A, B) * pairing(B, C) * pairing(C, A) < 0
         return np.where(negative, 0, 2), margin, valid
     d = A.shape[-1]
     T = np.zeros(A.shape[:-2] + (3 * d, 3 * d), dtype=np.result_type(A, B, C, J))
-    T[..., :d, d : 2 * d] = _adjoint(A) @ J @ B
-    T[..., d : 2 * d, 2 * d :] = _adjoint(B) @ J @ C
-    T[..., 2 * d :, :d] = _adjoint(C) @ J @ A
-    ev = np.linalg.eigvalsh(0.5 * (T + _adjoint(T)))
+    T[..., :d, d : 2 * d] = adjoint(A) @ J @ B
+    T[..., d : 2 * d, 2 * d :] = adjoint(B) @ J @ C
+    T[..., 2 * d :, :d] = adjoint(C) @ J @ A
+    ev = np.linalg.eigvalsh(0.5 * (T + adjoint(T)))
     band = 1e-9 * np.maximum(1.0, np.max(np.abs(ev), axis=-1))[..., None]
     valid &= ~np.any(np.abs(ev) <= band, axis=-1)
     mult = 2 if model.tag == QUATERNION else 1
@@ -109,28 +97,16 @@ def _batch_hermitian(model: GroupModel, n, rng):
         return 0.5 * (G + np.swapaxes(G, 1, 2))
     if model.tag == "C":
         G = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-        return 0.5 * (G + _adjoint(G))
+        return 0.5 * (G + adjoint(G))
     A = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
     B = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    return _chi(0.5 * (A + _adjoint(A)), 0.5 * (B - np.swapaxes(B, 1, 2)))
-
-
-def _batch_frames(model: GroupModel, X):
-    """Embedded chart-point frames [I; X], respecting the quaternion embedding."""
-    n, r = X.shape[0], model.rank
-    eye = np.broadcast_to(np.eye(r), (n, r, r))
-    if model.tag != "H":
-        return np.concatenate([eye, X], axis=1)
-    # chi([I; X]) of the parts [I; Xa] and [0; Xb]
-    a = np.concatenate([eye, X[:, :r, :r]], axis=1)
-    b = np.concatenate([np.zeros((n, r, r)), X[:, :r, r:]], axis=1)
-    return _chi(a, b)
+    return _chi(0.5 * (A + adjoint(A)), 0.5 * (B - np.swapaxes(B, 1, 2)))
 
 
 def _chart_frames(model: GroupModel, n, rng):
     """Frames of n random chart points; on SO(n, 2), their lifts as (n+2) x 1 columns."""
     if model.is_lagrangian:
-        return _batch_frames(model, _batch_hermitian(model, n, rng))
+        return _graph_frames(model, _batch_hermitian(model, n, rng))
     return _socharts_lift(model, rng.standard_normal((n, model.rank)))[..., None]
 
 
@@ -156,7 +132,7 @@ def _batch_group(model: GroupModel, n, rng, J):
         A = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
         B = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
         Z = _chi(A, B)
-    Z = 0.5 * (Z - _adjoint(J) @ _adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = J^H for J and b
+    Z = 0.5 * (Z - adjoint(J) @ adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = J^H for J and b
     mult = np.sqrt(2.0) if model.tag == "H" else 1.0
     norms = np.linalg.norm(Z, axis=(1, 2)) / mult
     Z = Z * (0.5 / np.maximum(norms, 1e-300))[:, None, None]
@@ -172,7 +148,9 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     guard bands, or whose base margin is not above 1e-6, are counted as
     skipped, never as passes.
     """
-    J = _embedded_form(model)
+    if n_trials < 1:
+        raise ValueError("n_trials must be at least 1")
+    J = model.form()
     rng = np.random.default_rng(seed)
     violations = 0
     skipped = 0

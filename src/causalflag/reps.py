@@ -25,12 +25,13 @@ from .errors import (
 from .groups import (
     GroupElement,
     GroupModel,
+    _levi_index,
     in_levi_block_form,
     model_preset,
     random_lie_perturbation,
     tau_p,
 )
-from .kmat import KMat, _chi
+from .kmat import KMat, _chi, norm, product
 from .scalars import QUATERNION, REAL
 from .linalg import _flat_norms
 from .shilov import (
@@ -89,7 +90,7 @@ class Representation:
             if name not in self.gens or inv not in self.gens:
                 raise ModelMismatch(f"generator pair {name!r}/{inv!r} incomplete")
             prod = self.gens[name] @ self.gens[inv]
-            defect = (prod.g - KMat.eye(self.model.tag, self.model.dim)).norm()
+            defect = norm(prod.g - np.eye(len(prod.g)), self.model.tag)
             if not (defect <= 1e-9):
                 raise ModelMismatch(f"inverse pairing defect {defect:.3e} for {name!r}")
 
@@ -132,7 +133,7 @@ def relator_residual(rep: Representation) -> float:
     if rep.relator is None:
         raise ModelMismatch("representation carries no relator")
     g = rep.word_element(rep.relator)
-    return float((g.g - KMat.eye(rep.model.tag, rep.model.dim)).norm())
+    return norm(g.g - np.eye(len(g.g)), rep.model.tag)
 
 
 # --------------------------------------------------------------------- presets
@@ -175,7 +176,7 @@ def _lift_sl2(sl2_gens, model: GroupModel):
     gens = {}
     for name, A in sl2_gens.items():
         if model.family == "SP" and model.rank == 1:
-            g = GroupElement(model, KMat(REAL, A))
+            g = GroupElement(model, A)
         else:
             g = tau_p(A, model)
         gens[name] = g
@@ -248,7 +249,7 @@ def pingpong_certificate(rep: Representation) -> dict:
         raise ModelMismatch("the interval check runs on the rank-one SL(2, R) model")
     mats = {}
     for name in rep.gen_names:
-        A = rep.sl2[name] if rep.sl2 else rep.gens[name].g.a
+        A = rep.sl2[name] if rep.sl2 else rep.gens[name].g
         mats[name] = A
         mats[_inverse_name(name)] = np.linalg.inv(A)
     centers = {}
@@ -292,9 +293,8 @@ def pingpong_certificate(rep: Representation) -> dict:
 class WordBall:
     """Reduced words up to max_len and their matrices as one embedded stack.
 
-    stack[i] is the complex embedding of the product of words[i] (real
-    models keep the real matrix, which is its own embedding); element(i)
-    wraps one entry as a group element without copying it.
+    stack[i] is the embedded array of the product of words[i] (see kmat);
+    element(i) wraps one entry as a group element without copying it.
     """
 
     max_len: int
@@ -305,7 +305,7 @@ class WordBall:
     dedup: dict = field(default_factory=lambda: {"enabled": False})
 
     def element(self, i) -> GroupElement:
-        return GroupElement(self.model, KMat.unembed(self.model.tag, self.stack[i]), _check=False)
+        return GroupElement(self.model, self.stack[i], _check=False)
 
 
 def _free_ball_count(n_gens: int, max_len: int) -> int:
@@ -327,8 +327,9 @@ def _bucket_keys(stack: np.ndarray, tol: float) -> list:
 def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_CAP) -> WordBall:
     """All reduced words up to max_len, lexicographic within each length.
 
-    Each length is one batched product frontier[parent] @ gen[letter] over
-    the (parent, letter) grid without inverse letters; the grid is read
+    Each length is one batched product frontier[parent] gen[letter]
+    (kmat.product, so each matrix is that of word_element) over the
+    (parent, letter) grid without inverse letters; the grid is read
     row-major, which keeps the (length, word) order.  With dedup_tol set,
     words whose matrices land in the same rounding bucket as an earlier
     word are dropped (surface relators force such coincidences; free
@@ -341,8 +342,7 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
         raise BallTooLarge(f"free ball size {expected} exceeds the cap {cap}")
     letters = sorted(rep.letters)
     inverse = np.array([letters.index(_inverse_name(l)) for l in letters])
-    real = rep.model.tag == REAL
-    gens = np.stack([rep.gens[l].g.a if real else rep.gens[l].g.embed() for l in letters])
+    gens = np.stack([rep.gens[l].g for l in letters])
     frontier = np.eye(gens.shape[1], dtype=gens.dtype)[None]
     last = np.array([-1])  # letter index ending each frontier word
     frontier_words = [()]
@@ -351,7 +351,7 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     removed = 0
     for _ in range(max_len):
         parent, letter = np.nonzero(inverse[None, :] != last[:, None])
-        level = np.matmul(frontier[parent], gens[letter])
+        level = product(frontier[parent], gens[letter], rep.model.tag)
         if dedup_tol:
             keep = []
             for i, key in enumerate(_bucket_keys(level, dedup_tol)):
@@ -381,7 +381,7 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
 
 def _batched_alpha(model: GroupModel, stack) -> np.ndarray:
     """alpha_r of the Cartan projection for a stack of embedded elements."""
-    s = np.linalg.svd(stack.astype(complex, copy=False), compute_uv=False)
+    s = np.linalg.svd(stack, compute_uv=False)
     if model.is_lagrangian:
         mult = 2 if model.tag == QUATERNION else 1
         eps_r = np.log(s[:, (model.rank - 1) * mult])
@@ -428,14 +428,6 @@ def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
 # ------------------------------------------------------------- limit sampling
 
 
-def _embedded_elements(model: GroupModel, stack) -> np.ndarray:
-    """The complex embedding of every ball element: element(i).g.embed() for each i, as one stack."""
-    if model.tag == QUATERNION:
-        n = stack.shape[-1] // 2
-        return _chi(stack[:, :n, :n], stack[:, :n, n:])
-    return stack.astype(complex)
-
-
 def _attracting_frames(model: GroupModel, E, seed):
     """One stacked power iteration toward the attracting points of a stack of embedded elements.
 
@@ -463,7 +455,8 @@ def _attracting_frames(model: GroupModel, E, seed):
     Z0 = rng.standard_normal((d, ncols)) + 1j * rng.standard_normal((d, ncols))
     Z0, _ = np.linalg.qr(Z0)
     live = np.flatnonzero(reason < 0)
-    En = E[live] / np.max(np.abs(E[live]), axis=(1, 2), keepdims=True)
+    # times the reciprocal of the largest modulus, as numpy divides complex by real: real stacks scale alike
+    En = E[live] * (1.0 / np.max(np.abs(E[live]), axis=(1, 2), keepdims=True))
     Z = np.repeat(Z0[None], len(live), axis=0)
     P = Z @ np.conj(np.swapaxes(Z, -1, -2))
     active = np.arange(len(live))
@@ -502,7 +495,7 @@ def _limit_frames(model: GroupModel, Z):
     if model.tag == QUATERNION:
         E = _chi(*_quat_frame_from_embedded(Z))
     else:
-        E = Z.real.astype(complex) if model.tag == REAL else Z
+        E = Z.real if model.tag == REAL else Z
     return E, _guard(model, E)
 
 
@@ -514,7 +507,7 @@ def attracting_point(g: GroupElement, seed=0) -> ShilovPoint:
     ATTRACT_MAX_ITER steps or leaves an invariance residual above
     ATTRACT_RESIDUAL.
     """
-    Z, residuals, reason = _attracting_frames(g.model, g.g.embed()[None], seed)
+    Z, residuals, reason = _attracting_frames(g.model, g.g[None], seed)
     if reason[0] == _NO_GAP:
         raise NoGap("no eigenvalue-modulus gap at the boundary rank")
     if reason[0] == _UNDERFLOW:
@@ -569,7 +562,7 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
         if len(idx) > per_length_cap:
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
-    Z, res, reason = _attracting_frames(model, _embedded_elements(model, ball.stack[chosen]), seed)
+    Z, res, reason = _attracting_frames(model, ball.stack[chosen], seed)
     live = np.flatnonzero(reason < 0)
     frames, orthos = _limit_frames(model, Z[live])
     projectors = _projectors(model, orthos)
@@ -600,6 +593,8 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     """Random transverse triples from the sample should all have index zero."""
     from .maslov import maslov_indices
 
+    if n_triples < 1:
+        raise ValueError("n_triples must be at least 1")
     n = len(sample)
     if n < 3:
         raise TooFewPoints(f"need at least 3 limit points, have {n}")
@@ -667,8 +662,9 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     rng = np.random.default_rng(seed)
     for k in range(probe_count):
         if model.is_lagrangian:
-            X = KMat.random(model.tag, model.rank, model.rank, rng)
-            z = chart_point(model, 4.0 * 0.5 * (X + X.H))
+            from .causal import _random_hermitian
+
+            z = chart_point(model, 4.0 * _random_hermitian(model, rng))
         else:
             from .einstein import random_ein_point
 
@@ -699,7 +695,7 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     from .causal import causal_hull
 
     model = rep.model
-    frames = np.stack([bp.frame.embed() if model.is_lagrangian else bp.frame for bp in base_pts])
+    frames = np.stack([bp.frame for bp in base_pts])
     orthos = np.stack([bp.ortho for bp in base_pts])
     if max_len >= 1:
         ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
@@ -765,14 +761,12 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
         if not in_levi_block_form(rep.gens[name]):
             raise NotInLevi(f"generator {name!r} is not block-diagonal")
     ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
-    r = model.rank
-    half = r // 2
+    half = model.rank // 2
     mult = 2 if model.tag == QUATERNION else 1
-    # the Levi block's embedding: rows and columns 0:r, plus dim:dim+r over H
-    idx = np.r_[0:r, model.dim:model.dim + r] if mult == 2 else np.arange(r)
+    idx = _levi_index(model)  # the Levi block's embedded rows and columns
     long = np.flatnonzero(ball.lengths > 2)
     blocks = ball.stack[long[:, None, None], idx[:, None], idx]
-    s = np.linalg.svd(blocks.astype(complex, copy=False), compute_uv=False)
+    s = np.linalg.svd(blocks, compute_uv=False)
     upper = np.log(s[:, (half - 1) * mult])
     lower = np.log(s[:, half * mult])
     violations = ["".join(ball.words[i]) for i in long[~((upper > 0.0) & (0.0 > lower))]]

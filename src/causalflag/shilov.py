@@ -1,8 +1,9 @@
 """Points of the causal flag manifolds, transversality, and affine charts.
 
 Two models are supported: Lagrangian r-frames (2r x r full-rank matrices
-over the model's field, isotropic for J) for the SP/SU/SOSTAR families,
-and isotropic lines in R^{n+2} for SO(n, 2).
+over the model's field, isotropic for J, held as embedded arrays; see
+kmat) for the SP/SU/SOSTAR families, and isotropic lines in R^{n+2} for
+SO(n, 2).  Chart coordinates cross the API as KMat (vectors on SO(n, 2)).
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from .errors import (
     NotTransverse,
 )
 from .groups import GroupElement, GroupModel
-from .kmat import KMat, _chi
+from .kmat import KMat, _chi, _parts, adjoint, as_embedded, concat, embed_real, norm, product
 from .linalg import _flat_norms, check_hermitian, null_space
 from .scalars import QUATERNION, REAL
 
@@ -92,13 +93,14 @@ def _guard(model: GroupModel, E):
                    lambda k: NonFiniteInput(f"{kind} has a non-finite entry"))])
     if not model.is_lagrangian:
         nv = _flat_norms(E)
-        iso = np.abs(np.matmul((E @ model.form().a)[:, None, :], E[:, :, None])[:, 0, 0])
+        iso = np.abs(np.matmul((E @ model.form())[:, None, :], E[:, :, None])[:, 0, 0])
         _raise_first([
             (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
             (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
         ])
         return E / nv[:, None]
-    Q, R = np.linalg.qr(E)
+    # complex on every Lagrangian family: the margins, projectors and indices read complex orthos
+    Q, R = np.linalg.qr(E.astype(complex, copy=False))
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     _raise_first([(np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
                    lambda k: InvalidFrame("rank-deficient frame"))])
@@ -115,8 +117,10 @@ def _projectors(model: GroupModel, orthos) -> np.ndarray:
 class ShilovPoint:
     """A Lagrangian (frame representative) or an isotropic line (vector representative).
 
-    Construction runs the stacked point guards (_guard) on a batch of one;
-    a Lagrangian frame must also be isotropic for the model's form.  The
+    A Lagrangian frame is given as a KMat or as an embedded array (see
+    kmat), and the point holds the embedded array.  Construction runs the
+    stacked point guards (_guard) on a batch of one; a Lagrangian frame
+    must also be isotropic for the model's form.  The
     points of act and of the limit samplers are views of guarded stacks
     (_view) and skip that isotropy check: their frames are images of
     points, or attracting subspaces, of form-preserving elements.
@@ -127,16 +131,16 @@ class ShilovPoint:
     def __init__(self, model: GroupModel, frame):
         self.model = model
         if model.is_lagrangian:
-            if not isinstance(frame, KMat):
-                frame = KMat(model.tag, frame)
-            if frame.shape != (2 * model.rank, model.rank):
-                raise InvalidFrame(f"expected a {2 * model.rank}x{model.rank} frame, got {frame.shape}")
-            E = frame.embed()
+            E = as_embedded(model.tag, frame)  # a KMat, or an embedded array
+            D = model.form().shape[0]
+            if E.shape != (D, D // 2):
+                raise InvalidFrame(f"expected a {D}x{D // 2} embedded frame, got {E.shape}")
             if np.isfinite(E).all():  # a non-finite frame fails the guard first
-                iso = (frame.H @ model.form() @ frame).norm()
-                if not (iso <= ISOTROPY_TOL * max(1.0, frame.norm() ** 2)):
+                tag = model.tag
+                iso = norm(product(product(adjoint(E), model.form(), tag), E, tag), tag)
+                if not (iso <= ISOTROPY_TOL * max(1.0, norm(E, tag) ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            self.frame = frame
+            self.frame = E
             self._ortho = _guard(model, E[None])[0]
         else:
             v = np.ascontiguousarray(frame, dtype=float).reshape(-1)
@@ -146,7 +150,7 @@ class ShilovPoint:
 
     @property
     def ortho(self):
-        """Orthonormal embedded representative (complex matrix or unit vector)."""
+        """Orthonormal embedded representative (complex on every Lagrangian family, or the unit vector)."""
         return self._ortho
 
     def projector(self):
@@ -160,7 +164,8 @@ class ShilovPoint:
 
     def to_json(self):
         if self.model.is_lagrangian:
-            return {"model": self.model.to_json(), "frame": self.frame.to_json()}
+            frame = KMat.unembed(self.model.tag, self.frame)
+            return {"model": self.model.to_json(), "frame": frame.to_json()}
         return {"model": self.model.to_json(), "frame": [float(x) for x in self.frame]}
 
     @classmethod
@@ -178,7 +183,7 @@ def _view(model: GroupModel, frame, ortho) -> ShilovPoint:
     """The point of one item of guarded stacks: its embedded frame (unit vector) and its ortho."""
     x = object.__new__(ShilovPoint)
     x.model = model
-    x.frame = KMat.unembed(model.tag, frame).copy() if model.is_lagrangian else frame
+    x.frame = frame
     x._ortho = ortho
     return x
 
@@ -196,9 +201,8 @@ def base_points(model: GroupModel):
         return _BASE_CACHE[key]
     if model.is_lagrangian:
         r = model.rank
-        top = KMat.vstack([KMat.eye(model.tag, r), KMat.zeros(model.tag, r, r)])
-        bot = KMat.vstack([KMat.zeros(model.tag, r, r), KMat.eye(model.tag, r)])
-        pair = ShilovPoint(model, top), ShilovPoint(model, bot)
+        I = np.eye(2 * r)
+        pair = tuple(ShilovPoint(model, embed_real(F, model.tag)) for F in (I[:, :r], I[:, r:]))
     else:
         n = model.rank
         e1 = np.zeros(n + 2)
@@ -248,7 +252,7 @@ def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
     if model.is_lagrangian:
         d = np.abs(np.linalg.det(np.concatenate([X, Y], axis=-1)))
         return np.sqrt(d) if model.tag == QUATERNION else d
-    b = model.form().a
+    b = model.form()
     return np.abs((X @ b)[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
@@ -262,15 +266,23 @@ def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
 def chart_point(model: GroupModel, X) -> ShilovPoint:
     """Point of the standard affine chart with coordinate X."""
     if model.is_lagrangian:
-        if not isinstance(X, KMat):
-            X = KMat(model.tag, X)
-        check_hermitian(X.embed(), X.tag)
-        return ShilovPoint(model, KMat.vstack([KMat.eye(model.tag, model.rank), X]))
+        X = as_embedded(model.tag, X)  # a KMat, or an embedded array
+        d = model.form().shape[0] // 2
+        if X.shape != (d, d):
+            raise ModelMismatch(f"expected a {d}x{d} embedded chart coordinate, got {X.shape}")
+        check_hermitian(X, model.tag)
+        return ShilovPoint(model, _graph_frames(model, X[None])[0])
     v = np.asarray(X, dtype=float).reshape(-1)
     n = model.rank
     if v.shape != (n,):
         raise ModelMismatch(f"expected a chart vector of length {n}")
     return ShilovPoint(model, _socharts_lift(model, v))
+
+
+def _graph_frames(model: GroupModel, X):
+    """Embedded frames [I; X] of a stack of embedded chart coordinates (k, d, d)."""
+    eye = np.broadcast_to(embed_real(np.eye(model.rank), model.tag), X.shape)
+    return concat([eye, X], -2, model.tag)
 
 
 def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
@@ -287,11 +299,8 @@ def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
 
 def chart_coordinates(x: ShilovPoint):
     """Inverse of chart_point on the points transverse to p_minus; chart_coordinates_stack of one."""
-    model = x.model
-    if not model.is_lagrangian:
-        return chart_coordinates_stack(model, x.frame[None], x.ortho[None])[0]
-    X = chart_coordinates_stack(model, x.frame.embed()[None], x.ortho[None])[0]
-    return KMat.unembed(model.tag, X)
+    X = chart_coordinates_stack(x.model, x.frame[None], x.ortho[None])[0]
+    return KMat.unembed(x.model.tag, X) if x.model.is_lagrangian else X
 
 
 def chart_coordinates_stack(model: GroupModel, frames, orthos):
@@ -299,7 +308,7 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
 
     The Lagrangian families take one batched solve X = solve(top^T, bot^T)^T
     and give the Hermitian parts of the coordinates as an embedded (k, d, d)
-    stack (real for real models), the form causal works on; SO(n, 2) gives a
+    stack, the form causal works on; SO(n, 2) gives a
     (k, n) Minkowski stack.  NotInChart (margin to p_minus below
     TRANSVERSALITY_TOL) and NotHermitian (|X - X^H| not within
     1e-7 * max(1, |X|), NaN included) are raised as a loop over the points
@@ -312,7 +321,7 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     if not model.is_lagrangian:
         _raise_first(checks)
         n = model.rank
-        W = frames @ model.form().a
+        W = frames @ model.form()
         # rescale each lift so that b(xi, e1 - e_{n+1}) = 2
         W = W * (2.0 / (W[:, 0] - W[:, n]))[:, None]
         return np.concatenate([W[:, 1:n], -W[:, n + 1:]], axis=1)
@@ -321,18 +330,17 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     rows = np.r_[0:r, 2 * r:3 * r] if quat else np.arange(r)
     F = frames[in_chart]
     top, bot = F[:, rows], F[:, rows + r]
-    X = np.zeros((len(frames),) + top.shape[1:], complex)
+    X = np.zeros((len(frames),) + top.shape[1:], frames.dtype)
     X[in_chart] = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
-    # the KMat parts of each coordinate and of its adjoint X.H
+    # the field parts of each coordinate and of its adjoint (the solve need not return the chi layout)
     if quat:
-        parts = (X[:, :r, :r], X[:, :r, r:])
-        adjoints = (np.conj(np.swapaxes(parts[0], -1, -2)), -np.swapaxes(parts[1], -1, -2))
+        parts = _parts(X)
+        adjoints = (adjoint(parts[0]), -np.swapaxes(parts[1], -1, -2))
     else:
-        parts = (X.real if model.tag == REAL else X,)
-        adjoints = (np.conj(np.swapaxes(parts[0], -1, -2)),)
+        parts, adjoints = (X,), (adjoint(X),)
     defect = np.sqrt(sum(np.sum(np.abs(p - q) ** 2, axis=(1, 2)) for p, q in zip(parts, adjoints)))
-    norm = np.sqrt(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
-    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, norm)),
+    size = np.sqrt(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
+    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, size)),
                    lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}")))
     _raise_first(checks)
     C = [0.5 * (p + q) for p, q in zip(parts, adjoints)]
@@ -346,31 +354,23 @@ def act(g: GroupElement, x: ShilovPoint) -> ShilovPoint:
     """The image g . x: act_stack on a batch of one."""
     if g.model != x.model:
         raise ModelMismatch("group element and point live in different models")
-    frames, orthos = act_stack((g.g.a if x.model.tag == REAL else g.g.embed())[None], x)
+    frames, orthos = act_stack(g.g[None], x)
     return _view(x.model, frames[0], orthos[0])
 
 
 def act_stack(G, x: ShilovPoint):
-    """The images g_k . x of a point under a stack G of ball matrices, as (frames, orthos) arrays.
+    """The images g_k . x of a point under a stack G of embedded elements, as (frames, orthos) arrays.
 
-    G holds what WordBall.stack holds: the real matrix for real models and
-    the complex embedding otherwise.  frames[k] is the embedded frame of
-    g_k @ x.frame (the unit lift on SO(n, 2)), its products those of
-    KMat @, and orthos[k] its ortho.  The point guards (_guard) run on the
-    whole stack; the Lagrangian isotropy check does not, since the action
-    preserves the form.
+    frames[k] is the embedded frame g_k x.frame (kmat.product; the unit
+    lift on SO(n, 2)) and orthos[k] its ortho.  The point guards (_guard)
+    run on the whole stack; the Lagrangian isotropy check does not, since
+    the action preserves the form.
     """
     model = x.model
     if not model.is_lagrangian:
         V = _guard(model, G @ x.frame)
         return V, V
-    F = x.frame
-    if model.tag == QUATERNION:
-        n = G.shape[-1] // 2
-        ga, gb = G[:, :n, :n], G[:, :n, n:]
-        E = _chi(ga @ F.a - gb @ np.conj(F.b), ga @ F.b + gb @ np.conj(F.a))
-    else:
-        E = (G @ F.a).astype(complex)
+    E = product(G, x.frame, model.tag)
     return E, _guard(model, E)
 
 
@@ -382,23 +382,21 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     if not transverse(a, c):
         raise NotTransverse("standardize_pair requires a transverse pair")
     if model.is_lagrangian:
-        # orthonormal frames with the spans of a and c: their orthos, read back over the field
-        if model.tag == QUATERNION:
-            parts = _quat_frame_from_embedded(np.stack([a.ortho, c.ortho]))
-            A, C = (KMat(QUATERNION, parts[0][k], parts[1][k]) for k in range(2))
+        # orthonormal frames with the spans of a and c: their orthos, over the field
+        tag = model.tag
+        if tag == QUATERNION:
+            A, C = _chi(*_quat_frame_from_embedded(np.stack([a.ortho, c.ortho])))
         else:
-            A, C = (KMat.unembed(model.tag, x.ortho) for x in (a, c))
-        J = model.form()
-        P = A.H @ J @ C
-        Pc = P.embed()
-        cond = np.linalg.cond(Pc)
+            A, C = (x.ortho.real if tag == REAL else x.ortho for x in (a, c))
+        P = product(product(adjoint(A), model.form(), tag), C, tag)
+        cond = np.linalg.cond(P)
         if cond > 1e12:
             raise IllConditioned(f"pairing condition number {cond:.3e}")
-        M = KMat.unembed(model.tag, -np.linalg.inv(Pc))
-        T = KMat.hstack([A, C @ M])
+        # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
+        T = concat([A, product(C, -np.linalg.inv(P), tag)], -1, tag)
         return GroupElement(model, T, _check=False).inv()
     n = model.rank
-    b = model.form().a
+    b = model.form()
     u = a.frame.copy()
     w = c.frame.copy()
     pairing = u @ b @ w
@@ -425,7 +423,7 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     if cond > 1e12:
         raise IllConditioned(f"basis condition number {cond:.3e}")
     S = B_std @ np.linalg.inv(B_pair)
-    elem = GroupElement(model, KMat(model.tag, S), _check=False)
+    elem = GroupElement(model, S, _check=False)
     if elem.form_defect() > 1e-8:
         # roundoff grows with cond(B_pair); the element is exact in theory
         raise IllConditioned(f"standardization lost the form at condition {cond:.3e}")

@@ -5,15 +5,17 @@ the isotropy check, as the former act did), reference_act and
 reference_chart_coordinates the former scalar act and chart_coordinates,
 reference_quat_frame the former per-item quaternionic frame recovery, and
 reference_standardize_pair the former Lagrangian standardize_pair, which
-orthonormalized frames with reference_orthonormalize_frame.  The library's
-batched paths must match them bit for bit.
+orthonormalized frames with reference_orthonormalize_frame.  They work on
+the embedded arrays the library holds (see causalflag.kmat), with the
+quaternionic product kmat.product.  The library's batched paths must
+match them bit for bit.
 """
 
 import numpy as np
 
 from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotHermitian, NotInChart
 from causalflag.groups import GroupElement
-from causalflag.kmat import KMat
+from causalflag.kmat import KMat, _chi, adjoint, norm, product
 from causalflag.shilov import (
     ISOTROPY_TOL,
     TRANSVERSALITY_TOL,
@@ -30,19 +32,19 @@ class ReferencePoint:
         self.model = model
         self._ortho = None
         if model.is_lagrangian:
-            if not isinstance(frame, KMat):
-                frame = KMat(model.tag, frame)
-            if frame.shape != (2 * model.rank, model.rank):
-                raise InvalidFrame(f"expected a {2 * model.rank}x{model.rank} frame, got {frame.shape}")
-            E = frame.embed()
+            tag = model.tag
+            E = frame.embed() if isinstance(frame, KMat) else frame
+            D = model.form().shape[0]
+            if E.shape != (D, D // 2):
+                raise InvalidFrame(f"expected a {D}x{D // 2} embedded frame, got {E.shape}")
             if not np.isfinite(E).all():
                 raise NonFiniteInput("frame has a non-finite entry")
-            self.frame = frame
+            self.frame = E
             if checked:
-                iso = (frame.H @ model.form() @ frame).norm()
-                if not (iso <= ISOTROPY_TOL * max(1.0, frame.norm() ** 2)):
+                iso = norm(product(product(adjoint(E), model.form(), tag), E, tag), tag)
+                if not (iso <= ISOTROPY_TOL * max(1.0, norm(E, tag) ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            Q, R = np.linalg.qr(E)
+            Q, R = np.linalg.qr(E.astype(complex))  # the complex QR on every field
             diag = np.abs(np.diag(R))
             if not (np.min(diag) >= 1e-10 * max(1.0, np.max(diag))):
                 raise InvalidFrame("rank-deficient frame")
@@ -56,7 +58,7 @@ class ReferencePoint:
             nv = np.linalg.norm(v)
             if not (nv >= 1e-12):
                 raise InvalidFrame("zero vector")
-            b = model.form().a
+            b = model.form()
             iso = abs(v @ b @ v)
             if not (iso <= ISOTROPY_TOL * nv**2):
                 raise InvalidFrame(f"isotropy defect {iso:.3e}")
@@ -81,8 +83,8 @@ class ReferencePoint:
 
 def reference_act(g, x):
     if x.model.is_lagrangian:
-        return ReferencePoint(x.model, g.g @ x.frame, checked=False)
-    return ReferencePoint(x.model, g.g.a @ x.frame)
+        return ReferencePoint(x.model, product(g.g, x.frame, x.model.tag), checked=False)
+    return ReferencePoint(x.model, g.g @ x.frame)
 
 
 def reference_chart_coordinates(x):
@@ -91,17 +93,17 @@ def reference_chart_coordinates(x):
     if transversality_margin(x, p_minus) < TRANSVERSALITY_TOL:
         raise NotInChart("point is not transverse to the chart base")
     if model.is_lagrangian:
-        r = model.rank
-        F = x.frame
-        top = F.block(0, r, 0, r)
-        bot = F.block(r, 2 * r, 0, r)
-        X = KMat.unembed(model.tag, np.linalg.solve(top.embed().T, bot.embed().T).T)
-        defect = (X - X.H).norm()
-        if defect > 1e-7 * max(1.0, X.norm()):
+        r, tag = model.rank, model.tag
+        rows = np.r_[0:r, 2 * r:3 * r] if tag == "H" else np.arange(r)  # embedded rows of field rows 0..r-1
+        top, bot = x.frame[rows], x.frame[rows + r]
+        X = KMat.unembed(tag, np.linalg.solve(top.T, bot.T).T)
+        XH = KMat.unembed(tag, adjoint(X.embed()))
+        defect = norm((X - XH).embed(), tag)
+        if defect > 1e-7 * max(1.0, norm(X.embed(), tag)):
             raise NotHermitian(f"chart coordinate defect {defect:.3e}")
-        return 0.5 * (X + X.H)
+        return 0.5 * (X + XH)
     n = model.rank
-    b = model.form().a
+    b = model.form()
     xi = x.frame.copy()
     raw_minus = np.zeros(n + 2)
     raw_minus[0] = 1.0
@@ -148,26 +150,29 @@ def reference_quat_frame(E):
     return KMat("H", np.stack(cols_a, axis=1), np.stack(cols_b, axis=1))
 
 
-def reference_orthonormalize_frame(F):
-    E = F.embed()
-    Q, R = np.linalg.qr(E)
+def reference_orthonormalize_frame(E, tag):
+    """An orthonormal embedded frame with the span of the embedded frame E."""
+    Q, R = np.linalg.qr(E.astype(complex))
     if np.min(np.abs(np.diag(R))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(R)))):
         raise InvalidFrame("rank-deficient frame")
-    if F.tag == "H":
-        return reference_quat_frame(Q)
-    return KMat.unembed(F.tag, Q)
+    if tag == "H":
+        return reference_quat_frame(Q).embed()
+    return Q.real if tag == "R" else Q
 
 
 def reference_standardize_pair(a, c):
     """The Lagrangian branch of standardize_pair, for a transverse pair."""
-    model = a.model
-    A = reference_orthonormalize_frame(a.frame)
-    C = reference_orthonormalize_frame(c.frame)
-    P = A.H @ model.form() @ C
-    Pc = P.embed()
-    cond = np.linalg.cond(Pc)
+    model, tag = a.model, a.model.tag
+    A = reference_orthonormalize_frame(a.frame, tag)
+    C = reference_orthonormalize_frame(c.frame, tag)
+    P = product(product(adjoint(A), model.form(), tag), C, tag)
+    cond = np.linalg.cond(P)
     if cond > 1e12:
         raise IllConditioned(f"pairing condition number {cond:.3e}")
-    M = KMat.unembed(model.tag, -np.linalg.inv(Pc))
-    T = KMat.hstack([A, C @ M])
+    M = KMat.unembed(tag, -np.linalg.inv(P))
+    Ak, CM = KMat.unembed(tag, A), KMat.unembed(tag, product(C, M.embed(), tag))
+    if tag == "H":
+        T = _chi(np.hstack([Ak.a, CM.a]), np.hstack([Ak.b, CM.b]))
+    else:
+        T = np.hstack([Ak.a, CM.a])
     return GroupElement(model, T, _check=False).inv()

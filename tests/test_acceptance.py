@@ -115,7 +115,7 @@ def test_criterion_4_diamond_preservation():
         g = tau_p(boost @ np.array([[c, -s], [s, c]]), model)
         Z = random_positive_coord(model, rng)
         X = chart_coordinates(act(g, chart_point(model, Z)))
-        lo = float(hermitian_eigenvalues(X)[-1])
+        lo = float(hermitian_eigenvalues(X.embed(), X.tag)[-1])
         worst = min(worst, lo)
         if lo <= 1e-10:
             violations += 1

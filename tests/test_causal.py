@@ -22,7 +22,7 @@ from causalflag.causal import (
 )
 from causalflag.errors import EmptyInput, NonFiniteInput, NotTransverse
 from causalflag.groups import model_preset
-from causalflag.kmat import KMat
+from causalflag.kmat import KMat, norm
 from causalflag.linalg import signature
 from causalflag.reps import domain_center, dual_center
 from causalflag.shilov import chart_point
@@ -56,7 +56,7 @@ def test_diamond_membership():
     lo = -1.0 * KMat.eye("C", 2)
     hi = KMat.eye("C", 2)
     d = Diamond(model, lo, hi)
-    assert diamond_membership(d, KMat.zeros("C", 2))
+    assert diamond_membership(d, KMat("C", np.zeros((2, 2))))
     assert not diamond_membership(d, 2.0 * KMat.eye("C", 2))
     assert not diamond_membership(d, hi)  # open by default
     assert diamond_membership(d, hi, closed=True)
@@ -118,7 +118,7 @@ def test_signature_coord_sampler_hits_the_label():
     for i in range(3):
         for _ in range(10):
             X = random_signature_coord(model, i, rng)
-            assert signature(X).as_tuple() == (i, 2 - i, 0)
+            assert signature(X.embed(), X.tag).as_tuple() == (i, 2 - i, 0)
 
 
 def test_chart_independence_small():
@@ -160,16 +160,16 @@ def reference_relation(model, X, Y):
         E = D.embed()
         lam = np.linalg.eigvalsh(0.5 * (E + np.conj(E).T))
         band = 1e-9 * max(1.0, float(np.max(np.abs(lam))))
-        fwd, past, norm = lam[0], -lam[-1], D.norm()
+        fwd, past, size = lam[0], -lam[-1], norm(E, model.tag)
         light = lam[-1] <= band or lam[0] >= -band
     else:
         d = Y - X
-        norm = float(np.linalg.norm(d))
-        band = 1e-9 * max(1.0, norm)
+        size = float(np.linalg.norm(d))
+        band = 1e-9 * max(1.0, size)
         fwd = d[-1] - np.linalg.norm(d[:-1])
         past = -d[-1] - np.linalg.norm(d[:-1])
-        light = abs(d[:-1] @ d[:-1] - d[-1] ** 2) <= 2 * band * max(1.0, norm)
-    if norm <= band:
+        light = abs(d[:-1] @ d[:-1] - d[-1] ** 2) <= 2 * band * max(1.0, size)
+    if size <= band:
         rel = FutureRelation.EQUAL
     elif fwd > band:
         rel = FutureRelation.STRICT_FUTURE
@@ -193,7 +193,7 @@ def kernel_points(model, rng):
         light = np.eye(model.rank)[0] + np.eye(model.rank)[-1]
         past = np.eye(model.rank)[-1]
     X = pts[0]
-    return pts + [X.copy(), X + light, X - 1.0 * past]
+    return pts + [X + 0.0 * X, X + light, X - 1.0 * past]
 
 
 @pytest.mark.parametrize("name", KERNEL_MODELS)
@@ -236,7 +236,8 @@ def test_hull_matches_nested_loop_reference(name):
     for Z in queries:
         best = max(min(reference_relation(model, A, Z)[1], reference_relation(model, Z, B)[1])
                    for A, B in hull.pairs)
-        dist = min((Z - A).norm() if model.is_lagrangian else np.linalg.norm(Z - A) for A in pts)
+        dist = min(norm((Z - A).embed(), model.tag) if model.is_lagrangian else np.linalg.norm(Z - A)
+                   for A in pts)
         ref = max(best, -dist)
         assert hull.margin(Z) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -291,3 +292,82 @@ def test_overflow_from_finite_input_fails_closed():
         causal_hull(so, [np.zeros(4)]).margin(np.array([1e200, 0.0, 0.0, 1e200]))
     with pytest.raises(NonFiniteInput):
         causal_hull(sp4, [np.zeros((2, 2))]).margin(np.diag([1e200, 1e200]))
+
+
+@pytest.mark.parametrize("trials", [0, -5])
+def test_sylvester_check_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="at least 1"):
+        sylvester_orbit_check(model_preset("sp4"), 1, trials, seed=0)
+
+
+def test_chart_independence_needs_a_probe():
+    model = model_preset("sp4")
+    chart = ChartedChart.standard(model)
+    with pytest.raises(ValueError, match="at least 1"):
+        chart_independence_check([domain_center(model)], chart, chart, 0, seed=0)
+
+
+@pytest.mark.parametrize("name", ["so22", "so32", "so42"])
+def test_coordinate_samplers_reject_so_n2(name):
+    from causalflag.errors import ModelMismatch
+
+    model, rng = model_preset(name), np.random.default_rng(0)
+    with pytest.raises(ModelMismatch):
+        random_positive_coord(model, rng)
+    with pytest.raises(ModelMismatch):
+        random_signature_coord(model, 1, rng)
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN + ["sp8"])
+def test_coordinate_samplers_are_batches_of_one(name):
+    # one draw of the stacked samplers consumes the generator as the per-trial formulas did
+    from causalflag.kmat import adjoint, product
+
+    model, tag, r = model_preset(name), model_preset(name).tag, model_preset(name).rank
+    for seed in range(5):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        X = random_signature_coord(model, 1, rng)
+        Y = random_positive_coord(model, rng)
+        while True:
+            M = KMat.random(tag, r, r, ref).embed()
+            if np.linalg.cond(M) < 1e4:
+                break
+        D = KMat(tag, np.diag([1.0] + [-1.0] * (r - 1))).embed()
+        N = KMat.random(tag, r, r, ref).embed()
+        assert np.array_equal(X.embed(), product(product(adjoint(M), D, tag), M, tag))
+        assert np.array_equal(Y.embed(), product(adjoint(N), N, tag) + 0.1 * np.eye(len(N)))
+        assert rng.random() == ref.random()
+
+
+class ScriptedRng:
+    """A generator stand-in whose standard_normal returns the given arrays in turn and records the shapes asked for."""
+
+    def __init__(self, *arrays):
+        self.arrays, self.shapes = list(arrays), []
+
+    def standard_normal(self, shape):
+        self.shapes.append(shape)
+        return self.arrays.pop(0)
+
+
+def test_signature_sampler_redraws_only_rejected_matrices():
+    from causalflag.causal import _signature_coords
+
+    model = model_preset("sp4")
+    first = np.stack([np.eye(2), np.ones((2, 2)), 2.0 * np.eye(2)])  # the middle one is singular
+    rng = ScriptedRng(first, np.ones((1, 2, 2)), np.diag([3.0, 1.0])[None])
+    X = _signature_coords(model, 1, 3, rng)
+    assert rng.shapes == [(3, 2, 2), (1, 2, 2), (1, 2, 2)]
+    D = np.diag([1.0, -1.0])
+    assert np.array_equal(X, np.stack([D, np.diag([9.0, -1.0]), 4.0 * D]))
+
+
+def test_signature_band_is_relative():
+    from causalflag.linalg import signature_counts
+
+    X = np.diag([1e12, 1e-5, -1e6])  # 1e-5 sits inside the band 1e-9 * 1e12
+    Y = np.diag([1.0, 1e-5, -1.0])  # band 1e-9 * max(1, 1)
+    assert signature(X, "R").as_tuple() == (1, 1, 1)
+    assert signature(Y, "R").as_tuple() == (2, 1, 0)
+    pos, neg = signature_counts(np.stack([X, Y, -X]), "R")
+    assert pos.tolist() == [1, 2, 1] and neg.tolist() == [1, 1, 1]

@@ -27,7 +27,7 @@ def write_triple(path, good=True):
     model = model_preset("sp4")
     pts = [
         chart_point(model, -2.0 * KMat.eye("R", 2)),
-        chart_point(model, KMat.zeros("R", 2)),
+        chart_point(model, KMat("R", np.zeros((2, 2)))),
         chart_point(model, 2.0 * KMat.eye("R", 2)),
     ]
     data = [p.to_json() for p in pts]
@@ -268,3 +268,43 @@ def test_ein_commands(tmp_path):
                   "--photons", "50"])
     assert r2.returncode == 0
     assert json.loads(r2.stdout)["report"]["violations"] == 0
+
+
+MODEL_PRESETS = ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8", "so22", "so32", "so42"]
+
+
+@pytest.mark.parametrize("model", MODEL_PRESETS)
+@pytest.mark.parametrize("command", [
+    ["sylvester-check", "--i", "1", "--trials", "20"],
+    ["maslov-invariance", "--trials", "20"],
+    ["chart-independence", "--probes", "10", "--n-points", "3"],
+], ids=lambda command: command[0])
+def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
+    # exit 0 with a report, or 2 with a structured error report; never an uncaught error (exit 1)
+    from causalflag import cli
+
+    code = cli.main(command + ["--model", model])
+    out = json.loads(capsys.readouterr().out)
+    assert code in (0, 2)
+    assert out["command"] == command[0] and out["passed"] is (code == 0)
+    if model in ("so22", "so32", "so42") and command[0] != "maslov-invariance":
+        assert (code, out["error"]) == (2, "ModelMismatch")
+
+
+@pytest.mark.parametrize("command", [
+    ["sylvester-check", "--model", "sp4", "--i", "1", "--trials", "-5"],
+    ["maslov-invariance", "--model", "sp4", "--trials", "0"],
+    ["rep-verify-maslov0", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--triples", "0"],
+    ["chart-independence", "--model", "sp4", "--probes", "0"],
+    ["ein-photon-convexity", "--model", "so42", "--photons", "0"],
+], ids=lambda command: command[0])
+def test_runs_without_trials_exit_1(tmp_path, capsys, command):
+    from causalflag import cli
+
+    if command[0] == "ein-photon-convexity":
+        limit = tmp_path / "limit.json"
+        limit.write_text(json.dumps([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],
+                                     [0.0, 0.0, 1.0, 0.0, 1.0, 0.0]]))
+        command = command + ["--limit", str(limit)]
+    assert cli.main(command) == 1
+    assert capsys.readouterr().out == ""

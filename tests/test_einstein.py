@@ -82,7 +82,7 @@ def test_time_slice_family_is_negative():
     pts = time_slice_family(6, seed=5)
     check_negative(pts)
     lifts = negative_lifts(pts)
-    b = MODEL.form().a
+    b = MODEL.form()
     gram = lifts @ b @ lifts.T
     off = gram[~np.eye(len(pts), dtype=bool)]
     assert np.all(off < 0)
@@ -174,7 +174,7 @@ def test_invisible_domain_membership():
 def test_invisible_domain_excludes_the_lightcone_band():
     # y is 2e-12 off the lightcone of pts[0], on the same side as its other pairings
     pts = time_slice_family(5, seed=7)
-    b = MODEL.form().a
+    b = MODEL.form()
     u0, u1 = negative_lifts(pts)[:2]
     v0 = np.array([0.0, 0.0, 0.0, 1.0, 0.0, 0.0])
     s = 1e-6
@@ -188,7 +188,7 @@ def test_invisible_domain_excludes_the_lightcone_band():
 
 def test_random_photon_is_isotropic_pair():
     rng = np.random.default_rng(3)
-    b = MODEL.form().a
+    b = MODEL.form()
     for _ in range(10):
         ph = random_photon(MODEL, rng)
         if ph is None:
@@ -204,6 +204,12 @@ def test_photon_convexity_small():
     report = photon_convexity_check(pts, 100, seed=29)
     assert report["violations"] == 0
     assert report["scanned"] > 0
+
+
+@pytest.mark.parametrize("photons", [0, -3])
+def test_photon_convexity_needs_a_photon(photons):
+    with pytest.raises(ValueError, match="at least 1"):
+        photon_convexity_check(time_slice_family(8, seed=23), photons, seed=29)
 
 
 def test_hilbert_interval_oracles():

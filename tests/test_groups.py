@@ -21,14 +21,14 @@ from causalflag.groups import (
     random_lie_element,
     tau_p,
 )
-from causalflag.kmat import KMat
+from causalflag.kmat import KMat, norm, product
 
 FAMILIES = ["sp4", "su22", "sostar8", "so42"]
 
 
 def random_element(model, rng, scale=0.5):
     Z = random_lie_element(model, rng)
-    Z = (scale / max(Z.norm(), 1e-300)) * Z
+    Z = (scale / max(norm(Z, model.tag), 1e-300)) * Z
     return group_exp(model, Z)
 
 
@@ -55,9 +55,9 @@ def test_form_squares():
     for name in ["sp4", "su22", "sostar8"]:
         model = model_preset(name)
         J = model.form()
-        assert (J @ J + KMat.eye(model.tag, model.dim)).norm() < 1e-14
+        assert norm(product(J, J, model.tag) + np.eye(len(J)), model.tag) < 1e-14
     b = model_preset("so42").form()
-    assert (b @ b - KMat.eye("R", 6)).norm() < 1e-14
+    assert np.linalg.norm(b @ b - np.eye(6)) < 1e-14
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -68,13 +68,13 @@ def test_exp_lands_in_group_and_inverse_works(name):
         g = random_element(model, rng)
         assert form_defect(model, g.g) < 1e-10
         prod = g @ g.inv()
-        assert (prod.g - KMat.eye(model.tag, model.dim)).norm() < 1e-10
+        assert norm(prod.g - np.eye(len(prod.g)), model.tag) < 1e-10
 
 
 def test_form_defect_gate():
     model = model_preset("sp4")
     with pytest.raises(ModelMismatch):
-        GroupElement(model, 2.0 * KMat.eye("R", 4))
+        GroupElement(model, 2.0 * np.eye(4))
 
 
 @pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "so42"])
@@ -83,7 +83,33 @@ def test_form_check_rejects_nan(name):
     g = KMat.eye(model.tag, model.dim)
     g.a[0, 0] = np.nan
     with pytest.raises(ModelMismatch):
-        GroupElement(model, g)
+        GroupElement(model, g.embed())
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_elements_and_forms_are_embedded_arrays(name):
+    model = model_preset(name)
+    g = random_element(model, np.random.default_rng(4))
+    size = 2 * model.dim if model.tag == "H" else model.dim
+    for M in (model.form(), g.g, g.inv().g, (g @ g).g):
+        assert isinstance(M, np.ndarray) and M.shape == (size, size)
+        assert np.iscomplexobj(M) == (model.tag != "R")
+    assert g.to_json()["g"] == KMat.unembed(model.tag, g.g).to_json()
+    with pytest.raises(ModelMismatch):
+        GroupElement(model, g.g[:-1])
+    if model.tag == "R":
+        with pytest.raises(ModelMismatch):
+            GroupElement(model, g.g.astype(complex))
+
+
+def test_quaternionic_elements_must_be_in_layout():
+    model = model_preset("sostar8")
+    g = random_element(model, np.random.default_rng(6))
+    bad = g.g.copy()
+    bad[4:, :4] = 0.0  # the bottom blocks no longer mirror the top ones
+    with pytest.raises(ModelMismatch, match="layout"):
+        GroupElement(model, bad)
+    assert np.array_equal(GroupElement(model, g.g.copy()).g, g.g)
 
 
 def test_cartan_projection_of_levi_diagonal():
@@ -120,7 +146,7 @@ def test_tau_p_is_a_homomorphism_into_the_group():
         B /= np.sqrt(np.linalg.det(B))
         lhs = tau_p(A, model) @ tau_p(B, model)
         rhs = tau_p(A @ B, model)
-        assert (lhs.g - rhs.g).norm() < 1e-10
+        assert norm(lhs.g - rhs.g, model.tag) < 1e-10
         assert tau_p(A, model).form_defect() < 1e-12
 
 
@@ -137,7 +163,7 @@ def test_levi_block_detection():
     model = model_preset("sp4")
     g = tau_p(np.diag([2.0, 0.5]), model)
     assert in_levi_block_form(g)
-    assert np.allclose(levi_block(g).a, np.diag([2.0, 0.5]))
+    assert np.allclose(levi_block(g), np.diag([2.0, 0.5]))
     rng = np.random.default_rng(1)
     h = random_element(model, rng)
     # a generic element has off-diagonal blocks
@@ -149,4 +175,4 @@ def test_json_roundtrip():
     rng = np.random.default_rng(2)
     g = random_element(model, rng)
     h = GroupElement.from_json(g.to_json())
-    assert (g.g - h.g).norm() < 1e-14
+    assert norm(g.g - h.g, model.tag) < 1e-14

@@ -13,7 +13,8 @@ from causalflag.errors import (
     NotPairwiseTransverse,
 )
 from causalflag.groups import group_exp, model_preset, random_lie_element
-from causalflag.kmat import KMat
+from causalflag.causal import _random_hermitian
+from causalflag.kmat import KMat, norm
 from causalflag.linalg import signature
 from causalflag.maslov import (
     MARGIN_TOL,
@@ -43,7 +44,7 @@ def _reference_index(a, b, c):
     r = model.r
     X = chart_coordinates(act(standardize_pair(a, c), b))
     if model.is_lagrangian:
-        sig = signature(X)
+        sig = signature(X.embed(), X.tag)
         if sig.zero > 0:
             raise DegenerateSignature(f"signature {sig.as_tuple()} has a kernel")
         i = sig.pos
@@ -61,8 +62,7 @@ def _random_transverse_triple(model, rng, margin_floor=1e-6, max_tries=200):
         if model.is_lagrangian:
             pts = []
             for _k in range(3):
-                X = KMat.random(model.tag, model.rank, model.rank, rng)
-                pts.append(chart_point(model, 0.5 * (X + X.H)))
+                pts.append(chart_point(model, _random_hermitian(model, rng)))
         else:
             pts = [chart_point(model, rng.standard_normal(model.rank)) for _k in range(3)]
         m = min(
@@ -79,7 +79,7 @@ def _moved_triple(model, rng, scale=1.5):
     """A transverse chart triple moved off the standard chart by exp(scale * Z / |Z|)."""
     pts, _ = _random_transverse_triple(model, rng)
     Z = random_lie_element(model, rng)
-    g = group_exp(model, (scale / max(Z.norm(), 1e-300)) * Z)
+    g = group_exp(model, (scale / max(norm(Z, model.tag), 1e-300)) * Z)
     return [act(g, p) for p in pts]
 
 
@@ -92,7 +92,7 @@ def test_causal_chain_has_maximal_index(name):
     # three points in strict causal order realize the top orbit, idx = r
     model = model_preset(name)
     a = chart_point(model, -2.0 * KMat.eye(model.tag, 2))
-    b = chart_point(model, KMat.zeros(model.tag, 2))
+    b = chart_point(model, KMat(model.tag, np.zeros((2, 2))))
     c = chart_point(model, 2.0 * KMat.eye(model.tag, 2))
     t = maslov_index(a, b, c)
     assert t.idx == model.r
@@ -139,7 +139,7 @@ def test_base_pair_triple():
 
 def test_non_transverse_triple_rejected():
     model = model_preset("sp4")
-    a = chart_point(model, KMat.zeros("R", 2))
+    a = chart_point(model, KMat("R", np.zeros((2, 2))))
     c = chart_point(model, KMat.eye("R", 2))
     with pytest.raises(NotPairwiseTransverse):
         maslov_index(a, a, c)
@@ -178,7 +178,7 @@ def test_kernel_band_rejects_a_nearly_degenerate_form():
 def test_mixed_models_rejected():
     sp4, su22 = model_preset("sp4"), model_preset("su22")
     a = chart_point(sp4, -2.0 * KMat.eye("R", 2))
-    b = chart_point(su22, KMat.zeros("C", 2))
+    b = chart_point(su22, KMat("C", np.zeros((2, 2))))
     c = chart_point(sp4, 2.0 * KMat.eye("R", 2))
     for triple in ((a, b, c), (b, a, c), (a, c, b)):
         with pytest.raises(ModelMismatch):
@@ -267,7 +267,7 @@ def test_kernel_invariances(name, seed):
     for perm in ((B, C, A), (C, A, B), (A, C, B), (B, A, C), (C, B, A)):
         assert index(*perm) == idx[0]
     Z = random_lie_element(model, rng)
-    g = group_exp(model, (1.0 / max(Z.norm(), 1e-300)) * Z)
+    g = group_exp(model, (1.0 / max(norm(Z, model.tag), 1e-300)) * Z)
     assert index(*(act(g, p).ortho[None] for p in (a, b, c))) == idx[0]
 
 
@@ -322,3 +322,9 @@ def test_index_parity():
             continue
         assert (t.idx - t.rank) % 2 == 0
         assert 0 <= t.i <= t.rank // 2
+
+
+@pytest.mark.parametrize("trials", [0, -1])
+def test_invariance_report_needs_a_trial(trials):
+    with pytest.raises(ValueError, match="at least 1"):
+        maslov_invariance_report(model_preset("sp4"), trials, seed=0)

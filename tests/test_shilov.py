@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
-from causalflag.kmat import KMat
+from causalflag.kmat import KMat, norm, product
 from reference_points import (
     ReferencePoint,
     reference_act,
@@ -32,13 +32,14 @@ FAMILIES = LAGRANGIAN + ["so42"]
 
 def random_element(model, rng, scale=0.5):
     Z = random_lie_element(model, rng)
-    Z = (scale / max(Z.norm(), 1e-300)) * Z
+    Z = (scale / max(norm(Z, model.tag), 1e-300)) * Z
     return group_exp(model, Z)
 
 
 def random_hermitian(model, rng):
-    X = KMat.random(model.tag, model.rank, model.rank, rng)
-    return 0.5 * (X + X.H)
+    from causalflag.causal import _random_hermitian
+
+    return _random_hermitian(model, rng)
 
 
 def test_base_points_are_maximally_transverse():
@@ -57,7 +58,7 @@ def test_chart_roundtrip_lagrangian(name):
     for _ in range(20):
         X = random_hermitian(model, rng)
         Y = chart_coordinates(chart_point(model, X))
-        assert X.dist(Y) < 1e-10
+        assert norm((X - Y).embed(), model.tag) < 1e-10
 
 
 def test_chart_roundtrip_einstein():
@@ -104,14 +105,14 @@ def test_non_finite_vector_is_rejected():
 @pytest.mark.parametrize("name", LAGRANGIAN)
 @pytest.mark.parametrize("as_kmat", [True, False])
 def test_non_finite_frame_is_rejected(name, as_kmat):
-    # a KMat frame, or the raw array ShilovPoint wraps (p_minus has no j-part)
+    # a KMat frame, or the embedded array ShilovPoint holds
     model = model_preset(name)
     _, p_minus = base_points(model)
-    F = p_minus.frame.copy()
+    F = KMat.unembed(model.tag, p_minus.frame.copy())
     for bad in (np.inf, np.nan):
         F.a[3, 1] = bad
         with pytest.raises(NonFiniteInput):
-            ShilovPoint(model, F if as_kmat else F.a)
+            ShilovPoint(model, F if as_kmat else F.embed())
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -119,7 +120,8 @@ def test_degenerate_frames_are_rejected(name):
     # a zero frame is isotropic, so the rank (zero-vector) guard must catch it, alone and in a stack
     model = model_preset(name)
     message = "rank-deficient frame" if model.is_lagrangian else "zero vector"
-    zero = KMat.zeros(model.tag, 2 * model.rank, model.rank) if model.is_lagrangian else np.zeros(model.dim)
+    D = len(model.form())
+    zero = np.zeros((D, D // 2) if model.is_lagrangian else D)  # embedded frames, or the lift
     with pytest.raises(InvalidFrame, match=message):
         ShilovPoint(model, zero)
     G, _ = ball_stack(model, np.random.default_rng(5), 3)
@@ -136,7 +138,7 @@ def test_distance_is_representative_independent(name):
         X = random_hermitian(model, rng)
         p = chart_point(model, X)
         M = KMat.random(model.tag, model.rank, model.rank, rng) + 3.0 * KMat.eye(model.tag, model.rank)
-        q = ShilovPoint(model, p.frame @ M)
+        q = ShilovPoint(model, product(p.frame, M.embed(), model.tag))
     else:
         v = rng.standard_normal(4)
         p = chart_point(model, v)
@@ -213,8 +215,8 @@ def ball_stack(model, rng, count, scale=0.5):
     """Random elements as WordBall holds them: one C-ordered stack of the real matrix or
     the complex embedding, and the elements WordBall.element(i) wraps."""
     gs = [random_element(model, rng, scale) for _ in range(count)]
-    G = np.stack([g.g.a if model.tag == "R" else g.g.embed() for g in gs])
-    return G, [GroupElement(model, KMat.unembed(model.tag, M), _check=False) for M in G]
+    G = np.stack([g.g for g in gs])
+    return G, [GroupElement(model, M, _check=False) for M in G]
 
 
 @pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "sp8", "so32", "so42"])
@@ -230,7 +232,7 @@ def test_stacked_orbit_matches_per_element_act(name):
     for k, g in enumerate(gs):
         y = reference_act(g, x)
         assert np.array_equal(orthos[k], y.ortho)
-        assert np.array_equal(frames[k], y.frame.embed() if model.is_lagrangian else y.frame)
+        assert np.array_equal(frames[k], y.frame)
         assert np.array_equal(coords[k], _stack(model, [reference_chart_coordinates(y)])[0])
 
 
@@ -250,7 +252,7 @@ def test_point_paths_equal_the_references(name):
         if model.is_lagrangian:
             # a frame that is not orthonormal: a change of representative of x
             U = KMat.random(model.tag, model.rank, model.rank, rng) + 2.0 * KMat.eye(model.tag, model.rank)
-            frame = x.frame @ U
+            frame = product(x.frame, U.embed(), model.tag)
         else:
             frame = -2.5 * x.frame
         assert np.array_equal(ShilovPoint(model, frame).ortho, ReferencePoint(model, frame).ortho)
@@ -274,7 +276,7 @@ def test_stacked_orbit_guards(name):
     with pytest.raises(NonFiniteInput):
         act_stack(G, x)
     p_plus, p_minus = base_points(model)
-    frames = np.stack([p.frame.embed() if model.is_lagrangian else p.frame for p in (p_plus, p_minus)])
+    frames = np.stack([p.frame for p in (p_plus, p_minus)])
     with pytest.raises(NotInChart):
         chart_coordinates_stack(model, frames, np.stack([p_plus.ortho, p_minus.ortho]))
 
@@ -287,7 +289,7 @@ seeds = st.integers(0, 2**32 - 1)
 def coordinate_error(X, Y):
     """|X - Y| / max(1, |X|) for two chart coordinates."""
     if isinstance(X, KMat):
-        return X.dist(Y) / max(1.0, X.norm())
+        return norm((X - Y).embed(), X.tag) / max(1.0, norm(X.embed(), X.tag))
     return np.linalg.norm(X - Y) / max(1.0, np.linalg.norm(X))
 
 
@@ -302,7 +304,7 @@ def test_change_of_frame_representative(name, seed):
     if model.is_lagrangian:
         U = KMat.random(model.tag, model.rank, model.rank, rng)  # quaternionic on sostar8
         assume(np.linalg.cond(U.embed()) < 1e3)
-        y = ShilovPoint(model, x.frame @ U)
+        y = ShilovPoint(model, product(x.frame, U.embed(), model.tag))
     else:
         y = ShilovPoint(model, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * x.frame)
     assert np.linalg.norm(y.projector() - x.projector()) <= 1e-10
