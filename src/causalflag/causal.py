@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import EmptyInput, ModelMismatch, NonFiniteInput, NotTransverse, PointsNotInBothCharts
 from .groups import GroupElement, GroupModel
-from .kmat import KMat, adjoint, as_embedded, draw, embed_real, product
+from .kmat import KMat, adjoint, as_embedded, draw, embed_real, hermitian_draw, product
 from .linalg import check_hermitian, frobenius_norms, signature, signature_counts
 from .shilov import (
     ShilovPoint,
@@ -354,9 +354,8 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
 
 
 def _random_hermitian(model: GroupModel, rng) -> KMat:
-    """The Hermitian part (X + X^H) / 2 of a KMat.random draw X."""
-    E = KMat.random(model.tag, model.rank, model.rank, rng).embed()
-    return KMat.unembed(model.tag, 0.5 * (E + adjoint(E)))
+    """A random Hermitian chart coordinate: kmat.hermitian_draw on a stack of one."""
+    return KMat.unembed(model.tag, hermitian_draw(model.tag, (1, model.rank, model.rank), rng)[0])
 
 
 def _signature_coords(model: GroupModel, i: int, n: int, rng):

@@ -408,6 +408,9 @@ def _build_parser():
                 sp.add_argument(f"--{flag}", action="store_true")
             else:
                 sp.add_argument(f"--{flag}", type=kind, **extra)
+        # the flags a config file may set, by attribute name, with the JSON type each takes
+        kinds = {"seed": int, "out": str, **{f.replace("-", "_"): k for f, (k, _, _) in flags.items()}}
+        sp.set_defaults(_config_kinds=kinds)
         return sp
 
     add("sylvester-check", model=(str, None, True), i=(int, None, True), trials=(int, 10_000, False))
@@ -450,17 +453,29 @@ def _apply_config(args):
             for tk, tv in value.items():
                 if tk not in TOLERANCE_KEYS:
                     raise SystemExit(f"unknown tolerance key {tk!r}")
+                if not _is_kind(tv, float):
+                    raise SystemExit(f"tolerance {tk!r} takes a number, got {tv!r}")
                 tv = float(tv)
                 if not 1e-14 <= tv <= 1e-3:
                     raise SystemExit(f"tolerance {tk!r} = {tv} outside [1e-14, 1e-3]")
                 tol[tk] = tv
             continue
         attr = key.replace("-", "_")
-        if not hasattr(args, attr):
-            raise SystemExit(f"unknown config key {key!r}")
+        kind = args._config_kinds.get(attr)
+        if kind is None:
+            raise SystemExit(f"unknown config key {key!r} for {args.command}")
+        if not _is_kind(value, kind):
+            raise SystemExit(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
         if attr not in args._explicit:
-            setattr(args, attr, value)
+            setattr(args, attr, float(value) if kind is float else value)
     return tol
+
+
+def _is_kind(value, kind):
+    """Whether a JSON value has a flag's type: a float flag takes any number, a bool is no number."""
+    if kind is bool or isinstance(value, bool):
+        return kind is bool and isinstance(value, bool)
+    return isinstance(value, (int, float) if kind is float else kind)
 
 
 def main(argv=None) -> int:

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, UnknownPreset
+from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, Singular, UnknownPreset
 from .kmat import KMat, _chi, _parts, adjoint, draw, embed_real, in_layout, norm, product
-from .linalg import eig_moduli, frobenius_norms, singular_values
+from .linalg import eig_moduli, frobenius_norms
 from .scalars import COMPLEX, QUATERNION, REAL
 
 SP = "SP"
@@ -30,6 +30,7 @@ SO_N2 = "SO_N2"
 FORM_TOL = 1e-8
 LEVI_TOL = 1e-8  # off-diagonal block norm allowed in Levi block form, relative to the element
 LYAPUNOV_K_MAX = 64  # largest power k of the mu(g^k)/k cross-check
+SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the largest
 
 _FAMILY_TAG = {SP: REAL, SU: COMPLEX, SOSTAR: QUATERNION, SO_N2: REAL}
 
@@ -177,19 +178,27 @@ def form_defect(model: GroupModel, g) -> float:
 # ---------------------------------------------------------------- projections
 
 
-def cartan_projection(elem: GroupElement) -> np.ndarray:
-    """Log singular values in the dominant chamber.
+def cartan_projections(model: GroupModel, E) -> np.ndarray:
+    """Log singular values in the dominant chamber, one row per element of an embedded stack (N, d, d).
 
-    Singular values of these models come in pairs (s, 1/s); the vector of
-    the top-half logarithms is weakly decreasing and nonnegative.
+    Singular values of these models come in pairs (s, 1/s); each row holds
+    the top-half logarithms (r of them, 2 on SO(n, 2)), weakly decreasing
+    and nonnegative.  One stacked SVD serves the stack; quaternionic
+    duplicates are dropped.  Raises Singular for the first element whose
+    smallest singular value is not above SINGULAR_FLOOR times its largest.
     """
-    s = singular_values(elem.g, elem.model.tag)
-    if elem.model.is_lagrangian:
-        eps = np.log(s[: elem.model.rank])
-    else:
-        # (n+2) singular values: (s1, s2, 1, ..., 1, 1/s2, 1/s1)
-        eps = np.log(s[:2])
-    return np.maximum(eps, 0.0)
+    s = np.linalg.svd(E, compute_uv=False)
+    if model.tag == QUATERNION:
+        s = s[:, ::2]
+    bad = np.flatnonzero(s[:, -1] <= SINGULAR_FLOOR * s[:, 0])
+    if len(bad):
+        raise Singular(f"minimal singular value {s[bad[0], -1]:.3e} below floor")
+    return np.maximum(np.log(s[:, : model.r]), 0.0)
+
+
+def cartan_projection(elem: GroupElement) -> np.ndarray:
+    """The Cartan projection of one element: cartan_projections on a stack of one."""
+    return cartan_projections(elem.model, elem.g[None])[0]
 
 
 def lyapunov_projection(elem: GroupElement, cross_check: bool = False) -> np.ndarray:
@@ -201,11 +210,7 @@ def lyapunov_projection(elem: GroupElement, cross_check: bool = False) -> np.nda
     mods = eig_moduli(elem.g, elem.model.tag)
     if np.any(mods < 1e-300):
         raise NonConvergence("eigenvalue modulus underflow")
-    if elem.model.is_lagrangian:
-        lam = np.log(mods[: elem.model.rank])
-    else:
-        lam = np.log(mods[:2])
-    lam = np.maximum(lam, 0.0)
+    lam = np.maximum(np.log(mods[: elem.model.r]), 0.0)
     if cross_check:
         power = elem
         k = 1
@@ -294,21 +299,28 @@ def random_lie_element(model: GroupModel, rng) -> np.ndarray:
     return lie_projection(model, draw(model.tag, (model.dim, model.dim), rng))
 
 
-def group_exp(model: GroupModel, Z) -> GroupElement:
-    """exp of an embedded Lie algebra element, via scaling-and-squaring.
+def exp_stack(model: GroupModel, Z) -> np.ndarray:
+    """exp of a stack (N, d, d) of embedded Lie algebra elements, via scaling-and-squaring.
 
     expm runs in complex arithmetic on every family, which fixes the bits
     of seeded deformations (the real part is taken on the real families);
-    over H its result is laid out again from its top blocks.
+    over H its result is laid out again from its top blocks.  scipy's expm
+    runs each matrix of a stack on its own, so an element's bits do not
+    depend on the stack it comes in.
     """
     import scipy.linalg  # imported here so that importing causalflag does not load scipy
 
     E = scipy.linalg.expm(Z.astype(complex, copy=False))
     if model.tag == REAL:
-        E = E.real
-    elif model.tag == QUATERNION:
-        E = _chi(*_parts(E))
-    return GroupElement(model, E)
+        return E.real
+    if model.tag == QUATERNION:
+        return _chi(*_parts(E))
+    return E
+
+
+def group_exp(model: GroupModel, Z) -> GroupElement:
+    """exp of one embedded Lie algebra element as a checked group element: exp_stack on a stack of one."""
+    return GroupElement(model, exp_stack(model, Z[None])[0])
 
 
 def random_lie_perturbation(elem: GroupElement, eps: float, seed) -> GroupElement:

@@ -108,6 +108,12 @@ def draw(tag, shape, rng):
     return _chi(a, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
 
 
+def hermitian_draw(tag, shape, rng):
+    """The Hermitian parts (X + X^H) / 2 of a draw X of square field shape (..., r, r), in chi layout over H."""
+    E = draw(tag, shape, rng)
+    return 0.5 * (E + adjoint(E))
+
+
 def as_embedded(tag, X):
     """The embedded array of a KMat (promoted to tag), or an array taken as already embedded.
 

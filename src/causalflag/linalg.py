@@ -1,4 +1,4 @@
-"""Spectral routines at small fixed sizes: eigenvalues, signatures, singular values.
+"""Spectral routines at small fixed sizes: eigenvalues, signatures, eigenvalue moduli.
 
 All decompositions run through numpy's LAPACK wrappers on embedded
 arrays (see kmat; real for the real families), which is deterministic
@@ -13,11 +13,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NonFiniteInput, NotHermitian, Singular
+from .errors import NonFiniteInput, NotHermitian
 from .scalars import QUATERNION
 
 HERMITIAN_TOL = 1e-8
-SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the largest
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,19 @@ def _flat_norms(X):
 def check_hermitian(E, tag):
     """Hermitian parts and norms of a stack (..., d, d) of embedded matrices.
 
-    Raises NotHermitian where the defect |X - X^H| exceeds HERMITIAN_TOL * max(1, |X|);
-    NaN and inf fail the guard.  Raises NonFiniteInput where a norm overflows,
-    which covers every Hermitian part that would.
+    Raises NonFiniteInput for a NaN or inf entry and, without a floating
+    point warning, where a norm overflows, which covers every Hermitian
+    part that would; then NotHermitian where the defect |X - X^H| exceeds
+    HERMITIAN_TOL * max(1, |X|).
     """
+    if not np.isfinite(E).all():
+        raise NonFiniteInput("a matrix has a non-finite entry")
     EH = np.conj(np.swapaxes(E, -1, -2))
-    norms = frobenius_norms(E, tag)
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = frobenius_norms(E, tag)
+    # a finite norm (squares summed unscaled) bounds every entry by 1.4e154: the Hermitian part is finite
+    if not np.isfinite(norms).all():
+        raise NonFiniteInput("a matrix norm overflows")
     defect = frobenius_norms(E - EH, tag)
     scale = np.maximum(1.0, norms)
     bad = ~(defect <= HERMITIAN_TOL * scale)
@@ -75,9 +81,6 @@ def check_hermitian(E, tag):
         k = np.flatnonzero(bad)[0]
         raise NotHermitian(f"Hermitian defect {defect.flat[k]:.3e} exceeds "
                            f"{HERMITIAN_TOL:.1e} * {scale.flat[k]:.3e}")
-    # a finite norm (squares summed unscaled) bounds every entry by 1.4e154: the Hermitian part is finite
-    if not np.isfinite(norms).all():
-        raise NonFiniteInput("a matrix norm overflows")
     return 0.5 * (E + EH), norms
 
 
@@ -113,23 +116,15 @@ def signature(E, tag) -> Signature:
     return Signature(int(pos[0]), int(neg[0]), dim - int(pos[0]) - int(neg[0]))
 
 
-def singular_values(E, tag):
-    """Descending singular values of an embedded square matrix; quaternionic duplicates dropped."""
-    if E.shape[-1] != E.shape[-2]:
-        raise Singular("singular values of non-square input are not needed here")
-    s = np.linalg.svd(E, compute_uv=False)
-    if tag == QUATERNION:
-        s = s[::2]
-    if s[-1] <= SINGULAR_FLOOR * s[0]:
-        raise Singular(f"minimal singular value {s[-1]:.3e} below floor")
-    return s.copy()
-
-
 def eig_moduli(E, tag):
-    """Moduli of the eigenvalues of an embedded matrix, descending; quaternionic duplicates dropped."""
-    vals = np.sort(np.abs(np.linalg.eigvals(E)))[::-1]
+    """Moduli of the eigenvalues of an embedded matrix, or of each of a stack (..., d, d), descending.
+
+    Each modulus of a quaternionic matrix appears twice in its embedding
+    and the duplicates are dropped.
+    """
+    vals = np.sort(np.abs(np.linalg.eigvals(E)), axis=-1)[..., ::-1]
     if tag == QUATERNION:
-        vals = vals[::2]
+        vals = vals[..., ::2]
     return vals
 
 

@@ -22,8 +22,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateSignature, ModelMismatch, NotPairwiseTransverse
-from .groups import GroupModel
-from .kmat import _chi, adjoint
+from .groups import GroupModel, exp_stack, lie_projection
+from .kmat import adjoint, draw, hermitian_draw, product
+from .linalg import frobenius_norms
 from .scalars import QUATERNION
 from .shilov import ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
 
@@ -89,24 +90,10 @@ def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
     return TripleType((r - idx) // 2, idx, r)
 
 
-def _batch_hermitian(model: GroupModel, n, rng):
-    """Stack of embedded random Hermitian chart coordinates."""
-    r = model.rank
-    if model.tag == "R":
-        G = rng.standard_normal((n, r, r))
-        return 0.5 * (G + np.swapaxes(G, 1, 2))
-    if model.tag == "C":
-        G = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-        return 0.5 * (G + adjoint(G))
-    A = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    B = rng.standard_normal((n, r, r)) + 1j * rng.standard_normal((n, r, r))
-    return _chi(0.5 * (A + adjoint(A)), 0.5 * (B - np.swapaxes(B, 1, 2)))
-
-
 def _chart_frames(model: GroupModel, n, rng):
     """Frames of n random chart points; on SO(n, 2), their lifts as (n+2) x 1 columns."""
     if model.is_lagrangian:
-        return _graph_frames(model, _batch_hermitian(model, n, rng))
+        return _graph_frames(model, hermitian_draw(model.tag, (n, model.rank, model.rank), rng))
     return _socharts_lift(model, rng.standard_normal((n, model.rank)))[..., None]
 
 
@@ -118,39 +105,18 @@ def _orthonormal(model: GroupModel, F):
     return v / np.linalg.norm(v, axis=-1, keepdims=True)
 
 
-def _batch_group(model: GroupModel, n, rng, J):
-    """Stack of embedded group elements exp(Z) with |Z| about one half."""
-    import scipy.linalg
-
-    d = J.shape[0]
-    if model.tag == "R":
-        Z = rng.standard_normal((n, d, d))
-    elif model.tag == "C":
-        Z = rng.standard_normal((n, d, d)) + 1j * rng.standard_normal((n, d, d))
-    else:
-        h = d // 2
-        A = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
-        B = rng.standard_normal((n, h, h)) + 1j * rng.standard_normal((n, h, h))
-        Z = _chi(A, B)
-    Z = 0.5 * (Z - adjoint(J) @ adjoint(Z) @ J)  # Lie algebra projection, J^{-1} = J^H for J and b
-    mult = np.sqrt(2.0) if model.tag == "H" else 1.0
-    norms = np.linalg.norm(Z, axis=(1, 2)) / mult
-    Z = Z * (0.5 / np.maximum(norms, 1e-300))[:, None, None]
-    return scipy.linalg.expm(Z)
-
-
 def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     """G-invariance and swap symmetry of the index on random triples.
 
     Each chunk of trials draws three stacks of chart points and a stack of
-    group elements exp(Z), then runs the kernel on the base, moved and
-    swapped triples.  Trials whose margins or eigenvalues fall inside the
+    group elements exp(Z), Z the Lie algebra projection of a standard
+    normal draw scaled to norm 0.5, then runs the kernel on the base, moved
+    and swapped triples.  Trials whose margins or eigenvalues fall inside the
     guard bands, or whose base margin is not above 1e-6, are counted as
     skipped, never as passes.
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
-    J = model.form()
     rng = np.random.default_rng(seed)
     violations = 0
     skipped = 0
@@ -158,10 +124,12 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
         F = [_chart_frames(model, n, rng) for _ in range(3)]
-        g = _batch_group(model, n, rng, J)
+        Z = lie_projection(model, draw(model.tag, (n, model.dim, model.dim), rng))
+        g = exp_stack(model, Z * (0.5 / np.maximum(frobenius_norms(Z, model.tag), 1e-300))[:, None, None])
         A, B, C = (_orthonormal(model, Fk) for Fk in F)
         base_idx, base_margin, base_ok = maslov_indices(model, A, B, C)
-        moved_idx, _, moved_ok = maslov_indices(model, *(_orthonormal(model, g @ Fk) for Fk in F))
+        moved = (_orthonormal(model, product(g, Fk, model.tag)) for Fk in F)
+        moved_idx, _, moved_ok = maslov_indices(model, *moved)
         swap_idx, _, swap_ok = maslov_indices(model, A, C, B)
         valid = base_ok & moved_ok & swap_ok & (base_margin > 1e-6)
         bad = valid & ((moved_idx != base_idx) | (swap_idx != base_idx))

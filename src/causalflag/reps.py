@@ -26,6 +26,7 @@ from .groups import (
     GroupElement,
     GroupModel,
     _levi_index,
+    cartan_projections,
     in_levi_block_form,
     model_preset,
     random_lie_perturbation,
@@ -33,7 +34,7 @@ from .groups import (
 )
 from .kmat import KMat, _chi, norm, product
 from .scalars import QUATERNION, REAL
-from .linalg import _flat_norms
+from .linalg import _flat_norms, eig_moduli
 from .shilov import (
     ShilovPoint,
     _guard,
@@ -49,6 +50,7 @@ from .shilov import (
 
 GAP_FLOOR = 1e-3
 BALL_CAP = 10**7
+DEDUP_TOL = 1e-9  # rounding-bucket width of the pipelines' word balls for reps with a relator
 ATTRACT_TOL = 1e-12  # projector move that ends a word's power iteration
 ATTRACT_MAX_ITER = 10_000  # power-iteration steps allowed per word
 ATTRACT_RESIDUAL = 1e-8  # largest invariance residual of an attracting point
@@ -379,15 +381,9 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
 # ------------------------------------------------------------------ gap report
 
 
-def _batched_alpha(model: GroupModel, stack) -> np.ndarray:
-    """alpha_r of the Cartan projection for a stack of embedded elements."""
-    s = np.linalg.svd(stack, compute_uv=False)
-    if model.is_lagrangian:
-        mult = 2 if model.tag == QUATERNION else 1
-        eps_r = np.log(s[:, (model.rank - 1) * mult])
-    else:
-        eps_r = np.log(s[:, 1])
-    return 2.0 * np.maximum(eps_r, 0.0)
+def _pipeline_ball(rep: Representation, max_len: int, cap=BALL_CAP) -> WordBall:
+    """The ball every pipeline enumerates: deduplicated at DEDUP_TOL when rep has a relator."""
+    return enumerate_ball(rep, max_len, dedup_tol=DEDUP_TOL if rep.relator else None, cap=cap)
 
 
 def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
@@ -397,8 +393,8 @@ def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
     the per-length minima exceeds 0.05 and no word past the identity has
     a vanishing gap.
     """
-    ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None, cap=cap)
-    alphas = _batched_alpha(rep.model, ball.stack)
+    ball = _pipeline_ball(rep, max_len, cap=cap)
+    alphas = 2.0 * cartan_projections(rep.model, ball.stack)[:, -1]
     lengths = ball.lengths
     per_length_min = {}
     for L in range(1, max_len + 1):
@@ -443,11 +439,8 @@ def _attracting_frames(model: GroupModel, E, seed):
     """
     N, d = len(E), E.shape[-1]
     reason = np.full(N, -1)
-    mods = np.sort(np.abs(np.linalg.eigvals(E)), axis=-1)[:, ::-1]
-    if model.tag == QUATERNION:
-        mods = mods[:, ::2]
-    boundary = model.rank if model.is_lagrangian else 2
-    alpha = 2.0 * np.maximum(np.log(mods[:, boundary - 1]), 0.0)
+    mods = eig_moduli(E, model.tag)
+    alpha = 2.0 * np.maximum(np.log(mods[:, model.r - 1]), 0.0)
     reason[~(alpha > GAP_FLOOR)] = _NO_GAP
     reason[np.any(mods < 1e-300, axis=1)] = _UNDERFLOW
     ncols = model.rank * (2 if model.tag == QUATERNION else 1) if model.is_lagrangian else 1
@@ -552,8 +545,7 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     add up to the words drawn.
     """
     model = rep.model
-    dedup_tol = 1e-9 if rep.relator else None
-    ball = enumerate_ball(rep, max_len, dedup_tol=dedup_tol)
+    ball = _pipeline_ball(rep, max_len)
     lengths = ball.lengths
     rng = np.random.default_rng(seed)
     chosen = []
@@ -647,7 +639,7 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     second.
     """
     model = rep.model
-    ball = enumerate_ball(rep, CERT_ORBIT_LEN, dedup_tol=1e-9 if rep.relator else None)
+    ball = _pipeline_ball(rep, CERT_ORBIT_LEN)
     center = domain_center(model)
     _, orbit = act_stack(ball.stack, center)
     targets = np.concatenate([center.ortho[None], orbit] + [pt.ortho[None] for pt in sample.points])
@@ -698,7 +690,7 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     frames = np.stack([bp.frame for bp in base_pts])
     orthos = np.stack([bp.ortho for bp in base_pts])
     if max_len >= 1:
-        ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
+        ball = _pipeline_ball(rep, max_len)
         # word-major: the images of every base point under word i, then under word i + 1
         F, Q = zip(*(act_stack(ball.stack, bp) for bp in base_pts))
         frames = np.concatenate([frames, np.stack(F, axis=1).reshape(-1, *frames.shape[1:])])
@@ -760,7 +752,7 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
     for name in rep.gen_names:
         if not in_levi_block_form(rep.gens[name]):
             raise NotInLevi(f"generator {name!r} is not block-diagonal")
-    ball = enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
+    ball = _pipeline_ball(rep, max_len)
     half = model.rank // 2
     mult = 2 if model.tag == QUATERNION else 1
     idx = _levi_index(model)  # the Levi block's embedded rows and columns

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.causal import (
     ChartedChart,
@@ -22,7 +23,7 @@ from causalflag.causal import (
 )
 from causalflag.errors import EmptyInput, NonFiniteInput, NotTransverse
 from causalflag.groups import model_preset
-from causalflag.kmat import KMat, norm
+from causalflag.kmat import KMat, adjoint, draw, hermitian_draw, norm, product
 from causalflag.linalg import signature
 from causalflag.reps import domain_center, dual_center
 from causalflag.shilov import chart_point
@@ -321,21 +322,24 @@ def test_coordinate_samplers_reject_so_n2(name):
 @pytest.mark.parametrize("name", LAGRANGIAN + ["sp8"])
 def test_coordinate_samplers_are_batches_of_one(name):
     # one draw of the stacked samplers consumes the generator as the per-trial formulas did
-    from causalflag.kmat import adjoint, product
+    from causalflag.causal import _random_hermitian
 
     model, tag, r = model_preset(name), model_preset(name).tag, model_preset(name).rank
     for seed in range(5):
         rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
         X = random_signature_coord(model, 1, rng)
         Y = random_positive_coord(model, rng)
+        W = _random_hermitian(model, rng)
         while True:
             M = KMat.random(tag, r, r, ref).embed()
             if np.linalg.cond(M) < 1e4:
                 break
         D = KMat(tag, np.diag([1.0] + [-1.0] * (r - 1))).embed()
         N = KMat.random(tag, r, r, ref).embed()
+        H = KMat.random(tag, r, r, ref).embed()
         assert np.array_equal(X.embed(), product(product(adjoint(M), D, tag), M, tag))
         assert np.array_equal(Y.embed(), product(adjoint(N), N, tag) + 0.1 * np.eye(len(N)))
+        assert np.array_equal(W.embed(), 0.5 * (H + adjoint(H)))
         assert rng.random() == ref.random()
 
 
@@ -371,3 +375,114 @@ def test_signature_band_is_relative():
     assert signature(Y, "R").as_tuple() == (2, 1, 0)
     pos, neg = signature_counts(np.stack([X, Y, -X]), "R")
     assert pos.tolist() == [1, 2, 1] and neg.tolist() == [1, 1, 1]
+
+
+# ------------------------------------- property tests of the relations (derandomized hypothesis)
+
+PROPERTY = settings(derandomize=True, max_examples=40, deadline=None)
+PROPERTY_MODELS = LAGRANGIAN + ["so42"]
+seeds = st.integers(0, 2**32 - 1)
+# a generic pair, an equal pair, and a pair whose difference is a nonzero null coordinate
+kinds = st.sampled_from(["generic", "equal", "lightlike"])
+SWAPPED = {FutureRelation.STRICT_FUTURE: FutureRelation.STRICT_PAST,
+           FutureRelation.STRICT_PAST: FutureRelation.STRICT_FUTURE}
+EXPECTED = {"equal": FutureRelation.EQUAL, "lightlike": FutureRelation.LIGHTCONE}
+
+
+def random_coord(model, rng):
+    """A chart coordinate: a Hermitian embedded array, or a Minkowski vector on SO(n, 2)."""
+    if model.is_lagrangian:
+        return hermitian_draw(model.tag, (model.rank, model.rank), rng)
+    return rng.standard_normal(model.rank)
+
+
+def random_pair(model, rng, kind):
+    X = random_coord(model, rng)
+    if kind == "generic":
+        return X, random_coord(model, rng)
+    if kind == "equal":
+        return X, X.copy()
+    sign = rng.choice([-1.0, 1.0])
+    if model.is_lagrangian:  # plus or minus v v^H: semidefinite of rank one
+        v = draw(model.tag, (model.rank, 1), rng)
+        return X, X + sign * product(v, adjoint(v), model.tag)
+    u = rng.standard_normal(model.rank - 1)
+    return X, X + sign * np.append(u, np.linalg.norm(u))
+
+
+def decisive(model, X, Y):
+    """Whether every quantity that decides the relation of Y to X is within a tenth of its band or beyond ten bands.
+
+    A draw that is not is rejected, never counted as a pass.
+    """
+    D = Y - X
+    if model.is_lagrangian:
+        lam = np.linalg.eigvalsh(0.5 * (D + adjoint(D)))
+        band = 1e-9 * max(1.0, float(np.max(np.abs(lam))))
+        deciding = list(lam) + [norm(D, model.tag)]
+    else:
+        size = float(np.linalg.norm(D))
+        band = 1e-9 * max(1.0, size)
+        space = np.linalg.norm(D[:-1])
+        psi = D[:-1] @ D[:-1] - D[-1] ** 2
+        deciding = [D[-1] - space, -D[-1] - space, size, psi / (2.0 * max(1.0, size))]
+    return all(abs(q) >= 10.0 * band or abs(q) <= 0.1 * band for q in deciding)
+
+
+def lorentz_map(n, rng):
+    """A random time-orientation preserving Lorentz map of R^(n-1,1): a boost after a spatial rotation."""
+    L = np.eye(n)
+    L[:-1, :-1] = np.linalg.qr(rng.standard_normal((n - 1, n - 1)))[0]
+    phi = rng.uniform(-1.5, 1.5)
+    B = np.eye(n)
+    B[0, 0] = B[-1, -1] = np.cosh(phi)
+    B[0, -1] = B[-1, 0] = np.sinh(phi)
+    return B @ L
+
+
+def relation(model, X, Y, kind):
+    rel = future_membership(model, X, Y)
+    assert rel == EXPECTED.get(kind, rel)
+    return rel
+
+
+@pytest.mark.parametrize("name", PROPERTY_MODELS)
+@PROPERTY
+@given(seed=seeds, kind=kinds)
+def test_relations_are_translation_invariant(name, seed, kind):
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    X, Y = random_pair(model, rng, kind)
+    T = 3.0 * random_coord(model, rng)
+    assume(decisive(model, X, Y) and decisive(model, X + T, Y + T))
+    assert relation(model, X + T, Y + T, kind) == relation(model, X, Y, kind)
+
+
+@pytest.mark.parametrize("name", PROPERTY_MODELS)
+@PROPERTY
+@given(seed=seeds, kind=kinds)
+def test_relations_are_congruence_invariant(name, seed, kind):
+    # X -> M^H X M for an invertible M; a Lorentz map of the chart on SO(n, 2)
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    X, Y = random_pair(model, rng, kind)
+    if model.is_lagrangian:
+        M = draw(model.tag, (model.rank, model.rank), rng)  # quaternionic on sostar8
+        assume(np.linalg.cond(M) < 1e3)
+        move = lambda W: product(product(adjoint(M), W, model.tag), M, model.tag)
+    else:
+        L = lorentz_map(model.rank, rng)
+        move = lambda W: L @ W
+    assume(decisive(model, X, Y) and decisive(model, move(X), move(Y)))
+    assert relation(model, move(X), move(Y), kind) == relation(model, X, Y, kind)
+
+
+@pytest.mark.parametrize("name", PROPERTY_MODELS)
+@PROPERTY
+@given(seed=seeds, kind=kinds)
+def test_swap_exchanges_future_and_past(name, seed, kind):
+    model = model_preset(name)
+    X, Y = random_pair(model, np.random.default_rng(seed), kind)
+    assume(decisive(model, X, Y) and decisive(model, Y, X))
+    rel = relation(model, X, Y, kind)
+    assert relation(model, Y, X, kind) == SWAPPED.get(rel, rel)

@@ -207,6 +207,35 @@ def test_config_rejections(tmp_path):
     assert r2.returncode == 1
 
 
+@pytest.mark.parametrize("command,config,key", [
+    (["sylvester-check", "--model", "sp4", "--i", "0"], {"trials": "100"}, "trials"),
+    (["sylvester-check", "--model", "sp4", "--i", "0"], {"seed": "abc"}, "seed"),
+    (["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "3"], {"csv": "no"}, "csv"),
+    (["sylvester-check", "--model", "sp4", "--i", "0"], {"command": "hilbert"}, "command"),
+])
+def test_config_values_must_be_the_commands_flags(tmp_path, capsys, command, config, key):
+    # a value of another type, or a key that is not one of the subcommand's flags, exits 1 and names the key
+    from causalflag import cli
+
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(config))
+    assert cli.main(command + ["--out", str(tmp_path / "rep"), "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err and captured.out == ""
+    assert not (tmp_path / "rep").exists()
+
+
+@pytest.mark.parametrize("entry", [float("nan"), 1e300])
+def test_non_finite_chart_coordinate_exits_2(tmp_path, entry):
+    # NaN, and a finite coordinate whose norm overflows, are named without a floating point warning
+    triple = tmp_path / "triple.json"
+    triple.write_text(json.dumps([[[entry, 0.0], [0.0, 1.0]], [[0.0, 0.0], [0.0, 0.0]], [[2.0, 0.0], [0.0, 2.0]]]))
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "causalflag.cli", "maslov", "--model", "sp4",
+                        "--triple", str(triple)], capture_output=True, text=True)
+    assert r.returncode == 2 and r.stderr == ""
+    assert json.loads(r.stdout)["error"] == "NonFiniteInput"
+
+
 @pytest.mark.parametrize("key", ["dedup_tol", "band"])
 def test_unread_tolerance_keys_are_rejected(tmp_path, key):
     cfg = tmp_path / "cfg.json"

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from causalflag.errors import ModelMismatch, NotUnimodular, OddRank, UnknownPreset
+from causalflag.errors import ModelMismatch, NotUnimodular, OddRank, Singular, UnknownPreset
 from causalflag.groups import (
     SO_N2,
     SP,
@@ -12,6 +12,8 @@ from causalflag.groups import (
     GroupModel,
     alpha_r,
     cartan_projection,
+    cartan_projections,
+    exp_stack,
     form_defect,
     group_exp,
     in_levi_block_form,
@@ -21,7 +23,8 @@ from causalflag.groups import (
     random_lie_element,
     tau_p,
 )
-from causalflag.kmat import KMat, norm, product
+from causalflag.kmat import KMat, _chi, _parts, norm, product
+from causalflag.linalg import eig_moduli
 
 FAMILIES = ["sp4", "su22", "sostar8", "so42"]
 
@@ -125,6 +128,38 @@ def test_lyapunov_matches_cartan_on_diagonalizable():
     g = tau_p(np.diag([3.0, 1.0 / 3.0]), model)
     lam = lyapunov_projection(g, cross_check=True)
     assert np.allclose(lam, cartan_projection(g), atol=1e-10)
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_stacked_kernels_equal_per_element_references(name):
+    # exp_stack, cartan_projections and eig_moduli on a stack against one numpy or scipy call per element
+    import scipy.linalg
+
+    model = model_preset(name)
+    rng = np.random.default_rng(12)
+    Z = np.stack([2.0 * random_lie_element(model, rng) for _ in range(6)])
+    G = exp_stack(model, Z)
+    mu = cartan_projections(model, G)
+    mods = eig_moduli(G, model.tag)
+    mult = 2 if model.tag == "H" else 1
+    assert mu.shape == (6, model.r)
+    for k in range(len(Z)):
+        E = scipy.linalg.expm(Z[k].astype(complex))
+        E = E.real if model.tag == "R" else _chi(*_parts(E)) if model.tag == "H" else E
+        assert np.array_equal(G[k], E)
+        assert np.array_equal(group_exp(model, Z[k]).g, E)
+        s = np.linalg.svd(E, compute_uv=False)[::mult]
+        assert np.array_equal(mu[k], np.maximum(np.log(s[: model.r]), 0.0))
+        assert np.array_equal(cartan_projection(GroupElement(model, E)), mu[k])
+        assert np.array_equal(mods[k], np.sort(np.abs(np.linalg.eigvals(E)))[::-1][::mult])
+
+
+def test_cartan_projections_raise_for_the_first_singular_element():
+    model = model_preset("sp4")
+    G = np.stack([np.eye(4), np.diag([1e7, 1.0, 1e-7, 1.0]), np.diag([1e8, 1.0, 1e-8, 1.0])])
+    assert cartan_projections(model, G[:1]).tolist() == [[0.0, 0.0]]
+    with pytest.raises(Singular, match="1.000e-07"):
+        cartan_projections(model, G)
 
 
 @pytest.mark.parametrize("name", FAMILIES)

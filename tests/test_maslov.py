@@ -14,7 +14,7 @@ from causalflag.errors import (
 )
 from causalflag.groups import group_exp, model_preset, random_lie_element
 from causalflag.causal import _random_hermitian
-from causalflag.kmat import KMat, norm
+from causalflag.kmat import KMat, in_layout, norm
 from causalflag.linalg import signature
 from causalflag.maslov import (
     MARGIN_TOL,
@@ -308,6 +308,29 @@ def test_invariance_report_small(name):
     assert rep["violations"] == 0
     assert rep["skipped"] < 50
     assert rep["min_margin"] is None or rep["min_margin"] > 1e-9
+
+
+def test_invariance_sampler_stays_in_the_quaternionic_layout(monkeypatch):
+    # the sampled elements and the moved frames g F are chi arrays: every product goes through kmat.product
+    import causalflag.maslov as maslov_module
+
+    exp_stack, orthonormal = maslov_module.exp_stack, maslov_module._orthonormal
+    elements, frames = [], []
+
+    def record_exp(model, Z):
+        elements.append(exp_stack(model, Z))
+        return elements[-1]
+
+    def record_frames(model, F):
+        frames.append(F)
+        return orthonormal(model, F)
+
+    monkeypatch.setattr(maslov_module, "exp_stack", record_exp)
+    monkeypatch.setattr(maslov_module, "_orthonormal", record_frames)
+    maslov_invariance_report(model_preset("sostar8"), 300, seed=3)
+    assert len(elements) == 1 and len(frames) == 6  # base frames, then the moved ones
+    assert in_layout(elements[0])
+    assert all(in_layout(F) for F in frames)
 
 
 def test_index_parity():

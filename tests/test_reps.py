@@ -15,10 +15,8 @@ from causalflag.errors import (
 from causalflag import reps
 from causalflag.groups import (
     GroupElement,
-    alpha_r,
     group_exp,
     levi_block,
-    lyapunov_projection,
     model_preset,
     random_lie_element,
     tau_p,
@@ -128,9 +126,7 @@ ALL_PRESETS = ["f2-fuchsian-sl2", "tau0-sp4-f2", "tau0-su22-f2",
                "tau0-sostar8-f2", "genus2-sl2", "tau0-sp4-genus2"]
 
 
-def library_ball(rep, max_len):
-    """The ball with the dedup tolerance the library's pipelines use."""
-    return enumerate_ball(rep, max_len, dedup_tol=1e-9 if rep.relator else None)
+library_ball = reps._pipeline_ball  # the ball the library's pipelines enumerate
 
 
 def reference_ball(rep, max_len, tol):
@@ -259,11 +255,14 @@ def test_gap_reports_equal_per_element_references(pid, max_len):
 def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
     """Per-word power iteration: (attracting point, invariance residual) of one element.
 
-    One QR, projector and norm per step, with the gap test of
-    lyapunov_projection; the stacked iteration must match it bit for bit.
+    One QR, projector and norm per step, after the gap test on this
+    element's own eigenvalue moduli; the stacked iteration must match it
+    bit for bit.
     """
     model = g.model
-    if alpha_r(lyapunov_projection(g)) <= GAP_FLOOR:
+    mods = np.sort(np.abs(np.linalg.eigvals(g.g)))[::-1][:: 2 if model.tag == "H" else 1]
+    boundary = model.rank if model.is_lagrangian else 2
+    if 2.0 * max(np.log(mods[boundary - 1]), 0.0) <= GAP_FLOOR:
         raise NoGap("no eigenvalue-modulus gap at the boundary rank")
     E = g.g * (1.0 / np.max(np.abs(g.g)))
     if model.is_lagrangian:

@@ -78,6 +78,25 @@ def test_chart_point_rejects_nonhermitian():
         chart_point(model, KMat("R", np.array([[0.0, 1.0], [0.0, 0.0]])))
 
 
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8"])
+def test_chart_point_names_a_non_finite_coordinate(name):
+    model = model_preset(name)
+    with pytest.raises(NonFiniteInput, match="non-finite"):
+        chart_point(model, KMat(model.tag, np.array([[np.nan, 0.0], [0.0, 1.0]])))
+
+
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8"])
+def test_overflowing_chart_coordinate_fails_without_a_warning(name):
+    import warnings
+
+    model = model_preset(name)
+    X = KMat(model.tag, np.array([[1e300, 0.0], [0.0, 1.0]]))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            chart_point(model, X)
+
+
 def test_chart_coordinates_rejects_the_base_point():
     model = model_preset("sp4")
     _, p_minus = base_points(model)
