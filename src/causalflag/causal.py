@@ -16,19 +16,30 @@ from enum import Enum
 
 import numpy as np
 
-from .errors import EmptyInput, ModelMismatch, NonFiniteInput, NotTransverse, PointsNotInBothCharts
+from .errors import (
+    CausalFlagError,
+    EmptyInput,
+    ModelMismatch,
+    NonFiniteInput,
+    NotTransverse,
+    PointsNotInBothCharts,
+)
 from .groups import GroupElement, GroupModel
 from .kmat import KMat, adjoint, as_embedded, draw, embed_real, hermitian_draw, product
 from .linalg import check_hermitian, frobenius_norms, signature, signature_counts
 from .shilov import (
     ShilovPoint,
+    _act_frames,
+    _chart_point_stack,
     act,
     base_points,
     chart_coordinates,
+    chart_coordinates_stack,
     chart_point,
     minkowski_form,
     standardize_pair,
     transversality_margin,
+    transversality_margins,
 )
 
 
@@ -58,7 +69,7 @@ def _coord_like(model: GroupModel, X):
 
 
 def _stack(model: GroupModel, coords):
-    """Chart coordinates (KMat or embedded arrays) as one array.
+    """Chart coordinates (KMat or embedded arrays, or one array stacking them) as one array.
 
     The Lagrangian families give an embedded (k, d, d) stack and SO(n, 2)
     a (k, n) Minkowski stack.  This is where every causal routine takes
@@ -66,7 +77,11 @@ def _stack(model: GroupModel, coords):
     """
     if model.is_lagrangian:
         d = model.form().shape[0] // 2
-        S = np.array([as_embedded(model.tag, X) for X in coords]).reshape(len(coords), d, d)
+        if isinstance(coords, np.ndarray):
+            S = as_embedded(model.tag, coords)
+        else:
+            S = np.array([as_embedded(model.tag, X) for X in coords])
+        S = S.reshape(len(coords), d, d)
     else:
         S = np.array([_coord_like(model, X) for X in coords], dtype=float).reshape(len(coords), model.rank)
     if not np.isfinite(S).all():
@@ -74,38 +89,55 @@ def _stack(model: GroupModel, coords):
     return S
 
 
-def _norms(model: GroupModel, D):
-    """Norms of a coordinate stack: the field's Frobenius norm per matrix, Euclidean per Minkowski vector."""
-    if model.is_lagrangian:
-        return frobenius_norms(D, model.tag)
-    return np.linalg.norm(D, axis=-1)
+def _diff(A, B):
+    """A - B of coordinate stacks (broadcast); an overflowing entry is inf, for the norm checks to name."""
+    with np.errstate(over="ignore"):
+        return A - B
 
 
-def _relations(model: GroupModel, D):
-    """Relation code, forward margin, zero band and norm of each coordinate difference in D.
+def _norms(model: GroupModel, D, what):
+    """Norms of a coordinate stack: the field's Frobenius norm per matrix, Euclidean per Minkowski vector.
+
+    Raises NonFiniteInput, naming what, where a norm overflows, without a floating point warning.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        norms = frobenius_norms(D, model.tag) if model.is_lagrangian else np.linalg.norm(D, axis=-1)
+    if not np.isfinite(norms).all():
+        raise NonFiniteInput(f"{what} overflows")
+    return norms
+
+
+def _cone(model: GroupModel, D):
+    """Forward margin, past margin and norm of each coordinate difference in D.
 
     Lagrangian families: D is an embedded (k, d, d) stack and one eigvalsh
-    call decides everything.  The forward margin is the minimal eigenvalue
-    and the band is 1e-9 * max(1, max |eigenvalue|).  SO(n, 2): D is a
-    (k, n) Minkowski stack; the forward margin is v_n - |v_space|.  A
-    difference whose Hermitian part or norm overflows raises NonFiniteInput;
-    past that, every eigenvalue, band and margin is bounded by the norm.
+    call gives the minimal eigenvalue (forward) and minus the maximal one
+    (past).  SO(n, 2): D is a (k, n) Minkowski stack and the margins are
+    +-v_n - |v_space|.  A difference whose Hermitian part or norm
+    overflows raises NonFiniteInput; past that, every margin is bounded by
+    the norm.
     """
     if model.is_lagrangian:
         H, norm = check_hermitian(D, model.tag)
         lam = np.linalg.eigvalsh(H)
-        fwd, top = lam[:, 0], lam[:, -1]
-        band = 1e-9 * np.maximum(1.0, np.maximum(-fwd, top))
-        past = -top
-        light = (top <= band) | (fwd >= -band)  # semidefinite with kernel
+        return lam[:, 0], -lam[:, -1], norm
+    norm = _norms(model, D, "a coordinate difference")
+    space = np.linalg.norm(D[:, :-1], axis=-1)
+    return D[:, -1] - space, -D[:, -1] - space, norm
+
+
+def _relations(model: GroupModel, D):
+    """Relation code, forward margin, zero band and norm of each coordinate difference in D (see _cone).
+
+    The band is 1e-9 * max(1, max |eigenvalue|) on the Lagrangian
+    families and 1e-9 * max(1, norm) on SO(n, 2).
+    """
+    fwd, past, norm = _cone(model, D)
+    if model.is_lagrangian:
+        band = 1e-9 * np.maximum(1.0, np.maximum(-fwd, -past))
+        light = (-past <= band) | (fwd >= -band)  # semidefinite with kernel
     else:
-        norm = _norms(model, D)
-        if not np.isfinite(norm).all():
-            raise NonFiniteInput("a coordinate difference overflows")
         band = 1e-9 * np.maximum(1.0, norm)
-        space = np.linalg.norm(D[:, :-1], axis=-1)
-        fwd = D[:, -1] - space
-        past = -D[:, -1] - space
         psi = np.sum(D[:, :-1] ** 2, axis=-1) - D[:, -1] ** 2
         light = np.abs(psi) <= 2 * band * np.maximum(1.0, norm)
     code = np.where(light, _LIGHTCONE, _NEITHER)
@@ -133,10 +165,11 @@ def cone_margin(model: GroupModel, X) -> float:
 
 def zero_band(model: GroupModel, X) -> float:
     """1e-9 * max(1, |X|): the operator norm, or the Euclidean one on SO(n, 2); NonFiniteInput if |X| is not finite."""
-    if model.is_lagrangian:
-        norm = float(np.linalg.norm(as_embedded(model.tag, X), 2))
-    else:
-        norm = float(np.linalg.norm(X))
+    with np.errstate(over="ignore", invalid="ignore"):
+        if model.is_lagrangian:
+            norm = float(np.linalg.norm(as_embedded(model.tag, X), 2))
+        else:
+            norm = float(np.linalg.norm(X))
     if not np.isfinite(norm):
         raise NonFiniteInput("the norm of a chart coordinate is not finite")
     return 1e-9 * max(1.0, norm)
@@ -149,7 +182,7 @@ def in_cone(model: GroupModel, X) -> bool:
 
 def future_membership(model: GroupModel, X, Y) -> FutureRelation:
     """Classify Y relative to X by the position of Y - X w.r.t. the cone."""
-    return _RELATIONS[_single(model, _stack(model, [Y]) - _stack(model, [X]))[0]]
+    return _RELATIONS[_single(model, _diff(_stack(model, [Y]), _stack(model, [X])))[0]]
 
 
 def classify_orbit(model: GroupModel, X):
@@ -185,7 +218,7 @@ class Diamond:
 
 def diamond_membership(d: Diamond, Z, closed=False) -> bool:
     # relations of Z to x and of y to Z, in one kernel call
-    codes = _relations(d.model, _stack(d.model, [Z, d.y]) - _stack(d.model, [d.x, Z]))[0]
+    codes = _relations(d.model, _diff(_stack(d.model, [Z, d.y]), _stack(d.model, [d.x, Z])))[0]
     ok = (_FUTURE, _LIGHTCONE, _EQUAL) if closed else (_FUTURE,)
     return bool(np.isin(codes, ok).all())
 
@@ -213,16 +246,21 @@ class Hull:
         self._hi = _stack(self.model, [Y for _, Y in self.pairs])
 
     def margin(self, Z) -> float:
-        """Positive inside, negative outside; magnitude is the deciding margin."""
-        z = _stack(self.model, [Z])
-        # Z lies in the closed diamond [X, Y] iff Z - X and Y - Z are both in the closed cone
-        fwd = _relations(self.model, np.concatenate([z - self._lo, self._hi - z]))[1]
+        """Positive inside, negative outside; magnitude is the deciding margin: margins of a stack of one."""
+        return float(self.margins([Z])[0])
+
+    def margins(self, Zs) -> np.ndarray:
+        """The margin of each coordinate of a stack (a list, or one embedded or Minkowski array)."""
+        z = _stack(self.model, Zs)[:, None]
+        with np.errstate(over="ignore"):  # an overflowing difference is inf, which the kernels name
+            # Z lies in the closed diamond [X, Y] iff Z - X and Y - Z are both in the closed cone
+            D = np.concatenate([z - self._lo, self._hi - z], axis=1)
+            P = self._points - z
         k = len(self._lo)
-        inside = np.max(np.minimum(fwd[:k], fwd[k:]), initial=-np.inf)
-        dist = _norms(self.model, self._points - z)
-        if not np.isfinite(dist).all():
-            raise NonFiniteInput("a distance to a hull point overflows")
-        return float(max(inside, -np.min(dist, initial=np.inf)))
+        fwd = _cone(self.model, D.reshape(-1, *D.shape[2:]))[0].reshape(len(D), 2 * k)
+        inside = np.max(np.minimum(fwd[:, :k], fwd[:, k:]), axis=1, initial=-np.inf)
+        dist = _norms(self.model, P, "a distance to a hull point")
+        return np.maximum(inside, -np.min(dist, axis=1, initial=np.inf))
 
     def membership(self, Z) -> bool:
         """Whether the margin of Z is at least -zero_band(Z)."""
@@ -244,7 +282,7 @@ def causal_hull(model: GroupModel, points) -> Hull:
     rows = max(1, _SCAN_BLOCK // n)
     pairs = []
     for i0 in range(0, n, rows):
-        D = P[None, :] - P[i0 : i0 + rows, None]  # D[i, j] = P[j] - P[i0 + i]
+        D = _diff(P[None, :], P[i0 : i0 + rows, None])  # D[i, j] = P[j] - P[i0 + i]
         code, fwd, band, _ = _relations(model, D.reshape(-1, *P.shape[1:]))
         # a past-pointing lightcone pair is left to its mirror (j, i)
         keep = (code == _FUTURE) | ((code == _LIGHTCONE) & (fwd >= -band))
@@ -294,8 +332,14 @@ class ChartedChart:
 def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChart, n_probe: int, seed) -> dict:
     """Compare hull membership computed in two charts on seeded probe points.
 
-    Probes near a lightcone boundary (margin inside the tolerance band in
-    either chart) are flagged WITHIN_TOL and not counted as disagreements.
+    The probes are drawn one at a time and then run as one stack: their
+    points in chart A, the chart B coordinates of those that stay in chart
+    B (transversality margin to its base above 1e-6), and one
+    Hull.margins call per hull.  A probe that leaves chart B, or whose
+    margin lies inside the tolerance band in either chart, is flagged
+    WITHIN_TOL and not counted as a disagreement; within_tol_by_reason
+    counts the two cases.  Errors are raised as a loop over the probes
+    would raise them.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
@@ -308,10 +352,8 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
     hull_a = causal_hull(model, coords_a)
     hull_b = causal_hull(model, coords_b)
     rng = np.random.default_rng(seed)
-    disagreements = 0
-    within_tol = 0
-    max_margin = 0.0
     band = 1e-7
+    probes = []
     for _ in range(n_probe):
         # interpolate inside a random diamond, or jitter around a random point
         if hull_a.pairs and rng.random() < 0.7:
@@ -329,25 +371,51 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
                 Z = X + 0.5 * _random_hermitian(model, rng)
             else:
                 Z = X + 0.5 * rng.standard_normal(len(X))
-        probe = chart_a.point(Z)
-        if not chart_b.contains(probe, tol=1e-6):
-            within_tol += 1
-            continue
-        Zb = chart_b.coords(probe)
-        ma = hull_a.margin(Z)
-        mb = hull_b.margin(Zb)
-        if abs(ma) <= band or abs(mb) <= band:
-            within_tol += 1
-            continue
-        if (ma > 0) != (mb > 0):
-            disagreements += 1
-            max_margin = max(max_margin, min(abs(ma), abs(mb)))
+        probes.append(as_embedded(model.tag, Z) if model.is_lagrangian else Z)
+    Z = np.array(probes)
+    to_b = chart_b.transporter.inv().g
+    base_b = chart_b.base.ortho
+
+    def run(n):
+        # the steps of the loop on the first n probes, each one stacked kernel
+        frames, orthos = _act_frames(model, chart_a.transporter.g, _chart_point_stack(model, Z[:n])[0])
+        stays = transversality_margins(model, orthos, np.broadcast_to(base_b, orthos.shape)) > 1e-6
+        Zb = chart_coordinates_stack(model, *_act_frames(model, to_b, frames[stays]))
+        return stays, hull_a.margins(Z[:n][stays]), hull_b.margins(Zb)
+
+    stays, ma, mb = _in_probe_order(run, n_probe)
+    in_band = (np.abs(ma) <= band) | (np.abs(mb) <= band)
+    disagree = ~in_band & ((ma > 0) != (mb > 0))
+    left, near = int(np.sum(~stays)), int(np.sum(in_band))
     return {
         "probes": n_probe,
-        "disagreements": disagreements,
-        "within_tol": within_tol,
-        "max_disagreement_margin": max_margin,
+        "disagreements": int(np.sum(disagree)),
+        "within_tol": left + near,
+        "within_tol_by_reason": {"left_chart_b": left, "margin_in_band": near},
+        "max_disagreement_margin": float(np.max(np.minimum(np.abs(ma), np.abs(mb))[disagree], initial=0.0)),
     }
+
+
+def _in_probe_order(run, n):
+    """run(n) on the first n probes, raising the error that a loop over the probes would raise first.
+
+    Each stacked step raises for its first failing probe, but an earlier
+    probe may fail at a later step.  On an error, bisection finds the
+    shortest failing prefix, whose last probe is the loop's first failure,
+    and raises that prefix's error.
+    """
+    try:
+        return run(n)
+    except CausalFlagError as error:
+        good, bad, first = 0, n, error
+        while bad - good > 1:
+            mid = (good + bad) // 2
+            try:
+                run(mid)
+                good = mid
+            except CausalFlagError as shorter:
+                bad, first = mid, shorter
+        raise first
 
 
 # --------------------------------------------------------------- Sylvester law

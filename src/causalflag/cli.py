@@ -22,6 +22,8 @@ from .kmat import KMat
 from .shilov import ShilovPoint, chart_point
 
 TOLERANCE_KEYS = {"margin_floor"}
+# the subcommands that sample a limit set, the only readers of the tolerances
+_TOLERANCE_COMMANDS = {"rep-limitset", "rep-verify-maslov0", "rep-certificate", "rep-core"}
 
 
 # ------------------------------------------------------- deterministic output
@@ -453,6 +455,9 @@ def _apply_config(args):
             for tk, tv in value.items():
                 if tk not in TOLERANCE_KEYS:
                     raise SystemExit(f"unknown tolerance key {tk!r}")
+                if args.command not in _TOLERANCE_COMMANDS:
+                    raise SystemExit(f"tolerance {tk!r} is not read by {args.command}; "
+                                     f"only {', '.join(sorted(_TOLERANCE_COMMANDS))} read it")
                 if not _is_kind(tv, float):
                     raise SystemExit(f"tolerance {tk!r} takes a number, got {tv!r}")
                 tv = float(tv)

@@ -20,8 +20,8 @@ from .errors import (
     NotTransverse,
 )
 from .groups import GroupElement, GroupModel
-from .kmat import KMat, _chi, _parts, adjoint, as_embedded, concat, embed_real, norm, product
-from .linalg import _flat_norms, check_hermitian, null_space
+from .kmat import KMat, _chi, _parts, adjoint, as_embedded, concat, embed_real, product
+from .linalg import _flat_norms, check_hermitian, frobenius_norms, null_space
 from .scalars import QUATERNION, REAL
 
 ISOTROPY_TOL = 1e-8
@@ -107,6 +107,18 @@ def _guard(model: GroupModel, E):
     return Q
 
 
+def _check_isotropy(model: GroupModel, E):
+    """Raise InvalidFrame for the first frame of an embedded stack that is not isotropic.
+
+    A frame E is isotropic when |E^H F E| is at most ISOTROPY_TOL * max(1, |E|^2).
+    """
+    tag = model.tag
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect fails the check
+        iso = frobenius_norms(product(product(adjoint(E), model.form(), tag), E, tag), tag)
+        scale = np.maximum(1.0, frobenius_norms(E, tag) ** 2)
+    _raise_first([(iso <= ISOTROPY_TOL * scale, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}"))])
+
+
 def _projectors(model: GroupModel, orthos) -> np.ndarray:
     """ShilovPoint.projector of each point of a stack of orthos."""
     if model.is_lagrangian:
@@ -136,10 +148,7 @@ class ShilovPoint:
             if E.shape != (D, D // 2):
                 raise InvalidFrame(f"expected a {D}x{D // 2} embedded frame, got {E.shape}")
             if np.isfinite(E).all():  # a non-finite frame fails the guard first
-                tag = model.tag
-                iso = norm(product(product(adjoint(E), model.form(), tag), E, tag), tag)
-                if not (iso <= ISOTROPY_TOL * max(1.0, norm(E, tag) ** 2)):
-                    raise InvalidFrame(f"isotropy defect {iso:.3e}")
+                _check_isotropy(model, E[None])
             self.frame = E
             self._ortho = _guard(model, E[None])[0]
         else:
@@ -229,8 +238,15 @@ def _spatial_basis(model: GroupModel):
 
 
 def minkowski_form(v: np.ndarray) -> float:
-    """psi(v) = v_1^2 + ... + v_{n-1}^2 - v_n^2 on chart coordinates."""
-    return float(np.sum(v[:-1] ** 2) - v[-1] ** 2)
+    """psi(v) = v_1^2 + ... + v_{n-1}^2 - v_n^2 on chart coordinates.
+
+    Raises NonFiniteInput, without a floating point warning, where psi is not finite.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        psi = float(np.sum(v[:-1] ** 2) - v[-1] ** 2)
+    if not np.isfinite(psi):
+        raise NonFiniteInput("the Minkowski form of a chart vector is not finite")
+    return psi
 
 
 # --------------------------------------------------------------- transversality
@@ -264,19 +280,35 @@ def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
 
 
 def chart_point(model: GroupModel, X) -> ShilovPoint:
-    """Point of the standard affine chart with coordinate X."""
+    """Point of the standard affine chart with coordinate X: _chart_point_stack on a stack of one."""
     if model.is_lagrangian:
         X = as_embedded(model.tag, X)  # a KMat, or an embedded array
         d = model.form().shape[0] // 2
         if X.shape != (d, d):
             raise ModelMismatch(f"expected a {d}x{d} embedded chart coordinate, got {X.shape}")
-        check_hermitian(X, model.tag)
-        return ShilovPoint(model, _graph_frames(model, X[None])[0])
-    v = np.asarray(X, dtype=float).reshape(-1)
-    n = model.rank
-    if v.shape != (n,):
-        raise ModelMismatch(f"expected a chart vector of length {n}")
-    return ShilovPoint(model, _socharts_lift(model, v))
+    else:
+        X = np.asarray(X, dtype=float).reshape(-1)
+        if X.shape != (model.rank,):
+            raise ModelMismatch(f"expected a chart vector of length {model.rank}")
+    frames, orthos = _chart_point_stack(model, X[None])
+    return _view(model, frames[0], orthos[0])
+
+
+def _chart_point_stack(model: GroupModel, X):
+    """The (frames, orthos) of the standard chart's points with a stack of coordinates X.
+
+    X is an embedded (k, d, d) stack on the Lagrangian families, whose
+    frames [I; X] pass check_hermitian and the isotropy check first, or a
+    (k, n) Minkowski stack on SO(n, 2), whose frames are the unit lifts.
+    The point guards (_guard) run on the whole stack.
+    """
+    if not model.is_lagrangian:
+        V = _guard(model, _socharts_lift(model, X))
+        return V, V
+    check_hermitian(X, model.tag)
+    E = _graph_frames(model, X)
+    _check_isotropy(model, E)
+    return E, _guard(model, E)
 
 
 def _graph_frames(model: GroupModel, X):
@@ -286,9 +318,14 @@ def _graph_frames(model: GroupModel, X):
 
 
 def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
-    """Lifts p_plus + w + q p_minus of chart vectors v (..., n), with q = -psi(v) / 4."""
+    """Lifts p_plus + w + q p_minus of chart vectors v (..., n), with q = -psi(v) / 4.
+
+    Where psi overflows the lift is not finite, without a floating point
+    warning, and the point guard names it.
+    """
     n = model.rank
-    q = -(np.sum(v[..., :-1] ** 2, axis=-1) - v[..., -1] ** 2) / 4.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        q = -(np.sum(v[..., :-1] ** 2, axis=-1) - v[..., -1] ** 2) / 4.0
     lift = np.empty(v.shape[:-1] + (n + 2,))
     lift[..., 0] = 1.0 + q
     lift[..., 1:n] = v[..., :-1]
@@ -359,18 +396,23 @@ def act(g: GroupElement, x: ShilovPoint) -> ShilovPoint:
 
 
 def act_stack(G, x: ShilovPoint):
-    """The images g_k . x of a point under a stack G of embedded elements, as (frames, orthos) arrays.
+    """The images g_k . x of a point under a stack G of embedded elements: _act_frames on x's frame."""
+    return _act_frames(x.model, G, x.frame)
 
-    frames[k] is the embedded frame g_k x.frame (kmat.product; the unit
-    lift on SO(n, 2)) and orthos[k] its ortho.  The point guards (_guard)
-    run on the whole stack; the Lagrangian isotropy check does not, since
-    the action preserves the form.
+
+def _act_frames(model: GroupModel, G, frames):
+    """The images of embedded frames (unit lifts on SO(n, 2)) under embedded elements, as (frames, orthos).
+
+    G and frames broadcast over their stacks.  Each image frame is
+    kmat.product of its element and frame (the unit lift on SO(n, 2)),
+    and its ortho comes from the point guards (_guard) run on the whole
+    stack; the Lagrangian isotropy check does not run, since the action
+    preserves the form.
     """
-    model = x.model
     if not model.is_lagrangian:
-        V = _guard(model, G @ x.frame)
+        V = _guard(model, (G @ frames[..., None])[..., 0])
         return V, V
-    E = product(G, x.frame, model.tag)
+    E = product(G, frames, model.tag)
     return E, _guard(model, E)
 
 

@@ -26,7 +26,7 @@ from causalflag.groups import model_preset
 from causalflag.kmat import KMat, adjoint, draw, hermitian_draw, norm, product
 from causalflag.linalg import signature
 from causalflag.reps import domain_center, dual_center
-from causalflag.shilov import chart_point
+from causalflag.shilov import chart_point, transversality_margin
 
 LAGRANGIAN = ["sp4", "su22", "sostar8"]
 KERNEL_MODELS = LAGRANGIAN + ["sp8", "so42"]
@@ -133,6 +133,106 @@ def test_chart_independence_small():
     chart_b = ChartedChart.at_point(dual_center(model), domain_center(model))
     rep = chart_independence_check(pts, chart_a, chart_b, 500, seed=7)
     assert rep["disagreements"] == 0
+
+
+def _chart_check_loop(points, chart_a, chart_b, n_probe, seed):
+    """The per-probe loop that chart_independence_check stacks: its report, and each probe's chart A coordinate."""
+    model = chart_a.base.model
+    shape = (1, model.rank, model.rank)
+    hull_a = causal_hull(model, [chart_a.coords(x) for x in points])
+    hull_b = causal_hull(model, [chart_b.coords(x) for x in points])
+    coords_a = hull_a.points
+    rng = np.random.default_rng(seed)
+    counts = {"disagreements": 0, "left_chart_b": 0, "margin_in_band": 0}
+    max_margin, probes = 0.0, []
+    for _ in range(n_probe):
+        if hull_a.pairs and rng.random() < 0.7:
+            X, Y = hull_a.pairs[rng.integers(len(hull_a.pairs))]
+            t = rng.random()
+            if model.is_lagrangian:
+                noise = KMat.unembed(model.tag, hermitian_draw(model.tag, shape, rng)[0])
+                Z = X + t * (Y - X) + (0.3 * rng.random()) * noise
+            else:
+                Z = X + t * (Y - X) + 0.3 * rng.random() * rng.standard_normal(len(X))
+        else:
+            X = coords_a[rng.integers(len(coords_a))]
+            if model.is_lagrangian:
+                Z = X + 0.5 * KMat.unembed(model.tag, hermitian_draw(model.tag, shape, rng)[0])
+            else:
+                Z = X + 0.5 * rng.standard_normal(len(X))
+        probe = chart_a.point(Z)
+        probes.append(Z)
+        if not chart_b.contains(probe, tol=1e-6):
+            counts["left_chart_b"] += 1
+            continue
+        ma, mb = hull_a.margin(Z), hull_b.margin(chart_b.coords(probe))
+        if abs(ma) <= 1e-7 or abs(mb) <= 1e-7:
+            counts["margin_in_band"] += 1
+        elif (ma > 0) != (mb > 0):
+            counts["disagreements"] += 1
+            max_margin = max(max_margin, min(abs(ma), abs(mb)))
+    report = {
+        "probes": n_probe,
+        "disagreements": counts["disagreements"],
+        "within_tol": counts["left_chart_b"] + counts["margin_in_band"],
+        "within_tol_by_reason": {key: counts[key] for key in ("left_chart_b", "margin_in_band")},
+        "max_disagreement_margin": max_margin,
+    }
+    return report, probes
+
+
+def _chart_inputs(model, rng):
+    """Six points of the standard chart drawn as the CLI draws them (small timelike vectors on SO(n, 2))."""
+    if model.is_lagrangian:
+        coords = [random_positive_coord(model, rng) for _ in range(6)]
+        return [chart_point(model, (0.8 / X.opnorm()) * X) for X in coords]
+    V = 0.3 * rng.standard_normal((6, model.rank))
+    V[:, -1] = np.abs(V[:, -1]) + 0.5
+    return [chart_point(model, v) for v in V]
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN + ["so42"])
+def test_chart_independence_equals_the_per_probe_loop(name):
+    # the stacked check gives the loop's report; a chart B based 1e-7 away from a probe sees it leave
+    model = model_preset(name)
+    pts = _chart_inputs(model, np.random.default_rng(8))
+    chart_a = ChartedChart.standard(model)
+    chart_b = ChartedChart.at_point(dual_center(model), domain_center(model))
+    expected, probes = _chart_check_loop(pts, chart_a, chart_b, 120, seed=4)
+    assert chart_independence_check(pts, chart_a, chart_b, 120, seed=4) == expected
+    # a shift whose determinant (Minkowski form on SO(n, 2)) is 1e-7: the two points are nearly not transverse
+    if model.is_lagrangian:
+        shift = KMat(model.tag, np.diag([1e-7] + [1.0] * (model.rank - 1)))
+    else:
+        shift = np.eye(model.rank)[0] + np.sqrt(1.0 - 1e-7) * np.eye(model.rank)[-1]
+    near = chart_a.point(probes[3] + shift)
+    assert 1e-9 < transversality_margin(chart_a.point(probes[3]), near) < 1e-6  # inside the 1e-6 rule only
+    near_probe = ChartedChart.at_point(near, chart_a.base)
+    expected, _ = _chart_check_loop(pts, chart_a, near_probe, 120, seed=4)
+    assert expected["within_tol_by_reason"]["left_chart_b"] >= 1
+    assert chart_independence_check(pts, chart_a, near_probe, 120, seed=4) == expected
+
+
+def test_probe_errors_are_raised_in_probe_order():
+    # a stacked step raises for its first failing probe; the check raises the loop's first failure
+    from causalflag.causal import _in_probe_order
+    from causalflag.errors import NotInChart
+
+    failures = [(1, 9), (2, 7)]  # (step, probe): probe 9 fails the first step, probe 7 the second
+
+    def run(n):
+        for step in (1, 2):
+            failed = [k for s, k in failures if s == step and k < n]
+            if failed:
+                raise NotInChart(f"probe {min(failed)}")
+        return n
+
+    with pytest.raises(NotInChart, match="probe 7"):
+        _in_probe_order(run, 12)
+    assert _in_probe_order(run, 7) == 7
+    failures[:] = [(1, 2), (2, 5)]  # the stacked run already raises the loop's first failure
+    with pytest.raises(NotInChart, match="probe 2"):
+        _in_probe_order(run, 12)
 
 
 def test_charted_chart_roundtrip():
@@ -243,6 +343,20 @@ def test_hull_matches_nested_loop_reference(name):
         assert hull.margin(Z) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
 
+@pytest.mark.parametrize("name", KERNEL_MODELS)
+def test_hull_margins_are_the_margins_of_each_query(name):
+    # one stacked call gives each single-query margin bit for bit, from a list or from one array
+    model = model_preset(name)
+    rng = np.random.default_rng(23)
+    hull = causal_hull(model, kernel_points(model, rng))
+    queries = [A + rng.random() * (B - A) for A, B in hull.pairs[:6]] + kernel_points(model, rng)
+    expected = [hull.margin(Z) for Z in queries]
+    assert hull.margins(queries).tolist() == expected
+    stack = np.array([Z.embed() if model.is_lagrangian else Z for Z in queries])
+    assert hull.margins(stack).tolist() == expected
+    assert Hull(model, [], []).margins(queries[:2]).tolist() == [-np.inf, -np.inf]
+
+
 def test_hull_without_pairs():
     model = model_preset("sp4")
     X = KMat("R", np.zeros((2, 2)))
@@ -274,9 +388,8 @@ def test_hull_rejects_non_finite_input(bad):
         causal_hull(so, [np.zeros(4), np.array([0.0, 0.0, bad, 1.0])])
 
 
-@pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning")
 def test_overflow_from_finite_input_fails_closed():
-    # finite coordinates whose norms, Hermitian parts or distances overflow
+    # finite coordinates whose norms, Hermitian parts or distances overflow, named without a floating point warning
     sp4, so = model_preset("sp4"), model_preset("so42")
     with pytest.raises(NonFiniteInput):
         zero_band(sp4, np.full((2, 2), 1e308))
@@ -293,6 +406,20 @@ def test_overflow_from_finite_input_fails_closed():
         causal_hull(so, [np.zeros(4)]).margin(np.array([1e200, 0.0, 0.0, 1e200]))
     with pytest.raises(NonFiniteInput):
         causal_hull(sp4, [np.zeros((2, 2))]).margin(np.diag([1e200, 1e200]))
+    with pytest.raises(NonFiniteInput):
+        classify_orbit(so, np.array([1e200, 0.0, 0.0, 1e200]))
+    with pytest.raises(NonFiniteInput):
+        chart_point(so, np.array([1e200, 0.0, 0.0, 1e100]))
+    # differences of finite coordinates that overflow
+    big = np.array([1e308, 0.0, 0.0, 1e308])
+    with pytest.raises(NonFiniteInput):
+        future_membership(so, -big, big)
+    with pytest.raises(NonFiniteInput):
+        future_membership(sp4, np.diag([-1e308, 0.0]), np.diag([1e308, 0.0]))
+    with pytest.raises(NonFiniteInput):
+        causal_hull(so, [np.zeros(4), np.array([0.0, 0.0, 0.0, 2.0])]).margins([-big, big])
+    with pytest.raises(NonFiniteInput):
+        causal_hull(so, [-big, np.zeros(4)])
 
 
 @pytest.mark.parametrize("trials", [0, -5])

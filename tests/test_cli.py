@@ -178,9 +178,39 @@ def test_hull_overflow_exits_2(tmp_path, model, points, query):
     assert report["error"] == "NonFiniteInput"
 
 
+@pytest.mark.parametrize("model,points,query", [
+    ("sp4", "[[[1e300, 0], [0, 1]], [[2, 0], [0, 3]]]",
+     "[[[1e308, 0], [0, 1e308]], [[-1e308, 0], [0, -1e308]]]"),
+    ("so42", "[[0, 0, 0, 0], [0, 0, 0, 2]]", "[[1e200, 0, 0, 1e200]]"),
+    ("so42", "[[-1e308, 0, 0, 0], [0, 0, 0, 2]]", "[[1e308, 0, 0, 0]]"),
+], ids=["sp4", "so42-norm", "so42-difference"])
+def test_hull_overflow_exits_2_without_a_warning(model, points, query, tmp_path):
+    # under -W error an overflow warning would end the run with a traceback (exit 1)
+    pts, q = tmp_path / "pts.json", tmp_path / "q.json"
+    pts.write_text(points)
+    q.write_text(query)
+    r = subprocess.run([sys.executable, "-W", "error", "-m", "causalflag.cli", "hull", "--model", model,
+                        "--points", str(pts), "--query", str(q)], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (2, "")
+    assert json.loads(r.stdout)["error"] == "NonFiniteInput"
+
+
 def test_cli_import_does_not_load_scipy():
     code = "import sys, causalflag.cli; sys.exit('scipy' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=dict(os.environ)).returncode == 0
+
+
+@pytest.mark.parametrize("command", [
+    ["maslov-invariance", "--model", "sostar8", "--trials", "300"],
+    ["rep-deform", "--rep", "tau0-sp4-genus2", "--eps", "1e-3"],
+], ids=lambda command: command[0])
+def test_subcommands_run_with_scipy_blocked(command):
+    # the two subcommands that take a matrix exponential need numpy alone
+    code = ("import sys; sys.modules['scipy'] = None; from causalflag.cli import main; "
+            f"sys.exit(main({command!r}))")
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["passed"] is True
 
 
 def test_config_flags_win(tmp_path):
@@ -234,6 +264,35 @@ def test_non_finite_chart_coordinate_exits_2(tmp_path, entry):
                         "--triple", str(triple)], capture_output=True, text=True)
     assert r.returncode == 2 and r.stderr == ""
     assert json.loads(r.stdout)["error"] == "NonFiniteInput"
+
+
+# minimal arguments of the subcommands that sample no limit set; the config is read before any file
+UNSAMPLED = {
+    "sylvester-check": ["--model", "sp4", "--i", "0"],
+    "maslov": ["--model", "sp4", "--triple", "triple.json"],
+    "maslov-invariance": ["--model", "sp4"],
+    "rep-build": ["--rep", "tau0-sp4-f2"],
+    "rep-gap": ["--rep", "tau0-sp4-f2"],
+    "rep-deform": ["--rep", "tau0-sp4-f2", "--eps", "1e-3"],
+    "hull": ["--model", "sp4", "--points", "points.json"],
+    "chart-independence": ["--model", "sp4"],
+    "ein-invisible": ["--model", "so42", "--limit", "limit.json", "--query", "query.json"],
+    "ein-photon-convexity": ["--model", "so42", "--limit", "limit.json"],
+    "hilbert": ["--x", "0", "--y", "0.5"],
+}
+
+
+@pytest.mark.parametrize("command", sorted(UNSAMPLED))
+def test_tolerances_are_rejected_where_no_limit_set_is_sampled(tmp_path, capsys, command):
+    # margin_floor is read by the limit sampler alone; elsewhere it would be a knob that does nothing
+    from causalflag import cli
+
+    assert set(cli._COMMANDS) - set(UNSAMPLED) == cli._TOLERANCE_COMMANDS
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"tolerances": {"margin_floor": 1e-3}}))
+    assert cli.main([command, *UNSAMPLED[command], "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "'margin_floor'" in captured.err and command in captured.err and captured.out == ""
 
 
 @pytest.mark.parametrize("key", ["dedup_tol", "band"])

@@ -130,28 +130,60 @@ def test_lyapunov_matches_cartan_on_diagonalizable():
     assert np.allclose(lam, cartan_projection(g), atol=1e-10)
 
 
+EXP_NORMS = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]  # every Pade order, and the squaring path
+
+
+def _lie_stack(model, rng, norms, per_norm):
+    """per_norm Lie algebra elements of Frobenius norm n (in the field's units) for each n of norms."""
+    Z = np.stack([random_lie_element(model, rng) for _ in range(len(norms) * per_norm)])
+    scale = np.repeat(norms, per_norm) / np.array([norm(z, model.tag) for z in Z])
+    return Z * scale[:, None, None]
+
+
 @pytest.mark.parametrize("name", FAMILIES)
 def test_stacked_kernels_equal_per_element_references(name):
-    # exp_stack, cartan_projections and eig_moduli on a stack against one numpy or scipy call per element
+    # exp_stack against scipy's expm within 1e-13 relative Frobenius error; cartan_projections and
+    # eig_moduli on its output against one numpy call per element, bit for bit
     import scipy.linalg
 
     model = model_preset(name)
     rng = np.random.default_rng(12)
-    Z = np.stack([2.0 * random_lie_element(model, rng) for _ in range(6)])
+    Z = _lie_stack(model, rng, EXP_NORMS, 6)
     G = exp_stack(model, Z)
     mu = cartan_projections(model, G)
     mods = eig_moduli(G, model.tag)
     mult = 2 if model.tag == "H" else 1
-    assert mu.shape == (6, model.r)
+    assert mu.shape == (len(Z), model.r)
     for k in range(len(Z)):
         E = scipy.linalg.expm(Z[k].astype(complex))
         E = E.real if model.tag == "R" else _chi(*_parts(E)) if model.tag == "H" else E
-        assert np.array_equal(G[k], E)
-        assert np.array_equal(group_exp(model, Z[k]).g, E)
-        s = np.linalg.svd(E, compute_uv=False)[::mult]
+        assert np.linalg.norm(G[k] - E) <= 1e-13 * np.linalg.norm(E)
+        if EXP_NORMS[k // 6] <= 2.0:  # beyond, exp's entries grow until the form check fails
+            assert np.array_equal(group_exp(model, Z[k]).g, G[k])
+        s = np.linalg.svd(G[k], compute_uv=False)[::mult]
         assert np.array_equal(mu[k], np.maximum(np.log(s[: model.r]), 0.0))
-        assert np.array_equal(cartan_projection(GroupElement(model, E)), mu[k])
-        assert np.array_equal(mods[k], np.sort(np.abs(np.linalg.eigvals(E)))[::-1][::mult])
+        assert np.array_equal(cartan_projection(GroupElement(model, G[k], _check=False)), mu[k])
+        assert np.array_equal(mods[k], np.sort(np.abs(np.linalg.eigvals(G[k])))[::-1][::mult])
+
+
+@pytest.mark.parametrize("name", FAMILIES)
+def test_exp_bits_do_not_depend_on_the_stack(name):
+    # an element's exp is the same in a stack of one and in a stack whose norms select other Pade orders
+    model = model_preset(name)
+    rng = np.random.default_rng(4)
+    Z = _lie_stack(model, rng, EXP_NORMS, 3)[rng.permutation(3 * len(EXP_NORMS))]
+    G = exp_stack(model, Z)
+    assert G.dtype == (float if model.tag == "R" else complex)
+    for k in range(len(Z)):
+        assert np.array_equal(exp_stack(model, Z[k : k + 1])[0], G[k])
+    assert np.array_equal(exp_stack(model, Z[::-1]), G[::-1])
+
+
+def test_exp_of_a_non_finite_or_overflowing_element_is_nan():
+    model = model_preset("sp4")
+    Z = random_lie_element(model, np.random.default_rng(0))
+    G = exp_stack(model, np.stack([Z, np.inf * np.sign(Z), 1e300 * Z, 1e-3 * Z]))
+    assert np.isnan(G[1:3]).all() and np.isfinite(G[[0, 3]]).all()
 
 
 def test_cartan_projections_raise_for_the_first_singular_element():
