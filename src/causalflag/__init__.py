@@ -13,7 +13,6 @@ from .groups import (
     random_lie_perturbation,
     tau_p,
 )
-from .kmat import KMat
 from .linalg import Signature, hermitian_eigenvalues, signature
 from .shilov import (
     ShilovPoint,

@@ -61,15 +61,8 @@ POSITIVE_FLOOR = 0.1  # smallest eigenvalue of random_positive_coord
 _SYLVESTER_CHUNK = 4096  # trials per stacked draw of the Sylvester check; bounds its working memory
 
 
-def _coord_like(model: GroupModel, X):
-    """A chart coordinate as the API holds it: a KMat (an embedded array is wrapped) or a Minkowski vector."""
-    if model.is_lagrangian:
-        return X if isinstance(X, KMat) else KMat.unembed(model.tag, as_embedded(model.tag, X))
-    return np.asarray(X, dtype=float).reshape(-1)
-
-
 def _stack(model: GroupModel, coords):
-    """Chart coordinates (KMat or embedded arrays, or one array stacking them) as one array.
+    """Chart coordinates (a list of embedded arrays, or one array stacking them) as one array.
 
     The Lagrangian families give an embedded (k, d, d) stack and SO(n, 2)
     a (k, n) Minkowski stack.  This is where every causal routine takes
@@ -77,13 +70,9 @@ def _stack(model: GroupModel, coords):
     """
     if model.is_lagrangian:
         d = model.form().shape[0] // 2
-        if isinstance(coords, np.ndarray):
-            S = as_embedded(model.tag, coords)
-        else:
-            S = np.array([as_embedded(model.tag, X) for X in coords])
-        S = S.reshape(len(coords), d, d)
+        S = as_embedded(model.tag, np.asarray(coords).reshape(len(coords), d, d))
     else:
-        S = np.array([_coord_like(model, X) for X in coords], dtype=float).reshape(len(coords), model.rank)
+        S = np.asarray(coords, dtype=float).reshape(len(coords), model.rank)
     if not np.isfinite(S).all():
         raise NonFiniteInput("chart coordinates must be finite")
     return S
@@ -190,7 +179,7 @@ def classify_orbit(model: GroupModel, X):
     if model.is_lagrangian:
         sig = signature(as_embedded(model.tag, X), model.tag)
         return (sig.pos, sig.neg)
-    X = _coord_like(model, X)
+    X = np.asarray(X, dtype=float).reshape(-1)
     psi = minkowski_form(X)
     tol = zero_band(model, X)
     if psi > tol:
@@ -274,10 +263,10 @@ def causal_hull(model: GroupModel, points) -> Hull:
     The ordered pairs (i, j) are scanned in row blocks of the stacked
     kernel; the pair list keeps the nested-loop order of (i, j).
     """
-    points = [_coord_like(model, X) for X in points]
-    if not points:
-        raise EmptyInput("causal_hull of an empty list")
     P = _stack(model, points)
+    if not len(P):
+        raise EmptyInput("causal_hull of an empty list")
+    points = list(P)
     n = len(points)
     rows = max(1, _SCAN_BLOCK // n)
     pairs = []
@@ -300,7 +289,6 @@ class ChartedChart:
 
     base: ShilovPoint
     transporter: GroupElement
-    time_orientation: int = 1
 
     def __post_init__(self):
         _, p_minus = base_points(self.base.model)
@@ -371,7 +359,7 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
                 Z = X + 0.5 * _random_hermitian(model, rng)
             else:
                 Z = X + 0.5 * rng.standard_normal(len(X))
-        probes.append(as_embedded(model.tag, Z) if model.is_lagrangian else Z)
+        probes.append(Z)
     Z = np.array(probes)
     to_b = chart_b.transporter.inv().g
     base_b = chart_b.base.ortho
@@ -421,9 +409,9 @@ def _in_probe_order(run, n):
 # --------------------------------------------------------------- Sylvester law
 
 
-def _random_hermitian(model: GroupModel, rng) -> KMat:
+def _random_hermitian(model: GroupModel, rng) -> np.ndarray:
     """A random Hermitian chart coordinate: kmat.hermitian_draw on a stack of one."""
-    return KMat.unembed(model.tag, hermitian_draw(model.tag, (1, model.rank, model.rank), rng)[0])
+    return hermitian_draw(model.tag, (1, model.rank, model.rank), rng)[0]
 
 
 def _signature_coords(model: GroupModel, i: int, n: int, rng):
@@ -431,7 +419,7 @@ def _signature_coords(model: GroupModel, i: int, n: int, rng):
 
     D = diag(1, ..., 1, -1, ..., -1) with i ones.  Every M is a standard
     normal draw, redrawn (only where rejected) until its condition number
-    is below 1e4; a stack of one draws as KMat.random does.
+    is below 1e4; a stack of one draws as kmat.draw of one matrix does.
     """
     if not model.is_lagrangian:
         raise ModelMismatch("signature sampling targets the Lagrangian families")
@@ -456,12 +444,12 @@ def _positive_coords(model: GroupModel, n: int, rng):
 
 def random_signature_coord(model: GroupModel, i: int, rng) -> KMat:
     """Random chart coordinate with Sylvester invariant (i, r - i, 0): _signature_coords of one."""
-    return KMat.unembed(model.tag, _signature_coords(model, i, 1, rng)[0])
+    return KMat(_signature_coords(model, i, 1, rng)[0])
 
 
 def random_positive_coord(model: GroupModel, rng) -> KMat:
     """Random positive definite chart coordinate N^H N + POSITIVE_FLOOR * I: _positive_coords of one."""
-    return KMat.unembed(model.tag, _positive_coords(model, 1, rng)[0])
+    return KMat(_positive_coords(model, 1, rng)[0])
 
 
 def sylvester_orbit_check(model: GroupModel, i: int, trials: int, seed) -> dict:

@@ -17,8 +17,8 @@ import sys
 import numpy as np
 
 from .errors import CausalFlagError
+from . import kmat
 from .groups import model_preset
-from .kmat import KMat
 from .shilov import ShilovPoint, chart_point
 
 TOLERANCE_KEYS = {"margin_floor"}
@@ -113,11 +113,16 @@ def _load_points(model, path):
         if isinstance(entry, dict) and "model" in entry:
             pts.append(ShilovPoint.from_json(entry))
         elif isinstance(entry, dict):
-            pts.append(ShilovPoint(model, KMat.from_json(entry)))
+            pts.append(ShilovPoint(model, kmat.from_json(entry, model.tag)))
         else:
-            arr = np.array(entry, dtype=float)
-            pts.append(chart_point(model, arr if not model.is_lagrangian else KMat(model.tag, arr)))
+            pts.append(chart_point(model, _raw_coord(model, entry)))
     return pts
+
+
+def _raw_coord(model, entry):
+    """A chart coordinate given as a JSON list: a real matrix over the model's field, or a Minkowski vector."""
+    arr = np.array(entry, dtype=float)
+    return kmat.embed_real(np.atleast_2d(arr), model.tag) if model.is_lagrangian else arr
 
 
 def _load_coords(model, path):
@@ -125,15 +130,7 @@ def _load_coords(model, path):
         data = json.load(fh)
     if isinstance(data, dict):
         data = data["coords"]
-    out = []
-    for entry in data:
-        if isinstance(entry, dict):
-            out.append(KMat.from_json(entry))
-        elif model.is_lagrangian:
-            out.append(KMat(model.tag, np.array(entry, dtype=float)))
-        else:
-            out.append(np.array(entry, dtype=float))
-    return out
+    return [kmat.from_json(e, model.tag) if isinstance(e, dict) else _raw_coord(model, e) for e in data]
 
 
 def _load_vectors(path):

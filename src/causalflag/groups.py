@@ -19,7 +19,7 @@ from math import factorial
 import numpy as np
 
 from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, Singular, UnknownPreset
-from .kmat import KMat, _chi, _parts, adjoint, draw, embed_real, in_layout, norm, product
+from .kmat import _chi, _parts, adjoint, draw, embed_real, from_json, in_layout, norm, product, to_json
 from .linalg import eig_moduli, frobenius_norms
 from .scalars import COMPLEX, QUATERNION, REAL
 
@@ -167,15 +167,16 @@ class GroupElement:
         return form_defect(self.model, self.g)
 
     def to_json(self):
-        return {"model": self.model.to_json(), "g": KMat.unembed(self.model.tag, self.g).to_json()}
+        return {"model": self.model.to_json(), "g": to_json(self.g, self.model.tag)}
 
     @classmethod
     def from_json(cls, obj):
         model = GroupModel.from_json(obj["model"])
-        g = KMat.from_json(obj["g"])
-        if g.tag != model.tag:
-            raise ModelMismatch(f"scalar tag {g.tag} does not match family {model.family}")
-        return cls(model, g.embed())
+        tag = obj["g"]["tag"]
+        E = from_json(obj["g"], tag)  # parsed at its own field: a family takes exactly its own
+        if tag != model.tag:
+            raise ModelMismatch(f"scalar tag {tag} does not match family {model.family}")
+        return cls(model, E)
 
 
 def form_defect(model: GroupModel, g) -> float:
@@ -304,7 +305,7 @@ def lie_projection(model: GroupModel, Z) -> np.ndarray:
 
 
 def random_lie_element(model: GroupModel, rng) -> np.ndarray:
-    """The Lie algebra projection of a standard normal embedded matrix (the draw of KMat.random)."""
+    """The Lie algebra projection of a standard normal embedded matrix (kmat.draw)."""
     return lie_projection(model, draw(model.tag, (model.dim, model.dim), rng))
 
 

@@ -1,4 +1,4 @@
-"""Matrices over R, C and H: the embedded arrays the library computes with, and KMat at the API edge.
+"""Matrices over R, C and H: the embedded arrays the library computes with, and their JSON codecs.
 
 Every matrix is worked on as one array, its embedding: the real matrix
 over R, the complex matrix over C, and over H the complex adjoint
@@ -10,9 +10,8 @@ a multiplicative *-homomorphism, so eigenvalues, singular values and
 determinants of quaternionic matrices are computed on chi(Q) and read
 back with halved multiplicities.  Sums, real multiples and adjoints keep
 the chi layout bit for bit; products over H go through ``product``, which
-multiplies the (A, B) parts and lays the result out again.  KMat holds a
-matrix by its parts where one crosses the API edge: JSON, chart
-coordinates and seeded draws.
+multiplies the (A, B) parts and lays the result out again.  A matrix
+crosses JSON by its field entries (to_json, from_json).
 """
 
 from __future__ import annotations
@@ -22,7 +21,7 @@ import numpy as np
 from .errors import ModelMismatch
 from .scalars import COMPLEX, QUATERNION, REAL
 
-_TAG_ORDER = {REAL: 0, COMPLEX: 1, QUATERNION: 2}
+_WIDTH = {REAL: 1, COMPLEX: 2, QUATERNION: 4}  # real components per field entry
 
 
 def _chi(a, b):
@@ -99,7 +98,7 @@ def in_layout(E) -> bool:
 
 
 def draw(tag, shape, rng):
-    """Standard normal embedded matrices of field shape (..., n, m); KMat.random is a draw of one."""
+    """Standard normal embedded matrices of field shape (..., n, m)."""
     if tag == REAL:
         return rng.standard_normal(shape)
     a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
@@ -115,135 +114,72 @@ def hermitian_draw(tag, shape, rng):
 
 
 def as_embedded(tag, X):
-    """The embedded array of a KMat (promoted to tag), or an array taken as already embedded.
+    """X taken as an embedded array (anything np.asarray reads, a stack too).
 
     Arrays are real over R and complex otherwise; over H an array must be
     in chi layout (ModelMismatch otherwise).
     """
-    if isinstance(X, KMat):
-        return X.astag(tag).embed()
+    X = np.asarray(X)
     if tag == REAL:
         if np.iscomplexobj(X):
             raise ModelMismatch("a real family takes real matrices")
-        return np.asarray(X, dtype=float)
-    E = np.asarray(X, dtype=complex)
+        return X.astype(float, copy=False)
+    E = X.astype(complex, copy=False)
     if tag == QUATERNION and not (E.ndim >= 2 and E.shape[-2] % 2 == 0 == E.shape[-1] % 2 and in_layout(E)):
         raise ModelMismatch("a quaternionic array must be in chi layout")
     return E
 
 
-def _field_array(a, tag):
-    """a as a 2-D float (R) or complex (C, H) array; a 2-D array of that dtype is kept as it is."""
-    dtype = np.float64 if tag == REAL else np.complex128
-    if isinstance(a, np.ndarray) and a.ndim == 2 and a.dtype == dtype:
-        return a
-    return np.atleast_2d(np.asarray(a, dtype=dtype))
+def to_json(E, tag) -> dict:
+    """JSON object {tag, rows, cols, entries} of an embedded matrix.
+
+    rows and cols count field entries, and entries lists each entry's
+    real components row-major: (x,) over R, (re, im) over C and
+    (re a, im a, re b, im b) for a + b j over H.
+    """
+    a, b = _parts(E) if tag == QUATERNION else (E, None)
+    parts = [a] if tag == REAL else [a.real, a.imag] + ([] if b is None else [b.real, b.imag])
+    rows, cols = a.shape
+    entries = np.stack(parts, axis=-1).reshape(rows * cols, len(parts)).tolist()
+    return {"tag": tag, "rows": rows, "cols": cols, "entries": entries}
+
+
+def from_json(obj, tag):
+    """The embedded array, over the field of tag, of a to_json object.
+
+    A matrix over a smaller field is promoted R -> C -> H, as embed_real
+    does.  Raises ValueError for an unknown tag, a larger field than tag's,
+    or an entry count other than rows * cols.
+    """
+    src, rows, cols, entries = obj["tag"], obj["rows"], obj["cols"], obj["entries"]
+    if src not in _WIDTH:
+        raise ValueError(f"unknown scalar tag {src!r}")
+    if _WIDTH[src] > _WIDTH[tag]:
+        raise ValueError(f"cannot convert {src} matrix to {tag}")
+    if len(entries) != rows * cols:
+        raise ValueError("entry count does not match rows*cols")
+    w = _WIDTH[src]
+    c = np.array([e[:w] for e in entries], dtype=float).reshape(rows, cols * w)
+    if src == REAL:
+        return embed_real(c, tag)
+    z = c.view(complex).reshape(rows, cols, w // 2)  # the components pairwise, as complex entries
+    a, b = z[..., 0], (z[..., 1] if src == QUATERNION else np.zeros_like(z[..., 0]))
+    return a if tag == COMPLEX else _chi(a, b)
 
 
 class KMat:
-    """Matrix over one of the three ground fields, held by its parts: the value type at the API edge."""
+    """A chart coordinate of causal's samplers: its embedded array E, with the operator norm."""
 
-    __slots__ = ("tag", "a", "b")
+    __slots__ = ("E",)
 
-    def __init__(self, tag, a, b=None):
-        if tag not in _TAG_ORDER:
-            raise ValueError(f"unknown scalar tag {tag!r}")
-        self.tag = tag
-        self.a = _field_array(a, tag)
-        self.b = None
-        if tag == QUATERNION:
-            self.b = np.zeros_like(self.a) if b is None else _field_array(b, tag)
-            if self.a.shape != self.b.shape:
-                raise ValueError("quaternion parts must share a shape")
+    def __init__(self, E):
+        self.E = E
 
-    @classmethod
-    def eye(cls, tag, n):
-        return cls(tag, np.eye(n))
+    def __array__(self, dtype=None, copy=None):
+        return np.array(self.E, dtype=dtype, copy=copy)
 
-    @classmethod
-    def random(cls, tag, n, m, rng):
-        return cls.unembed(tag, draw(tag, (n, m), rng))
+    def __rmul__(self, scalar):
+        return float(scalar) * self.E
 
-    # -------------------------------------------------------------- arithmetic
-
-    def _promoted(self, other):
-        """Promote self and other to a common tag (R < C < H)."""
-        if self.tag == other.tag:
-            return self, other
-        tag = self.tag if _TAG_ORDER[self.tag] >= _TAG_ORDER[other.tag] else other.tag
-        return self.astag(tag), other.astag(tag)
-
-    def astag(self, tag):
-        if tag == self.tag:
-            return self
-        if _TAG_ORDER[tag] < _TAG_ORDER[self.tag]:
-            raise ValueError(f"cannot convert {self.tag} matrix to {tag}")
-        return KMat(tag, self.a.astype(complex))  # a quaternionic matrix gets a zero j-part
-
-    def __add__(self, other):
-        x, y = self._promoted(other)
-        if x.tag == QUATERNION:
-            return KMat(QUATERNION, x.a + y.a, x.b + y.b)
-        return KMat(x.tag, x.a + y.a)
-
-    def __sub__(self, other):
-        x, y = self._promoted(other)
-        if x.tag == QUATERNION:
-            return KMat(QUATERNION, x.a - y.a, x.b - y.b)
-        return KMat(x.tag, x.a - y.a)
-
-    def __mul__(self, scalar):
-        scalar = float(scalar)
-        if self.tag == QUATERNION:
-            return KMat(QUATERNION, scalar * self.a, scalar * self.b)
-        return KMat(self.tag, scalar * self.a)
-
-    __rmul__ = __mul__
-
-    # --------------------------------------------------------------- embedding
-
-    def embed(self):
-        """The embedded array: the matrix itself over R and C, the 2n x 2m adjoint matrix over H."""
-        if self.b is None:
-            return self.a
-        return _chi(self.a, self.b)
-
-    @classmethod
-    def unembed(cls, tag, mat):
-        """Inverse of embed for matrices lying in the embedded image."""
-        if tag == REAL:
-            return cls(REAL, mat.real)
-        if tag == COMPLEX:
-            return cls(COMPLEX, mat)
-        return cls(QUATERNION, *_parts(mat))
-
-    def opnorm(self):
-        return float(np.linalg.norm(self.embed(), 2))
-
-    # ----------------------------------------------------------- serialization
-
-    def to_json(self):
-        """JSON object {tag, rows, cols, entries}, entries flat row-major component tuples."""
-        parts = [self.a] if self.tag == REAL else [self.a.real, self.a.imag]
-        if self.tag == QUATERNION:
-            parts += [self.b.real, self.b.imag]
-        rows, cols = self.a.shape
-        entries = np.stack(parts, axis=-1).reshape(rows * cols, len(parts)).tolist()
-        return {"tag": self.tag, "rows": rows, "cols": cols, "entries": entries}
-
-    @classmethod
-    def from_json(cls, obj):
-        tag, n, m = obj["tag"], obj["rows"], obj["cols"]
-        ent = obj["entries"]
-        if len(ent) != n * m:
-            raise ValueError("entry count does not match rows*cols")
-        if tag == REAL:
-            return cls(REAL, np.array([e[0] for e in ent]).reshape(n, m))
-        if tag == COMPLEX:
-            return cls(COMPLEX, np.array([complex(e[0], e[1]) for e in ent]).reshape(n, m))
-        a = np.array([complex(e[0], e[1]) for e in ent]).reshape(n, m)
-        b = np.array([complex(e[2], e[3]) for e in ent]).reshape(n, m)
-        return cls(QUATERNION, a, b)
-
-    def __repr__(self):
-        return f"KMat({self.tag}, {self.a.shape[0]}x{self.a.shape[1]})"
+    def opnorm(self) -> float:
+        return float(np.linalg.norm(self.E, 2))

@@ -29,6 +29,7 @@ from .scalars import QUATERNION
 from .shilov import ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
 
 MARGIN_TOL = 1e-9
+_SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
 
 
@@ -90,6 +91,17 @@ def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
     return TripleType((r - idx) // 2, idx, r)
 
 
+def _skip_reasons(margins, valid, base_ok=None):
+    """Index into _SKIP_REASONS of each trial's first reason to be skipped, or -1 for a kept trial.
+
+    margins and valid (their conjunction) come from a trial's maslov_indices
+    calls; base_ok, if given, is the further condition of base_margin.
+    """
+    transverse = np.logical_and.reduce([m > MARGIN_TOL for m in margins])
+    fails = [~transverse, ~valid] + ([] if base_ok is None else [~base_ok])
+    return np.select(fails, range(len(fails)), -1)
+
+
 def _chart_frames(model: GroupModel, n, rng):
     """Frames of n random chart points; on SO(n, 2), their lifts as (n+2) x 1 columns."""
     if model.is_lagrangian:
@@ -113,13 +125,14 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     normal draw scaled to norm 0.5, then runs the kernel on the base, moved
     and swapped triples.  Trials whose margins or eigenvalues fall inside the
     guard bands, or whose base margin is not above 1e-6, are counted as
-    skipped, never as passes.
+    skipped, never as passes; skipped_by_reason counts each under the
+    first of its reasons (see _skip_reasons).
     """
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     rng = np.random.default_rng(seed)
     violations = 0
-    skipped = 0
+    reasons = np.zeros(len(_SKIP_REASONS), dtype=int)
     margins_all = []
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
@@ -129,19 +142,22 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
         A, B, C = (_orthonormal(model, Fk) for Fk in F)
         base_idx, base_margin, base_ok = maslov_indices(model, A, B, C)
         moved = (_orthonormal(model, product(g, Fk, model.tag)) for Fk in F)
-        moved_idx, _, moved_ok = maslov_indices(model, *moved)
-        swap_idx, _, swap_ok = maslov_indices(model, A, C, B)
-        valid = base_ok & moved_ok & swap_ok & (base_margin > 1e-6)
+        moved_idx, moved_margin, moved_ok = maslov_indices(model, *moved)
+        swap_idx, swap_margin, swap_ok = maslov_indices(model, A, C, B)
+        reason = _skip_reasons([base_margin, moved_margin, swap_margin], base_ok & moved_ok & swap_ok,
+                               base_margin > 1e-6)
+        valid = reason < 0
         bad = valid & ((moved_idx != base_idx) | (swap_idx != base_idx))
         violations += int(np.sum(bad))
-        skipped += int(np.sum(~valid))
+        reasons += np.bincount(reason[~valid], minlength=len(_SKIP_REASONS))
         margins_all.append(base_margin[valid])
     margins = np.concatenate(margins_all) if margins_all else np.array([])
     return {
         "model": model.to_json(),
         "trials": n_trials,
         "violations": violations,
-        "skipped": skipped,
+        "skipped": int(np.sum(reasons)),
+        "skipped_by_reason": dict(zip(_SKIP_REASONS, reasons.tolist())),
         "min_margin": float(np.min(margins)) if len(margins) else None,
         "median_margin": float(np.median(margins)) if len(margins) else None,
     }

@@ -32,7 +32,7 @@ from .groups import (
     random_lie_perturbation,
     tau_p,
 )
-from .kmat import KMat, _chi, norm, product
+from .kmat import _chi, embed_real, norm, product
 from .scalars import QUATERNION, REAL
 from .linalg import _flat_norms, eig_moduli
 from .shilov import (
@@ -582,8 +582,8 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
 
 
 def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
-    """Random transverse triples from the sample should all have index zero."""
-    from .maslov import maslov_indices
+    """Random transverse triples from the sample should all have index zero; those in a guard band are skipped."""
+    from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
 
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
@@ -595,10 +595,12 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     Q = np.stack([p.ortho for p in sample.points])[triples.reshape(-1, 3)]
     idx, margin, valid = maslov_indices(sample.points[0].model, Q[:, 0], Q[:, 1], Q[:, 2])
     margins = margin[valid]
+    skipped = np.bincount(_skip_reasons([margin], valid)[~valid], minlength=2)
     return {
         "triples": n_triples,
         "violations": int(np.sum(valid & (idx != 0))),
-        "skipped": int(np.sum(~valid)),
+        "skipped": int(np.sum(skipped)),
+        "skipped_by_reason": dict(zip(_SKIP_REASONS[:2], skipped.tolist())),
         "min_margin": float(np.min(margins)) if len(margins) else None,
         "median_margin": float(np.median(margins)) if len(margins) else None,
     }
@@ -610,7 +612,7 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
 def domain_center(model: GroupModel):
     """Interior point of the standard diamond (positive cone in the chart)."""
     if model.is_lagrangian:
-        return chart_point(model, KMat.eye(model.tag, model.rank))
+        return chart_point(model, embed_real(np.eye(model.rank), model.tag))
     v = np.zeros(model.rank)
     v[-1] = 1.0
     return chart_point(model, v)
@@ -619,7 +621,7 @@ def domain_center(model: GroupModel):
 def dual_center(model: GroupModel):
     """Interior point of the dual diamond, the natural certificate candidate."""
     if model.is_lagrangian:
-        return chart_point(model, -1.0 * KMat.eye(model.tag, model.rank))
+        return chart_point(model, -1.0 * embed_real(np.eye(model.rank), model.tag))
     v = np.zeros(model.rank)
     v[-1] = -1.0
     return chart_point(model, v)
@@ -700,8 +702,7 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     keep = np.arange(n)
     if n > CORE_HULL_CAP:
         keep = np.unique(np.linspace(0, n - 1, CORE_HULL_CAP).astype(int))
-    hull_coords = [KMat.unembed(model.tag, coords[i]) if model.is_lagrangian else coords[i] for i in keep]
-    core = causal_hull(model, hull_coords)
+    core = causal_hull(model, coords[keep])
     if max_len < 1 or not len(sample):
         residual = None
     else:
@@ -715,7 +716,7 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
         d2 = np.maximum(s2[:, None] + o2[None, :] - 2.0 * cross, 0.0)
         residual = float(np.max(np.sqrt(np.min(d2, axis=1))))
     return {"core": core, "ideal_residual": residual,
-            "orbit_size": n, "hull_points": len(hull_coords)}
+            "orbit_size": n, "hull_points": len(keep)}
 
 
 # ---------------------------------------------------------------- deformation

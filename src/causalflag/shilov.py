@@ -3,7 +3,8 @@
 Two models are supported: Lagrangian r-frames (2r x r full-rank matrices
 over the model's field, isotropic for J, held as embedded arrays; see
 kmat) for the SP/SU/SOSTAR families, and isotropic lines in R^{n+2} for
-SO(n, 2).  Chart coordinates cross the API as KMat (vectors on SO(n, 2)).
+SO(n, 2).  Chart coordinates are embedded Hermitian matrices (Minkowski
+vectors on SO(n, 2)).
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from .errors import (
     NotTransverse,
 )
 from .groups import GroupElement, GroupModel
-from .kmat import KMat, _chi, _parts, adjoint, as_embedded, concat, embed_real, product
+from .kmat import _chi, _parts, adjoint, as_embedded, concat, embed_real, from_json, product, to_json
 from .linalg import _flat_norms, check_hermitian, frobenius_norms, null_space
 from .scalars import QUATERNION, REAL
 
@@ -129,8 +130,8 @@ def _projectors(model: GroupModel, orthos) -> np.ndarray:
 class ShilovPoint:
     """A Lagrangian (frame representative) or an isotropic line (vector representative).
 
-    A Lagrangian frame is given as a KMat or as an embedded array (see
-    kmat), and the point holds the embedded array.  Construction runs the
+    A Lagrangian frame is given as an embedded array (see kmat), which
+    the point holds.  Construction runs the
     stacked point guards (_guard) on a batch of one; a Lagrangian frame
     must also be isotropic for the model's form.  The
     points of act and of the limit samplers are views of guarded stacks
@@ -143,7 +144,7 @@ class ShilovPoint:
     def __init__(self, model: GroupModel, frame):
         self.model = model
         if model.is_lagrangian:
-            E = as_embedded(model.tag, frame)  # a KMat, or an embedded array
+            E = as_embedded(model.tag, frame)
             D = model.form().shape[0]
             if E.shape != (D, D // 2):
                 raise InvalidFrame(f"expected a {D}x{D // 2} embedded frame, got {E.shape}")
@@ -173,15 +174,14 @@ class ShilovPoint:
 
     def to_json(self):
         if self.model.is_lagrangian:
-            frame = KMat.unembed(self.model.tag, self.frame)
-            return {"model": self.model.to_json(), "frame": frame.to_json()}
+            return {"model": self.model.to_json(), "frame": to_json(self.frame, self.model.tag)}
         return {"model": self.model.to_json(), "frame": [float(x) for x in self.frame]}
 
     @classmethod
     def from_json(cls, obj):
         model = GroupModel.from_json(obj["model"])
         if model.is_lagrangian:
-            return cls(model, KMat.from_json(obj["frame"]))
+            return cls(model, from_json(obj["frame"], model.tag))
         return cls(model, np.array(obj["frame"]))
 
     def __repr__(self):
@@ -282,7 +282,7 @@ def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
 def chart_point(model: GroupModel, X) -> ShilovPoint:
     """Point of the standard affine chart with coordinate X: _chart_point_stack on a stack of one."""
     if model.is_lagrangian:
-        X = as_embedded(model.tag, X)  # a KMat, or an embedded array
+        X = as_embedded(model.tag, X)
         d = model.form().shape[0] // 2
         if X.shape != (d, d):
             raise ModelMismatch(f"expected a {d}x{d} embedded chart coordinate, got {X.shape}")
@@ -336,8 +336,7 @@ def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
 
 def chart_coordinates(x: ShilovPoint):
     """Inverse of chart_point on the points transverse to p_minus; chart_coordinates_stack of one."""
-    X = chart_coordinates_stack(x.model, x.frame[None], x.ortho[None])[0]
-    return KMat.unembed(x.model.tag, X) if x.model.is_lagrangian else X
+    return chart_coordinates_stack(x.model, x.frame[None], x.ortho[None])[0]
 
 
 def chart_coordinates_stack(model: GroupModel, frames, orthos):

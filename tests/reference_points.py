@@ -15,7 +15,7 @@ import numpy as np
 
 from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotHermitian, NotInChart
 from causalflag.groups import GroupElement
-from causalflag.kmat import KMat, _chi, adjoint, norm, product
+from causalflag.kmat import _chi, _parts, adjoint, concat, norm, product
 from causalflag.shilov import (
     ISOTROPY_TOL,
     TRANSVERSALITY_TOL,
@@ -33,7 +33,7 @@ class ReferencePoint:
         self._ortho = None
         if model.is_lagrangian:
             tag = model.tag
-            E = frame.embed() if isinstance(frame, KMat) else frame
+            E = frame
             D = model.form().shape[0]
             if E.shape != (D, D // 2):
                 raise InvalidFrame(f"expected a {D}x{D // 2} embedded frame, got {E.shape}")
@@ -96,10 +96,11 @@ def reference_chart_coordinates(x):
         r, tag = model.rank, model.tag
         rows = np.r_[0:r, 2 * r:3 * r] if tag == "H" else np.arange(r)  # embedded rows of field rows 0..r-1
         top, bot = x.frame[rows], x.frame[rows + r]
-        X = KMat.unembed(tag, np.linalg.solve(top.T, bot.T).T)
-        XH = KMat.unembed(tag, adjoint(X.embed()))
-        defect = norm((X - XH).embed(), tag)
-        if defect > 1e-7 * max(1.0, norm(X.embed(), tag)):
+        X = np.linalg.solve(top.T, bot.T).T
+        X = _chi(*_parts(X)) if tag == "H" else X  # the solve need not return the chi layout
+        XH = adjoint(X)
+        defect = norm(X - XH, tag)
+        if defect > 1e-7 * max(1.0, norm(X, tag)):
             raise NotHermitian(f"chart coordinate defect {defect:.3e}")
         return 0.5 * (X + XH)
     n = model.rank
@@ -147,7 +148,7 @@ def reference_quat_frame(E):
         basis += [v, jv]
         cols_a.append(v[:n])
         cols_b.append(-np.conj(v[n:]))
-    return KMat("H", np.stack(cols_a, axis=1), np.stack(cols_b, axis=1))
+    return _chi(np.stack(cols_a, axis=1), np.stack(cols_b, axis=1))
 
 
 def reference_orthonormalize_frame(E, tag):
@@ -156,7 +157,7 @@ def reference_orthonormalize_frame(E, tag):
     if np.min(np.abs(np.diag(R))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(R)))):
         raise InvalidFrame("rank-deficient frame")
     if tag == "H":
-        return reference_quat_frame(Q).embed()
+        return reference_quat_frame(Q)
     return Q.real if tag == "R" else Q
 
 
@@ -169,10 +170,7 @@ def reference_standardize_pair(a, c):
     cond = np.linalg.cond(P)
     if cond > 1e12:
         raise IllConditioned(f"pairing condition number {cond:.3e}")
-    M = KMat.unembed(tag, -np.linalg.inv(P))
-    Ak, CM = KMat.unembed(tag, A), KMat.unembed(tag, product(C, M.embed(), tag))
-    if tag == "H":
-        T = _chi(np.hstack([Ak.a, CM.a]), np.hstack([Ak.b, CM.b]))
-    else:
-        T = np.hstack([Ak.a, CM.a])
+    M = -np.linalg.inv(P)
+    M = _chi(*_parts(M)) if tag == "H" else M  # LAPACK's inverse laid out again
+    T = concat([A, product(C, M, tag)], -1, tag)
     return GroupElement(model, T, _check=False).inv()

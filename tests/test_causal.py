@@ -23,7 +23,7 @@ from causalflag.causal import (
 )
 from causalflag.errors import EmptyInput, NonFiniteInput, NotTransverse
 from causalflag.groups import model_preset
-from causalflag.kmat import KMat, adjoint, draw, hermitian_draw, norm, product
+from causalflag.kmat import adjoint, draw, embed_real, hermitian_draw, norm, product
 from causalflag.linalg import signature
 from causalflag.reps import domain_center, dual_center
 from causalflag.shilov import chart_point, transversality_margin
@@ -34,8 +34,8 @@ KERNEL_MODELS = LAGRANGIAN + ["sp8", "so42"]
 
 def test_cone_margin_oracles():
     model = model_preset("sp4")
-    assert cone_margin(model, KMat.eye("R", 2)) == pytest.approx(1.0)
-    assert not in_cone(model, KMat("R", np.diag([1.0, -1.0])))
+    assert cone_margin(model, np.eye(2)) == pytest.approx(1.0)
+    assert not in_cone(model, np.diag([1.0, -1.0]))
     so = model_preset("so42")
     assert in_cone(so, np.array([0.0, 0.0, 0.0, 1.0]))
     assert not in_cone(so, np.array([1.0, 0.0, 0.0, 1.0]))  # lightlike
@@ -44,21 +44,21 @@ def test_cone_margin_oracles():
 
 def test_future_membership_cases():
     model = model_preset("sp4")
-    X = KMat("R", np.zeros((2, 2)))
-    assert future_membership(model, X, KMat.eye("R", 2)) == FutureRelation.STRICT_FUTURE
-    assert future_membership(model, X, -1.0 * KMat.eye("R", 2)) == FutureRelation.STRICT_PAST
+    X = np.zeros((2, 2))
+    assert future_membership(model, X, np.eye(2)) == FutureRelation.STRICT_FUTURE
+    assert future_membership(model, X, -1.0 * np.eye(2)) == FutureRelation.STRICT_PAST
     assert future_membership(model, X, X) == FutureRelation.EQUAL
-    assert future_membership(model, X, KMat("R", np.diag([1.0, 0.0]))) == FutureRelation.LIGHTCONE
-    assert future_membership(model, X, KMat("R", np.diag([1.0, -1.0]))) == FutureRelation.NEITHER
+    assert future_membership(model, X, np.diag([1.0, 0.0])) == FutureRelation.LIGHTCONE
+    assert future_membership(model, X, np.diag([1.0, -1.0])) == FutureRelation.NEITHER
 
 
 def test_diamond_membership():
     model = model_preset("su22")
-    lo = -1.0 * KMat.eye("C", 2)
-    hi = KMat.eye("C", 2)
+    hi = embed_real(np.eye(2), "C")
+    lo = -1.0 * hi
     d = Diamond(model, lo, hi)
-    assert diamond_membership(d, KMat("C", np.zeros((2, 2))))
-    assert not diamond_membership(d, 2.0 * KMat.eye("C", 2))
+    assert diamond_membership(d, np.zeros((2, 2), dtype=complex))
+    assert not diamond_membership(d, 2.0 * hi)
     assert not diamond_membership(d, hi)  # open by default
     assert diamond_membership(d, hi, closed=True)
     with pytest.raises(NotTransverse):
@@ -67,12 +67,12 @@ def test_diamond_membership():
 
 def test_hull_contains_inputs_and_diamonds():
     model = model_preset("sp4")
-    pts = [KMat("R", np.zeros((2, 2))), KMat.eye("R", 2), KMat("R", np.diag([5.0, 1.0]))]
+    pts = [np.zeros((2, 2)), np.eye(2), np.diag([5.0, 1.0])]
     hull = causal_hull(model, pts)
     for X in pts:
         assert hull.membership(X)
-    assert hull.membership(0.5 * KMat.eye("R", 2))  # midpoint of a causal pair
-    assert not hull.membership(-1.0 * KMat.eye("R", 2))
+    assert hull.membership(0.5 * np.eye(2))  # midpoint of a causal pair
+    assert not hull.membership(-1.0 * np.eye(2))
     with pytest.raises(EmptyInput):
         causal_hull(model, [])
 
@@ -106,8 +106,8 @@ def test_sylvester_orbit_check_small(name):
 
 def test_classify_orbit():
     model = model_preset("sp4")
-    assert classify_orbit(model, KMat("R", np.diag([1.0, -1.0]))) == (1, 1)
-    assert classify_orbit(model, KMat.eye("R", 2)) == (2, 0)
+    assert classify_orbit(model, np.diag([1.0, -1.0])) == (1, 1)
+    assert classify_orbit(model, np.eye(2)) == (2, 0)
     so = model_preset("so42")
     assert classify_orbit(so, np.array([0.0, 0.0, 0.0, 1.0])) == (2, 0)
     assert classify_orbit(so, np.array([2.0, 0.0, 0.0, 1.0])) == (1, 1)
@@ -119,7 +119,7 @@ def test_signature_coord_sampler_hits_the_label():
     for i in range(3):
         for _ in range(10):
             X = random_signature_coord(model, i, rng)
-            assert signature(X.embed(), X.tag).as_tuple() == (i, 2 - i, 0)
+            assert signature(np.asarray(X), model.tag).as_tuple() == (i, 2 - i, 0)
 
 
 def test_chart_independence_small():
@@ -150,14 +150,14 @@ def _chart_check_loop(points, chart_a, chart_b, n_probe, seed):
             X, Y = hull_a.pairs[rng.integers(len(hull_a.pairs))]
             t = rng.random()
             if model.is_lagrangian:
-                noise = KMat.unembed(model.tag, hermitian_draw(model.tag, shape, rng)[0])
+                noise = hermitian_draw(model.tag, shape, rng)[0]
                 Z = X + t * (Y - X) + (0.3 * rng.random()) * noise
             else:
                 Z = X + t * (Y - X) + 0.3 * rng.random() * rng.standard_normal(len(X))
         else:
             X = coords_a[rng.integers(len(coords_a))]
             if model.is_lagrangian:
-                Z = X + 0.5 * KMat.unembed(model.tag, hermitian_draw(model.tag, shape, rng)[0])
+                Z = X + 0.5 * hermitian_draw(model.tag, shape, rng)[0]
             else:
                 Z = X + 0.5 * rng.standard_normal(len(X))
         probe = chart_a.point(Z)
@@ -202,7 +202,7 @@ def test_chart_independence_equals_the_per_probe_loop(name):
     assert chart_independence_check(pts, chart_a, chart_b, 120, seed=4) == expected
     # a shift whose determinant (Minkowski form on SO(n, 2)) is 1e-7: the two points are nearly not transverse
     if model.is_lagrangian:
-        shift = KMat(model.tag, np.diag([1e-7] + [1.0] * (model.rank - 1)))
+        shift = embed_real(np.diag([1e-7] + [1.0] * (model.rank - 1)), model.tag)
     else:
         shift = np.eye(model.rank)[0] + np.sqrt(1.0 - 1e-7) * np.eye(model.rank)[-1]
     near = chart_a.point(probes[3] + shift)
@@ -257,8 +257,7 @@ def reference_relation(model, X, Y):
     the Minkowski formula on the chart vector.
     """
     if model.is_lagrangian:
-        D = Y - X
-        E = D.embed()
+        E = Y - X
         lam = np.linalg.eigvalsh(0.5 * (E + np.conj(E).T))
         band = 1e-9 * max(1.0, float(np.max(np.abs(lam))))
         fwd, past, size = lam[0], -lam[-1], norm(E, model.tag)
@@ -286,9 +285,9 @@ def reference_relation(model, X, Y):
 def kernel_points(model, rng):
     """Random coordinates plus a duplicate, a lightlike partner and a strict past."""
     if model.is_lagrangian:
-        pts = [random_signature_coord(model, int(rng.integers(0, model.r + 1)), rng) for _ in range(8)]
-        light = KMat(model.tag, np.diag([1.0] + [0.0] * (model.r - 1)))
-        past = KMat.eye(model.tag, model.r)
+        pts = [np.asarray(random_signature_coord(model, int(rng.integers(0, model.r + 1)), rng)) for _ in range(8)]
+        light = embed_real(np.diag([1.0] + [0.0] * (model.r - 1)), model.tag)
+        past = embed_real(np.eye(model.r), model.tag)
     else:
         pts = [rng.standard_normal(model.rank) for _ in range(8)]
         light = np.eye(model.rank)[0] + np.eye(model.rank)[-1]
@@ -337,8 +336,7 @@ def test_hull_matches_nested_loop_reference(name):
     for Z in queries:
         best = max(min(reference_relation(model, A, Z)[1], reference_relation(model, Z, B)[1])
                    for A, B in hull.pairs)
-        dist = min(norm((Z - A).embed(), model.tag) if model.is_lagrangian else np.linalg.norm(Z - A)
-                   for A in pts)
+        dist = min(norm(Z - A, model.tag) if model.is_lagrangian else np.linalg.norm(Z - A) for A in pts)
         ref = max(best, -dist)
         assert hull.margin(Z) == pytest.approx(ref, rel=1e-12, abs=0.0)
 
@@ -352,21 +350,21 @@ def test_hull_margins_are_the_margins_of_each_query(name):
     queries = [A + rng.random() * (B - A) for A, B in hull.pairs[:6]] + kernel_points(model, rng)
     expected = [hull.margin(Z) for Z in queries]
     assert hull.margins(queries).tolist() == expected
-    stack = np.array([Z.embed() if model.is_lagrangian else Z for Z in queries])
+    stack = np.array(queries)
     assert hull.margins(stack).tolist() == expected
     assert Hull(model, [], []).margins(queries[:2]).tolist() == [-np.inf, -np.inf]
 
 
 def test_hull_without_pairs():
     model = model_preset("sp4")
-    X = KMat("R", np.zeros((2, 2)))
-    Y = KMat("R", np.diag([1.0, -1.0]))  # NEITHER: no causal pair
-    Z = KMat("R", np.diag([0.0, 3.0]))
+    X = np.zeros((2, 2))
+    Y = np.diag([1.0, -1.0])  # NEITHER: no causal pair
+    Z = np.diag([0.0, 3.0])
     hull = causal_hull(model, [X, Y])
     assert hull.pairs == []
     assert hull.margin(Z) == pytest.approx(-3.0)
     single = causal_hull(model, [Y])
-    assert single.points == [Y] and single.pairs == []
+    assert len(single.points) == 1 and np.array_equal(single.points[0], Y) and single.pairs == []
     assert single.membership(Y)
     assert single.margin(Z) == pytest.approx(-np.sqrt(17.0))
     assert Hull(model, [], []).margin(Z) == -np.inf
@@ -458,15 +456,15 @@ def test_coordinate_samplers_are_batches_of_one(name):
         Y = random_positive_coord(model, rng)
         W = _random_hermitian(model, rng)
         while True:
-            M = KMat.random(tag, r, r, ref).embed()
+            M = draw(tag, (r, r), ref)
             if np.linalg.cond(M) < 1e4:
                 break
-        D = KMat(tag, np.diag([1.0] + [-1.0] * (r - 1))).embed()
-        N = KMat.random(tag, r, r, ref).embed()
-        H = KMat.random(tag, r, r, ref).embed()
-        assert np.array_equal(X.embed(), product(product(adjoint(M), D, tag), M, tag))
-        assert np.array_equal(Y.embed(), product(adjoint(N), N, tag) + 0.1 * np.eye(len(N)))
-        assert np.array_equal(W.embed(), 0.5 * (H + adjoint(H)))
+        D = embed_real(np.diag([1.0] + [-1.0] * (r - 1)), tag)
+        N = draw(tag, (r, r), ref)
+        H = draw(tag, (r, r), ref)
+        assert np.array_equal(np.asarray(X), product(product(adjoint(M), D, tag), M, tag))
+        assert np.array_equal(np.asarray(Y), product(adjoint(N), N, tag) + 0.1 * np.eye(len(N)))
+        assert np.array_equal(W, 0.5 * (H + adjoint(H)))
         assert rng.random() == ref.random()
 
 

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from causalflag.groups import model_preset
-from causalflag.kmat import KMat
+from causalflag.kmat import embed_real, hermitian_draw, to_json
 from causalflag.shilov import chart_point
 
 
@@ -26,9 +26,9 @@ def run_cli(args, env_extra=None):
 def write_triple(path, good=True):
     model = model_preset("sp4")
     pts = [
-        chart_point(model, -2.0 * KMat.eye("R", 2)),
-        chart_point(model, KMat("R", np.zeros((2, 2)))),
-        chart_point(model, 2.0 * KMat.eye("R", 2)),
+        chart_point(model, -2.0 * np.eye(2)),
+        chart_point(model, np.zeros((2, 2))),
+        chart_point(model, 2.0 * np.eye(2)),
     ]
     data = [p.to_json() for p in pts]
     if not good:
@@ -264,6 +264,63 @@ def test_non_finite_chart_coordinate_exits_2(tmp_path, entry):
                         "--triple", str(triple)], capture_output=True, text=True)
     assert r.returncode == 2 and r.stderr == ""
     assert json.loads(r.stdout)["error"] == "NonFiniteInput"
+
+
+def _sostar8_codec_inputs(tmp_path, bad=None):
+    """Codec-fed sostar8 inputs: hull points and queries, and a causal chain of frames.
+
+    The coordinates are quaternionic Hermitian matrices, given as kmat.to_json
+    objects; with bad, one component of one entry of each file is replaced.
+    """
+    model = model_preset("sostar8")
+    rng = np.random.default_rng(3)
+    eye = embed_real(np.eye(2), "H")
+    H = [0.2 * hermitian_draw("H", (2, 2), rng) for _ in range(3)]
+    points = [to_json(np.zeros_like(eye), "H"), to_json(2.0 * eye + H[0], "H")]
+    queries = [to_json(eye + 0.5 * H[0], "H"), to_json(-1.0 * eye, "H")]
+    frames = [chart_point(model, v * eye + h).to_json()["frame"] for v, h in zip((-2.0, 0.0, 2.0), H)]
+    if bad is not None:
+        for objs in (points, queries, frames):
+            objs[1]["entries"][1][3] = bad
+    paths = []
+    for name, objs in (("points", points), ("queries", {"coords": queries}), ("triple", frames)):
+        paths.append(tmp_path / f"{name}.json")
+        paths[-1].write_text(json.dumps(objs))
+    return paths
+
+
+def _cli_warnings_as_errors(args):
+    return subprocess.run([sys.executable, "-W", "error", "-m", "causalflag.cli", *args],
+                          capture_output=True, text=True)
+
+
+def test_codec_inputs_give_quaternionic_coordinates(tmp_path):
+    # hull points and queries, and maslov frames, as codec objects: the only way to give non-real coordinates
+    points, queries, triple = _sostar8_codec_inputs(tmp_path)
+    r = _cli_warnings_as_errors(["hull", "--model", "sostar8", "--points", str(points), "--query", str(queries)])
+    assert (r.returncode, r.stderr) == (0, "")
+    report = json.loads(r.stdout)["report"]
+    assert (report["n_points"], report["n_pairs"], report["memberships"]) == (2, 1, [True, False])
+    r = _cli_warnings_as_errors(["maslov", "--model", "sostar8", "--triple", str(triple)])
+    assert (r.returncode, r.stderr) == (0, "")
+    assert json.loads(r.stdout)["report"] == {"i": 0, "idx": 2, "rank": 2}
+
+
+@pytest.mark.parametrize("bad,frame_error", [(float("nan"), "NonFiniteInput"), (float("inf"), "NonFiniteInput"),
+                                             (1e300, "InvalidFrame")], ids=["nan", "inf", "1e300"])
+def test_non_finite_codec_entries_exit_2(tmp_path, bad, frame_error):
+    # one bad entry component in a codec object is named by a structured error, without a warning
+    points, queries, triple = _sostar8_codec_inputs(tmp_path, bad)
+    (tmp_path / "good").mkdir()
+    good_points = _sostar8_codec_inputs(tmp_path / "good")[0]
+    for args, error in (
+        (["hull", "--model", "sostar8", "--points", str(points)], "NonFiniteInput"),
+        (["hull", "--model", "sostar8", "--points", str(good_points), "--query", str(queries)], "NonFiniteInput"),
+        (["maslov", "--model", "sostar8", "--triple", str(triple)], frame_error),
+    ):
+        r = _cli_warnings_as_errors(args)
+        assert (r.returncode, r.stderr) == (2, "")
+        assert json.loads(r.stdout)["error"] == error
 
 
 # minimal arguments of the subcommands that sample no limit set; the config is read before any file

@@ -1,64 +1,69 @@
-"""Matrix layer: quaternion embedding, the embedded product, arithmetic, serialization."""
+"""Matrix layer: quaternion embedding, the embedded product, the JSON codecs."""
 
 import numpy as np
 import pytest
 
 from causalflag.errors import ModelMismatch
-from causalflag.kmat import KMat, adjoint, as_embedded, concat, in_layout, norm, product
+from causalflag.kmat import (
+    KMat,
+    _chi,
+    _parts,
+    adjoint,
+    as_embedded,
+    concat,
+    draw,
+    embed_real,
+    from_json,
+    in_layout,
+    norm,
+    product,
+    to_json,
+)
 from causalflag.scalars import COMPLEX, QUATERNION, REAL
 
 rng = np.random.default_rng(0)
 
 
 def test_embedding_is_multiplicative():
-    A = KMat.random(QUATERNION, 3, 3, rng)
-    B = KMat.random(QUATERNION, 3, 3, rng)
-    lhs = product(A.embed(), B.embed(), QUATERNION)
-    rhs = A.embed() @ B.embed()
+    A = draw(QUATERNION, (3, 3), rng)
+    B = draw(QUATERNION, (3, 3), rng)
+    lhs = product(A, B, QUATERNION)
+    rhs = A @ B
     assert np.linalg.norm(lhs - rhs) < 1e-12 * max(1.0, np.linalg.norm(rhs))
     assert in_layout(lhs)
 
 
 def test_embedding_respects_adjoint():
-    A = KMat.random(QUATERNION, 3, 2, rng)
-    assert np.array_equal(adjoint(A.embed()), KMat(QUATERNION, np.conj(A.a).T, -A.b.T).embed())
+    A = draw(QUATERNION, (3, 2), rng)
+    a, b = _parts(A)
+    assert np.array_equal(adjoint(A), _chi(np.conj(a).T, -b.T))
 
 
-def test_unembed_roundtrip():
-    for tag in (REAL, COMPLEX, QUATERNION):
-        A = KMat.random(tag, 3, 3, rng)
-        B = KMat.unembed(tag, A.embed())
-        assert np.array_equal(A.a, B.a) and (A.b is None or np.array_equal(A.b, B.b))
-    assert KMat.random(REAL, 2, 2, rng).embed().dtype == np.float64  # a real matrix embeds as itself
+def test_parts_roundtrip():
+    E = draw(QUATERNION, (3, 3), rng)
+    assert np.array_equal(_chi(*_parts(E)), E)
+    A = draw(REAL, (2, 2), rng)
+    assert A.dtype == np.float64 and embed_real(A, REAL) is A  # a real matrix embeds as itself
 
 
 def test_quaternion_norm_matches_embedding():
-    A = KMat.random(QUATERNION, 3, 3, rng)
-    assert abs(norm(A.embed(), QUATERNION) - np.linalg.norm(A.embed()) / np.sqrt(2.0)) < 1e-12
-
-
-def test_promotion_ladder():
-    R = KMat.random(REAL, 2, 2, rng)
-    C = KMat.random(COMPLEX, 2, 2, rng)
-    H = KMat.random(QUATERNION, 2, 2, rng)
-    assert (R + C).tag == COMPLEX
-    assert (C + H).tag == QUATERNION
-    assert (R - H).tag == QUATERNION
-    assert np.array_equal(as_embedded(QUATERNION, R), (R - 0.0 * H).embed())
+    A = draw(QUATERNION, (3, 3), rng)
+    assert abs(norm(A, QUATERNION) - np.linalg.norm(A) / np.sqrt(2.0)) < 1e-12
 
 
 def test_stacking_and_blocks():
-    A = KMat.random(QUATERNION, 2, 2, rng)
-    B = KMat.random(QUATERNION, 2, 2, rng)
-    V = concat([A.embed(), B.embed()], -2, QUATERNION)
+    A = draw(QUATERNION, (2, 2), rng)
+    B = draw(QUATERNION, (2, 2), rng)
+    (a1, b1), (a2, b2) = _parts(A), _parts(B)
+    V = concat([A, B], -2, QUATERNION)
     assert V.shape == (8, 4)
-    assert np.array_equal(V, KMat(QUATERNION, np.vstack([A.a, B.a]), np.vstack([A.b, B.b])).embed())
-    W = concat([A.embed(), B.embed()], -1, QUATERNION)
-    assert np.array_equal(W, KMat(QUATERNION, np.hstack([A.a, B.a]), np.hstack([A.b, B.b])).embed())
+    assert np.array_equal(V, _chi(np.vstack([a1, a2]), np.vstack([b1, b2])))
+    W = concat([A, B], -1, QUATERNION)
+    assert np.array_equal(W, _chi(np.hstack([a1, a2]), np.hstack([b1, b2])))
 
 
 def test_arrays_outside_the_layout_are_rejected():
-    E = KMat.random(QUATERNION, 2, 2, rng).embed()
+    E = draw(QUATERNION, (2, 2), rng)
     assert np.array_equal(as_embedded(QUATERNION, E), E)
     E[3, 0] += 1.0
     assert not in_layout(E)
@@ -71,12 +76,51 @@ def test_arrays_outside_the_layout_are_rejected():
 
 
 def test_json_roundtrip():
+    # bit for bit, dtype and shape included
     for tag in (REAL, COMPLEX, QUATERNION):
-        A = KMat.random(tag, 2, 3, rng)
-        B = KMat.from_json(A.to_json())
-        assert np.array_equal(A.embed(), B.embed())
+        E = draw(tag, (2, 3), rng)
+        parts = [p.copy() for p in _parts(E)] if tag == QUATERNION else [E]
+        parts[0][0, 0] = -0.0  # signed zeros survive too
+        E = _chi(*parts) if tag == QUATERNION else E
+        obj = to_json(E, tag)
+        assert (obj["rows"], obj["cols"]) == (2, 3)
+        back = from_json(obj, tag)
+        assert back.dtype == E.dtype and back.shape == E.shape
+        assert np.array_equal(back.view(np.uint8), E.view(np.uint8))
+
+
+def test_promotion_ladder():
+    # R -> C -> H as embed_real and a zero j-part give it; a larger field is refused
+    R = draw(REAL, (2, 2), rng)
+    C = draw(COMPLEX, (2, 2), rng)
+    for E, src, tag, expected in (
+        (R, REAL, COMPLEX, embed_real(R, COMPLEX)),
+        (R, REAL, QUATERNION, embed_real(R, QUATERNION)),
+        (C, COMPLEX, QUATERNION, _chi(C, np.zeros_like(C))),
+    ):
+        out = from_json(to_json(E, src), tag)
+        assert out.dtype == expected.dtype
+        assert np.array_equal(out.view(np.uint8), expected.view(np.uint8))
+    H = to_json(draw(QUATERNION, (2, 2), rng), QUATERNION)
+    for tag in (REAL, COMPLEX):
+        with pytest.raises(ValueError):
+            from_json(H, tag)
+    with pytest.raises(ValueError):
+        from_json(to_json(C, COMPLEX), REAL)
 
 
 def test_bad_tag_rejected():
+    H = to_json(draw(QUATERNION, (2, 2), rng), QUATERNION)
     with pytest.raises(ValueError):
-        KMat("X", np.eye(2))
+        from_json(dict(H, tag="X"), QUATERNION)
+    with pytest.raises(ValueError):
+        from_json(dict(H, rows=3), QUATERNION)
+
+
+def test_sampled_coordinate_reads_as_its_array():
+    E = draw(COMPLEX, (2, 2), rng)
+    X = KMat(E)
+    assert np.array_equal(np.asarray(X), E) and np.array_equal(np.array([X, X]), np.stack([E, E]))
+    scaled = 0.5 * X
+    assert type(scaled) is np.ndarray and np.array_equal(scaled, 0.5 * E)
+    assert X.opnorm() == float(np.linalg.norm(E, 2))

@@ -14,7 +14,7 @@ from causalflag.errors import (
 )
 from causalflag.groups import group_exp, model_preset, random_lie_element
 from causalflag.causal import _random_hermitian
-from causalflag.kmat import KMat, in_layout, norm
+from causalflag.kmat import embed_real, in_layout, norm
 from causalflag.linalg import signature
 from causalflag.maslov import (
     MARGIN_TOL,
@@ -44,7 +44,7 @@ def _reference_index(a, b, c):
     r = model.r
     X = chart_coordinates(act(standardize_pair(a, c), b))
     if model.is_lagrangian:
-        sig = signature(X.embed(), X.tag)
+        sig = signature(X, model.tag)
         if sig.zero > 0:
             raise DegenerateSignature(f"signature {sig.as_tuple()} has a kernel")
         i = sig.pos
@@ -91,9 +91,9 @@ def _stacks(triples):
 def test_causal_chain_has_maximal_index(name):
     # three points in strict causal order realize the top orbit, idx = r
     model = model_preset(name)
-    a = chart_point(model, -2.0 * KMat.eye(model.tag, 2))
-    b = chart_point(model, KMat(model.tag, np.zeros((2, 2))))
-    c = chart_point(model, 2.0 * KMat.eye(model.tag, 2))
+    a = chart_point(model, -2.0 * embed_real(np.eye(2), model.tag))
+    b = chart_point(model, embed_real(np.zeros((2, 2)), model.tag))
+    c = chart_point(model, 2.0 * embed_real(np.eye(2), model.tag))
     t = maslov_index(a, b, c)
     assert t.idx == model.r
     assert t.i in (0, model.r) or t.i == min(t.i, model.r - t.i)
@@ -101,17 +101,16 @@ def test_causal_chain_has_maximal_index(name):
 
 
 def _diag_coord(model, entries):
-    d = np.diag(np.array(entries, dtype=float))
-    return KMat(model.tag, d.astype(complex) if model.tag != "R" else d)
+    return embed_real(np.diag(np.array(entries, dtype=float)), model.tag)
 
 
 @pytest.mark.parametrize("name", LAGRANGIAN)
 def test_mixed_middle_point_has_index_zero(name):
     # one chart eigenvalue between the endpoints and one outside: i = 1
     model = model_preset(name)
-    a = chart_point(model, -2.0 * KMat.eye(model.tag, 2))
+    a = chart_point(model, -2.0 * embed_real(np.eye(2), model.tag))
     b = chart_point(model, _diag_coord(model, [0.0, 5.0]))
-    c = chart_point(model, 2.0 * KMat.eye(model.tag, 2))
+    c = chart_point(model, 2.0 * embed_real(np.eye(2), model.tag))
     t = maslov_index(a, b, c)
     assert t.idx == 0
     assert t.i == 1
@@ -121,9 +120,9 @@ def test_mixed_middle_point_has_index_zero(name):
 @pytest.mark.parametrize("name", LAGRANGIAN)
 def test_spacelike_middle_point_has_extremal_index(name):
     model = model_preset(name)
-    a = chart_point(model, -2.0 * KMat.eye(model.tag, 2))
+    a = chart_point(model, -2.0 * embed_real(np.eye(2), model.tag))
     b = chart_point(model, _diag_coord(model, [3.0, -3.0]))
-    c = chart_point(model, 2.0 * KMat.eye(model.tag, 2))
+    c = chart_point(model, 2.0 * embed_real(np.eye(2), model.tag))
     assert maslov_index(a, b, c).idx == 2
     assert maslov_index(a, b, c) == _reference_index(a, b, c)
 
@@ -131,7 +130,7 @@ def test_spacelike_middle_point_has_extremal_index(name):
 def test_base_pair_triple():
     model = model_preset("sp4")
     p_plus, p_minus = base_points(model)
-    b = chart_point(model, KMat.eye("R", 2))
+    b = chart_point(model, np.eye(2))
     t = maslov_index(p_minus, b, p_plus)
     assert t.idx in (0, 2)
     assert t == _reference_index(p_minus, b, p_plus)
@@ -139,8 +138,8 @@ def test_base_pair_triple():
 
 def test_non_transverse_triple_rejected():
     model = model_preset("sp4")
-    a = chart_point(model, KMat("R", np.zeros((2, 2))))
-    c = chart_point(model, KMat.eye("R", 2))
+    a = chart_point(model, np.zeros((2, 2)))
+    c = chart_point(model, np.eye(2))
     with pytest.raises(NotPairwiseTransverse):
         maslov_index(a, a, c)
 
@@ -150,7 +149,7 @@ def test_nan_margin_in_any_slot_is_rejected(monkeypatch, slot):
     import causalflag.maslov as maslov_module
 
     model = model_preset("sp4")
-    a, b, c = (chart_point(model, v * KMat.eye("R", 2)) for v in (-2.0, 0.0, 2.0))
+    a, b, c = (chart_point(model, v * np.eye(2)) for v in (-2.0, 0.0, 2.0))
     assert maslov_index(a, b, c).idx == 2
     real = maslov_module.transversality_margins
     calls = []
@@ -168,7 +167,7 @@ def test_nan_margin_in_any_slot_is_rejected(monkeypatch, slot):
 def test_kernel_band_rejects_a_nearly_degenerate_form():
     # margins above MARGIN_TOL, but Kashiwara's form has an eigenvalue of about m / 2
     model = model_preset("sp2")
-    line = lambda t: ShilovPoint(model, KMat("R", np.array([[np.cos(t)], [np.sin(t)]])))
+    line = lambda t: ShilovPoint(model, np.array([[np.cos(t)], [np.sin(t)]]))
     a, b = line(0.0), line(np.pi / 2)
     with pytest.raises(DegenerateSignature):
         maslov_index(a, b, line(1.5e-9))
@@ -177,9 +176,9 @@ def test_kernel_band_rejects_a_nearly_degenerate_form():
 
 def test_mixed_models_rejected():
     sp4, su22 = model_preset("sp4"), model_preset("su22")
-    a = chart_point(sp4, -2.0 * KMat.eye("R", 2))
-    b = chart_point(su22, KMat("C", np.zeros((2, 2))))
-    c = chart_point(sp4, 2.0 * KMat.eye("R", 2))
+    a = chart_point(sp4, -2.0 * np.eye(2))
+    b = chart_point(su22, np.zeros((2, 2), dtype=complex))
+    c = chart_point(sp4, 2.0 * np.eye(2))
     for triple in ((a, b, c), (b, a, c), (a, c, b)):
         with pytest.raises(ModelMismatch):
             maslov_index(*triple)
@@ -277,25 +276,28 @@ def test_verify_maslov_zero_matches_per_triple_reference(pid, max_len):
     pts = sample.points
     for seed in (0, 1):
         rng = np.random.default_rng(seed)
-        violations = skipped = 0
+        violations = 0
+        skipped = {"not_transverse": 0, "degenerate_form": 0}
         margins = []
         for _ in range(200):
             i, j, k = rng.choice(len(sample), size=3, replace=False)
             a, b, c = pts[i], pts[j], pts[k]
             m = min(transversality_margin(a, b), transversality_margin(b, c), transversality_margin(a, c))
+            if not m > MARGIN_TOL:
+                skipped["not_transverse"] += 1
+                continue
             try:
-                if not m > MARGIN_TOL:
-                    raise NotPairwiseTransverse("margin in the band")
                 t = _reference_index(a, b, c)
-            except (NotPairwiseTransverse, DegenerateSignature):
-                skipped += 1
+            except DegenerateSignature:
+                skipped["degenerate_form"] += 1
                 continue
             margins.append(m)
             violations += t.idx != 0
         assert verify_maslov_zero(sample, 200, seed=seed) == {
             "triples": 200,
             "violations": violations,
-            "skipped": skipped,
+            "skipped": sum(skipped.values()),
+            "skipped_by_reason": skipped,
             "min_margin": float(min(margins)) if margins else None,
             "median_margin": float(np.median(margins)) if margins else None,
         }
@@ -307,7 +309,20 @@ def test_invariance_report_small(name):
     rep = maslov_invariance_report(model, 300, seed=3)
     assert rep["violations"] == 0
     assert rep["skipped"] < 50
+    assert list(rep["skipped_by_reason"]) == ["not_transverse", "degenerate_form", "base_margin"]
+    assert sum(rep["skipped_by_reason"].values()) == rep["skipped"]
     assert rep["min_margin"] is None or rep["min_margin"] > 1e-9
+
+
+def test_skip_reasons_take_the_first_reason():
+    # trials: kept, one margin in the band (and a degenerate form), a degenerate form, a small base margin
+    from causalflag.maslov import _skip_reasons
+
+    margins = [np.array([1.0, 1.0, 1.0, 1.0]), np.array([1.0, np.nan, 1.0, 1.0]), np.array([1.0, 1.0, 1.0, 1.0])]
+    valid = np.array([True, False, False, True])
+    base_ok = np.array([True, False, True, False])
+    assert _skip_reasons(margins, valid, base_ok).tolist() == [-1, 0, 1, 2]
+    assert _skip_reasons(margins[:2], valid).tolist() == [-1, 0, 1, -1]
 
 
 def test_invariance_sampler_stays_in_the_quaternionic_layout(monkeypatch):

@@ -525,7 +525,7 @@ def test_certificate_and_core_equal_per_element_references(pid, max_len):
         assert (out["orbit_size"], out["hull_points"]) == (orbit_size, hull_points)
         assert len(out["core"].pairs) == len(core.pairs)
         for (X, Y), (U, V) in zip(out["core"].pairs, core.pairs):
-            assert np.array_equal(X.embed(), U.embed()) and np.array_equal(Y.embed(), V.embed())
+            assert np.array_equal(X, U) and np.array_equal(Y, V)
         assert out["ideal_residual"] == residual
 
 

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
-from causalflag.kmat import KMat, norm, product
+from causalflag.kmat import _chi, _parts, draw, embed_real, norm, product
 from reference_points import (
     ReferencePoint,
     reference_act,
@@ -58,7 +58,7 @@ def test_chart_roundtrip_lagrangian(name):
     for _ in range(20):
         X = random_hermitian(model, rng)
         Y = chart_coordinates(chart_point(model, X))
-        assert norm((X - Y).embed(), model.tag) < 1e-10
+        assert norm(X - Y, model.tag) < 1e-10
 
 
 def test_chart_roundtrip_einstein():
@@ -75,14 +75,14 @@ def test_chart_point_rejects_nonhermitian():
     from causalflag.errors import NotHermitian
 
     with pytest.raises(NotHermitian):
-        chart_point(model, KMat("R", np.array([[0.0, 1.0], [0.0, 0.0]])))
+        chart_point(model, np.array([[0.0, 1.0], [0.0, 0.0]]))
 
 
 @pytest.mark.parametrize("name", ["sp4", "su22", "sostar8"])
 def test_chart_point_names_a_non_finite_coordinate(name):
     model = model_preset(name)
     with pytest.raises(NonFiniteInput, match="non-finite"):
-        chart_point(model, KMat(model.tag, np.array([[np.nan, 0.0], [0.0, 1.0]])))
+        chart_point(model, embed_real(np.array([[np.nan, 0.0], [0.0, 1.0]]), model.tag))
 
 
 @pytest.mark.parametrize("name", ["sp4", "su22", "sostar8"])
@@ -90,7 +90,7 @@ def test_overflowing_chart_coordinate_fails_without_a_warning(name):
     import warnings
 
     model = model_preset(name)
-    X = KMat(model.tag, np.array([[1e300, 0.0], [0.0, 1.0]]))
+    X = embed_real(np.array([[1e300, 0.0], [0.0, 1.0]]), model.tag)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         with pytest.raises(NonFiniteInput, match="overflows"):
@@ -110,7 +110,7 @@ def test_frame_isotropy_gate():
     F[0, 0] = 1.0
     F[2, 1] = 1.0  # omega(e1, e3) = -1, so span(e1, e3) is not isotropic
     with pytest.raises(InvalidFrame):
-        ShilovPoint(model, KMat("R", F))
+        ShilovPoint(model, F)
 
 
 def test_non_finite_vector_is_rejected():
@@ -122,16 +122,17 @@ def test_non_finite_vector_is_rejected():
 
 
 @pytest.mark.parametrize("name", LAGRANGIAN)
-@pytest.mark.parametrize("as_kmat", [True, False])
-def test_non_finite_frame_is_rejected(name, as_kmat):
-    # a KMat frame, or the embedded array ShilovPoint holds
+@pytest.mark.parametrize("as_list", [True, False])
+def test_non_finite_frame_is_rejected(name, as_list):
+    # the embedded array ShilovPoint holds, or the same frame as nested lists
     model = model_preset(name)
     _, p_minus = base_points(model)
-    F = KMat.unembed(model.tag, p_minus.frame.copy())
+    parts = [p.copy() for p in _parts(p_minus.frame)] if model.tag == "H" else [p_minus.frame.copy()]
     for bad in (np.inf, np.nan):
-        F.a[3, 1] = bad
+        parts[0][3, 1] = bad  # the field entry (3, 1)
+        F = _chi(*parts) if model.tag == "H" else parts[0]
         with pytest.raises(NonFiniteInput):
-            ShilovPoint(model, F if as_kmat else F.embed())
+            ShilovPoint(model, F.tolist() if as_list else F)
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -156,8 +157,8 @@ def test_distance_is_representative_independent(name):
     if model.is_lagrangian:
         X = random_hermitian(model, rng)
         p = chart_point(model, X)
-        M = KMat.random(model.tag, model.rank, model.rank, rng) + 3.0 * KMat.eye(model.tag, model.rank)
-        q = ShilovPoint(model, product(p.frame, M.embed(), model.tag))
+        M = draw(model.tag, (model.rank, model.rank), rng) + 3.0 * embed_real(np.eye(model.rank), model.tag)
+        q = ShilovPoint(model, product(p.frame, M, model.tag))
     else:
         v = rng.standard_normal(4)
         p = chart_point(model, v)
@@ -255,12 +256,6 @@ def test_stacked_orbit_matches_per_element_act(name):
         assert np.array_equal(coords[k], _stack(model, [reference_chart_coordinates(y)])[0])
 
 
-def kmat_equal(X, Y):
-    if isinstance(X, KMat):
-        return X.tag == Y.tag and np.array_equal(X.a, Y.a) and (X.b is None or np.array_equal(X.b, Y.b))
-    return np.array_equal(X, Y)
-
-
 @pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "sp8", "so32", "so42"])
 def test_point_paths_equal_the_references(name):
     """ShilovPoint, act, chart_coordinates and standardize_pair against the per-point bodies they replaced."""
@@ -270,19 +265,19 @@ def test_point_paths_equal_the_references(name):
         x, c = random_point(model, rng), random_point(model, rng)
         if model.is_lagrangian:
             # a frame that is not orthonormal: a change of representative of x
-            U = KMat.random(model.tag, model.rank, model.rank, rng) + 2.0 * KMat.eye(model.tag, model.rank)
-            frame = product(x.frame, U.embed(), model.tag)
+            U = draw(model.tag, (model.rank, model.rank), rng) + 2.0 * embed_real(np.eye(model.rank), model.tag)
+            frame = product(x.frame, U, model.tag)
         else:
             frame = -2.5 * x.frame
         assert np.array_equal(ShilovPoint(model, frame).ortho, ReferencePoint(model, frame).ortho)
         g = random_element(model, rng, scale=1.5)
         y, y_ref = act(g, x), reference_act(g, x)
-        assert kmat_equal(y.frame, y_ref.frame)
+        assert np.array_equal(y.frame, y_ref.frame)
         assert np.array_equal(y.ortho, y_ref.ortho)
         assert np.array_equal(y.projector(), y_ref.projector())
-        assert kmat_equal(chart_coordinates(y), reference_chart_coordinates(y_ref))
+        assert np.array_equal(chart_coordinates(y), reference_chart_coordinates(y_ref))
         if model.is_lagrangian and transversality_margin(x, c) > 1e-3:
-            assert kmat_equal(standardize_pair(x, c).g, reference_standardize_pair(x, c).g)
+            assert np.array_equal(standardize_pair(x, c).g, reference_standardize_pair(x, c).g)
 
 
 @pytest.mark.parametrize("name", ["sp4", "sostar8", "so42"])
@@ -305,11 +300,9 @@ PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
 
 
-def coordinate_error(X, Y):
-    """|X - Y| / max(1, |X|) for two chart coordinates."""
-    if isinstance(X, KMat):
-        return norm((X - Y).embed(), X.tag) / max(1.0, norm(X.embed(), X.tag))
-    return np.linalg.norm(X - Y) / max(1.0, np.linalg.norm(X))
+def coordinate_error(X, Y, tag):
+    """|X - Y| / max(1, |X|) for two chart coordinates of a model."""
+    return norm(X - Y, tag) / max(1.0, norm(X, tag))
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -321,13 +314,13 @@ def test_change_of_frame_representative(name, seed):
     x = random_point(model, rng)
     assume(transversality_margin(x, base_points(model)[1]) > 1e-3)
     if model.is_lagrangian:
-        U = KMat.random(model.tag, model.rank, model.rank, rng)  # quaternionic on sostar8
-        assume(np.linalg.cond(U.embed()) < 1e3)
-        y = ShilovPoint(model, product(x.frame, U.embed(), model.tag))
+        U = draw(model.tag, (model.rank, model.rank), rng)  # quaternionic on sostar8
+        assume(np.linalg.cond(U) < 1e3)
+        y = ShilovPoint(model, product(x.frame, U, model.tag))
     else:
         y = ShilovPoint(model, rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 10.0) * x.frame)
     assert np.linalg.norm(y.projector() - x.projector()) <= 1e-10
-    assert coordinate_error(chart_coordinates(x), chart_coordinates(y)) <= 1e-9
+    assert coordinate_error(chart_coordinates(x), chart_coordinates(y), model.tag) <= 1e-9
 
 
 @pytest.mark.parametrize("name", FAMILIES)
@@ -342,7 +335,7 @@ def test_change_of_chart_roundtrip(name, seed):
     assume(transversality_margin(z, w) > 0.05)
     chart = ChartedChart.at_point(z, w)
     X = random_hermitian(model, rng) if model.is_lagrangian else rng.standard_normal(model.rank)
-    assert coordinate_error(X, chart.coords(chart.point(X))) <= 1e-8
+    assert coordinate_error(X, chart.coords(chart.point(X)), model.tag) <= 1e-8
 
 
 @pytest.mark.parametrize("name", FAMILIES)
