@@ -16,14 +16,16 @@ import sys
 
 import numpy as np
 
+from . import kmat, reps
+from .causal import (ChartedChart, causal_hull, chart_independence_check, random_positive_coord,
+                     sylvester_orbit_check)
+from .einstein import hilbert_distance, invisible_domain_membership, photon_convexity_check
 from .errors import CausalFlagError
-from . import kmat
 from .groups import model_preset
-from .shilov import ShilovPoint, chart_point
+from .maslov import maslov_index, maslov_invariance_report
+from .shilov import ShilovPoint, chart_point, transversality_margins
 
 TOLERANCE_KEYS = {"margin_floor"}
-# the subcommands that sample a limit set, the only readers of the tolerances
-_TOLERANCE_COMMANDS = {"rep-limitset", "rep-verify-maslov0", "rep-certificate", "rep-core"}
 
 
 # ------------------------------------------------------- deterministic output
@@ -69,13 +71,24 @@ def dumps_det(obj, indent=0) -> str:
     raise TypeError(f"cannot render {type(obj)!r}")
 
 
+def _open_out(out_dir, name):
+    """A file of the --out directory, which is made on first use."""
+    os.makedirs(out_dir, exist_ok=True)
+    return open(os.path.join(out_dir, name), "w", newline="")
+
+
 def _write_report(out_dir, report):
     text = dumps_det(report) + "\n"
     if out_dir:
-        os.makedirs(out_dir, exist_ok=True)
-        with open(os.path.join(out_dir, "report.json"), "w") as fh:
+        with _open_out(out_dir, "report.json") as fh:
             fh.write(text)
     sys.stdout.write(text)
+
+
+def _write_rep(out_dir, rep):
+    if out_dir:
+        with _open_out(out_dir, "rep.json") as fh:
+            fh.write(dumps_det(rep.to_json()) + "\n")
 
 
 # ------------------------------------------------------------------- plumbing
@@ -95,8 +108,6 @@ def _threads():
 
 
 def _load_rep(ref: str):
-    from . import reps
-
     if ref.endswith(".json") or os.path.sep in ref:
         with open(ref) as fh:
             return reps.Representation.from_json(json.load(fh))
@@ -147,21 +158,16 @@ def _load_vectors(path):
 
 
 # ---------------------------------------------------------------- subcommands
+# main resolves args.model to a GroupModel and args.rep to a Representation first.
 
 
 def _cmd_sylvester(args, tol):
-    from .causal import sylvester_orbit_check
-
-    model = model_preset(args.model)
-    rep = sylvester_orbit_check(model, args.i, args.trials, args.seed)
+    rep = sylvester_orbit_check(args.model, args.i, args.trials, args.seed)
     return rep, rep["failures"] == 0
 
 
 def _cmd_maslov(args, tol):
-    from .maslov import maslov_index
-
-    model = model_preset(args.model)
-    pts = _load_points(model, args.triple)
+    pts = _load_points(args.model, args.triple)
     if len(pts) != 3:
         raise SystemExit("the triple file must contain exactly 3 points")
     t = maslov_index(*pts)
@@ -169,17 +175,12 @@ def _cmd_maslov(args, tol):
 
 
 def _cmd_maslov_invariance(args, tol):
-    from .maslov import maslov_invariance_report
-
-    model = model_preset(args.model)
-    rep = maslov_invariance_report(model, args.trials, args.seed)
+    rep = maslov_invariance_report(args.model, args.trials, args.seed)
     return rep, rep["violations"] == 0
 
 
 def _cmd_rep_build(args, tol):
-    from . import reps
-
-    rep = _load_rep(args.rep)
+    rep = args.rep
     defects = {name: float(rep.gens[name].form_defect()) for name in rep.gen_names}
     report = {
         "preset": rep.preset_id,
@@ -196,41 +197,29 @@ def _cmd_rep_build(args, tol):
         cert = reps.pingpong_certificate(rep)
         report["pingpong"] = cert
         ok = ok and cert["passed"]
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "rep.json"), "w") as fh:
-            fh.write(dumps_det(rep.to_json()) + "\n")
+    _write_rep(args.out, rep)
     return report, ok
 
 
 def _cmd_rep_gap(args, tol):
-    from . import reps
-
-    rep = _load_rep(args.rep)
-    report = reps.anosov_gap_report(rep, args.max_word_len, cap=args.cap)
+    report = reps.anosov_gap_report(args.rep, args.max_word_len, cap=args.cap)
     return report, report["passed"]
 
 
 def _limit_sample(args, tol, max_len=None):
     """sample_limit_set with the subcommand's flags and the configured margin_floor."""
-    from . import reps
-
-    rep = _load_rep(args.rep)
     kwargs = {"margin_floor": tol["margin_floor"]} if "margin_floor" in tol else {}
-    sample = reps.sample_limit_set(rep, args.max_word_len if max_len is None else max_len,
-                                   per_length_cap=args.per_length_cap, seed=args.seed, **kwargs)
-    return rep, sample
+    return reps.sample_limit_set(args.rep, args.max_word_len if max_len is None else max_len,
+                                 per_length_cap=args.per_length_cap, seed=args.seed, **kwargs)
 
 
 def _cmd_rep_limitset(args, tol):
-    from .shilov import transversality_margins
-
-    rep, sample = _limit_sample(args, tol)
+    sample = _limit_sample(args, tol)
     min_margin = None
     if len(sample) > 1:
         Q = np.stack([p.ortho for p in sample.points])
         i, j = np.triu_indices(len(Q), 1)
-        min_margin = float(np.min(transversality_margins(rep.model, Q[i], Q[j])))
+        min_margin = float(np.min(transversality_margins(args.rep.model, Q[i], Q[j])))
     report = {
         "n_points": len(sample),
         "word_lengths": sample.word_lengths,
@@ -239,8 +228,7 @@ def _cmd_rep_limitset(args, tol):
         "excluded": sample.excluded,
     }
     if args.out and args.csv:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "limitset.csv"), "w", newline="") as fh:
+        with _open_out(args.out, "limitset.csv") as fh:
             w = csv.writer(fh)
             w.writerow(["word", "length", "residual", "frame"])
             for word, L, res, pt in zip(sample.words, sample.word_lengths,
@@ -252,19 +240,15 @@ def _cmd_rep_limitset(args, tol):
 
 
 def _cmd_rep_verify_maslov0(args, tol):
-    from . import reps
-
-    _, sample = _limit_sample(args, tol)
+    sample = _limit_sample(args, tol)
     report = reps.verify_maslov_zero(sample, args.triples, seed=args.seed)
     report["n_points"] = len(sample)
     return report, report["violations"] == 0
 
 
 def _cmd_rep_certificate(args, tol):
-    from . import reps
-
-    rep, sample = _limit_sample(args, tol)
-    cert = reps.proper_domain_certificate(rep, sample, probe_count=args.probes, seed=args.seed)
+    sample = _limit_sample(args, tol)
+    cert = reps.proper_domain_certificate(args.rep, sample, probe_count=args.probes, seed=args.seed)
     report = {
         "kind": "CERTIFICATE(SAMPLED)",
         "candidate": cert["candidate"],
@@ -277,10 +261,8 @@ def _cmd_rep_certificate(args, tol):
 
 
 def _cmd_rep_core(args, tol):
-    from . import reps
-
-    rep, sample = _limit_sample(args, tol, max(args.max_word_len, 4))
-    out = reps.convex_core_sample(rep, sample, [reps.domain_center(rep.model)], args.max_word_len)
+    sample = _limit_sample(args, tol, max(args.max_word_len, 4))
+    out = reps.convex_core_sample(args.rep, sample, [reps.domain_center(args.rep.model)], args.max_word_len)
     report = {
         "ideal_residual": out["ideal_residual"],
         "orbit_size": out["orbit_size"],
@@ -291,40 +273,23 @@ def _cmd_rep_core(args, tol):
 
 
 def _cmd_rep_deform(args, tol):
-    from . import reps
-
-    rep = _load_rep(args.rep)
-    deformed = reps.deform(rep, args.eps, seed=args.seed)
-    report = {"deformation": deformed.deformation}
-    if args.out:
-        os.makedirs(args.out, exist_ok=True)
-        with open(os.path.join(args.out, "rep.json"), "w") as fh:
-            fh.write(dumps_det(deformed.to_json()) + "\n")
-    return report, True
+    deformed = reps.deform(args.rep, args.eps, seed=args.seed)
+    _write_rep(args.out, deformed)
+    return {"deformation": deformed.deformation}, True
 
 
 def _cmd_hull(args, tol):
-    from .causal import causal_hull
-
-    model = model_preset(args.model)
-    coords = _load_coords(model, args.points)
-    hull = causal_hull(model, coords)
-    report = {
-        "n_points": len(hull.points),
-        "n_pairs": len(hull.pairs),
-    }
+    hull = causal_hull(args.model, _load_coords(args.model, args.points))
+    report = {"n_points": len(hull.points), "n_pairs": len(hull.pairs)}
     if args.query:
-        queries = _load_coords(model, args.query)
+        queries = _load_coords(args.model, args.query)
         report["memberships"] = [bool(hull.membership(q)) for q in queries]
         report["margins"] = [float(hull.margin(q)) for q in queries]
     return report, True
 
 
 def _cmd_chart_independence(args, tol):
-    from .causal import ChartedChart, chart_independence_check, random_positive_coord
-    from . import reps
-
-    model = model_preset(args.model)
+    model = args.model
     rng = np.random.default_rng(args.seed)
     pts = []
     for _ in range(args.n_points):
@@ -338,27 +303,19 @@ def _cmd_chart_independence(args, tol):
 
 
 def _cmd_ein_invisible(args, tol):
-    from .einstein import invisible_domain_membership
-
-    model = model_preset(args.model)
-    limits = [ShilovPoint(model, v) for v in _load_vectors(args.limit)]
-    queries = [ShilovPoint(model, v) for v in _load_vectors(args.query)]
+    limits = [ShilovPoint(args.model, v) for v in _load_vectors(args.limit)]
+    queries = [ShilovPoint(args.model, v) for v in _load_vectors(args.query)]
     members = [bool(invisible_domain_membership(limits, q)) for q in queries]
     return {"n_limit": len(limits), "memberships": members}, True
 
 
 def _cmd_ein_photon_convexity(args, tol):
-    from .einstein import photon_convexity_check
-
-    model = model_preset(args.model)
-    limits = [ShilovPoint(model, v) for v in _load_vectors(args.limit)]
+    limits = [ShilovPoint(args.model, v) for v in _load_vectors(args.limit)]
     report = photon_convexity_check(limits, args.photons, args.seed)
     return report, report["violations"] == 0
 
 
 def _cmd_hilbert(args, tol):
-    from .einstein import hilbert_distance
-
     x = np.array([float(v) for v in args.x.split(",")])
     y = np.array([float(v) for v in args.y.split(",")])
     if args.domain == "interval":
@@ -373,78 +330,68 @@ def _cmd_hilbert(args, tol):
     return {"distance": float(d)}, True
 
 
+# ------------------------------------------------------------- command table
+
+_REQUIRED = (str, None, True)
+# the flags of every subcommand that a config may set, as (type, default, required) by attribute name
+_COMMON = dict(seed=(int, 0, False), out=(str, None, False))
+
+
+def _limit_flags(max_word_len, per_length_cap, **extra):
+    """The flags of a subcommand that samples a limit set."""
+    return dict(rep=_REQUIRED, max_word_len=(int, max_word_len, False),
+                per_length_cap=(int, per_length_cap, False), **extra)
+
+
+# each subcommand once: its handler, its own flags, and whether it reads the tolerances
+# (only the subcommands that sample a limit set do)
 _COMMANDS = {
-    "sylvester-check": _cmd_sylvester,
-    "maslov": _cmd_maslov,
-    "maslov-invariance": _cmd_maslov_invariance,
-    "rep-build": _cmd_rep_build,
-    "rep-gap": _cmd_rep_gap,
-    "rep-limitset": _cmd_rep_limitset,
-    "rep-verify-maslov0": _cmd_rep_verify_maslov0,
-    "rep-certificate": _cmd_rep_certificate,
-    "rep-core": _cmd_rep_core,
-    "rep-deform": _cmd_rep_deform,
-    "hull": _cmd_hull,
-    "chart-independence": _cmd_chart_independence,
-    "ein-invisible": _cmd_ein_invisible,
-    "ein-photon-convexity": _cmd_ein_photon_convexity,
-    "hilbert": _cmd_hilbert,
+    "sylvester-check": (_cmd_sylvester, dict(model=_REQUIRED, i=(int, None, True),
+                                             trials=(int, 10_000, False)), False),
+    "maslov": (_cmd_maslov, dict(model=_REQUIRED, triple=_REQUIRED), False),
+    "maslov-invariance": (_cmd_maslov_invariance, dict(model=_REQUIRED, trials=(int, 10_000, False)), False),
+    "rep-build": (_cmd_rep_build, dict(rep=_REQUIRED), False),
+    "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False), cap=(int, 10**7, False)), False),
+    "rep-limitset": (_cmd_rep_limitset, _limit_flags(8, 100, csv=(bool, False, False)), True),
+    "rep-verify-maslov0": (_cmd_rep_verify_maslov0, _limit_flags(8, 100, triples=(int, 1000, False)), True),
+    "rep-certificate": (_cmd_rep_certificate, _limit_flags(8, 100, probes=(int, 50, False)), True),
+    "rep-core": (_cmd_rep_core, _limit_flags(5, 50), True),
+    "rep-deform": (_cmd_rep_deform, dict(rep=_REQUIRED, eps=(float, None, True)), False),
+    "hull": (_cmd_hull, dict(model=_REQUIRED, points=_REQUIRED, query=(str, None, False)), False),
+    "chart-independence": (_cmd_chart_independence, dict(model=_REQUIRED, n_points=(int, 6, False),
+                                                         probes=(int, 10_000, False)), False),
+    "ein-invisible": (_cmd_ein_invisible, dict(model=_REQUIRED, limit=_REQUIRED, query=_REQUIRED), False),
+    "ein-photon-convexity": (_cmd_ein_photon_convexity, dict(model=_REQUIRED, limit=_REQUIRED,
+                                                             photons=(int, 1000, False)), False),
+    "hilbert": (_cmd_hilbert, dict(domain=(str, "interval", False), x=_REQUIRED, y=_REQUIRED), False),
 }
 
 
 def _build_parser():
+    """The parser, and the subparser of each subcommand, both read off _COMMANDS."""
     p = argparse.ArgumentParser(prog="causalflag")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def add(name, **flags):
+    for name, (_, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
-        sp.add_argument("--seed", type=int, default=0)
-        sp.add_argument("--out", default=None)
-        sp.add_argument("--config", default=None)
-        for flag, (kind, default, required) in flags.items():
-            extra = {"required": True} if required else {"default": default}
+        for attr, (kind, default, required) in {**_COMMON, "config": (str, None, False), **flags}.items():
+            flag = "--" + attr.replace("_", "-")
             if kind is bool:
-                sp.add_argument(f"--{flag}", action="store_true")
+                sp.add_argument(flag, action="store_true")
             else:
-                sp.add_argument(f"--{flag}", type=kind, **extra)
-        # the flags a config file may set, by attribute name, with the JSON type each takes
-        kinds = {"seed": int, "out": str, **{f.replace("-", "_"): k for f, (k, _, _) in flags.items()}}
-        sp.set_defaults(_config_kinds=kinds)
-        return sp
-
-    add("sylvester-check", model=(str, None, True), i=(int, None, True), trials=(int, 10_000, False))
-    add("maslov", model=(str, None, True), triple=(str, None, True))
-    add("maslov-invariance", model=(str, None, True), trials=(int, 10_000, False))
-    add("rep-build", rep=(str, None, True))
-    add("rep-gap", rep=(str, None, True), **{"max-word-len": (int, 6, False)}, cap=(int, 10**7, False))
-    add("rep-limitset", rep=(str, None, True), **{"max-word-len": (int, 8, False)},
-        **{"per-length-cap": (int, 100, False)}, csv=(bool, False, False))
-    add("rep-verify-maslov0", rep=(str, None, True), **{"max-word-len": (int, 8, False)},
-        **{"per-length-cap": (int, 100, False)}, triples=(int, 1000, False))
-    add("rep-certificate", rep=(str, None, True), **{"max-word-len": (int, 8, False)},
-        **{"per-length-cap": (int, 100, False)}, probes=(int, 50, False))
-    add("rep-core", rep=(str, None, True), **{"max-word-len": (int, 5, False)},
-        **{"per-length-cap": (int, 50, False)})
-    add("rep-deform", rep=(str, None, True), eps=(float, None, True))
-    add("hull", model=(str, None, True), points=(str, None, True), query=(str, None, False))
-    add("chart-independence", model=(str, None, True), **{"n-points": (int, 6, False)},
-        probes=(int, 10_000, False))
-    add("ein-invisible", model=(str, None, True), limit=(str, None, True), query=(str, None, True))
-    add("ein-photon-convexity", model=(str, None, True), limit=(str, None, True),
-        photons=(int, 1000, False))
-    add("hilbert", domain=(str, "interval", False), x=(str, None, True), y=(str, None, True))
-    return p
+                sp.add_argument(flag, type=kind, **({"required": True} if required else {"default": default}))
+    return p, sub.choices
 
 
-def _apply_config(args):
-    """Config file mirrors long flags; explicit flags win."""
-    tol = {}
-    if not args.config:
-        return tol
+def _apply_config(args, subparser):
+    """Check the config against the subcommand's row, make its flag values the subparser's defaults
+    (main then parses the command line again over them, so given flags win) and return its tolerances."""
     with open(args.config) as fh:
         cfg = json.load(fh)
     if not isinstance(cfg, dict):
         raise SystemExit("config must be a JSON object")
+    _, flags, reads_tolerances = _COMMANDS[args.command]
+    flags = {**_COMMON, **flags}
+    tol, defaults = {}, {}
     for key, value in cfg.items():
         if key == "tolerances":
             if not isinstance(value, dict):
@@ -452,9 +399,10 @@ def _apply_config(args):
             for tk, tv in value.items():
                 if tk not in TOLERANCE_KEYS:
                     raise SystemExit(f"unknown tolerance key {tk!r}")
-                if args.command not in _TOLERANCE_COMMANDS:
+                if not reads_tolerances:
+                    readers = sorted(name for name, row in _COMMANDS.items() if row[2])
                     raise SystemExit(f"tolerance {tk!r} is not read by {args.command}; "
-                                     f"only {', '.join(sorted(_TOLERANCE_COMMANDS))} read it")
+                                     f"only {', '.join(readers)} read it")
                 if not _is_kind(tv, float):
                     raise SystemExit(f"tolerance {tk!r} takes a number, got {tv!r}")
                 tv = float(tv)
@@ -463,13 +411,16 @@ def _apply_config(args):
                 tol[tk] = tv
             continue
         attr = key.replace("-", "_")
-        kind = args._config_kinds.get(attr)
-        if kind is None:
+        if attr not in flags:
             raise SystemExit(f"unknown config key {key!r} for {args.command}")
+        kind, _, required = flags[attr]
+        if required:
+            raise SystemExit(f"config key {key!r} names a required flag of {args.command}, "
+                             f"which only the command line can give")
         if not _is_kind(value, kind):
             raise SystemExit(f"config key {key!r} must be of type {kind.__name__}, got {value!r}")
-        if attr not in args._explicit:
-            setattr(args, attr, float(value) if kind is float else value)
+        defaults[attr] = value
+    subparser.set_defaults(**defaults)
     return tol
 
 
@@ -483,20 +434,22 @@ def _is_kind(value, kind):
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
     _threads()
-    parser = _build_parser()
+    parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)
     except SystemExit as e:
         return 1 if e.code not in (0,) else 0
-    # record which flags were given explicitly so config values do not override them
-    explicit = set()
-    for tok in argv:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=")[0].replace("-", "_"))
-    args._explicit = explicit
+    run, flags, _ = _COMMANDS[args.command]
     try:
-        tol = _apply_config(args)
-        report, passed = _COMMANDS[args.command](args, tol)
+        tol = {}
+        if args.config:
+            tol = _apply_config(args, subparsers[args.command])
+            args = parser.parse_args(argv)
+        if "model" in flags:
+            args.model = model_preset(args.model)
+        if "rep" in flags:
+            args.rep = _load_rep(args.rep)
+        report, passed = run(args, tol)
     except SystemExit as e:
         sys.stderr.write(f"{e}\n" if str(e) else "")
         return 1

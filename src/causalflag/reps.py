@@ -32,9 +32,12 @@ from .groups import (
     random_lie_perturbation,
     tau_p,
 )
+from .causal import _random_hermitian, causal_hull
+from .einstein import random_ein_point
 from .kmat import _chi, embed_real, norm, product
 from .scalars import QUATERNION, REAL
 from .linalg import _flat_norms, eig_moduli
+from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
 from .shilov import (
     ShilovPoint,
     _guard,
@@ -583,8 +586,6 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
 
 def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     """Random transverse triples from the sample should all have index zero; those in a guard band are skipped."""
-    from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
-
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
     n = len(sample)
@@ -656,12 +657,8 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     rng = np.random.default_rng(seed)
     for k in range(probe_count):
         if model.is_lagrangian:
-            from .causal import _random_hermitian
-
             z = chart_point(model, 4.0 * _random_hermitian(model, rng))
         else:
-            from .einstein import random_ein_point
-
             z = random_ein_point(model, rng)
         candidates.append((f"probe_{k}", z))
     best = None
@@ -686,8 +683,6 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     built on a deterministic subsample of at most CORE_HULL_CAP orbit
     points to keep the pair scan affordable.
     """
-    from .causal import causal_hull
-
     model = rep.model
     frames = np.stack([bp.frame for bp in base_pts])
     orthos = np.stack([bp.ortho for bp in base_pts])

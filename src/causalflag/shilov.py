@@ -83,7 +83,8 @@ def _raise_first(checks):
 def _guard(model: GroupModel, E):
     """The point guards on a stack of embedded frames (lifts on SO(n, 2)); returns their orthos.
 
-    Raises NonFiniteInput for a non-finite entry, then InvalidFrame for a
+    Raises NonFiniteInput for a non-finite entry or an SO(n, 2) vector whose
+    norm overflows, without a floating point warning, then InvalidFrame for a
     zero vector or an isotropy defect on SO(n, 2), or for a rank-deficient
     frame (read off the R factors of one batched QR), as a loop over the
     points would raise.  The orthos are the QR's Q factors, and the unit
@@ -93,9 +94,11 @@ def _guard(model: GroupModel, E):
     _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
                    lambda k: NonFiniteInput(f"{kind} has a non-finite entry"))])
     if not model.is_lagrangian:
-        nv = _flat_norms(E)
-        iso = np.abs(np.matmul((E @ model.form())[:, None, :], E[:, :, None])[:, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
+            nv = _flat_norms(E)
+            iso = np.abs(np.matmul((E @ model.form())[:, None, :], E[:, :, None])[:, 0, 0])
         _raise_first([
+            (np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
             (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
             (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
         ])

@@ -2,12 +2,15 @@
 
 import json
 import os
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from causalflag import cli
 from causalflag.groups import model_preset
 from causalflag.kmat import embed_real, hermitian_draw, to_json
 from causalflag.shilov import chart_point
@@ -245,8 +248,6 @@ def test_config_rejections(tmp_path):
 ])
 def test_config_values_must_be_the_commands_flags(tmp_path, capsys, command, config, key):
     # a value of another type, or a key that is not one of the subcommand's flags, exits 1 and names the key
-    from causalflag import cli
-
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(config))
     assert cli.main(command + ["--out", str(tmp_path / "rep"), "--config", str(cfg)]) == 1
@@ -323,6 +324,21 @@ def test_non_finite_codec_entries_exit_2(tmp_path, bad, frame_error):
         assert json.loads(r.stdout)["error"] == error
 
 
+@pytest.mark.parametrize("command", ["ein-invisible", "ein-photon-convexity"])
+@pytest.mark.parametrize("suffix", [".json", ".csv"])
+def test_overflowing_limit_vector_exits_2(tmp_path, command, suffix):
+    # a finite entry of 1e300 overflows the vector's norm: a structured error, without a warning
+    rows = [[1e300, 0.0, 0.0, 0.0, 1.0, 0.0], [0.6, 0.8, 0.0, 0.0, 1.0, 0.0]]
+    limit = tmp_path / f"limit{suffix}"
+    limit.write_text(json.dumps(rows) if suffix == ".json" else "".join(",".join(map(repr, r)) + "\n" for r in rows))
+    query = tmp_path / "query.json"
+    query.write_text(json.dumps([[0.0, 0.0, 0.0, 1.0, 0.0, 1.0]]))
+    extra = ["--query", str(query)] if command == "ein-invisible" else ["--photons", "5"]
+    r = _cli_warnings_as_errors([command, "--model", "so42", "--limit", str(limit), *extra])
+    assert (r.returncode, r.stderr) == (2, "")
+    assert json.loads(r.stdout)["error"] == "NonFiniteInput"
+
+
 # minimal arguments of the subcommands that sample no limit set; the config is read before any file
 UNSAMPLED = {
     "sylvester-check": ["--model", "sp4", "--i", "0"],
@@ -342,14 +358,55 @@ UNSAMPLED = {
 @pytest.mark.parametrize("command", sorted(UNSAMPLED))
 def test_tolerances_are_rejected_where_no_limit_set_is_sampled(tmp_path, capsys, command):
     # margin_floor is read by the limit sampler alone; elsewhere it would be a knob that does nothing
-    from causalflag import cli
-
-    assert set(cli._COMMANDS) - set(UNSAMPLED) == cli._TOLERANCE_COMMANDS
+    assert set(cli._COMMANDS) - set(UNSAMPLED) == {name for name, row in cli._COMMANDS.items() if row[2]}
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"tolerances": {"margin_floor": 1e-3}}))
     assert cli.main([command, *UNSAMPLED[command], "--config", str(cfg)]) == 1
     captured = capsys.readouterr()
     assert "'margin_floor'" in captured.err and command in captured.err and captured.out == ""
+
+
+# every subcommand with the flags it needs; the config is read before any file or preset
+MINIMAL = {**UNSAMPLED, **{name: ["--rep", "tau0-sp4-f2"] for name in sorted(set(cli._COMMANDS) - set(UNSAMPLED))}}
+REQUIRED_FLAGS = [(name, attr) for name, (_, flags, _) in cli._COMMANDS.items()
+                  for attr, (_, _, required) in flags.items() if required]
+
+
+@pytest.mark.parametrize("command,key", REQUIRED_FLAGS)
+def test_config_cannot_set_a_required_flag(tmp_path, capsys, command, key):
+    # a required flag is always given on the command line, so a config value for it could never take effect
+    argv = MINIMAL[command]
+    kind = cli._COMMANDS[command][1][key][0]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({key: kind(argv[argv.index("--" + key.replace("_", "-")) + 1])}))
+    assert cli.main([command, *argv, "--out", str(tmp_path / "rep"), "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert repr(key) in captured.err and "required" in captured.err and captured.out == ""
+    assert not (tmp_path / "rep").exists()
+
+
+def test_abbreviated_flag_beats_the_config(tmp_path, capsys):
+    # argparse takes --max-word for --max-word-len; the config value is only a default
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"max-word-len": 6}))
+    assert cli.main(["rep-gap", "--rep", "tau0-sp4-f2", "--max-word", "3", "--config", str(cfg)]) == 0
+    abbreviated = capsys.readouterr().out
+    assert cli.main(["rep-gap", "--rep", "tau0-sp4-f2", "--max-word-len", "3"]) == 0
+    assert abbreviated == capsys.readouterr().out
+
+
+def test_readme_command_lines_parse():
+    # the examples of the README's command line section name subcommands and flags the parser has
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    lines = [line.split("#", 1)[0] for line in section.splitlines() if line.startswith("causalflag ")]
+    assert len(lines) >= 10
+    parser, _ = cli._build_parser()
+    for line in lines:
+        try:
+            parser.parse_args(shlex.split(line)[1:])
+        except SystemExit:
+            pytest.fail(f"README example does not parse: {line}")
 
 
 @pytest.mark.parametrize("key", ["dedup_tol", "band"])
@@ -368,7 +425,7 @@ def test_unread_tolerance_keys_are_rejected(tmp_path, key):
     ["rep-core"],
 ])
 def test_margin_floor_reaches_the_limit_sampler(tmp_path, monkeypatch, capsys, command):
-    from causalflag import cli, reps
+    from causalflag import reps
 
     seen = []
     sampler = reps.sample_limit_set
@@ -426,8 +483,6 @@ MODEL_PRESETS = ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8", "so22", 
 ], ids=lambda command: command[0])
 def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
     # exit 0 with a report, or 2 with a structured error report; never an uncaught error (exit 1)
-    from causalflag import cli
-
     code = cli.main(command + ["--model", model])
     out = json.loads(capsys.readouterr().out)
     assert code in (0, 2)
@@ -444,8 +499,6 @@ def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
     ["ein-photon-convexity", "--model", "so42", "--photons", "0"],
 ], ids=lambda command: command[0])
 def test_runs_without_trials_exit_1(tmp_path, capsys, command):
-    from causalflag import cli
-
     if command[0] == "ein-photon-convexity":
         limit = tmp_path / "limit.json"
         limit.write_text(json.dumps([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0], [0.0, 1.0, 0.0, 0.0, 1.0, 0.0],

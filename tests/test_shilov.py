@@ -121,6 +121,19 @@ def test_non_finite_vector_is_rejected():
         ShilovPoint(model, [np.inf, 0.0, 0.0, 0.0, np.inf, 0.0])
 
 
+def test_overflowing_vector_fails_without_a_warning():
+    # a finite vector whose norm overflows is named, not divided by an infinite norm
+    import warnings
+
+    model = model_preset("so42")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NonFiniteInput, match="overflows"):
+            ShilovPoint(model, [1e300, 0.0, 0.0, 0.0, 1.0, 0.0])
+        big = ShilovPoint(model, [1e150, 0.0, 0.0, 0.0, 1e150, 0.0])
+    assert np.allclose(big.ortho, [2**-0.5, 0.0, 0.0, 0.0, 2**-0.5, 0.0])
+
+
 @pytest.mark.parametrize("name", LAGRANGIAN)
 @pytest.mark.parametrize("as_list", [True, False])
 def test_non_finite_frame_is_rejected(name, as_list):
