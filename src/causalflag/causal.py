@@ -28,6 +28,7 @@ from .groups import GroupElement, GroupModel
 from .kmat import KMat, adjoint, as_embedded, draw, embed_real, hermitian_draw, product
 from .linalg import check_hermitian, frobenius_norms, signature, signature_counts
 from .shilov import (
+    TRANSVERSALITY_TOL,
     ShilovPoint,
     _act_frames,
     _chart_point_stack,
@@ -307,7 +308,7 @@ class ChartedChart:
         S = standardize_pair(witness, z)
         return cls(z, S.inv())
 
-    def contains(self, x: ShilovPoint, tol=1e-9) -> bool:
+    def contains(self, x: ShilovPoint, tol=TRANSVERSALITY_TOL) -> bool:
         return transversality_margin(x, self.base) > tol
 
     def coords(self, x: ShilovPoint):

@@ -4,6 +4,13 @@ Exit codes: 0 for a passing run, 2 for a property violation or a
 structured library error (a report is still written), 1 for usage or
 unexpected runtime errors.  All floats in reports are rendered at 17
 significant digits so identical inputs give byte-identical files.
+
+--out DIR also writes report.json there, and rep.json (rep-build,
+rep-deform) or limitset.csv (rep-limitset).  Only the nine subcommands
+that draw at random take --seed, and only their reports echo it:
+sylvester-check, maslov-invariance, the four limit-set subcommands,
+rep-deform, chart-independence and ein-photon-convexity.  maslov checks
+the model a triple's point carries against --model (ModelMismatch).
 """
 
 from __future__ import annotations
@@ -20,8 +27,8 @@ from . import kmat, reps
 from .causal import (ChartedChart, causal_hull, chart_independence_check, random_positive_coord,
                      sylvester_orbit_check)
 from .einstein import hilbert_distance, invisible_domain_membership, photon_convexity_check
-from .errors import CausalFlagError
-from .groups import model_preset
+from .errors import CausalFlagError, ModelMismatch
+from .groups import GroupModel, model_preset
 from .maslov import maslov_index, maslov_invariance_report
 from .shilov import ShilovPoint, chart_point, transversality_margins
 
@@ -122,6 +129,8 @@ def _load_points(model, path):
     pts = []
     for entry in data:
         if isinstance(entry, dict) and "model" in entry:
+            if GroupModel.from_json(entry["model"]) != model:
+                raise ModelMismatch(f"a point of the triple is not of the given {model}")
             pts.append(ShilovPoint.from_json(entry))
         elif isinstance(entry, dict):
             pts.append(ShilovPoint(model, kmat.from_json(entry, model.tag)))
@@ -227,7 +236,7 @@ def _cmd_rep_limitset(args, tol):
         "min_pairwise_margin": min_margin,
         "excluded": sample.excluded,
     }
-    if args.out and args.csv:
+    if args.out:
         with _open_out(args.out, "limitset.csv") as fh:
             w = csv.writer(fh)
             w.writerow(["word", "length", "residual", "frame"])
@@ -333,36 +342,38 @@ def _cmd_hilbert(args, tol):
 # ------------------------------------------------------------- command table
 
 _REQUIRED = (str, None, True)
+_SEED = (int, 0, False)  # a flag of the subcommands that draw, and of no other
 # the flags of every subcommand that a config may set, as (type, default, required) by attribute name
-_COMMON = dict(seed=(int, 0, False), out=(str, None, False))
+_COMMON = dict(out=(str, None, False))
 
 
 def _limit_flags(max_word_len, per_length_cap, **extra):
     """The flags of a subcommand that samples a limit set."""
     return dict(rep=_REQUIRED, max_word_len=(int, max_word_len, False),
-                per_length_cap=(int, per_length_cap, False), **extra)
+                per_length_cap=(int, per_length_cap, False), seed=_SEED, **extra)
 
 
 # each subcommand once: its handler, its own flags, and whether it reads the tolerances
 # (only the subcommands that sample a limit set do)
 _COMMANDS = {
     "sylvester-check": (_cmd_sylvester, dict(model=_REQUIRED, i=(int, None, True),
-                                             trials=(int, 10_000, False)), False),
+                                             trials=(int, 10_000, False), seed=_SEED), False),
     "maslov": (_cmd_maslov, dict(model=_REQUIRED, triple=_REQUIRED), False),
-    "maslov-invariance": (_cmd_maslov_invariance, dict(model=_REQUIRED, trials=(int, 10_000, False)), False),
+    "maslov-invariance": (_cmd_maslov_invariance, dict(model=_REQUIRED, trials=(int, 10_000, False),
+                                                       seed=_SEED), False),
     "rep-build": (_cmd_rep_build, dict(rep=_REQUIRED), False),
     "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False), cap=(int, 10**7, False)), False),
-    "rep-limitset": (_cmd_rep_limitset, _limit_flags(8, 100, csv=(bool, False, False)), True),
+    "rep-limitset": (_cmd_rep_limitset, _limit_flags(8, 100), True),
     "rep-verify-maslov0": (_cmd_rep_verify_maslov0, _limit_flags(8, 100, triples=(int, 1000, False)), True),
     "rep-certificate": (_cmd_rep_certificate, _limit_flags(8, 100, probes=(int, 50, False)), True),
     "rep-core": (_cmd_rep_core, _limit_flags(5, 50), True),
-    "rep-deform": (_cmd_rep_deform, dict(rep=_REQUIRED, eps=(float, None, True)), False),
+    "rep-deform": (_cmd_rep_deform, dict(rep=_REQUIRED, eps=(float, None, True), seed=_SEED), False),
     "hull": (_cmd_hull, dict(model=_REQUIRED, points=_REQUIRED, query=(str, None, False)), False),
     "chart-independence": (_cmd_chart_independence, dict(model=_REQUIRED, n_points=(int, 6, False),
-                                                         probes=(int, 10_000, False)), False),
+                                                         probes=(int, 10_000, False), seed=_SEED), False),
     "ein-invisible": (_cmd_ein_invisible, dict(model=_REQUIRED, limit=_REQUIRED, query=_REQUIRED), False),
     "ein-photon-convexity": (_cmd_ein_photon_convexity, dict(model=_REQUIRED, limit=_REQUIRED,
-                                                             photons=(int, 1000, False)), False),
+                                                             photons=(int, 1000, False), seed=_SEED), False),
     "hilbert": (_cmd_hilbert, dict(domain=(str, "interval", False), x=_REQUIRED, y=_REQUIRED), False),
 }
 
@@ -374,11 +385,8 @@ def _build_parser():
     for name, (_, flags, _) in _COMMANDS.items():
         sp = sub.add_parser(name)
         for attr, (kind, default, required) in {**_COMMON, "config": (str, None, False), **flags}.items():
-            flag = "--" + attr.replace("_", "-")
-            if kind is bool:
-                sp.add_argument(flag, action="store_true")
-            else:
-                sp.add_argument(flag, type=kind, **({"required": True} if required else {"default": default}))
+            sp.add_argument("--" + attr.replace("_", "-"), type=kind,
+                            **({"required": True} if required else {"default": default}))
     return p, sub.choices
 
 
@@ -426,9 +434,7 @@ def _apply_config(args, subparser):
 
 def _is_kind(value, kind):
     """Whether a JSON value has a flag's type: a float flag takes any number, a bool is no number."""
-    if kind is bool or isinstance(value, bool):
-        return kind is bool and isinstance(value, bool)
-    return isinstance(value, (int, float) if kind is float else kind)
+    return not isinstance(value, bool) and isinstance(value, (int, float) if kind is float else kind)
 
 
 def main(argv=None) -> int:
@@ -464,8 +470,10 @@ def main(argv=None) -> int:
     except (OSError, ValueError, KeyError, json.JSONDecodeError) as e:
         sys.stderr.write(f"error: {e}\n")
         return 1
-    _write_report(args.out, {"command": args.command, "seed": args.seed,
-                             "report": report, "passed": bool(passed)})
+    envelope = {"command": args.command, "report": report, "passed": bool(passed)}
+    if "seed" in flags:
+        envelope["seed"] = args.seed
+    _write_report(args.out, envelope)
     return 0 if passed else 2
 
 

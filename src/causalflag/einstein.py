@@ -23,9 +23,8 @@ from .errors import (
 )
 from .groups import SO_N2, GroupModel
 from .linalg import null_space
-from .shilov import ShilovPoint
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint
 
-LIGHTCONE_TOL = 1e-9
 PHOTON_SCAN = 1000  # points per photon in photon_convexity_check
 HILBERT_T_SPAN = 1e8  # largest affine parameter searched for a boundary point
 HILBERT_TOL = 1e-12  # relative bisection width of a boundary point
@@ -45,7 +44,7 @@ def pairing(x: ShilovPoint, y: ShilovPoint) -> float:
 
 def lightcone_membership(x: ShilovPoint, y: ShilovPoint) -> bool:
     """True iff y lies on the lightcone of x (non-transverse pair)."""
-    return abs(pairing(x, y)) <= LIGHTCONE_TOL
+    return abs(pairing(x, y)) <= TRANSVERSALITY_TOL
 
 
 def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
@@ -53,7 +52,7 @@ def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
     p_ab = pairing(a, b_)
     p_bc = pairing(b_, c)
     p_ac = pairing(a, c)
-    if min(abs(p_ab), abs(p_bc), abs(p_ac)) <= LIGHTCONE_TOL:
+    if min(abs(p_ab), abs(p_bc), abs(p_ac)) <= TRANSVERSALITY_TOL:
         raise NotPairwiseTransverse("triple contains a lightcone-related pair")
     return 0 if p_ab * p_bc * p_ac < 0 else 2
 
@@ -71,7 +70,7 @@ def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
     lifts are nonzero and share one sign.
     """
     vals = negative_lifts(limit_pts) @ x.model.form() @ x.frame
-    if np.any(np.abs(vals) <= LIGHTCONE_TOL):
+    if np.any(np.abs(vals) <= TRANSVERSALITY_TOL):
         return False
     return bool(np.all(vals < 0) or np.all(vals > 0))
 
@@ -89,7 +88,7 @@ def negative_lifts(limit_pts) -> np.ndarray:
     L = np.stack([p.frame for p in limit_pts])
     gram = L @ limit_pts[0].model.form() @ L.T
     iu = np.triu_indices(len(L), 1)
-    close = np.flatnonzero(np.abs(gram[iu]) <= LIGHTCONE_TOL)
+    close = np.flatnonzero(np.abs(gram[iu]) <= TRANSVERSALITY_TOL)
     if len(close):
         raise LimitSetNotNegative(f"points {iu[0][close[0]]}, {iu[1][close[0]]} are lightcone-related")
     flip = np.where(gram[0] > 0, -1.0, 1.0)
@@ -114,11 +113,11 @@ def random_ein_point(model: GroupModel, rng) -> ShilovPoint:
         return ShilovPoint(model, v)
 
 
-def random_photon(model: GroupModel, rng, through=None):
+def random_photon(model: GroupModel, rng):
     """A totally isotropic 2-plane, as a pair of b-orthogonal isotropic lifts."""
     _check_model(model)
     b = model.form()
-    u = through.frame if through is not None else random_ein_point(model, rng).frame
+    u = random_ein_point(model, rng).frame
     N = null_space((b @ u).reshape(1, -1))
     for _ in range(100):
         # random 2-plane in u-perp; solve for an isotropic direction inside it

@@ -26,9 +26,8 @@ from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
 from .linalg import frobenius_norms
 from .scalars import QUATERNION
-from .shilov import ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
 
-MARGIN_TOL = 1e-9
 _SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
 
@@ -49,7 +48,7 @@ def maslov_indices(model: GroupModel, A, B, C):
 
     Returns (idx, margin, valid): the invariant |r - 2i|, the smallest of
     the three pairwise transversality margins, and a mask that is False
-    where a margin is not above MARGIN_TOL (NaN included) or where an
+    where a margin is not above TRANSVERSALITY_TOL (NaN included) or where an
     eigenvalue of Kashiwara's form falls in the band
     1e-9 * max(1, max |lambda|).
     """
@@ -57,7 +56,7 @@ def maslov_indices(model: GroupModel, A, B, C):
         np.minimum(transversality_margins(model, A, B), transversality_margins(model, B, C)),
         transversality_margins(model, A, C),
     )
-    valid = margin > MARGIN_TOL
+    valid = margin > TRANSVERSALITY_TOL
     J = model.form()
     if not model.is_lagrangian:
         pairing = lambda X, Y: np.sum((X @ J) * Y, axis=-1)
@@ -82,8 +81,8 @@ def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:
     if b.model != model or c.model != model:
         raise ModelMismatch("points belong to different models")
     idx, margin, valid = maslov_indices(model, a.ortho[None], b.ortho[None], c.ortho[None])
-    if not margin[0] > MARGIN_TOL:
-        raise NotPairwiseTransverse(f"smallest margin {margin[0]:.3e} not above {MARGIN_TOL:.1e}")
+    if not margin[0] > TRANSVERSALITY_TOL:
+        raise NotPairwiseTransverse(f"smallest margin {margin[0]:.3e} not above {TRANSVERSALITY_TOL:.1e}")
     if not valid[0]:
         raise DegenerateSignature("Kashiwara's form of the triple has a kernel")
     r = model.r
@@ -97,7 +96,7 @@ def _skip_reasons(margins, valid, base_ok=None):
     margins and valid (their conjunction) come from a trial's maslov_indices
     calls; base_ok, if given, is the further condition of base_margin.
     """
-    transverse = np.logical_and.reduce([m > MARGIN_TOL for m in margins])
+    transverse = np.logical_and.reduce([m > TRANSVERSALITY_TOL for m in margins])
     fails = [~transverse, ~valid] + ([] if base_ok is None else [~base_ok])
     return np.select(fails, range(len(fails)), -1)
 

@@ -76,9 +76,8 @@ class Representation:
     """A finitely generated subgroup given by named generators.
 
     gens maps letter names to group elements and is closed under formal
-    inverses (name.swapcase() is the inverse letter).  sl2 keeps the
-    underlying 2x2 matrices for presets built from SL(2, R), relator is a
-    word whose product is the identity for surface presets.
+    inverses (name.swapcase() is the inverse letter); relator is a word
+    whose product is the identity for surface presets.
     """
 
     model: GroupModel
@@ -87,7 +86,6 @@ class Representation:
     preset_id: str = None
     deformation: dict = None
     relator: tuple = None
-    sl2: dict = None
 
     def __post_init__(self):
         for name in self.gen_names:
@@ -205,15 +203,7 @@ def preset(pid: str) -> Representation:
     model_name, builder, relator = _PRESET_TABLE[pid]
     model = model_preset(model_name)
     sl2 = builder()
-    gens = _lift_sl2(sl2, model)
-    return Representation(
-        model,
-        gens,
-        tuple(sorted(sl2)),
-        preset_id=pid,
-        relator=relator,
-        sl2=sl2,
-    )
+    return Representation(model, _lift_sl2(sl2, model), tuple(sorted(sl2)), preset_id=pid, relator=relator)
 
 
 def conjugate(rep: Representation, h: GroupElement) -> Representation:
@@ -250,13 +240,12 @@ def pingpong_certificate(rep: Representation) -> dict:
     and every letter maps the complement of its repelling arc strictly
     inside its own arc.  Reports the worst margins; margins must be positive.
     """
-    if rep.sl2 is None and not (rep.model.family == "SP" and rep.model.rank == 1):
+    if not (rep.model.family == "SP" and rep.model.rank == 1):
         raise ModelMismatch("the interval check runs on the rank-one SL(2, R) model")
     mats = {}
     for name in rep.gen_names:
-        A = rep.sl2[name] if rep.sl2 else rep.gens[name].g
-        mats[name] = A
-        mats[_inverse_name(name)] = np.linalg.inv(A)
+        mats[name] = rep.gens[name].g
+        mats[_inverse_name(name)] = np.linalg.inv(mats[name])
     centers = {}
     for letter, A in mats.items():
         w, V = np.linalg.eig(A)
@@ -639,8 +628,10 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     candidate is the dual diamond's center, which every graph over a
     definite matrix misses; the chart's base point itself generically
     touches fixed Lagrangians of block-diagonal elements, so it comes
-    second.
+    second.  An empty sample raises TooFewPoints.
     """
+    if not len(sample):
+        raise TooFewPoints("need at least 1 limit point, have 0")
     model = rep.model
     ball = _pipeline_ball(rep, CERT_ORBIT_LEN)
     center = domain_center(model)

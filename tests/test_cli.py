@@ -68,6 +68,16 @@ def test_maslov_triple(tmp_path):
     assert report["report"]["idx"] == 2
 
 
+def test_maslov_triple_of_another_model_exits_2(tmp_path):
+    # the points of the triple carry sp4; --model su22 names another model
+    triple = tmp_path / "triple.json"
+    write_triple(triple)
+    r = run_cli(["maslov", "--model", "su22", "--triple", str(triple)])
+    assert r.returncode == 2
+    report = json.loads(r.stdout)
+    assert (report["error"], report["passed"]) == ("ModelMismatch", False)
+
+
 def test_structured_error_exits_2(tmp_path):
     triple = tmp_path / "bad.json"
     write_triple(triple, good=False)
@@ -97,6 +107,7 @@ def test_hilbert_oracle():
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert abs(report["report"]["distance"] - np.log(3.0)) < 1e-10
+    assert "seed" not in report
 
 
 def test_rep_build_roundtrip(tmp_path):
@@ -125,10 +136,12 @@ def test_rep_build_nan_entry_exits_2(tmp_path):
     assert report["error"] == "ModelMismatch"
 
 
-def test_rep_limitset_csv(tmp_path):
+def test_rep_limitset_csv(tmp_path, capsys):
+    # --out writes the CSV beside the report; there is no flag to ask for it
+    assert cli.main(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "3", "--csv"]) == 1
+    assert capsys.readouterr().out == ""
     out = tmp_path / "ls"
-    r = run_cli(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "5",
-                 "--csv", "--out", str(out)])
+    r = run_cli(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "5", "--out", str(out)])
     assert r.returncode == 0
     report = json.loads((out / "report.json").read_text())
     assert report["report"]["n_points"] >= 10
@@ -243,7 +256,7 @@ def test_config_rejections(tmp_path):
 @pytest.mark.parametrize("command,config,key", [
     (["sylvester-check", "--model", "sp4", "--i", "0"], {"trials": "100"}, "trials"),
     (["sylvester-check", "--model", "sp4", "--i", "0"], {"seed": "abc"}, "seed"),
-    (["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "3"], {"csv": "no"}, "csv"),
+    (["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "3"], {"per-length-cap": True}, "per-length-cap"),
     (["sylvester-check", "--model", "sp4", "--i", "0"], {"command": "hilbert"}, "command"),
 ])
 def test_config_values_must_be_the_commands_flags(tmp_path, capsys, command, config, key):
@@ -370,6 +383,33 @@ def test_tolerances_are_rejected_where_no_limit_set_is_sampled(tmp_path, capsys,
 MINIMAL = {**UNSAMPLED, **{name: ["--rep", "tau0-sp4-f2"] for name in sorted(set(cli._COMMANDS) - set(UNSAMPLED))}}
 REQUIRED_FLAGS = [(name, attr) for name, (_, flags, _) in cli._COMMANDS.items()
                   for attr, (_, _, required) in flags.items() if required]
+
+
+DRAWING = {"sylvester-check", "maslov-invariance", "rep-limitset", "rep-verify-maslov0", "rep-certificate",
+           "rep-core", "rep-deform", "chart-independence", "ein-photon-convexity"}
+
+
+def test_seed_is_a_flag_of_the_drawing_subcommands_alone():
+    assert {name for name, (_, flags, _) in cli._COMMANDS.items() if "seed" in flags} == DRAWING
+
+
+@pytest.mark.parametrize("command", sorted(set(cli._COMMANDS) - DRAWING))
+def test_seed_is_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
+    # there a seed would change only the echoed "seed" of the report, a knob that does nothing
+    assert cli.main([command, *MINIMAL[command], "--seed", "1"]) == 1
+    assert "--seed" in capsys.readouterr().err
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 1}))
+    assert cli.main([command, *MINIMAL[command], "--config", str(cfg)]) == 1
+    captured = capsys.readouterr()
+    assert "'seed'" in captured.err and captured.out == ""
+
+
+def test_certificate_of_an_empty_limit_sample_exits_2(capsys):
+    # the sampler draws words of length 3 and more, so at length 2 the sample is empty
+    assert cli.main(["rep-certificate", "--rep", "tau0-sp4-f2", "--max-word-len", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["passed"]) == ("TooFewPoints", False)
 
 
 @pytest.mark.parametrize("command,key", REQUIRED_FLAGS)

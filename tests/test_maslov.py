@@ -17,7 +17,6 @@ from causalflag.causal import _random_hermitian
 from causalflag.kmat import embed_real, in_layout, norm
 from causalflag.linalg import signature
 from causalflag.maslov import (
-    MARGIN_TOL,
     TripleType,
     maslov_index,
     maslov_indices,
@@ -25,6 +24,7 @@ from causalflag.maslov import (
 )
 from causalflag.reps import preset, sample_limit_set, verify_maslov_zero
 from causalflag.shilov import (
+    TRANSVERSALITY_TOL,
     ShilovPoint,
     act,
     base_points,
@@ -165,7 +165,7 @@ def test_nan_margin_in_any_slot_is_rejected(monkeypatch, slot):
 
 
 def test_kernel_band_rejects_a_nearly_degenerate_form():
-    # margins above MARGIN_TOL, but Kashiwara's form has an eigenvalue of about m / 2
+    # margins above TRANSVERSALITY_TOL, but Kashiwara's form has an eigenvalue of about m / 2
     model = model_preset("sp2")
     line = lambda t: ShilovPoint(model, np.array([[np.cos(t)], [np.sin(t)]]))
     a, b = line(0.0), line(np.pi / 2)
@@ -283,7 +283,7 @@ def test_verify_maslov_zero_matches_per_triple_reference(pid, max_len):
             i, j, k = rng.choice(len(sample), size=3, replace=False)
             a, b, c = pts[i], pts[j], pts[k]
             m = min(transversality_margin(a, b), transversality_margin(b, c), transversality_margin(a, c))
-            if not m > MARGIN_TOL:
+            if not m > TRANSVERSALITY_TOL:
                 skipped["not_transverse"] += 1
                 continue
             try:

@@ -96,6 +96,12 @@ def test_pingpong_certificate_free_pair():
     assert cert["contraction_margin"] > 0.0
 
 
+def test_pingpong_certificate_runs_on_the_rank_one_model_alone():
+    # a Levi preset is built from SL(2, R) too, but its generators are 4 x 4
+    with pytest.raises(ModelMismatch):
+        pingpong_certificate(preset("tau0-sp4-f2"))
+
+
 def test_pingpong_fails_for_surface_group():
     # a genus-2 group is not free; no disjoint arc system of this width exists
     cert = pingpong_certificate(preset("genus2-sl2"))
