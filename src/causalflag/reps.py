@@ -77,7 +77,9 @@ class Representation:
 
     gens maps letter names to group elements and is closed under formal
     inverses (name.swapcase() is the inverse letter); relator is a word
-    whose product is the identity for surface presets.
+    whose product is the identity for surface presets.  A representation
+    is treated as immutable: it caches its longest word ball per dedup
+    tolerance (see enumerate_ball), which a change to gens would leave stale.
     """
 
     model: GroupModel
@@ -86,6 +88,8 @@ class Representation:
     preset_id: str = None
     deformation: dict = None
     relator: tuple = None
+    # dedup_tol -> (longest ball built, words removed per length)
+    _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.gen_names:
@@ -289,6 +293,8 @@ class WordBall:
 
     stack[i] is the embedded array of the product of words[i] (see kmat);
     element(i) wraps one entry as a group element without copying it.
+    A ball from enumerate_ball is shared with every later caller of the
+    same representation, so its stack and lengths are read-only.
     """
 
     max_len: int
@@ -328,12 +334,31 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     words whose matrices land in the same rounding bucket as an earlier
     word are dropped (surface relators force such coincidences; free
     presets are unaffected).
+
+    rep caches its longest ball per dedup_tol, built only when a caller
+    asks for a longer one: a repeated call returns the cached ball itself,
+    and a shorter ball is its prefix view (the first words, stack rows and
+    lengths), exact because the dedup of one length reads only the
+    lengths up to it.  The cached stack and lengths are read-only.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
     expected = _free_ball_count(len(rep.gen_names), max_len)
     if expected > cap:
         raise BallTooLarge(f"free ball size {expected} exceeds the cap {cap}")
+    memo = rep._balls.get(dedup_tol)
+    if memo is None or memo[0].max_len < max_len:
+        memo = rep._balls[dedup_tol] = _build_ball(rep, max_len, dedup_tol)
+    ball, removed = memo
+    if ball.max_len == max_len:
+        return ball
+    n = int(np.searchsorted(ball.lengths, max_len, side="right"))
+    return WordBall(max_len, ball.words[:n], ball.stack[:n], ball.lengths[:n], ball.model,
+                    dedup={**ball.dedup, "removed": sum(removed[:max_len])})
+
+
+def _build_ball(rep: Representation, max_len: int, dedup_tol):
+    """The ball of enumerate_ball, read-only, and the words its dedup removed at each length."""
     letters = sorted(rep.letters)
     inverse = np.array([letters.index(_inverse_name(l)) for l in letters])
     gens = np.stack([rep.gens[l].g for l in letters])
@@ -342,15 +367,15 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     frontier_words = [()]
     seen = set(_bucket_keys(frontier, dedup_tol)) if dedup_tol else None
     words, levels = [], []
-    removed = 0
-    for _ in range(max_len):
+    removed = [0] * max_len
+    for k in range(max_len):
         parent, letter = np.nonzero(inverse[None, :] != last[:, None])
         level = product(frontier[parent], gens[letter], rep.model.tag)
         if dedup_tol:
             keep = []
             for i, key in enumerate(_bucket_keys(level, dedup_tol)):
                 if key in seen:
-                    removed += 1
+                    removed[k] += 1
                 else:
                     seen.add(key)
                     keep.append(i)
@@ -360,14 +385,11 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
         words += frontier_words
         levels.append(level)
         frontier, last = level, letter
-    return WordBall(
-        max_len,
-        words,
-        np.concatenate(levels),
-        np.repeat(np.arange(1, max_len + 1), [len(level) for level in levels]),
-        rep.model,
-        dedup={"enabled": bool(dedup_tol), "tol": dedup_tol, "removed": removed},
-    )
+    stack = np.concatenate(levels)
+    lengths = np.repeat(np.arange(1, max_len + 1), [len(level) for level in levels])
+    stack.flags.writeable = lengths.flags.writeable = False
+    dedup = {"enabled": bool(dedup_tol), "tol": dedup_tol, "removed": sum(removed)}
+    return WordBall(max_len, words, stack, lengths, rep.model, dedup=dedup), removed
 
 
 # ------------------------------------------------------------------ gap report
@@ -523,8 +545,9 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
                      margin_floor=1e-6) -> LimitSample:
     """Attracting points of seed-sampled words, deduplicated by separation.
 
-    Up to per_length_cap words per length from 3 on are drawn, and their
-    attracting points come from one stacked power iteration
+    Up to per_length_cap words per length from 3 on are drawn (a max_len
+    below 3 draws none and raises TooFewPoints), and their attracting
+    points come from one stacked power iteration
     (_attracting_frames); the converged ones are guarded, orthonormalized
     and projected in one stacked pass, and only the kept points become
     ShilovPoint objects.  In candidate order, a point is kept only when it
@@ -536,6 +559,8 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     near and under the margin counts as near); with the kept points they
     add up to the words drawn.
     """
+    if max_len < 3:
+        raise TooFewPoints(f"words are drawn from length 3 on; max_len {max_len} draws none")
     model = rep.model
     ball = _pipeline_ball(rep, max_len)
     lengths = ball.lengths

@@ -406,10 +406,17 @@ def test_seed_is_rejected_where_nothing_is_drawn(tmp_path, capsys, command):
 
 
 def test_certificate_of_an_empty_limit_sample_exits_2(capsys):
-    # the sampler draws words of length 3 and more, so at length 2 the sample is empty
+    # the sampler draws words of length 3 and more, so at length 2 there is no sample
     assert cli.main(["rep-certificate", "--rep", "tau0-sp4-f2", "--max-word-len", "2"]) == 2
     report = json.loads(capsys.readouterr().out)
     assert (report["error"], report["passed"]) == ("TooFewPoints", False)
+
+
+def test_limitset_below_length_3_says_why(capsys):
+    assert cli.main(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "2"]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["passed"]) == ("TooFewPoints", False)
+    assert "from length 3 on" in report["message"]
 
 
 @pytest.mark.parametrize("command,key", REQUIRED_FLAGS)

@@ -194,6 +194,51 @@ def test_ball_cap():
         enumerate_ball(rep, 30, cap=10**4)
 
 
+def assert_same_ball(ball, fresh):
+    assert ball.max_len == fresh.max_len
+    assert ball.words == fresh.words
+    assert ball.stack.tobytes() == fresh.stack.tobytes()
+    assert ball.lengths.tolist() == fresh.lengths.tolist()
+    assert ball.dedup == fresh.dedup
+
+
+@pytest.mark.parametrize("order", ["short_first", "long_first"])
+@pytest.mark.parametrize("pid", ALL_PRESETS)
+def test_cached_ball_serves_every_shorter_ball_as_a_fresh_build(pid, order):
+    tol = reps.DEDUP_TOL if preset(pid).relator else None
+    top = 4 if pid == "tau0-sostar8-f2" else 5
+    lengths = range(1, top + 1) if order == "short_first" else range(top, 0, -1)
+    rep = preset(pid)
+    for L in lengths:
+        # a fresh rep builds the ball from scratch
+        assert_same_ball(enumerate_ball(rep, L, dedup_tol=tol), enumerate_ball(preset(pid), L, dedup_tol=tol))
+    assert rep._balls[tol][0].max_len == top
+
+
+def test_cached_ball_is_shared_read_only_and_still_capped():
+    rep = preset("tau0-sp4-f2")
+    ball = enumerate_ball(rep, 10)
+    assert enumerate_ball(rep, 10) is ball
+    assert enumerate_ball(rep, 4).stack.base is not None  # a prefix view, not a copy
+    for stack in (ball.stack, enumerate_ball(rep, 4).stack, ball.lengths):
+        with pytest.raises(ValueError):
+            stack[0] = 0
+    with pytest.raises(BallTooLarge):
+        enumerate_ball(rep, 10, cap=10)
+
+
+def test_cached_ball_stays_with_its_representation():
+    rep = preset("tau0-sp4-genus2")
+    twin = Representation(rep.model, rep.gens, rep.gen_names, preset_id=rep.preset_id, relator=rep.relator)
+    before = repr(rep.to_json())
+    assert rep == twin
+    reps._pipeline_ball(rep, 3)
+    assert rep._balls and rep == twin and repr(rep.to_json()) == before
+    h = GroupElement.identity(rep.model)
+    for other in (deform(rep, 1e-3), conjugate(rep, h), Representation.from_json(rep.to_json())):
+        assert other._balls == {}
+
+
 def test_gap_reports_pass():
     for pid in ["tau0-sp4-f2", "tau0-sp4-genus2"]:
         report = anosov_gap_report(preset(pid), 5)
@@ -594,6 +639,11 @@ def test_dual_center_is_past_of_center():
         lo = chart_coordinates(dual_center(model))
         hi = chart_coordinates(domain_center(model))
         assert future_membership(model, lo, hi) == FutureRelation.STRICT_FUTURE
+
+
+def test_limit_sample_needs_words_of_length_3():
+    with pytest.raises(TooFewPoints, match="from length 3 on"):
+        sample_limit_set(preset("tau0-sp4-f2"), 2)
 
 
 def test_verify_maslov_zero_needs_a_triple():
