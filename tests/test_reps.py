@@ -220,9 +220,9 @@ def test_cached_ball_is_shared_read_only_and_still_capped():
     ball = enumerate_ball(rep, 10)
     assert enumerate_ball(rep, 10) is ball
     assert enumerate_ball(rep, 4).stack.base is not None  # a prefix view, not a copy
-    for stack in (ball.stack, enumerate_ball(rep, 4).stack, ball.lengths):
+    for array in (ball.stack, enumerate_ball(rep, 4).stack, ball.lengths):
         with pytest.raises(ValueError):
-            stack[0] = 0
+            array[0] = 0
     with pytest.raises(BallTooLarge):
         enumerate_ball(rep, 10, cap=10)
 
