@@ -5,12 +5,12 @@ from .errors import CausalFlagError
 from .groups import (
     GroupElement,
     GroupModel,
-    alpha_r,
     cartan_projection,
     group_exp,
     lyapunov_projection,
     model_preset,
     random_lie_perturbation,
+    shilov_root,
     tau_p,
 )
 from .linalg import Signature, hermitian_eigenvalues, signature

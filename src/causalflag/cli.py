@@ -101,19 +101,6 @@ def _write_rep(out_dir, rep):
 # ------------------------------------------------------------------- plumbing
 
 
-def _threads():
-    raw = os.environ.get("CAUSALFLAG_THREADS")
-    if raw is None:
-        return None
-    try:
-        n = int(raw)
-    except ValueError:
-        raise SystemExit(f"CAUSALFLAG_THREADS must be an integer, got {raw!r}")
-    if n < 1:
-        raise SystemExit("CAUSALFLAG_THREADS must be positive")
-    return n  # worker cap; current subcommands are single-worker
-
-
 def _load_rep(ref: str):
     if ref.endswith(".json") or os.path.sep in ref:
         with open(ref) as fh:
@@ -439,7 +426,6 @@ def _is_kind(value, kind):
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    _threads()
     parser, subparsers = _build_parser()
     try:
         args = parser.parse_args(argv)

@@ -18,7 +18,7 @@ from math import factorial
 
 import numpy as np
 
-from .errors import ModelMismatch, NonConvergence, NotUnimodular, OddRank, Singular, UnknownPreset
+from .errors import ModelMismatch, NonConvergence, NonFiniteInput, NotUnimodular, OddRank, Singular, UnknownPreset
 from .kmat import _chi, _parts, adjoint, draw, embed_real, from_json, in_layout, norm, product, to_json
 from .linalg import eig_moduli, frobenius_norms
 from .scalars import COMPLEX, QUATERNION, REAL
@@ -30,7 +30,6 @@ SO_N2 = "SO_N2"
 
 FORM_TOL = 1e-8
 LEVI_TOL = 1e-8  # off-diagonal block norm allowed in Levi block form, relative to the element
-LYAPUNOV_K_MAX = 64  # largest power k of the mu(g^k)/k cross-check
 SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the largest
 
 _FAMILY_TAG = {SP: REAL, SU: COMPLEX, SOSTAR: QUATERNION, SO_N2: REAL}
@@ -124,7 +123,8 @@ class GroupElement:
 
     A checked element must have the model's embedded shape and field, the
     chi layout over H, and preserve the form within FORM_TOL; otherwise
-    construction raises ModelMismatch.  Unchecked construction (_check=False)
+    construction raises ModelMismatch (NonFiniteInput for a NaN or infinite
+    entry, or a form defect that overflows).  Unchecked construction (_check=False)
     is for arrays the library built as products and inverses of elements.
     """
 
@@ -141,9 +141,14 @@ class GroupElement:
             g = self.g = np.asarray(self.g, dtype=float if real else complex)
             if g.shape != (size, size):
                 raise ModelMismatch(f"expected a {size}x{size} embedded matrix, got {g.shape}")
+            if not np.isfinite(g).all():
+                raise NonFiniteInput("the matrix has a NaN or infinite entry")
             if self.model.tag == QUATERNION and not in_layout(g):
                 raise ModelMismatch("the matrix is not in the quaternionic (chi) layout")
-            defect = form_defect(self.model, g)
+            with np.errstate(all="ignore"):
+                defect = form_defect(self.model, g)
+            if not np.isfinite(defect):
+                raise NonFiniteInput("the form-preservation defect overflows")
             if not (defect <= FORM_TOL):
                 raise ModelMismatch(f"form-preservation defect {defect:.3e} exceeds {FORM_TOL:.1e}")
 
@@ -211,34 +216,42 @@ def cartan_projection(elem: GroupElement) -> np.ndarray:
     return cartan_projections(elem.model, elem.g[None])[0]
 
 
-def lyapunov_projection(elem: GroupElement, cross_check: bool = False) -> np.ndarray:
-    """Log moduli of eigenvalues, dominant chamber ordering.
+def lyapunov_projections(model: GroupModel, E):
+    """Log eigenvalue moduli in the dominant chamber, one row per element of an embedded stack (N, d, d).
 
-    Computed directly from the eigenvalue moduli; optionally cross-checked
-    against mu(g^k)/k at k = LYAPUNOV_K_MAX when the spectral gaps allow it.
+    Returns (lam, underflow): each row of lam holds the top-r logarithms
+    (2 on SO(n, 2)), weakly decreasing and nonnegative, like
+    cartan_projections; underflow[k] is True when an eigenvalue modulus of
+    E[k] is below 1e-300, and its row is then not to be trusted.  One
+    stacked eigvals serves the stack, without a floating point warning.
     """
-    mods = eig_moduli(elem.g, elem.model.tag)
-    if np.any(mods < 1e-300):
+    mods = eig_moduli(E, model.tag)
+    with np.errstate(divide="ignore"):
+        lam = np.maximum(np.log(mods[..., : model.r]), 0.0)
+    return lam, np.any(mods < 1e-300, axis=-1)
+
+
+def lyapunov_projection(elem: GroupElement) -> np.ndarray:
+    """The Lyapunov projection of one element: lyapunov_projections on a stack of one.
+
+    Raises NonConvergence on an eigenvalue modulus underflow.
+    """
+    lam, underflow = lyapunov_projections(elem.model, elem.g[None])
+    if underflow[0]:
         raise NonConvergence("eigenvalue modulus underflow")
-    lam = np.maximum(np.log(mods[: elem.model.r]), 0.0)
-    if cross_check:
-        power = elem
-        k = 1
-        # keep the power's singular value spread inside floating range
-        growth = float(np.max(lam)) if len(lam) else 0.0
-        while 2 * k <= LYAPUNOV_K_MAX and 2 * k * max(growth, 1e-6) <= 12.0:
-            power = power @ power
-            k *= 2
-        mu_k = cartan_projection(power) / k
-        gaps = np.diff(np.concatenate([lam, [0.0]]))
-        if np.all(np.abs(gaps) > 1e-3) and np.max(np.abs(mu_k - lam)) > 1e-6 * max(1.0, np.max(lam)):
-            raise NonConvergence("Lyapunov cross-check against mu(g^k)/k failed")
-    return lam
+    return lam[0]
 
 
-def alpha_r(eps: np.ndarray) -> float:
-    """The long-root functional: twice the last chamber coordinate."""
-    return 2.0 * float(eps[-1])
+def shilov_root(model: GroupModel, mu):
+    """The root of the parabolic that defines the Shilov boundary, on chamber vectors (..., r) of any leading shape.
+
+    A gap in this root is what makes a subgroup transverse (Anosov) with
+    respect to that parabolic.  The Lagrangian families have restricted
+    roots of type C_r and take the long root 2 eps_r, that is 2 mu_r.
+    SO(n, 2) has type B_2, and the parabolic of an isotropic line takes
+    eps_1 - eps_2, that is mu_1 - mu_2.
+    """
+    return 2.0 * mu[..., -1] if model.is_lagrangian else mu[..., 0] - mu[..., 1]
 
 
 # ------------------------------------------------------------- Levi embedding

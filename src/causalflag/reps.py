@@ -28,15 +28,17 @@ from .groups import (
     _levi_index,
     cartan_projections,
     in_levi_block_form,
+    lyapunov_projections,
     model_preset,
     random_lie_perturbation,
+    shilov_root,
     tau_p,
 )
 from .causal import _random_hermitian, causal_hull
 from .einstein import random_ein_point
 from .kmat import _chi, embed_real, norm, product
 from .scalars import QUATERNION, REAL
-from .linalg import _flat_norms, eig_moduli
+from .linalg import _flat_norms
 from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
 from .shilov import (
     ShilovPoint,
@@ -401,14 +403,15 @@ def _pipeline_ball(rep: Representation, max_len: int, cap=BALL_CAP) -> WordBall:
 
 
 def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
-    """Fit a linear lower bound for alpha_r(mu(w)) over the word ball.
+    """Fit a linear lower bound for the Shilov root of mu(w) over the word ball.
 
-    This is finite-ball evidence only: PASS means the fitted slope over
-    the per-length minima exceeds 0.05 and no word past the identity has
-    a vanishing gap.
+    The root is groups.shilov_root: 2 mu_r on the Lagrangian families and
+    mu_1 - mu_2 on SO(n, 2).  This is finite-ball evidence only: PASS means
+    the fitted slope over the per-length minima exceeds 0.05 and no word
+    past the identity has a vanishing gap.
     """
     ball = _pipeline_ball(rep, max_len, cap=cap)
-    alphas = 2.0 * cartan_projections(rep.model, ball.stack)[:, -1]
+    alphas = shilov_root(rep.model, cartan_projections(rep.model, ball.stack))
     lengths = ball.lengths
     per_length_min = {}
     for L in range(1, max_len + 1):
@@ -445,18 +448,19 @@ def _attracting_frames(model: GroupModel, E, seed):
     frame of E[k], residuals[k] its invariance residual, and reason[k] the
     index in EXCLUSION_REASONS of the guard it failed (_UNDERFLOW for an
     eigenvalue modulus underflow), or -1.  Each element runs exactly the
-    steps of a power iteration of its own: the gap test of
-    alpha_r(lyapunov_projection(g)) > GAP_FLOOR, one starting frame drawn
-    from default_rng(seed), QR steps until the projector moves less than
-    ATTRACT_TOL (an element that has settled is frozen), at most
-    ATTRACT_MAX_ITER steps, and a residual of at most ATTRACT_RESIDUAL.
+    steps of a power iteration of its own: the gap test
+    shilov_root(lyapunov_projection(g)) > GAP_FLOOR (2 log|lambda_r| on the
+    Lagrangian families, log|lambda_1| - log|lambda_2| on SO(n, 2)), one
+    starting frame drawn from default_rng(seed), QR steps until the
+    projector moves less than ATTRACT_TOL (an element that has settled is
+    frozen), at most ATTRACT_MAX_ITER steps, and a residual of at most
+    ATTRACT_RESIDUAL.
     """
     N, d = len(E), E.shape[-1]
     reason = np.full(N, -1)
-    mods = eig_moduli(E, model.tag)
-    alpha = 2.0 * np.maximum(np.log(mods[:, model.r - 1]), 0.0)
-    reason[~(alpha > GAP_FLOOR)] = _NO_GAP
-    reason[np.any(mods < 1e-300, axis=1)] = _UNDERFLOW
+    lam, underflow = lyapunov_projections(model, E)
+    reason[~(shilov_root(model, lam) > GAP_FLOOR)] = _NO_GAP
+    reason[underflow] = _UNDERFLOW
     ncols = model.rank * (2 if model.tag == QUATERNION else 1) if model.is_lagrangian else 1
     rng = np.random.default_rng(seed)
     Z0 = rng.standard_normal((d, ncols)) + 1j * rng.standard_normal((d, ncols))

@@ -20,7 +20,7 @@ from .errors import (
     NotInChart,
     NotTransverse,
 )
-from .groups import GroupElement, GroupModel
+from .groups import GroupElement, GroupModel, _levi_index
 from .kmat import _chi, _parts, adjoint, as_embedded, concat, embed_real, from_json, product, to_json
 from .linalg import _flat_norms, check_hermitian, frobenius_norms, null_space
 from .scalars import QUATERNION, REAL
@@ -366,7 +366,7 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
         return np.concatenate([W[:, 1:n], -W[:, n + 1:]], axis=1)
     r = model.rank
     quat = model.tag == QUATERNION
-    rows = np.r_[0:r, 2 * r:3 * r] if quat else np.arange(r)
+    rows = _levi_index(model)
     F = frames[in_chart]
     top, bot = F[:, rows], F[:, rows + r]
     X = np.zeros((len(frames),) + top.shape[1:], frames.dtype)

@@ -3,14 +3,13 @@
 import numpy as np
 import pytest
 
-from causalflag.errors import ModelMismatch, NotUnimodular, OddRank, Singular, UnknownPreset
+from causalflag.errors import ModelMismatch, NonConvergence, NonFiniteInput, NotUnimodular, OddRank, Singular, UnknownPreset
 from causalflag.groups import (
     SO_N2,
     SP,
     SOSTAR,
     GroupElement,
     GroupModel,
-    alpha_r,
     cartan_projection,
     cartan_projections,
     exp_stack,
@@ -19,8 +18,10 @@ from causalflag.groups import (
     in_levi_block_form,
     levi_block,
     lyapunov_projection,
+    lyapunov_projections,
     model_preset,
     random_lie_element,
+    shilov_root,
     tau_p,
 )
 from causalflag.kmat import _chi, _parts, embed_real, from_json, norm, product
@@ -85,7 +86,10 @@ def test_form_check_rejects_nan(name):
     model = model_preset(name)
     g = np.eye(model.dim)
     g[0, 0] = np.nan
-    with pytest.raises(ModelMismatch):
+    with pytest.raises(NonFiniteInput):
+        GroupElement(model, embed_real(g, model.tag))
+    g[0, 0] = 1e300  # finite, but the form defect overflows; named without a floating point warning
+    with pytest.raises(NonFiniteInput, match="overflows"):
         GroupElement(model, embed_real(g, model.tag))
 
 
@@ -120,14 +124,32 @@ def test_cartan_projection_of_levi_diagonal():
     g = tau_p(np.diag([3.0, 1.0 / 3.0]), model)
     mu = cartan_projection(g)
     assert np.allclose(mu, [np.log(3.0), np.log(3.0)], atol=1e-12)
-    assert abs(alpha_r(mu) - 2.0 * np.log(3.0)) < 1e-12
+    assert abs(shilov_root(model, mu) - 2.0 * np.log(3.0)) < 1e-12
+
+
+def test_shilov_root_per_family():
+    # 2 mu_r on the Lagrangian families (type C_r), mu_1 - mu_2 on SO(n, 2) (type B_2), on any leading shape
+    mu = np.array([[3.0, 1.0], [2.0, 2.0]])
+    assert np.array_equal(shilov_root(model_preset("sp4"), mu), [2.0, 4.0])
+    assert np.array_equal(shilov_root(model_preset("so32"), mu), [2.0, 0.0])
+    assert shilov_root(model_preset("sp6"), np.array([3.0, 2.0, 0.5])) == 1.0
 
 
 def test_lyapunov_matches_cartan_on_diagonalizable():
     model = model_preset("sp4")
     g = tau_p(np.diag([3.0, 1.0 / 3.0]), model)
-    lam = lyapunov_projection(g, cross_check=True)
+    lam = lyapunov_projection(g)
     assert np.allclose(lam, cartan_projection(g), atol=1e-10)
+
+
+def test_lyapunov_underflow_is_masked_in_a_stack_and_raised_for_one():
+    model = model_preset("sp4")
+    E = np.stack([np.diag([1e301, 2.0, 1e-301, 0.5]), np.diag([3.0, 2.0, 1.0 / 3.0, 0.5])])
+    lam, underflow = lyapunov_projections(model, E)
+    assert underflow.tolist() == [True, False]
+    assert np.array_equal(lam[1], np.log([3.0, 2.0]))
+    with pytest.raises(NonConvergence, match="underflow"):
+        lyapunov_projection(GroupElement(model, E[0]))
 
 
 EXP_NORMS = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]  # every Pade order, and the squaring path

@@ -1,5 +1,7 @@
 """Presets, word balls, gap reports, limit sets, certificates, deformations."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -403,6 +405,75 @@ def test_limit_sample_keeps_the_reference_words(pid):
 def test_limit_sample_equals_per_word_reference(pid):
     for seed in (0, 3):
         check_limit_sample_against_reference(pid, seed)
+
+
+def _so22_element(A, B):
+    """X -> A X B^-1 on M_2(R), in the coordinates (p, s, q, r) in which det X = p^2 + s^2 - q^2 - r^2."""
+    def coords(X):
+        (a, b), (c, d) = X
+        return [(a + d) / 2, (b - c) / 2, (a - d) / 2, (b + c) / 2]
+
+    def matrix(p, s, q, r):
+        return np.array([[p + q, s + r], [r - s, p - q]])
+
+    B_inv = np.linalg.inv(B)
+    return GroupElement(model_preset("so22"), np.array([coords(A @ matrix(*e) @ B_inv) for e in np.eye(4)]).T)
+
+
+def _so22_rep(pairs):
+    """The SO(2, 2) = SL(2) x SL(2) representation whose generator k acts as X -> A X B^-1, pairs[k] = (A, B)."""
+    gens = {}
+    for name, (A, B) in pairs.items():
+        gens[name] = _so22_element(A, B)
+        gens[name.swapcase()] = gens[name].inv()
+    return Representation(model_preset("so22"), gens, tuple(sorted(pairs)))
+
+
+SCHOTTKY = reps._free_pair_sl2()  # diag(3, 1/3) and its pi/4 rotation
+DRAWN_L6 = 36 + 3 * 100  # the words sample_limit_set draws from a free pair at max_len 6
+
+
+def test_so22_schottky_times_identity_has_no_gap():
+    # a double top singular value: no gap in mu_1 - mu_2, though 2 mu_2 is large
+    rep = _so22_rep({k: (A, np.eye(2)) for k, A in SCHOTTKY.items()})
+    assert not anosov_gap_report(rep, 6)["passed"]
+    sample = sample_limit_set(rep, 6, seed=3)
+    assert len(sample) == 0
+    assert sample.excluded == {**dict.fromkeys(EXCLUSION_REASONS, 0), "no_gap": DRAWN_L6}
+
+
+def test_so22_diagonal_group_has_the_gap():
+    # eigenvalue moduli (s^2, 1, 1, s^-2): a gap in mu_1 - mu_2, though mu_2 = 0
+    rep = _so22_rep({k: (A, A) for k, A in SCHOTTKY.items()})
+    assert anosov_gap_report(rep, 6)["passed"]
+    assert len(sample_limit_set(rep, 6, seed=3)) >= 3
+
+
+def _wedge_so32(g):
+    """Lambda^2 g on omega^perp in Lambda^2 R^4 for g in Sp(4, R), as an element of SO(3, 2).
+
+    omega^perp, the kernel of the contraction with omega, is the Euclidean complement of e13 + e24;
+    the basis U of it is Euclidean-orthonormal and diagonal for the wedge pairing, with signs (+, +, +, -, -).
+    """
+    pairs = list(itertools.combinations(range(4), 2))  # e12, e13, e14, e23, e24, e34
+    W = np.array([[g[i, k] * g[j, l] - g[i, l] * g[j, k] for k, l in pairs] for i, j in pairs])
+    U = np.array([[1, 0, 0, 0, 0, 1], [0, 1, 0, 0, -1, 0], [0, 0, 1, 1, 0, 0],
+                  [1, 0, 0, 0, 0, -1], [0, 0, 1, -1, 0, 0]]).T / np.sqrt(2.0)
+    return GroupElement(model_preset("so32"), U.T @ W @ U)
+
+
+def test_wedge_image_agrees_with_its_sp4_source():
+    # Sp(4, R) / +-1 = SO_0(3, 2) maps mu = (b1, b2) to (b1 + b2, b1 - b2), so both Shilov roots read 2 b2;
+    # L6 at most, since singular values square under Lambda^2 and L8 reaches SINGULAR_FLOOR
+    rep = preset("tau0-sp4-f2")
+    image = Representation(model_preset("so32"), {k: _wedge_so32(g.g) for k, g in rep.gens.items()},
+                           rep.gen_names)
+    source, target = anosov_gap_report(rep, 6), anosov_gap_report(image, 6)
+    assert target["per_length_min"].keys() == source["per_length_min"].keys()
+    np.testing.assert_allclose(list(target["per_length_min"].values()),
+                               list(source["per_length_min"].values()), rtol=1e-9)
+    ours, theirs = sample_limit_set(image, 6, seed=3), sample_limit_set(rep, 6, seed=3)
+    assert (ours.words, ours.excluded) == (theirs.words, theirs.excluded)
 
 
 def mixed_stack():
