@@ -26,18 +26,18 @@ from .errors import (
 )
 from .groups import GroupElement, GroupModel
 from .kmat import KMat, adjoint, as_embedded, draw, embed_real, hermitian_draw, product
-from .linalg import check_hermitian, frobenius_norms, signature, signature_counts
+from .linalg import _zero_band, check_hermitian, frobenius_norms, signature, signature_counts
 from .shilov import (
     TRANSVERSALITY_TOL,
     ShilovPoint,
     _act_frames,
     _chart_point_stack,
+    _minkowski_psi,
     act,
     base_points,
     chart_coordinates,
     chart_coordinates_stack,
     chart_point,
-    minkowski_form,
     standardize_pair,
     transversality_margin,
     transversality_margins,
@@ -55,6 +55,7 @@ class FutureRelation(Enum):
 # relation codes of the stacked kernel: indices into _RELATIONS
 _RELATIONS = tuple(FutureRelation)
 _FUTURE, _PAST, _LIGHTCONE, _NEITHER, _EQUAL = range(5)
+_ORBITS = ((2, 0), (0, 2), (0, 0), (1, 1), (0, 0))  # SO(n, 2) Sylvester label of each relation code
 
 # ordered pairs per kernel call in the hull scan; bounds the scan's working memory
 _SCAN_BLOCK = 4096
@@ -119,17 +120,16 @@ def _cone(model: GroupModel, D):
 def _relations(model: GroupModel, D):
     """Relation code, forward margin, zero band and norm of each coordinate difference in D (see _cone).
 
-    The band is 1e-9 * max(1, max |eigenvalue|) on the Lagrangian
+    The band is the eigenvalue band (linalg._zero_band) on the Lagrangian
     families and 1e-9 * max(1, norm) on SO(n, 2).
     """
     fwd, past, norm = _cone(model, D)
     if model.is_lagrangian:
-        band = 1e-9 * np.maximum(1.0, np.maximum(-fwd, -past))
+        band = _zero_band(fwd, -past)
         light = (-past <= band) | (fwd >= -band)  # semidefinite with kernel
     else:
         band = 1e-9 * np.maximum(1.0, norm)
-        psi = np.sum(D[:, :-1] ** 2, axis=-1) - D[:, -1] ** 2
-        light = np.abs(psi) <= 2 * band * np.maximum(1.0, norm)
+        light = np.abs(_minkowski_psi(D)) <= 2 * band * np.maximum(1.0, norm)
     code = np.where(light, _LIGHTCONE, _NEITHER)
     code = np.where(past > band, _PAST, code)
     code = np.where(fwd > band, _FUTURE, code)
@@ -154,15 +154,12 @@ def cone_margin(model: GroupModel, X) -> float:
 
 
 def zero_band(model: GroupModel, X) -> float:
-    """1e-9 * max(1, |X|): the operator norm, or the Euclidean one on SO(n, 2); NonFiniteInput if |X| is not finite."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        if model.is_lagrangian:
-            norm = float(np.linalg.norm(as_embedded(model.tag, X), 2))
-        else:
-            norm = float(np.linalg.norm(X))
-    if not np.isfinite(norm):
-        raise NonFiniteInput("the norm of a chart coordinate is not finite")
-    return 1e-9 * max(1.0, norm)
+    """The zero band of _relations on X (a stack of one): the eigenvalue band 1e-9 * max(1, max |lambda|).
+
+    On SO(n, 2) it is 1e-9 * max(1, |X|).  NotHermitian for a non-Hermitian
+    X, NonFiniteInput where X or its norm is not finite.
+    """
+    return _single(model, _stack(model, [X]))[2]
 
 
 def in_cone(model: GroupModel, X) -> bool:
@@ -176,18 +173,14 @@ def future_membership(model: GroupModel, X, Y) -> FutureRelation:
 
 
 def classify_orbit(model: GroupModel, X):
-    """Sylvester orbit label (i_plus, i_minus) of a chart coordinate."""
+    """Sylvester orbit label (i_plus, i_minus) of a chart coordinate.
+
+    On SO(n, 2) it is the _ORBITS label of future_membership(model, 0, X).
+    """
     if model.is_lagrangian:
         sig = signature(as_embedded(model.tag, X), model.tag)
         return (sig.pos, sig.neg)
-    X = np.asarray(X, dtype=float).reshape(-1)
-    psi = minkowski_form(X)
-    tol = zero_band(model, X)
-    if psi > tol:
-        return (1, 1)
-    if psi < -tol:
-        return (2, 0) if X[-1] > 0 else (0, 2)
-    return (0, 0)  # degenerate stratum
+    return _ORBITS[_single(model, _stack(model, [X]))[0]]
 
 
 # -------------------------------------------------------------------- diamonds

@@ -1,29 +1,24 @@
 """Lorentzian Einstein universe: lightcones, photons, invisible domains.
 
-Points are isotropic lines of a form of signature (n, 2).  The sign
-product of pairwise lift pairings gives a fast Maslov classifier for
-triples; it is lift-independent since flipping one lift's sign flips
-exactly two of the three factors.  Negativity three by three is an
-O(n^2) check on one Gram matrix: flip each lift so that it pairs
-negatively with lift 0, and the family is negative iff every pairing is
-then negative.  Membership in the invisible domain is one pairing per
-limit point against those negative lifts.
+Points are isotropic lines of a form of signature (n, 2).  The sign rule
+of a triple (the product of its pairwise lift pairings) lives in
+maslov.maslov_indices, and ein_maslov_sign and lightcone_membership are
+batches of one of maslov_index and shilov.transverse.  Negativity three
+by three is an O(n^2) check on one Gram matrix: flip each lift so that it
+pairs negatively with lift 0, and the family is negative iff every
+pairing is then negative.  Membership in the invisible domain is one
+pairing per limit point against those negative lifts.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import (
-    BoundaryNotBracketed,
-    LimitSetNotNegative,
-    ModelMismatch,
-    NotInDomain,
-    NotPairwiseTransverse,
-)
+from .errors import BoundaryNotBracketed, LimitSetNotNegative, ModelMismatch, NotInDomain
 from .groups import SO_N2, GroupModel
 from .linalg import null_space
-from .shilov import TRANSVERSALITY_TOL, ShilovPoint
+from .maslov import maslov_index
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint, transverse
 
 PHOTON_SCAN = 1000  # points per photon in photon_convexity_check
 HILBERT_T_SPAN = 1e8  # largest affine parameter searched for a boundary point
@@ -43,18 +38,15 @@ def pairing(x: ShilovPoint, y: ShilovPoint) -> float:
 
 
 def lightcone_membership(x: ShilovPoint, y: ShilovPoint) -> bool:
-    """True iff y lies on the lightcone of x (non-transverse pair)."""
-    return abs(pairing(x, y)) <= TRANSVERSALITY_TOL
+    """True iff y lies on the lightcone of x: the pair is not transverse."""
+    _check_model(x.model)
+    return not transverse(x, y)
 
 
 def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
-    """0 when the three pairings multiply to a negative number, else 2."""
-    p_ab = pairing(a, b_)
-    p_bc = pairing(b_, c)
-    p_ac = pairing(a, c)
-    if min(abs(p_ab), abs(p_bc), abs(p_ac)) <= TRANSVERSALITY_TOL:
-        raise NotPairwiseTransverse("triple contains a lightcone-related pair")
-    return 0 if p_ab * p_bc * p_ac < 0 else 2
+    """0 when the three pairings multiply to a negative number, else 2: maslov_index of the triple."""
+    _check_model(a.model)
+    return maslov_index(a, b_, c).idx
 
 
 def check_negative(limit_pts):

@@ -99,14 +99,23 @@ def hermitian_eigenvalues(E, tag):
     return vals.copy()
 
 
+def _zero_band(lo, hi):
+    """The zero band 1e-9 * max(1, max |lambda|) of spectra whose extreme eigenvalues are lo and hi (stacks)."""
+    return 1e-9 * np.maximum(1.0, np.maximum(np.abs(lo), np.abs(hi)))
+
+
+def _sign_counts(vals):
+    """(pos, neg) counts of each sorted spectrum of a stack (..., k) above and below its zero band."""
+    band = _zero_band(vals[..., 0], vals[..., -1])[..., None]
+    return np.sum(vals > band, axis=-1), np.sum(vals < -band, axis=-1)
+
+
 def signature_counts(E, tag):
     """(pos, neg) eigenvalue counts above and below the zero band, per matrix of an embedded Hermitian stack.
 
-    The band is 1e-9 * max(1, max |lambda|); one eigvalsh decides the whole stack.
+    One eigvalsh decides the whole stack; _sign_counts counts.
     """
-    vals = hermitian_eigenvalues(E, tag)
-    zero_tol = 1e-9 * np.maximum(1.0, np.max(np.abs(vals), axis=-1, initial=0.0))[..., None]
-    return np.sum(vals > zero_tol, axis=-1), np.sum(vals < -zero_tol, axis=-1)
+    return _sign_counts(hermitian_eigenvalues(E, tag))
 
 
 def signature(E, tag) -> Signature:

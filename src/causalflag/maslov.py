@@ -24,7 +24,7 @@ import numpy as np
 from .errors import DegenerateSignature, ModelMismatch, NotPairwiseTransverse
 from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
-from .linalg import frobenius_norms
+from .linalg import _sign_counts, frobenius_norms
 from .scalars import QUATERNION
 from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
 
@@ -49,8 +49,7 @@ def maslov_indices(model: GroupModel, A, B, C):
     Returns (idx, margin, valid): the invariant |r - 2i|, the smallest of
     the three pairwise transversality margins, and a mask that is False
     where a margin is not above TRANSVERSALITY_TOL (NaN included) or where an
-    eigenvalue of Kashiwara's form falls in the band
-    1e-9 * max(1, max |lambda|).
+    eigenvalue of Kashiwara's form falls in its zero band (linalg._sign_counts).
     """
     margin = np.minimum(
         np.minimum(transversality_margins(model, A, B), transversality_margins(model, B, C)),
@@ -67,12 +66,9 @@ def maslov_indices(model: GroupModel, A, B, C):
     T[..., :d, d : 2 * d] = adjoint(A) @ J @ B
     T[..., d : 2 * d, 2 * d :] = adjoint(B) @ J @ C
     T[..., 2 * d :, :d] = adjoint(C) @ J @ A
-    ev = np.linalg.eigvalsh(0.5 * (T + adjoint(T)))
-    band = 1e-9 * np.maximum(1.0, np.max(np.abs(ev), axis=-1))[..., None]
-    valid &= ~np.any(np.abs(ev) <= band, axis=-1)
-    mult = 2 if model.tag == QUATERNION else 1
-    idx = np.abs(np.sum(ev > band, axis=-1) - np.sum(ev < -band, axis=-1)) // mult
-    return idx, margin, valid
+    pos, neg = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
+    valid &= pos + neg == 3 * d
+    return np.abs(pos - neg) // (2 if model.tag == QUATERNION else 1), margin, valid
 
 
 def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:

@@ -223,19 +223,14 @@ def conjugate(rep: Representation, h: GroupElement) -> Representation:
 # --------------------------------------------------- ping-pong interval check
 
 
-def _angle_mod_pi(v):
-    return float(np.arctan2(v[1], v[0]) % np.pi)
+def _angles_mod_pi(V):
+    """The angle in [0, pi) of each direction of a stack (..., 2) of plane vectors."""
+    return np.arctan2(V[..., 1], V[..., 0]) % np.pi
 
 
-def _act_angle(A, theta):
-    v = A @ np.array([np.cos(theta), np.sin(theta)])
-    return _angle_mod_pi(v)
-
-
-def _arc_contains(center, half_width, theta):
-    """Signed depth of theta inside the arc (center - w, center + w) mod pi."""
-    d = (theta - center + np.pi / 2) % np.pi - np.pi / 2
-    return half_width - abs(d)
+def _circle_distances(a, b):
+    """The distance of angles a and b (broadcast) on the circle R / pi Z."""
+    return np.abs((a - b + np.pi / 2) % np.pi - np.pi / 2)
 
 
 def pingpong_certificate(rep: Representation) -> dict:
@@ -244,42 +239,35 @@ def pingpong_certificate(rep: Representation) -> dict:
     Each letter gets the arc of half width PINGPONG_HALF_WIDTH around its
     attracting direction; the check is that the arcs are pairwise disjoint
     and every letter maps the complement of its repelling arc strictly
-    inside its own arc.  Reports the worst margins; margins must be positive.
+    inside its own arc.  The letters run as one stack: one eig, then one
+    scan of PINGPONG_SCAN angles per letter.  Reports the worst margins;
+    margins must be positive.
     """
     if not (rep.model.family == "SP" and rep.model.rank == 1):
         raise ModelMismatch("the interval check runs on the rank-one SL(2, R) model")
-    mats = {}
-    for name in rep.gen_names:
-        mats[name] = rep.gens[name].g
-        mats[_inverse_name(name)] = np.linalg.inv(mats[name])
-    centers = {}
-    for letter, A in mats.items():
-        w, V = np.linalg.eig(A)
-        if np.max(np.abs(np.imag(w))) > 1e-12 or abs(abs(w[0]) - abs(w[1])) < 1e-9:
-            raise NoGap(f"letter {letter!r} is not hyperbolic")
-        top = np.argmax(np.abs(np.real(w)))
-        centers[letter] = _angle_mod_pi(np.real(V[:, top]))
-    # pairwise disjointness of the four arcs on the circle R / pi Z
-    letters = sorted(mats)
+    names = [letter for name in rep.gen_names for letter in (name, _inverse_name(name))]
+    mats = np.stack([A for name in rep.gen_names for A in (rep.gens[name].g, np.linalg.inv(rep.gens[name].g))])
+    w, V = np.linalg.eig(mats)
+    not_hyperbolic = (np.max(np.abs(w.imag), axis=1) > 1e-12) | (np.abs(np.abs(w[:, 0]) - np.abs(w[:, 1])) < 1e-9)
+    if not_hyperbolic.any():
+        raise NoGap(f"letter {names[np.argmax(not_hyperbolic)]!r} is not hyperbolic")
+    top = np.argmax(np.abs(w.real), axis=1)
+    attract = _angles_mod_pi(V.real[np.arange(len(V)), :, top])
+    centers = dict(sorted(zip(names, attract.tolist())))
+    # pairwise disjointness of the arcs on the circle R / pi Z, in letter order
     half_width = PINGPONG_HALF_WIDTH
-    sep = np.inf
-    for i in range(len(letters)):
-        for j in range(i + 1, len(letters)):
-            d = abs((centers[letters[i]] - centers[letters[j]] + np.pi / 2) % np.pi - np.pi / 2)
-            sep = min(sep, d - 2 * half_width)
-    # contraction: letter maps the complement of its repelling arc into its arc
-    contraction = np.inf
-    for letter in letters:
-        A = mats[letter]
-        c_att = centers[letter]
-        c_rep = centers[_inverse_name(letter)]
-        # complement of the repelling arc, sampled including its endpoints
-        thetas = c_rep + half_width + np.linspace(0.0, np.pi - 2 * half_width, PINGPONG_SCAN)
-        for th in thetas:
-            contraction = min(contraction, _arc_contains(c_att, half_width, _act_angle(A, th)))
+    c = np.array(list(centers.values()))
+    i, j = np.triu_indices(len(c), 1)
+    sep = np.min(_circle_distances(c[i], c[j])) - 2 * half_width
+    # contraction: each letter maps the complement of its repelling arc (its inverse's, sampled
+    # including its endpoints) into its own arc
+    repel = attract[np.arange(len(names)) ^ 1]
+    thetas = repel[:, None] + half_width + np.linspace(0.0, np.pi - 2 * half_width, PINGPONG_SCAN)
+    images = mats[:, None] @ np.stack([np.cos(thetas), np.sin(thetas)], axis=-1)[..., None]
+    contraction = np.min(half_width - _circle_distances(_angles_mod_pi(images[..., 0]), attract[:, None]))
     return {
         "half_width": half_width,
-        "centers": {k: centers[k] for k in letters},
+        "centers": centers,
         "separation_margin": float(sep),
         "contraction_margin": float(contraction),
         "passed": bool(sep > 0 and contraction > 0),
@@ -628,22 +616,21 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
 # ---------------------------------------------------------------- certificates
 
 
+def _center(model: GroupModel, sign):
+    """The chart point sign * I on the Lagrangian families, sign * e_n (time axis) on SO(n, 2)."""
+    if model.is_lagrangian:
+        return chart_point(model, sign * embed_real(np.eye(model.rank), model.tag))
+    return chart_point(model, np.append(np.zeros(model.rank - 1), sign))
+
+
 def domain_center(model: GroupModel):
     """Interior point of the standard diamond (positive cone in the chart)."""
-    if model.is_lagrangian:
-        return chart_point(model, embed_real(np.eye(model.rank), model.tag))
-    v = np.zeros(model.rank)
-    v[-1] = 1.0
-    return chart_point(model, v)
+    return _center(model, 1.0)
 
 
 def dual_center(model: GroupModel):
     """Interior point of the dual diamond, the natural certificate candidate."""
-    if model.is_lagrangian:
-        return chart_point(model, -1.0 * embed_real(np.eye(model.rank), model.tag))
-    v = np.zeros(model.rank)
-    v[-1] = -1.0
-    return chart_point(model, v)
+    return _center(model, -1.0)
 
 
 def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_count=50,

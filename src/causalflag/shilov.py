@@ -216,40 +216,30 @@ def base_points(model: GroupModel):
         I = np.eye(2 * r)
         pair = tuple(ShilovPoint(model, embed_real(F, model.tag)) for F in (I[:, :r], I[:, r:]))
     else:
-        n = model.rank
-        e1 = np.zeros(n + 2)
-        e1[0] = 1.0
-        en1 = np.zeros(n + 2)
-        en1[n] = 1.0
-        pair = ShilovPoint(model, e1 + en1), ShilovPoint(model, e1 - en1)
+        S = _standard_basis(model)
+        pair = ShilovPoint(model, S[:, 0]), ShilovPoint(model, S[:, -1])
     _BASE_CACHE[key] = pair
     return pair
 
 
-def _spatial_basis(model: GroupModel):
-    """The chart basis of the SO(n,2) Minkowski chart: n-1 spacelike, 1 timelike."""
+def _standard_basis(model: GroupModel):
+    """The standard basis of R^{n+2} on SO(n, 2), as columns e_0 + e_n, e_1, ..., e_{n-1}, e_{n+1}, e_0 - e_n.
+
+    The first and last columns are p_plus and p_minus; the others span the
+    Minkowski chart, n - 1 spacelike and then one timelike.
+    """
     n = model.rank
-    vecs = []
-    for i in range(1, n):
-        e = np.zeros(n + 2)
-        e[i] = 1.0
-        vecs.append(e)
-    t = np.zeros(n + 2)
-    t[n + 1] = 1.0
-    vecs.append(t)
-    return vecs
+    I = np.eye(n + 2)
+    return np.column_stack([I[0] + I[n], I[:, 1:n], I[n + 1], I[0] - I[n]])
 
 
-def minkowski_form(v: np.ndarray) -> float:
-    """psi(v) = v_1^2 + ... + v_{n-1}^2 - v_n^2 on chart coordinates.
+def _minkowski_psi(v):
+    """psi(v) = v_1^2 + ... + v_{n-1}^2 - v_n^2 of each chart vector of a stack (..., n).
 
-    Raises NonFiniteInput, without a floating point warning, where psi is not finite.
+    Where psi overflows it is not finite, without a floating point warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        psi = float(np.sum(v[:-1] ** 2) - v[-1] ** 2)
-    if not np.isfinite(psi):
-        raise NonFiniteInput("the Minkowski form of a chart vector is not finite")
-    return psi
+        return np.sum(v[..., :-1] ** 2, axis=-1) - v[..., -1] ** 2
 
 
 # --------------------------------------------------------------- transversality
@@ -327,8 +317,7 @@ def _socharts_lift(model: GroupModel, v: np.ndarray) -> np.ndarray:
     warning, and the point guard names it.
     """
     n = model.rank
-    with np.errstate(over="ignore", invalid="ignore"):
-        q = -(np.sum(v[..., :-1] ** 2, axis=-1) - v[..., -1] ** 2) / 4.0
+    q = -_minkowski_psi(v) / 4.0
     lift = np.empty(v.shape[:-1] + (n + 2,))
     lift[..., 0] = 1.0 + q
     lift[..., 1:n] = v[..., :-1]
@@ -439,7 +428,6 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
         T = concat([A, product(C, -np.linalg.inv(P), tag)], -1, tag)
         return GroupElement(model, T, _check=False).inv()
-    n = model.rank
     b = model.form()
     u = a.frame.copy()
     w = c.frame.copy()
@@ -452,21 +440,12 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     G = N.T @ b @ N
     vals, vecs = np.linalg.eigh(G)
     order = np.argsort(-vals)  # positives first, the single negative last
-    cols = []
-    for k in order:
-        f = N @ vecs[:, k]
-        cols.append(f / np.sqrt(abs(vals[k])))
-    B_pair = np.column_stack([u] + cols[:-1] + [cols[-1], w])
-    e1 = np.zeros(n + 2)
-    e1[0] = 1.0
-    en1 = np.zeros(n + 2)
-    en1[n] = 1.0
-    basis = _spatial_basis(model)
-    B_std = np.column_stack([e1 + en1] + basis[:-1] + [basis[-1], e1 - en1])
+    cols = [N @ vecs[:, k] / np.sqrt(abs(vals[k])) for k in order]
+    B_pair = np.column_stack([u] + cols + [w])
     cond = np.linalg.cond(B_pair)
     if cond > 1e12:
         raise IllConditioned(f"basis condition number {cond:.3e}")
-    S = B_std @ np.linalg.inv(B_pair)
+    S = _standard_basis(model) @ np.linalg.inv(B_pair)
     elem = GroupElement(model, S, _check=False)
     if elem.form_defect() > 1e-8:
         # roundoff grows with cond(B_pair); the element is exact in theory

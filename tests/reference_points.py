@@ -5,7 +5,11 @@ the isotropy check, as the former act did), reference_act and
 reference_chart_coordinates the former scalar act and chart_coordinates,
 reference_quat_frame the former per-item quaternionic frame recovery, and
 reference_standardize_pair the former Lagrangian standardize_pair, which
-orthonormalized frames with reference_orthonormalize_frame.  They work on
+orthonormalized frames with reference_orthonormalize_frame, and
+reference_pingpong_certificate the former ping-pong check, one letter and
+one scanned angle at a time.  chart_maslov_index is the SO(n, 2) Maslov
+index by its chart definition, an oracle that shares no sign rule with
+maslov.maslov_indices.  They work on
 the embedded arrays the library holds (see causalflag.kmat), with the
 quaternionic product kmat.product.  The library's batched paths must
 match them bit for bit.
@@ -13,14 +17,26 @@ match them bit for bit.
 
 import numpy as np
 
-from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotHermitian, NotInChart
+from causalflag.errors import (
+    IllConditioned,
+    InvalidFrame,
+    ModelMismatch,
+    NoGap,
+    NonFiniteInput,
+    NotHermitian,
+    NotInChart,
+)
+from causalflag.causal import classify_orbit
 from causalflag.groups import GroupElement
 from causalflag.kmat import _chi, _parts, adjoint, concat, norm, product
+from causalflag.reps import PINGPONG_HALF_WIDTH, PINGPONG_SCAN
 from causalflag.shilov import (
     ISOTROPY_TOL,
     TRANSVERSALITY_TOL,
-    _spatial_basis,
+    act,
     base_points,
+    chart_coordinates,
+    standardize_pair,
     transversality_margin,
 )
 
@@ -105,13 +121,11 @@ def reference_chart_coordinates(x):
         return 0.5 * (X + XH)
     n = model.rank
     b = model.form()
+    I = np.eye(n + 2)
     xi = x.frame.copy()
-    raw_minus = np.zeros(n + 2)
-    raw_minus[0] = 1.0
-    raw_minus[n] = -1.0
-    denom = xi @ b @ raw_minus
+    denom = xi @ b @ (I[0] - I[n])  # the pairing with p_minus = e_0 - e_n
     xi = xi * (2.0 / denom)
-    basis = _spatial_basis(model)
+    basis = [I[i] for i in range(1, n)] + [I[n + 1]]  # the spacelike chart axes, then the timelike one
     v = np.empty(n)
     for i in range(n - 1):
         v[i] = xi @ b @ basis[i]
@@ -174,3 +188,59 @@ def reference_standardize_pair(a, c):
     M = _chi(*_parts(M)) if tag == "H" else M  # LAPACK's inverse laid out again
     T = concat([A, product(C, M, tag)], -1, tag)
     return GroupElement(model, T, _check=False).inv()
+
+
+def reference_pingpong_certificate(rep):
+    """The ping-pong check of reps.pingpong_certificate, one letter and one angle at a time."""
+    if not (rep.model.family == "SP" and rep.model.rank == 1):
+        raise ModelMismatch("the interval check runs on the rank-one SL(2, R) model")
+
+    def angle_mod_pi(v):
+        return float(np.arctan2(v[1], v[0]) % np.pi)
+
+    def arc_contains(center, half_width, theta):
+        d = (theta - center + np.pi / 2) % np.pi - np.pi / 2
+        return half_width - abs(d)
+
+    mats = {}
+    for name in rep.gen_names:
+        mats[name] = rep.gens[name].g
+        mats[name.swapcase()] = np.linalg.inv(mats[name])
+    centers = {}
+    for letter, A in mats.items():
+        w, V = np.linalg.eig(A)
+        if np.max(np.abs(np.imag(w))) > 1e-12 or abs(abs(w[0]) - abs(w[1])) < 1e-9:
+            raise NoGap(f"letter {letter!r} is not hyperbolic")
+        top = np.argmax(np.abs(np.real(w)))
+        centers[letter] = angle_mod_pi(np.real(V[:, top]))
+    letters = sorted(mats)
+    half_width = PINGPONG_HALF_WIDTH
+    sep = np.inf
+    for i in range(len(letters)):
+        for j in range(i + 1, len(letters)):
+            d = abs((centers[letters[i]] - centers[letters[j]] + np.pi / 2) % np.pi - np.pi / 2)
+            sep = min(sep, d - 2 * half_width)
+    contraction = np.inf
+    for letter in letters:
+        A = mats[letter]
+        thetas = centers[letter.swapcase()] + half_width + np.linspace(0.0, np.pi - 2 * half_width,
+                                                                           PINGPONG_SCAN)
+        for th in thetas:
+            image = angle_mod_pi(A @ np.array([np.cos(th), np.sin(th)]))
+            contraction = min(contraction, arc_contains(centers[letter], half_width, image))
+    return {
+        "half_width": half_width,
+        "centers": {k: centers[k] for k in letters},
+        "separation_margin": float(sep),
+        "contraction_margin": float(contraction),
+        "passed": bool(sep > 0 and contraction > 0),
+    }
+
+
+def chart_maslov_index(a, b, c):
+    """|idx| of an SO(n, 2) triple from the chart that standardizes (a, c): 2 iff b's coordinate is timelike.
+
+    Raises what standardize_pair or chart_coordinates raise on a pair too close to the lightcone.
+    """
+    v = chart_coordinates(act(standardize_pair(a, c), b))
+    return 2 if classify_orbit(a.model, v) in ((2, 0), (0, 2)) else 0

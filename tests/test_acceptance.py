@@ -31,7 +31,7 @@ from causalflag.einstein import (
 from causalflag.errors import DegenerateSignature, IllConditioned, NotPairwiseTransverse
 from causalflag.groups import model_preset, tau_p
 from causalflag.linalg import hermitian_eigenvalues
-from causalflag.maslov import maslov_index, maslov_invariance_report
+from causalflag.maslov import maslov_invariance_report
 from causalflag.reps import (
     anosov_gap_report,
     deform,
@@ -43,6 +43,7 @@ from causalflag.reps import (
     verify_maslov_zero,
 )
 from causalflag.shilov import ShilovPoint, act, chart_coordinates, chart_point, transversality_margin
+from reference_points import chart_maslov_index
 
 FAMILIES = ["sp4", "su22", "sostar8"]
 
@@ -192,12 +193,14 @@ def test_criterion_7_einstein_cross_validation():
         if min(abs(pairing(a, b)), abs(pairing(b, c)), abs(pairing(a, c))) <= 1e-6:
             continue
         try:
-            full = maslov_index(a, b, c)
+            # the chart definition: standardize (a, c), classify b's coordinate
+            expected = chart_maslov_index(a, b, c)
+            sign = ein_maslov_sign(a, b, c)
         except (NotPairwiseTransverse, DegenerateSignature, IllConditioned):
             guard_skips += 1
             continue
         compared += 1
-        if ein_maslov_sign(a, b, c) != full.idx:
+        if sign != expected:
             disagreements += 1
 
     pts = []
@@ -211,7 +214,7 @@ def test_criterion_7_einstein_cross_validation():
     photons = photon_convexity_check(pts, 1000, seed=7)
     ok = disagreements == 0 and photons["violations"] == 0
     verdict(7, "einstein cross-validation", ok,
-            f"sign vs index disagreements={disagreements}/10^4 (guard skips {guard_skips}), "
+            f"sign vs chart index disagreements={disagreements}/10^4 (guard skips {guard_skips}), "
             f"photon violations={photons['violations']}/10^3 on an 8-point negative sample")
 
 

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from causalflag.causal import (
     ChartedChart,
@@ -21,7 +21,7 @@ from causalflag.causal import (
     sylvester_orbit_check,
     zero_band,
 )
-from causalflag.errors import EmptyInput, NonFiniteInput, NotTransverse
+from causalflag.errors import EmptyInput, NonFiniteInput, NotHermitian, NotTransverse
 from causalflag.groups import model_preset
 from causalflag.kmat import adjoint, draw, embed_real, hermitian_draw, norm, product
 from causalflag.linalg import signature
@@ -111,6 +111,15 @@ def test_classify_orbit():
     so = model_preset("so42")
     assert classify_orbit(so, np.array([0.0, 0.0, 0.0, 1.0])) == (2, 0)
     assert classify_orbit(so, np.array([2.0, 0.0, 0.0, 1.0])) == (1, 1)
+
+
+def test_zero_band_is_the_band_of_the_relations():
+    # the eigenvalue band 1e-9 * max(1, max |lambda|), and only of a Hermitian coordinate
+    sp4 = model_preset("sp4")
+    assert zero_band(sp4, np.diag([-3e3, 2.0])) == 1e-9 * 3e3
+    assert zero_band(model_preset("so42"), np.array([0.0, 0.0, 3e3, 4e3])) == 1e-9 * 5e3
+    with pytest.raises(NotHermitian):
+        zero_band(sp4, np.array([[1.0, 2.0], [0.0, 1.0]]))
 
 
 def test_signature_coord_sampler_hits_the_label():
@@ -611,3 +620,29 @@ def test_swap_exchanges_future_and_past(name, seed, kind):
     assume(decisive(model, X, Y) and decisive(model, Y, X))
     rel = relation(model, X, Y, kind)
     assert relation(model, Y, X, kind) == SWAPPED.get(rel, rel)
+
+
+ORBIT_OF = {FutureRelation.STRICT_FUTURE: (2, 0), FutureRelation.STRICT_PAST: (0, 2),
+            FutureRelation.NEITHER: (1, 1), FutureRelation.LIGHTCONE: (0, 0), FutureRelation.EQUAL: (0, 0)}
+
+
+@st.composite
+def minkowski_vectors(draw_from):
+    """Vectors of R^(3,1) at scales 1e-6 to 1e4: generic, or off the null cone by a relative 0 to 1e-3."""
+    rng = np.random.default_rng(draw_from(seeds))
+    scale = 10.0 ** draw_from(st.integers(-6, 4))
+    if draw_from(st.booleans()):
+        return scale * rng.standard_normal(4)
+    u = rng.standard_normal(3)
+    tilt = draw_from(st.sampled_from([0.0, 1e-15, 1e-12, 1e-9, 1e-6, 1e-3])) * rng.choice([-1.0, 1.0])
+    return scale * np.append(u, rng.choice([-1.0, 1.0]) * np.linalg.norm(u) * (1.0 + tilt))
+
+
+@PROPERTY
+@given(X=minkowski_vectors())
+@example(X=np.array([1e4, 0.0, 0.0, 1e4 * (1 + 1e-12)]))  # a null vector at a large scale
+@example(X=np.array([1e-6, 0.0, 0.0, 1.5e-6]))  # a timelike vector at a small scale
+def test_classify_orbit_is_the_relation_to_the_origin(X):
+    # on SO(n, 2) the Sylvester label of X is the label of the relation of X to 0, at every scale
+    so = model_preset("so42")
+    assert classify_orbit(so, X) == ORBIT_OF[future_membership(so, np.zeros(4), X)]

@@ -50,6 +50,7 @@ from reference_points import (
     ReferencePoint,
     reference_act,
     reference_chart_coordinates,
+    reference_pingpong_certificate,
     reference_quat_frame,
 )
 from causalflag.shilov import (
@@ -109,6 +110,39 @@ def test_pingpong_fails_for_surface_group():
     cert = pingpong_certificate(preset("genus2-sl2"))
     assert not cert["passed"]
     assert cert["separation_margin"] < 0.0
+
+
+def _sl2_rep(sl2_gens, h=None):
+    """The rank-one representation of SL(2, R) generators, conjugated by h if given."""
+    model = model_preset("sp2")
+    rep = Representation(model, reps._lift_sl2(sl2_gens, model), tuple(sorted(sl2_gens)))
+    return rep if h is None else conjugate(rep, GroupElement(model, h))
+
+
+def _pingpong_outcome(check, rep):
+    try:
+        return check(rep)
+    except (NoGap, ModelMismatch) as error:
+        return type(error).__name__, str(error)
+
+
+@pytest.mark.parametrize("case", ["lam1.5", "lam3", "lam10", "conjugated", "surface", "elliptic", "rank2"])
+def test_pingpong_certificate_equals_the_per_angle_loop(case):
+    # bit for bit: centres, both margins, the verdict, or the same error
+    if case.startswith("lam"):
+        rep = _sl2_rep(reps._free_pair_sl2(float(case[3:])))
+    elif case == "conjugated":
+        rep = _sl2_rep(reps._free_pair_sl2(3.0), h=np.array([[2.0, 1.0], [0.5, 0.75]]))
+    elif case == "elliptic":
+        rep = _sl2_rep({"a": np.diag([3.0, 1.0 / 3.0]), "b": reps._rot(0.3)})
+    else:
+        rep = preset({"surface": "genus2-sl2", "rank2": "tau0-sp4-f2"}[case])
+    got = _pingpong_outcome(pingpong_certificate, rep)
+    assert repr(got) == repr(_pingpong_outcome(reference_pingpong_certificate, rep))
+    if case in ("elliptic", "rank2"):
+        assert got[0] == {"elliptic": "NoGap", "rank2": "ModelMismatch"}[case]
+    else:
+        assert set(got) == {"half_width", "centers", "separation_margin", "contraction_margin", "passed"}
 
 
 def test_free_ball_counts():
