@@ -92,7 +92,7 @@ def _norms(model: GroupModel, D, what):
     Raises NonFiniteInput, naming what, where a norm overflows, without a floating point warning.
     """
     with np.errstate(over="ignore", invalid="ignore"):
-        norms = frobenius_norms(D, model.tag) if model.is_lagrangian else np.linalg.norm(D, axis=-1)
+        norms = frobenius_norms(D if model.is_lagrangian else D[..., None], model.tag)
     if not np.isfinite(norms).all():
         raise NonFiniteInput(f"{what} overflows")
     return norms
@@ -113,7 +113,7 @@ def _cone(model: GroupModel, D):
         lam = np.linalg.eigvalsh(H)
         return lam[:, 0], -lam[:, -1], norm
     norm = _norms(model, D, "a coordinate difference")
-    space = np.linalg.norm(D[:, :-1], axis=-1)
+    space = frobenius_norms(D[:, :-1, None], model.tag)
     return D[:, -1] - space, -D[:, -1] - space, norm
 
 

@@ -349,7 +349,8 @@ _COMMANDS = {
     "maslov-invariance": (_cmd_maslov_invariance, dict(model=_REQUIRED, trials=(int, 10_000, False),
                                                        seed=_SEED), False),
     "rep-build": (_cmd_rep_build, dict(rep=_REQUIRED), False),
-    "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False), cap=(int, 10**7, False)), False),
+    "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False),
+                                   cap=(int, reps.BALL_CAP, False)), False),
     "rep-limitset": (_cmd_rep_limitset, _limit_flags(8, 100), True),
     "rep-verify-maslov0": (_cmd_rep_verify_maslov0, _limit_flags(8, 100, triples=(int, 1000, False)), True),
     "rep-certificate": (_cmd_rep_certificate, _limit_flags(8, 100, probes=(int, 50, False)), True),

@@ -1,13 +1,14 @@
 """Lorentzian Einstein universe: lightcones, photons, invisible domains.
 
-Points are isotropic lines of a form of signature (n, 2).  The sign rule
-of a triple (the product of its pairwise lift pairings) lives in
-maslov.maslov_indices, and ein_maslov_sign and lightcone_membership are
-batches of one of maslov_index and shilov.transverse.  Negativity three
-by three is an O(n^2) check on one Gram matrix: flip each lift so that it
-pairs negatively with lift 0, and the family is negative iff every
-pairing is then negative.  Membership in the invisible domain is one
-pairing per limit point against those negative lifts.
+Points are isotropic lines of a form of signature (n, 2); every lift
+pairing b(u, v) is shilov._pairings, and points of two models are a
+ModelMismatch.  The sign rule of a triple lives in maslov.maslov_indices;
+ein_maslov_sign and lightcone_membership are batches of one of
+maslov_index and shilov.transverse.  Negativity three by three is one
+Gram matrix: flip each lift so that it pairs negatively with lift 0, and
+the family is negative iff every pairing is then negative.  One
+invisibility margin against those negative lifts (_invisible_margins)
+decides the invisible domain and the photon scan.
 """
 
 from __future__ import annotations
@@ -16,25 +17,27 @@ import numpy as np
 
 from .errors import BoundaryNotBracketed, LimitSetNotNegative, ModelMismatch, NotInDomain
 from .groups import SO_N2, GroupModel
-from .linalg import null_space
+from .linalg import frobenius_norms, null_space
 from .maslov import maslov_index
-from .shilov import TRANSVERSALITY_TOL, ShilovPoint, transverse
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _pairings, transverse
 
 PHOTON_SCAN = 1000  # points per photon in photon_convexity_check
 HILBERT_T_SPAN = 1e8  # largest affine parameter searched for a boundary point
 HILBERT_TOL = 1e-12  # relative bisection width of a boundary point
 
 
-def _check_model(model: GroupModel):
+def _check_model(model: GroupModel, points=()):
+    """ModelMismatch unless model is an SO(n, 2) model and every one of points is of it."""
     if model.family != SO_N2:
         raise ModelMismatch("Einstein-universe routines require an SO(n, 2) model")
+    if any(p.model != model for p in points):
+        raise ModelMismatch("points belong to different models")
 
 
 def pairing(x: ShilovPoint, y: ShilovPoint) -> float:
-    """b(u, v) on the stored unit lifts."""
-    _check_model(x.model)
-    b = x.model.form()
-    return float(x.frame @ b @ y.frame)
+    """b(u, v) on the stored unit lifts: shilov._pairings of a batch of one."""
+    _check_model(x.model, [y])
+    return float(_pairings(x.model, x.frame[None], y.frame[None])[0])
 
 
 def lightcone_membership(x: ShilovPoint, y: ShilovPoint) -> bool:
@@ -49,22 +52,23 @@ def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
     return maslov_index(a, b_, c).idx
 
 
-def check_negative(limit_pts):
-    """Raise unless every triple of the list has sign 0 (negative 3 by 3)."""
-    negative_lifts(limit_pts)
-
-
 def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
     """True iff x is transverse to every limit point with index 0 against every pair.
 
     With negative lifts u_i, the sign of (u_i, x, u_j) is 0 iff
-    b(u_i, x) b(u_j, x) > 0, so x is invisible iff its pairings with the
-    lifts are nonzero and share one sign.
+    b(u_i, x) b(u_j, x) > 0: _invisible_margins of a batch of one, above TRANSVERSALITY_TOL.
     """
-    vals = negative_lifts(limit_pts) @ x.model.form() @ x.frame
-    if np.any(np.abs(vals) <= TRANSVERSALITY_TOL):
-        return False
-    return bool(np.all(vals < 0) or np.all(vals > 0))
+    lifts = negative_lifts(limit_pts)
+    _check_model(x.model, limit_pts[:1])
+    return bool(_invisible_margins(x.model, lifts, x.frame[None])[0] > TRANSVERSALITY_TOL)
+
+
+def _invisible_margins(model: GroupModel, lifts, V) -> np.ndarray:
+    """min_i |b(u_i, v)| of each lift v of a stack V if its pairings with the u_i share one sign, else minus it."""
+    vals = _pairings(model, lifts[:, None], V[None])  # (limit, k) pairings
+    smallest = np.min(np.abs(vals), axis=0)
+    one_sign = np.all(vals < 0, axis=0) | np.all(vals > 0, axis=0)
+    return np.where(one_sign, smallest, -smallest)
 
 
 def negative_lifts(limit_pts) -> np.ndarray:
@@ -76,9 +80,10 @@ def negative_lifts(limit_pts) -> np.ndarray:
     """
     if not limit_pts:
         raise LimitSetNotNegative("empty limit set")
-    _check_model(limit_pts[0].model)
+    model = limit_pts[0].model
+    _check_model(model, limit_pts)
     L = np.stack([p.frame for p in limit_pts])
-    gram = L @ limit_pts[0].model.form() @ L.T
+    gram = _pairings(model, L[:, None], L[None])
     iu = np.triu_indices(len(L), 1)
     close = np.flatnonzero(np.abs(gram[iu]) <= TRANSVERSALITY_TOL)
     if len(close):
@@ -116,9 +121,8 @@ def random_photon(model: GroupModel, rng):
         y = N @ rng.standard_normal(N.shape[1])
         z = N @ rng.standard_normal(N.shape[1])
         # b(y + t z) = 0 quadratic in t
-        aa = z @ b @ z
-        bb = 2 * (y @ b @ z)
-        cc = y @ b @ y
+        aa, yz, cc = _pairings(model, np.stack([z, y, y]), np.stack([z, z, y]))
+        bb = 2 * yz
         disc = bb * bb - 4 * aa * cc
         if abs(aa) < 1e-12 or disc <= 0:
             continue
@@ -128,7 +132,7 @@ def random_photon(model: GroupModel, rng):
         if np.linalg.norm(w) < 1e-8:
             continue
         w = w / np.linalg.norm(w)
-        if abs(w @ b @ w) < 1e-8 and abs(u @ b @ w) < 1e-8:
+        if np.all(np.abs(_pairings(model, np.stack([w, u]), w)) < 1e-8):
             return u, w
     return None
 
@@ -139,7 +143,6 @@ def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
         raise ValueError("n_photons must be at least 1")
     lifts = negative_lifts(limit_pts)
     model = limit_pts[0].model
-    b = model.form()
     rng = np.random.default_rng(seed)
     violations = 0
     vacuous = 0
@@ -155,12 +158,8 @@ def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
         thetas = np.linspace(0.0, np.pi, PHOTON_SCAN, endpoint=False)
         # photon points cos(th) u + sin(th) w, margins vectorized over the scan
         pts = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), w)
-        norms = np.linalg.norm(pts, axis=1)
-        pts = pts / np.maximum(norms, 1e-300)[:, None]
-        vals = lifts @ b @ pts.T  # (limit, scan) pairings
-        smallest = np.min(np.abs(vals), axis=0)
-        one_sign = np.all(vals < 0, axis=0) | np.all(vals > 0, axis=0)
-        margins = np.where(one_sign, smallest, -smallest)
+        pts = pts / np.maximum(frobenius_norms(pts[..., None], model.tag), 1e-300)[:, None]
+        margins = _invisible_margins(model, lifts, pts)
         if np.any(np.abs(margins) <= band):
             within_tol += 1
             continue

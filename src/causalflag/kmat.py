@@ -10,8 +10,9 @@ a multiplicative *-homomorphism, so eigenvalues, singular values and
 determinants of quaternionic matrices are computed on chi(Q) and read
 back with halved multiplicities.  Sums, real multiples and adjoints keep
 the chi layout bit for bit; products over H go through ``product``, which
-multiplies the (A, B) parts and lays the result out again.  A matrix
-crosses JSON by its field entries (to_json, from_json).
+multiplies the (A, B) parts and lays the result out again.  ``norm`` is
+linalg.frobenius_norms of one (over H the chi norm over sqrt(2)).  A
+matrix crosses JSON by its field entries (to_json, from_json).
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ModelMismatch
+from .linalg import frobenius_norms
 from .scalars import COMPLEX, QUATERNION, REAL
 
 _WIDTH = {REAL: 1, COMPLEX: 2, QUATERNION: 4}  # real components per field entry
@@ -81,11 +83,8 @@ def concat(mats, axis, tag):
 
 
 def norm(E, tag) -> float:
-    """Frobenius norm of one embedded matrix, in the field's units: over H, that of the parts."""
-    if tag == QUATERNION:
-        a, b = _parts(E)
-        return float(np.sqrt(np.sum(np.abs(a) ** 2) + np.sum(np.abs(b) ** 2)))
-    return float(np.linalg.norm(E))
+    """Frobenius norm of one embedded matrix or vector in the field's units: frobenius_norms on a stack of one."""
+    return float(frobenius_norms(np.reshape(E, (1, -1, 1)), tag)[0])
 
 
 def in_layout(E) -> bool:

@@ -36,26 +36,16 @@ class Signature:
 
 
 def frobenius_norms(E, tag):
-    """Frobenius norms of a stack (..., d, d) of embedded matrices, in the units of kmat.norm."""
-    norms = np.linalg.norm(E, axis=(-2, -1))
-    return norms / np.sqrt(2.0) if tag == QUATERNION else norms
+    """Frobenius norms of a stack (..., m, k) of embedded matrices (a column stack: vector norms).
 
-
-def _flat_norms(X):
-    """np.linalg.norm(X[k]) for every k of a stack, bit for bit.
-
-    numpy's flat norm is sqrt(re.re + im.im) over BLAS dots; a stacked
-    (1, n) @ (n, 1) matmul runs the same dot per item, where a norm over
-    axes would sum in another order.
+    Each item takes one BLAS dot in C order, sqrt(re.re + im.im), so a
+    C-ordered item gets the bits of np.linalg.norm.  Over H (tag QUATERNION)
+    the chi norm is divided by sqrt(2); any other tag takes the arrays as they are.
     """
-    F = X.reshape(len(X), math.prod(X.shape[1:]))
-
-    def dots(V):
-        return np.matmul(V[:, None, :], V[:, :, None])[:, 0, 0]
-
-    if np.iscomplexobj(F):
-        return np.sqrt(dots(F.real) + dots(F.imag))
-    return np.sqrt(dots(F))
+    F = E.reshape(-1, 1, math.prod(E.shape[-2:]))  # each item as one row
+    parts = (F.real, F.imag) if np.iscomplexobj(F) else (F,)
+    norms = np.sqrt(sum(V @ np.swapaxes(V, 1, 2) for V in parts)).reshape(E.shape[:-2])
+    return norms / np.sqrt(2.0) if tag == QUATERNION else norms
 
 
 def check_hermitian(E, tag):

@@ -26,7 +26,8 @@ from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
 from .linalg import _sign_counts, frobenius_norms
 from .scalars import QUATERNION
-from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _socharts_lift, transversality_margins
+from .shilov import (TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _pairings, _socharts_lift,
+                     transversality_margins)
 
 _SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
@@ -51,16 +52,14 @@ def maslov_indices(model: GroupModel, A, B, C):
     where a margin is not above TRANSVERSALITY_TOL (NaN included) or where an
     eigenvalue of Kashiwara's form falls in its zero band (linalg._sign_counts).
     """
-    margin = np.minimum(
-        np.minimum(transversality_margins(model, A, B), transversality_margins(model, B, C)),
-        transversality_margins(model, A, C),
-    )
+    # the three margins; on SO(n, 2) the three pairings, whose absolute values are the margins
+    pair = transversality_margins if model.is_lagrangian else _pairings
+    ab, bc, ac = pair(model, A, B), pair(model, B, C), pair(model, A, C)
+    margin = np.minimum(np.minimum(np.abs(ab), np.abs(bc)), np.abs(ac))
     valid = margin > TRANSVERSALITY_TOL
-    J = model.form()
     if not model.is_lagrangian:
-        pairing = lambda X, Y: np.sum((X @ J) * Y, axis=-1)
-        negative = pairing(A, B) * pairing(B, C) * pairing(C, A) < 0
-        return np.where(negative, 0, 2), margin, valid
+        return np.where(ab * bc * ac < 0, 0, 2), margin, valid
+    J = model.form()
     d = A.shape[-1]
     T = np.zeros(A.shape[:-2] + (3 * d, 3 * d), dtype=np.result_type(A, B, C, J))
     T[..., :d, d : 2 * d] = adjoint(A) @ J @ B
@@ -108,8 +107,7 @@ def _orthonormal(model: GroupModel, F):
     """The ``ShilovPoint.ortho`` stack of a stack of frames (or lift columns)."""
     if model.is_lagrangian:
         return np.linalg.qr(F)[0]
-    v = F[..., 0]
-    return v / np.linalg.norm(v, axis=-1, keepdims=True)
+    return F[..., 0] / frobenius_norms(F, model.tag)[..., None]
 
 
 def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:

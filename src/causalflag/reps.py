@@ -37,9 +37,9 @@ from .groups import (
 from .causal import _random_hermitian, causal_hull
 from .einstein import random_ein_point
 from .kmat import _chi, embed_real, norm, product
-from .scalars import QUATERNION, REAL
-from .linalg import _flat_norms
+from .linalg import frobenius_norms
 from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
+from .scalars import COMPLEX, QUATERNION, REAL
 from .shilov import (
     ShilovPoint,
     _guard,
@@ -464,13 +464,13 @@ def _attracting_frames(model: GroupModel, E, seed):
             break
         Zk, _ = np.linalg.qr(En[active] @ Z[active])
         Pk = Zk @ np.conj(np.swapaxes(Zk, -1, -2))
-        moved = ~(_flat_norms(Pk - P[active]) < ATTRACT_TOL)
+        moved = ~(frobenius_norms(Pk - P[active], COMPLEX) < ATTRACT_TOL)
         Z[active], P[active] = Zk, Pk
         active = active[moved]
     GZ = En @ Z
     residuals = np.full(N, np.nan)
     off = GZ - Z @ (np.conj(np.swapaxes(Z, -1, -2)) @ GZ)
-    residuals[live] = _flat_norms(off) / np.maximum(_flat_norms(GZ), 1e-300)
+    residuals[live] = frobenius_norms(off, COMPLEX) / np.maximum(frobenius_norms(GZ, COMPLEX), 1e-300)
     settled = np.ones(len(live), bool)
     settled[active] = False
     reason[live[~settled]] = _NO_CONVERGENCE
@@ -572,7 +572,7 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     kept = []
     for i, c in enumerate(live):
         k = len(kept)
-        if (np.linalg.norm(kept_P[:k] - projectors[i], axis=(1, 2)) < 1e-6).any():
+        if (frobenius_norms(kept_P[:k] - projectors[i], COMPLEX) < 1e-6).any():
             reason[c] = _NEAR
         elif (transversality_margins(model, np.broadcast_to(orthos[i], kept_Q[:k].shape), kept_Q[:k])
               <= margin_floor).any():

@@ -22,8 +22,8 @@ from .errors import (
 )
 from .groups import GroupElement, GroupModel, _levi_index
 from .kmat import _chi, _parts, adjoint, as_embedded, concat, embed_real, from_json, product, to_json
-from .linalg import _flat_norms, check_hermitian, frobenius_norms, null_space
-from .scalars import QUATERNION, REAL
+from .linalg import check_hermitian, frobenius_norms, null_space
+from .scalars import COMPLEX, QUATERNION, REAL
 
 ISOTROPY_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-9
@@ -54,14 +54,14 @@ def _quat_frame_from_embedded(E):
     basis, parts_a, parts_b = [], [], []
     for _ in range(k // 2):
         W = deflate(cols, basis)
-        nw = _flat_norms(W.reshape(N * k, d)).reshape(N, k)
+        nw = frobenius_norms(W[..., None], COMPLEX)
         long = nw > 1e-8
         if not long.any(axis=1).all():
             raise InvalidFrame("embedded span is not j-invariant of the expected dimension")
         first = np.argmax(long, axis=1)
         v = W[items, first] / nw[items, first][:, None]
         jv = deflate(np.concatenate([-np.conj(v[:, n:]), np.conj(v[:, :n])], axis=1)[:, None], basis)[:, 0]
-        jv = jv / _flat_norms(jv)[:, None]
+        jv = jv / frobenius_norms(jv[..., None], COMPLEX)[:, None]
         basis += [v, jv]
         parts_a.append(v[:, :n])
         parts_b.append(-np.conj(v[:, n:]))
@@ -95,8 +95,8 @@ def _guard(model: GroupModel, E):
                    lambda k: NonFiniteInput(f"{kind} has a non-finite entry"))])
     if not model.is_lagrangian:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
-            nv = _flat_norms(E)
-            iso = np.abs(np.matmul((E @ model.form())[:, None, :], E[:, :, None])[:, 0, 0])
+            nv = frobenius_norms(E[..., None], model.tag)
+            iso = np.abs(_pairings(model, E, E))
         _raise_first([
             (np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
             (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
@@ -170,10 +170,10 @@ class ShilovPoint:
         return _projectors(self.model, self._ortho[None])[0]
 
     def distance(self, other: "ShilovPoint") -> float:
-        """Representative-independent distance (projector Frobenius norm)."""
+        """Representative-independent distance: Frobenius norm of the (complex, not chi) projector difference."""
         if other.model != self.model:
             raise ModelMismatch("cannot compare points of different models")
-        return float(np.linalg.norm(self.projector() - other.projector()))
+        return float(frobenius_norms((self.projector() - other.projector())[None], COMPLEX)[0])
 
     def to_json(self):
         if self.model.is_lagrangian:
@@ -261,8 +261,12 @@ def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
     if model.is_lagrangian:
         d = np.abs(np.linalg.det(np.concatenate([X, Y], axis=-1)))
         return np.sqrt(d) if model.tag == QUATERNION else d
-    b = model.form()
-    return np.abs((X @ b)[..., None, :] @ Y[..., :, None])[..., 0, 0]
+    return np.abs(_pairings(model, X, Y))
+
+
+def _pairings(model: GroupModel, X, Y) -> np.ndarray:
+    """b(X[k], Y[k]) of each pair of broadcast SO(n, 2) lift stacks (..., n+2), one dot per pair."""
+    return ((X @ model.form())[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
 def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
@@ -349,30 +353,24 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     if not model.is_lagrangian:
         _raise_first(checks)
         n = model.rank
-        W = frames @ model.form()
-        # rescale each lift so that b(xi, e1 - e_{n+1}) = 2
-        W = W * (2.0 / (W[:, 0] - W[:, n]))[:, None]
-        return np.concatenate([W[:, 1:n], -W[:, n + 1:]], axis=1)
+        # the pairings of each lift with the standard basis, rescaled so that its pairing with p_minus is 2
+        W = frames @ model.form() @ _standard_basis(model)
+        W = W * (2.0 / W[:, -1])[:, None]
+        return np.concatenate([W[:, 1:n], -W[:, n:n + 1]], axis=1)
     r = model.rank
-    quat = model.tag == QUATERNION
     rows = _levi_index(model)
     F = frames[in_chart]
     top, bot = F[:, rows], F[:, rows + r]
     X = np.zeros((len(frames),) + top.shape[1:], frames.dtype)
     X[in_chart] = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
-    # the field parts of each coordinate and of its adjoint (the solve need not return the chi layout)
-    if quat:
-        parts = _parts(X)
-        adjoints = (adjoint(parts[0]), -np.swapaxes(parts[1], -1, -2))
-    else:
-        parts, adjoints = (X,), (adjoint(X),)
-    defect = np.sqrt(sum(np.sum(np.abs(p - q) ** 2, axis=(1, 2)) for p, q in zip(parts, adjoints)))
-    size = np.sqrt(sum(np.sum(np.abs(p) ** 2, axis=(1, 2)) for p in parts))
-    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, size)),
+    if model.tag == QUATERNION:
+        X = _chi(*_parts(X))  # the solve need not return the chi layout
+    XH = adjoint(X)
+    defect = frobenius_norms(X - XH, model.tag)
+    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, frobenius_norms(X, model.tag))),
                    lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}")))
     _raise_first(checks)
-    C = [0.5 * (p + q) for p, q in zip(parts, adjoints)]
-    return _chi(*C) if quat else C[0]
+    return 0.5 * (X + XH)
 
 
 # -------------------------------------------------------------- standardization
@@ -431,7 +429,7 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     b = model.form()
     u = a.frame.copy()
     w = c.frame.copy()
-    pairing = u @ b @ w
+    pairing = _pairings(model, u, w)
     if abs(pairing) < 1e-12:
         raise NotTransverse("degenerate pairing")
     w = w * (2.0 / pairing)

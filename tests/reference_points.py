@@ -9,7 +9,10 @@ orthonormalized frames with reference_orthonormalize_frame, and
 reference_pingpong_certificate the former ping-pong check, one letter and
 one scanned angle at a time.  chart_maslov_index is the SO(n, 2) Maslov
 index by its chart definition, an oracle that shares no sign rule with
-maslov.maslov_indices.  They work on
+maslov.maslov_indices.  reference_invisible_membership and
+reference_photon_margins are the former two invisibility rules of
+einstein (the membership test and the photon scan), each taking the
+pairings as one matrix product.  They work on
 the embedded arrays the library holds (see causalflag.kmat), with the
 quaternionic product kmat.product.  The library's batched paths must
 match them bit for bit.
@@ -27,6 +30,7 @@ from causalflag.errors import (
     NotInChart,
 )
 from causalflag.causal import classify_orbit
+from causalflag.einstein import negative_lifts
 from causalflag.groups import GroupElement
 from causalflag.kmat import _chi, _parts, adjoint, concat, norm, product
 from causalflag.reps import PINGPONG_HALF_WIDTH, PINGPONG_SCAN
@@ -244,3 +248,19 @@ def chart_maslov_index(a, b, c):
     """
     v = chart_coordinates(act(standardize_pair(a, c), b))
     return 2 if classify_orbit(a.model, v) in ((2, 0), (0, 2)) else 0
+
+
+def reference_invisible_membership(limit_pts, x):
+    """The former invisible_domain_membership: False at a pairing in the band, then one shared sign."""
+    vals = negative_lifts(limit_pts) @ x.model.form() @ x.frame
+    if np.any(np.abs(vals) <= TRANSVERSALITY_TOL):
+        return False
+    return bool(np.all(vals < 0) or np.all(vals > 0))
+
+
+def reference_photon_margins(model, lifts, pts):
+    """The former photon-scan margins of unit lifts pts (k, n+2) against negative lifts."""
+    vals = lifts @ model.form() @ pts.T  # (limit, scan) pairings
+    smallest = np.min(np.abs(vals), axis=0)
+    one_sign = np.all(vals < 0, axis=0) | np.all(vals > 0, axis=0)
+    return np.where(one_sign, smallest, -smallest)

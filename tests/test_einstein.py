@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from causalflag.einstein import (
-    check_negative,
+    _invisible_margins,
     ein_maslov_sign,
     hilbert_distance,
     invisible_domain_membership,
@@ -19,12 +19,13 @@ from causalflag.errors import (
     BoundaryNotBracketed,
     IllConditioned,
     LimitSetNotNegative,
+    ModelMismatch,
     NotInDomain,
     NotPairwiseTransverse,
 )
 from causalflag.groups import model_preset
 from causalflag.shilov import ShilovPoint
-from reference_points import chart_maslov_index
+from reference_points import chart_maslov_index, reference_invisible_membership, reference_photon_margins
 
 MODEL = model_preset("so42")
 
@@ -84,7 +85,6 @@ def test_lightcone_pairs_rejected():
 
 def test_time_slice_family_is_negative():
     pts = time_slice_family(6, seed=5)
-    check_negative(pts)
     lifts = negative_lifts(pts)
     b = MODEL.form()
     gram = lifts @ b @ lifts.T
@@ -96,7 +96,7 @@ def test_non_negative_family_rejected():
     pts = time_slice_family(4, seed=5)
     bad = ShilovPoint(MODEL, pts[0].frame + 1e-12 * np.zeros(6))
     with pytest.raises(LimitSetNotNegative):
-        check_negative(pts + [bad])
+        negative_lifts(pts + [bad])
 
 
 def reference_check_negative(limit_pts):
@@ -135,7 +135,7 @@ def test_negativity_matches_the_triple_loop(wobble):
         if trial % 5 == 4:
             pts.append(ShilovPoint(MODEL, pts[1].frame.copy()))
         expected = verdict(reference_check_negative, pts)
-        assert verdict(check_negative, pts) == expected
+        assert verdict(negative_lifts, pts) == expected
         seen.add(expected.split(" ")[0])
         if expected != "negative":
             continue
@@ -188,6 +188,50 @@ def test_invisible_domain_excludes_the_lightcone_band():
     assert lightcone_membership(pts[0], y) and 0 < abs(vals[0])
     assert np.all(vals < 0)
     assert not invisible_domain_membership(pts, y)
+
+
+def on_lightcone_of(p, rng):
+    """A point on the lightcone of a time-slice point p = [x, 1, 0]: [y, x.y, sqrt(1 - (x.y)^2)], |y| = 1."""
+    x = p.frame[:4] / p.frame[4]
+    y = rng.standard_normal(4)
+    y = y / np.linalg.norm(y)
+    c = x @ y
+    return ShilovPoint(MODEL, np.concatenate([y, [c, np.sqrt(1.0 - c * c)]]))
+
+
+@pytest.mark.parametrize("seed", [2, 5, 9])
+def test_invisibility_margins_match_the_former_rules(seed):
+    # queries: random points, the limit points themselves and points on a limit point's lightcone
+    rng = np.random.default_rng(seed)
+    pts = time_slice_family(int(rng.integers(3, 9)), seed)
+    queries = [random_ein_point(MODEL, rng) for _ in range(60)] + pts
+    queries += [on_lightcone_of(p, rng) for p in pts for _ in range(3)]
+    lifts = negative_lifts(pts)
+    for q in queries:
+        assert invisible_domain_membership(pts, q) == reference_invisible_membership(pts, q)
+    V = np.stack([q.frame for q in queries])
+    margins = _invisible_margins(MODEL, lifts, V)
+    np.testing.assert_allclose(margins, reference_photon_margins(MODEL, lifts, V), rtol=0, atol=1e-12)
+    assert np.all(margins[-4 * len(pts):] <= 1e-12)  # on the lightcone of a limit point
+    assert (margins > 1e-9).any() and (margins < -1e-9).any()
+
+
+def test_pairing_of_two_models_is_a_model_mismatch():
+    x = time_slice_family(1, seed=5)[0]
+    with pytest.raises(ModelMismatch):
+        pairing(x, ShilovPoint(model_preset("so32"), [1.0, 0.0, 0.0, 1.0, 0.0]))
+
+
+def test_invisibility_against_a_query_of_another_model_is_a_model_mismatch():
+    pts = time_slice_family(4, seed=5)
+    with pytest.raises(ModelMismatch):
+        invisible_domain_membership(pts, ShilovPoint(model_preset("so32"), [0.6, 0.8, 0.0, 1.0, 0.0]))
+
+
+def test_negative_lifts_of_two_models_is_a_model_mismatch():
+    pts = time_slice_family(4, seed=5)
+    with pytest.raises(ModelMismatch):
+        negative_lifts(pts + [ShilovPoint(model_preset("so32"), [0.6, 0.8, 0.0, 1.0, 0.0])])
 
 
 def test_random_photon_is_isotropic_pair():

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from causalflag.errors import ModelMismatch
 from causalflag.kmat import (
@@ -19,6 +20,7 @@ from causalflag.kmat import (
     product,
     to_json,
 )
+from causalflag.linalg import frobenius_norms
 from causalflag.scalars import COMPLEX, QUATERNION, REAL
 
 rng = np.random.default_rng(0)
@@ -124,3 +126,37 @@ def test_sampled_coordinate_reads_as_its_array():
     scaled = 0.5 * X
     assert type(scaled) is np.ndarray and np.array_equal(scaled, 0.5 * E)
     assert X.opnorm() == float(np.linalg.norm(E, 2))
+
+
+# ------------------------------------------- the one norm (derandomized hypothesis property tests)
+
+NORMS = settings(derandomize=True, max_examples=60, deadline=None)
+# field shapes: leading shapes (k,) and (k, l), a column stack and the empty stack
+norm_shapes = st.sampled_from([(7, 3, 3), (4, 2, 5), (3, 4, 2, 2), (9, 6, 1), (0, 3, 3)])
+
+
+def _items(E):
+    return E.reshape((-1,) + E.shape[-2:])
+
+
+@NORMS
+@given(seed=st.integers(0, 2**32 - 1), tag=st.sampled_from([REAL, COMPLEX]), shape=norm_shapes)
+def test_frobenius_norms_are_the_flat_norm_of_each_item(seed, tag, shape):
+    E = draw(tag, shape, np.random.default_rng(seed))
+    norms = frobenius_norms(E, tag)
+    assert norms.shape == shape[:-2]
+    assert np.array_equal(norms.reshape(-1), [np.linalg.norm(e) for e in _items(E)])
+    assert [norm(e, tag) for e in _items(E)] == norms.reshape(-1).tolist()
+
+
+@NORMS
+@given(seed=st.integers(0, 2**32 - 1), shape=norm_shapes)
+def test_quaternionic_norms_are_the_chi_norm_over_sqrt2(seed, shape):
+    E = draw(QUATERNION, shape, np.random.default_rng(seed))
+    norms = frobenius_norms(E, QUATERNION)
+    assert norms.shape == shape[:-2]
+    assert np.array_equal(norms.reshape(-1), [np.linalg.norm(e) / np.sqrt(2.0) for e in _items(E)])
+    a, b = _parts(E)
+    parts = np.sqrt(np.sum(np.abs(a) ** 2, axis=(-2, -1)) + np.sum(np.abs(b) ** 2, axis=(-2, -1)))
+    np.testing.assert_allclose(norms, parts, rtol=1e-15, atol=0)
+    assert [norm(e, QUATERNION) for e in _items(E)] == norms.reshape(-1).tolist()

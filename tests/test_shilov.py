@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from causalflag.einstein import random_ein_point
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
 from causalflag.kmat import _chi, _parts, draw, embed_real, norm, product
@@ -15,6 +16,7 @@ from reference_points import (
 )
 from causalflag.shilov import (
     ShilovPoint,
+    _pairings,
     act,
     act_stack,
     base_points,
@@ -23,6 +25,7 @@ from causalflag.shilov import (
     chart_point,
     standardize_pair,
     transversality_margin,
+    transversality_margins,
     transverse,
 )
 
@@ -239,8 +242,6 @@ def test_point_json_roundtrip():
 def random_point(model, rng):
     if model.is_lagrangian:
         return chart_point(model, random_hermitian(model, rng))
-    from causalflag.einstein import random_ein_point
-
     return random_ein_point(model, rng)
 
 
@@ -360,3 +361,12 @@ def test_action_composes(name, seed):
     x = random_point(model, rng)
     g, h = random_element(model, rng, scale=1.5), random_element(model, rng, scale=1.5)
     assert np.linalg.norm(act(g, act(h, x)).projector() - act(g @ h, x).projector()) <= 1e-9
+
+
+@pytest.mark.parametrize("name", ["so22", "so32", "so42"])
+def test_so_margins_are_the_absolute_pairings(name):
+    model = model_preset(name)
+    rng = np.random.default_rng(4)
+    X, Y = (np.stack([random_ein_point(model, rng).ortho for _ in range(200)]) for _ in range(2))
+    assert np.array_equal(transversality_margins(model, X, Y), np.abs(_pairings(model, X, Y)))
+    assert np.array_equal(_pairings(model, X[:, None], Y[None]).diagonal(), _pairings(model, X, Y))
