@@ -200,15 +200,19 @@ def cartan_projections(model: GroupModel, E) -> np.ndarray:
     the top-half logarithms (r of them, 2 on SO(n, 2)), weakly decreasing
     and nonnegative.  One stacked SVD serves the stack; quaternionic
     duplicates are dropped.  Raises Singular for the first element whose
-    smallest singular value is not above SINGULAR_FLOOR times its largest.
+    r-th singular value, the smallest one a row reads, is not above
+    SINGULAR_FLOOR times its largest: below that the SVD cannot resolve
+    its logarithm.
     """
     s = np.linalg.svd(E, compute_uv=False)
     if model.tag == QUATERNION:
         s = s[:, ::2]
-    bad = np.flatnonzero(s[:, -1] <= SINGULAR_FLOOR * s[:, 0])
+    r = model.r
+    bad = np.flatnonzero(s[:, r - 1] <= SINGULAR_FLOOR * s[:, 0])
     if len(bad):
-        raise Singular(f"minimal singular value {s[bad[0], -1]:.3e} below floor")
-    return np.maximum(np.log(s[:, : model.r]), 0.0)
+        raise Singular(f"singular value {r} of {s[bad[0], r - 1]:.3e} is not above "
+                       f"{SINGULAR_FLOOR:.0e} times the largest, {s[bad[0], 0]:.3e}")
+    return np.maximum(np.log(s[:, :r]), 0.0)
 
 
 def cartan_projection(elem: GroupElement) -> np.ndarray:

@@ -81,7 +81,8 @@ class Representation:
     inverses (name.swapcase() is the inverse letter); relator is a word
     whose product is the identity for surface presets.  A representation
     is treated as immutable: it caches its longest word ball per dedup
-    tolerance (see enumerate_ball), which a change to gens would leave stale.
+    tolerance (see enumerate_ball) and the per-length summaries of its gap
+    reports (see _length_summaries), which a change to gens would leave stale.
     """
 
     model: GroupModel
@@ -92,6 +93,8 @@ class Representation:
     relator: tuple = None
     # dedup_tol -> (longest ball built, words removed per length)
     _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # report name -> its summaries of word lengths 1, 2, ... of the pipeline ball
+    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.gen_names:
@@ -329,7 +332,10 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     asks for a longer one: a repeated call returns the cached ball itself,
     and a shorter ball is its prefix view (the first words, stack rows and
     lengths), exact because the dedup of one length reads only the
-    lengths up to it.  The cached stack and lengths are read-only.
+    lengths up to it; so a ball's prefix is bit-identical whatever length
+    it was built to, and the gap reports' per-length summaries of a shorter
+    ball stay valid for a longer one.  The cached stack and lengths are
+    read-only.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -390,30 +396,49 @@ def _pipeline_ball(rep: Representation, max_len: int, cap=BALL_CAP) -> WordBall:
     return enumerate_ball(rep, max_len, dedup_tol=DEDUP_TOL if rep.relator else None, cap=cap)
 
 
+def _length_summaries(rep: Representation, report: str, ball: WordBall, spectra, reduce) -> list:
+    """The summaries of one gap report for word lengths 1..ball.max_len, memoised on rep.
+
+    Only the lengths rep holds no summary of are computed: spectra maps the
+    stack of their rows to one value (or row of values) per word, in one
+    decomposition whose bits for a word do not depend on the rows beside
+    it, and reduce(values, first) maps the values of one length, whose first
+    word has ball index first, to its summary.  A summary is a few numbers
+    and word indices, never a per-word array.
+    """
+    done = rep._summaries.setdefault(report, [])
+    if len(done) < ball.max_len:
+        # bounds[i]: the number of words of length at most len(done) + i
+        bounds = np.searchsorted(ball.lengths, np.arange(len(done), ball.max_len + 1), side="right")
+        values = spectra(ball.stack[bounds[0]:])
+        done += [reduce(values[a - bounds[0]:b - bounds[0]], a) for a, b in zip(bounds[:-1], bounds[1:])]
+    return done[: ball.max_len]
+
+
 def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
     """Fit a linear lower bound for the Shilov root of mu(w) over the word ball.
 
     The root is groups.shilov_root: 2 mu_r on the Lagrangian families and
     mu_1 - mu_2 on SO(n, 2).  This is finite-ball evidence only: PASS means
     the fitted slope over the per-length minima exceeds 0.05 and no word
-    past the identity has a vanishing gap.
+    past the identity has a vanishing gap.  Each length's minimum and count
+    of zero-gap words are computed once per representation; a length with
+    a Singular word raises on every call and is not memoised.
     """
+    model = rep.model
     ball = _pipeline_ball(rep, max_len, cap=cap)
-    alphas = shilov_root(rep.model, cartan_projections(rep.model, ball.stack))
-    lengths = ball.lengths
-    per_length_min = {}
-    for L in range(1, max_len + 1):
-        mask = lengths == L
-        if np.any(mask):
-            per_length_min[L] = float(np.min(alphas[mask]))
+    summaries = _length_summaries(
+        rep, "gap", ball, lambda E: shilov_root(model, cartan_projections(model, E)),
+        lambda alphas, first: (float(np.min(alphas)) if len(alphas) else None, int(np.sum(alphas <= 0.0))))
+    per_length_min = {L: m for L, (m, _) in enumerate(summaries, 1) if m is not None}
     Ls = np.array(sorted(per_length_min))
     mins = np.array([per_length_min[L] for L in Ls])
     if len(Ls) >= 2:
         slope, intercept = np.polyfit(Ls, mins, 1)
     else:
         slope, intercept = 0.0, float(mins[0]) if len(mins) else 0.0
-    min_margin = float(np.min(alphas)) if len(alphas) else 0.0
-    zero_words = int(np.sum(alphas <= 0.0))
+    min_margin = float(np.min(mins)) if len(mins) else 0.0
+    zero_words = sum(zeros for _, zeros in summaries)
     return {
         "max_len": max_len,
         "n_words": len(ball.words),
@@ -442,7 +467,9 @@ def _attracting_frames(model: GroupModel, E, seed):
     starting frame drawn from default_rng(seed), QR steps until the
     projector moves less than ATTRACT_TOL (an element that has settled is
     frozen), at most ATTRACT_MAX_ITER steps, and a residual of at most
-    ATTRACT_RESIDUAL.
+    ATTRACT_RESIDUAL.  Projector moves are in the units of
+    ShilovPoint.distance: chi units on SO*, where ATTRACT_TOL is
+    ATTRACT_TOL / sqrt(2) in field units.
     """
     N, d = len(E), E.shape[-1]
     reason = np.full(N, -1)
@@ -543,13 +570,14 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     (_attracting_frames); the converged ones are guarded, orthonormalized
     and projected in one stacked pass, and only the kept points become
     ShilovPoint objects.  In candidate order, a point is kept only when it
-    is at least 1e-6 away in frame distance and more than margin_floor
-    away in transversality margin from every point kept before it; the
-    second clause merges boundary points so close that downstream triple
-    computations would sit inside the tolerance band anyway.  excluded
-    counts the dropped words by reason (EXCLUSION_REASONS; a word both
-    near and under the margin counts as near); with the kept points they
-    add up to the words drawn.
+    is at least 1e-6 away in frame distance (ShilovPoint.distance: chi
+    units on SO*, where that is 1e-6 / sqrt(2) in field units) and more
+    than margin_floor away in transversality margin from every point kept
+    before it; the second clause merges boundary points so close that
+    downstream triple computations would sit inside the tolerance band
+    anyway.  excluded counts the dropped words by reason
+    (EXCLUSION_REASONS; a word both near and under the margin counts as
+    near); with the kept points they add up to the words drawn.
     """
     if max_len < 3:
         raise TooFewPoints(f"words are drawn from length 3 on; max_len {max_len} draws none")
@@ -708,15 +736,13 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     if max_len < 1 or not len(sample):
         residual = None
     else:
-        # how far the sampled ideal points still are from the finite orbit;
-        # nonincreasing in max_len since the orbit only grows
-        O = _projectors(model, orthos)
+        # how far the sampled ideal points still are from the finite orbit (ShilovPoint.distance,
+        # one orbit point at a time); nonincreasing in max_len since the orbit only grows
         S = _projectors(model, np.stack([pt.ortho for pt in sample.points]))
-        o2 = np.real(np.einsum("kij,kij->k", O, np.conj(O)))
-        s2 = np.real(np.einsum("kij,kij->k", S, np.conj(S)))
-        cross = np.real(np.einsum("kij,lij->kl", S, np.conj(O)))
-        d2 = np.maximum(s2[:, None] + o2[None, :] - 2.0 * cross, 0.0)
-        residual = float(np.max(np.sqrt(np.min(d2, axis=1))))
+        nearest = np.full(len(S), np.inf)
+        for P in _projectors(model, orthos):
+            nearest = np.minimum(nearest, frobenius_norms(S - P, COMPLEX))
+        residual = float(np.max(nearest))
     return {"core": core, "ideal_residual": residual,
             "orbit_size": n, "hull_points": len(keep)}
 
@@ -747,7 +773,10 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
     """Half the Levi-block singular values must exceed 1 for long words.
 
     Applies to reps landing in the block-diagonal Levi subgroup; words of
-    length at most 2 are exempt (short products may be balanced).
+    length at most 2 are exempt (short products may be balanced).  Each
+    length's extremes, violation count and first 20 violating words are
+    computed once per representation, and only the 20 reported words are
+    spelled out.
     """
     model = rep.model
     if not model.is_lagrangian or model.rank % 2 != 0:
@@ -759,19 +788,26 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
     half = model.rank // 2
     mult = 2 if model.tag == QUATERNION else 1
     idx = _levi_index(model)  # the Levi block's embedded rows and columns
-    long = np.flatnonzero(ball.lengths > 2)
-    blocks = ball.stack[long[:, None, None], idx[:, None], idx]
-    s = np.linalg.svd(blocks, compute_uv=False)
-    upper = np.log(s[:, (half - 1) * mult])
-    lower = np.log(s[:, half * mult])
-    violations = ["".join(ball.words[i]) for i in long[~((upper > 0.0) & (0.0 > lower))]]
-    checked = len(long)
+
+    def spectra(E):
+        s = np.linalg.svd(E[:, idx[:, None], idx], compute_uv=False)
+        return np.stack([np.log(s[:, (half - 1) * mult]), np.log(s[:, half * mult])], axis=1)
+
+    def reduce(v, first):
+        bad = np.flatnonzero(~((v[:, 0] > 0.0) & (0.0 > v[:, 1])))
+        return (len(v), np.min(v[:, 0], initial=np.inf), np.max(v[:, 1], initial=-np.inf),
+                len(bad), (first + bad[:20]).tolist())
+
+    long = _length_summaries(rep, "levi", ball, spectra, reduce)[2:]
+    checked = sum(n for n, *_ in long)
+    n_violations = sum(n for *_, n, _ in long)
+    reported = [i for *_, first in long for i in first][:20]
     return {
         "max_len": max_len,
         "words_checked": checked,
-        "violations": violations[:20],
-        "n_violations": len(violations),
-        "min_upper": float(np.min(upper)) if checked else None,
-        "max_lower": float(np.max(lower)) if checked else None,
-        "passed": bool(checked and not violations),
+        "violations": ["".join(ball.words[i]) for i in reported],
+        "n_violations": n_violations,
+        "min_upper": float(np.min([u for _, u, *_ in long])) if checked else None,
+        "max_lower": float(np.max([l for _, _, l, *_ in long])) if checked else None,
+        "passed": bool(checked and not n_violations),
     }

@@ -170,7 +170,11 @@ class ShilovPoint:
         return _projectors(self.model, self._ortho[None])[0]
 
     def distance(self, other: "ShilovPoint") -> float:
-        """Representative-independent distance: Frobenius norm of the (complex, not chi) projector difference."""
+        """Representative-independent distance: Frobenius norm of the projector difference, as a complex matrix.
+
+        On SO* the projector is that of the chi frame, so the distance is
+        in chi units, sqrt(2) times the field norm of kmat.norm.
+        """
         if other.model != self.model:
             raise ModelMismatch("cannot compare points of different models")
         return float(frobenius_norms((self.projector() - other.projector())[None], COMPLEX)[0])

@@ -210,9 +210,11 @@ def test_exp_of_a_non_finite_or_overflowing_element_is_nan():
 
 def test_cartan_projections_raise_for_the_first_singular_element():
     model = model_preset("sp4")
-    G = np.stack([np.eye(4), np.diag([1e7, 1.0, 1e-7, 1.0]), np.diag([1e8, 1.0, 1e-8, 1.0])])
-    assert cartan_projections(model, G[:1]).tolist() == [[0.0, 0.0]]
-    with pytest.raises(Singular, match="1.000e-07"):
+    # the floor reads s_r against s_1: (1e13, 1, 1, 1e-13) trips it, (1e7, 1e6, 1e-6, 1e-7) does not
+    G = np.stack([np.eye(4), np.diag([1e7, 1e6, 1e-7, 1e-6]), np.diag([1e13, 1.0, 1e-13, 1.0]),
+                  np.diag([1e14, 1.0, 1e-14, 1.0])])
+    np.testing.assert_allclose(cartan_projections(model, G[:2]), [[0.0, 0.0], np.log([1e7, 1e6])], rtol=1e-15)
+    with pytest.raises(Singular, match=r"singular value 2 of 1\.000e\+00 .* largest, 1\.000e\+13"):
         cartan_projections(model, G)
 
 
