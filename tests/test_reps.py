@@ -754,9 +754,10 @@ def test_convex_core_residual_shrinks():
 
 
 def test_ideal_residual_resolves_a_tiny_move():
-    # limit points (of a conjugate, whose limit set leaves the chart's boundary) against an orbit of
-    # their images under an element 2e-11 from the identity: the residual is at most that move, where
-    # the expansion |S|^2 + |O|^2 - 2 Re<S, O> leaves a roundoff of about 3e-8
+    # limit points against an orbit of their images under an element 2e-11 from the identity: the
+    # residual is at most that move, where the expansion |S|^2 + |O|^2 - 2 Re<S, O> leaves a roundoff
+    # of about 3e-8; the preset is conjugated because its own limit points lie outside the chart
+    # that the orbit's hull is built in
     rep = preset("tau0-sp4-f2")
     Z = random_lie_element(rep.model, np.random.default_rng(3))
     rep = conjugate(rep, group_exp(rep.model, (0.3 / norm(Z, rep.model.tag)) * Z))
