@@ -8,12 +8,15 @@ proper invariant domains.
 
 from __future__ import annotations
 
+import copy
+import functools
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import (
     BallTooLarge,
+    IllConditioned,
     ModelMismatch,
     NoCertificate,
     NoGap,
@@ -81,8 +84,8 @@ class Representation:
     inverses (name.swapcase() is the inverse letter); relator is a word
     whose product is the identity for surface presets.  A representation
     is treated as immutable: it caches its longest word ball per dedup
-    tolerance (see enumerate_ball) and the per-length summaries of its gap
-    reports (see _length_summaries), which a change to gens would leave stale.
+    tolerance (see enumerate_ball) and its gap reports (see _memoised),
+    which a change to gens would leave stale.
     """
 
     model: GroupModel
@@ -93,8 +96,8 @@ class Representation:
     relator: tuple = None
     # dedup_tol -> (longest ball built, words removed per length)
     _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # report name -> its summaries of word lengths 1, 2, ... of the pipeline ball
-    _summaries: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (report name, arguments) -> that report
+    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.gen_names:
@@ -311,9 +314,17 @@ def _free_ball_count(n_gens: int, max_len: int) -> int:
 
 
 def _bucket_keys(stack: np.ndarray, tol: float) -> list:
-    """One rounding-bucket key (bytes) per matrix of the stack."""
+    """One rounding-bucket key (bytes) per matrix of the stack.
+
+    Raises IllConditioned where an entry is not finite or its bucket index
+    is past the int64 range, where distinct matrices would share a key.
+    """
     flat = np.ascontiguousarray(stack).reshape(len(stack), -1).view(np.float64)
-    cells = np.round(flat / tol).astype(np.int64)
+    cells = np.round(flat / tol)
+    if not -2.0**63 < cells.min() <= cells.max() < 2.0**63:  # NaN fails both
+        raise IllConditioned(f"a word matrix entry of {np.max(np.abs(flat)):.3e} has no int64 "
+                             f"rounding bucket of width {tol:.0e}")
+    cells = cells.astype(np.int64)
     return cells.view(np.dtype((np.void, cells.shape[1] * 8))).ravel().tolist()
 
 
@@ -332,10 +343,8 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     asks for a longer one: a repeated call returns the cached ball itself,
     and a shorter ball is its prefix view (the first words, stack rows and
     lengths), exact because the dedup of one length reads only the
-    lengths up to it; so a ball's prefix is bit-identical whatever length
-    it was built to, and the gap reports' per-length summaries of a shorter
-    ball stay valid for a longer one.  The cached stack and lengths are
-    read-only.
+    lengths up to it, so a ball's prefix is bit-identical whatever length
+    it was built to.  The cached stack and lengths are read-only.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
@@ -396,49 +405,46 @@ def _pipeline_ball(rep: Representation, max_len: int, cap=BALL_CAP) -> WordBall:
     return enumerate_ball(rep, max_len, dedup_tol=DEDUP_TOL if rep.relator else None, cap=cap)
 
 
-def _length_summaries(rep: Representation, report: str, ball: WordBall, spectra, reduce) -> list:
-    """The summaries of one gap report for word lengths 1..ball.max_len, memoised on rep.
+def _memoised(report):
+    """A gap report computed once per representation and arguments, memoised on rep.
 
-    Only the lengths rep holds no summary of are computed: spectra maps the
-    stack of their rows to one value (or row of values) per word, in one
-    decomposition whose bits for a word do not depend on the rows beside
-    it, and reduce(values, first) maps the values of one length, whose first
-    word has ball index first, to its summary.  A summary is a few numbers
-    and word indices, never a per-word array.
+    The reports read only rep's cached ball, which is immutable, so a repeated
+    call returns a copy of the first result; a call that raises keeps nothing.
     """
-    done = rep._summaries.setdefault(report, [])
-    if len(done) < ball.max_len:
-        # bounds[i]: the number of words of length at most len(done) + i
-        bounds = np.searchsorted(ball.lengths, np.arange(len(done), ball.max_len + 1), side="right")
-        values = spectra(ball.stack[bounds[0]:])
-        done += [reduce(values[a - bounds[0]:b - bounds[0]], a) for a, b in zip(bounds[:-1], bounds[1:])]
-    return done[: ball.max_len]
+    @functools.wraps(report)
+    def memoised(rep, *args, **kwargs):
+        key = (report.__name__, args, tuple(sorted(kwargs.items())))
+        if key not in rep._reports:
+            rep._reports[key] = report(rep, *args, **kwargs)
+        return copy.deepcopy(rep._reports[key])
+    return memoised
 
 
+@_memoised
 def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
     """Fit a linear lower bound for the Shilov root of mu(w) over the word ball.
 
     The root is groups.shilov_root: 2 mu_r on the Lagrangian families and
     mu_1 - mu_2 on SO(n, 2).  This is finite-ball evidence only: PASS means
     the fitted slope over the per-length minima exceeds 0.05 and no word
-    past the identity has a vanishing gap.  Each length's minimum and count
-    of zero-gap words are computed once per representation; a length with
-    a Singular word raises on every call and is not memoised.
+    past the identity has a vanishing gap.
     """
-    model = rep.model
     ball = _pipeline_ball(rep, max_len, cap=cap)
-    summaries = _length_summaries(
-        rep, "gap", ball, lambda E: shilov_root(model, cartan_projections(model, E)),
-        lambda alphas, first: (float(np.min(alphas)) if len(alphas) else None, int(np.sum(alphas <= 0.0))))
-    per_length_min = {L: m for L, (m, _) in enumerate(summaries, 1) if m is not None}
+    alphas = shilov_root(rep.model, cartan_projections(rep.model, ball.stack))
+    lengths = ball.lengths
+    per_length_min = {}
+    for L in range(1, max_len + 1):
+        mask = lengths == L
+        if np.any(mask):
+            per_length_min[L] = float(np.min(alphas[mask]))
     Ls = np.array(sorted(per_length_min))
     mins = np.array([per_length_min[L] for L in Ls])
     if len(Ls) >= 2:
         slope, intercept = np.polyfit(Ls, mins, 1)
     else:
         slope, intercept = 0.0, float(mins[0]) if len(mins) else 0.0
-    min_margin = float(np.min(mins)) if len(mins) else 0.0
-    zero_words = sum(zeros for _, zeros in summaries)
+    min_margin = float(np.min(alphas)) if len(alphas) else 0.0
+    zero_words = int(np.sum(alphas <= 0.0))
     return {
         "max_len": max_len,
         "n_words": len(ball.words),
@@ -769,14 +775,13 @@ def deform(rep: Representation, eps: float, seed=0) -> Representation:
 # ------------------------------------------------------------------ Levi gaps
 
 
+@_memoised
 def levi_gap_report(rep: Representation, max_len: int) -> dict:
     """Half the Levi-block singular values must exceed 1 for long words.
 
     Applies to reps landing in the block-diagonal Levi subgroup; words of
-    length at most 2 are exempt (short products may be balanced).  Each
-    length's extremes, violation count and first 20 violating words are
-    computed once per representation, and only the 20 reported words are
-    spelled out.
+    length at most 2 are exempt (short products may be balanced).  Only
+    the first 20 violating words are spelled out.
     """
     model = rep.model
     if not model.is_lagrangian or model.rank % 2 != 0:
@@ -788,26 +793,19 @@ def levi_gap_report(rep: Representation, max_len: int) -> dict:
     half = model.rank // 2
     mult = 2 if model.tag == QUATERNION else 1
     idx = _levi_index(model)  # the Levi block's embedded rows and columns
-
-    def spectra(E):
-        s = np.linalg.svd(E[:, idx[:, None], idx], compute_uv=False)
-        return np.stack([np.log(s[:, (half - 1) * mult]), np.log(s[:, half * mult])], axis=1)
-
-    def reduce(v, first):
-        bad = np.flatnonzero(~((v[:, 0] > 0.0) & (0.0 > v[:, 1])))
-        return (len(v), np.min(v[:, 0], initial=np.inf), np.max(v[:, 1], initial=-np.inf),
-                len(bad), (first + bad[:20]).tolist())
-
-    long = _length_summaries(rep, "levi", ball, spectra, reduce)[2:]
-    checked = sum(n for n, *_ in long)
-    n_violations = sum(n for *_, n, _ in long)
-    reported = [i for *_, first in long for i in first][:20]
+    long = np.flatnonzero(ball.lengths > 2)
+    blocks = ball.stack[long[:, None, None], idx[:, None], idx]
+    s = np.linalg.svd(blocks, compute_uv=False)
+    upper = np.log(s[:, (half - 1) * mult])
+    lower = np.log(s[:, half * mult])
+    violations = long[~((upper > 0.0) & (0.0 > lower))]
+    checked = len(long)
     return {
         "max_len": max_len,
         "words_checked": checked,
-        "violations": ["".join(ball.words[i]) for i in reported],
-        "n_violations": n_violations,
-        "min_upper": float(np.min([u for _, u, *_ in long])) if checked else None,
-        "max_lower": float(np.max([l for _, _, l, *_ in long])) if checked else None,
-        "passed": bool(checked and not n_violations),
+        "violations": ["".join(ball.words[i]) for i in violations[:20]],
+        "n_violations": len(violations),
+        "min_upper": float(np.min(upper)) if checked else None,
+        "max_lower": float(np.max(lower)) if checked else None,
+        "passed": bool(checked and not len(violations)),
     }

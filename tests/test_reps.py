@@ -7,6 +7,7 @@ import pytest
 
 from causalflag.errors import (
     BallTooLarge,
+    IllConditioned,
     ModelMismatch,
     NoGap,
     NonConvergence,
@@ -488,17 +489,16 @@ def test_memoised_reports_equal_a_fresh_representations(pid, order):
     assert _reports(rep, top) == fresh[top]
 
 
-def test_reports_decompose_only_the_lengths_they_miss(monkeypatch):
+def test_a_repeated_report_makes_no_svd(monkeypatch):
     rep = preset("tau0-sp4-f2")
-    _reports(rep, 6)
+    first = _reports(rep, 6)
     rows = []
     svd = np.linalg.svd
     monkeypatch.setattr(np.linalg, "svd", lambda E, **kw: rows.append(len(E)) or svd(E, **kw))
-    _reports(rep, 6)
-    _reports(rep, 4)
+    assert _reports(rep, 6) == first
     assert rows == []
-    _reports(rep, 7)
-    assert rows == [4 * 3**6, 4 * 3**6]  # one SVD per report, over the words of length 7
+    first[0]["per_length_min"].clear()  # each call returns its own copy
+    assert _reports(rep, 6)[0]["per_length_min"]
 
 
 def _stretched_rep():
@@ -575,6 +575,16 @@ def test_wedge_image_agrees_with_its_sp4_source():
                                list(source["per_length_min"].values()), rtol=1e-9)
     ours, theirs = sample_limit_set(image, 6, seed=3), sample_limit_set(rep, 6, seed=3)
     assert (ours.words, ours.excluded) == (theirs.words, theirs.excluded)
+
+
+def test_dedup_raises_where_a_bucket_index_leaves_int64():
+    # entries of the genus-2 image's length-5 words pass 9.2e9, where round(x / DEDUP_TOL) leaves int64
+    # and every such entry would share one bucket
+    rep = preset("tau0-sp4-genus2")
+    image = Representation(model_preset("so32"), {k: _wedge_so32(g.g) for k, g in rep.gens.items()},
+                           rep.gen_names, relator=rep.relator)
+    with pytest.raises(IllConditioned, match="no int64 rounding bucket"):
+        anosov_gap_report(image, 5)
 
 
 def mixed_stack():
@@ -722,6 +732,10 @@ def reference_core(rep, sample, base_pts, max_len, orbit_cap=150):
     residual = None
     if max_len >= 1:
         residual = max(min(pt.distance(q) for q in orbit_pts) for pt in sample.points)
+        # the same Hausdorff distance from an entrywise sum of |S_ij - O_ij|^2, with no BLAS norm
+        S = np.stack([pt.projector() for pt in sample.points])
+        nearest = np.min([np.sqrt(np.sum(np.abs(S - q.projector()) ** 2, axis=(1, 2))) for q in orbit_pts], axis=0)
+        assert residual == pytest.approx(float(np.max(nearest)), rel=0, abs=1e-12)
     return core, residual, len(orbit_pts), len(coords)
 
 
