@@ -4,15 +4,19 @@ One kernel, ``maslov_indices``, computes the index for stacks of triples
 of orthonormal representatives (``ShilovPoint.ortho``).  On the
 Lagrangian families it is Kashiwara's index: the signature of the
 quadratic form q(x1, x2, x3) = w(x1, x2) + w(x2, x3) + w(x3, x1) on
-L1 + L2 + L3 (Kashiwara-Schapira, Sheaves on Manifolds, App. A.3), read
-off one ``eigvalsh`` of the Hermitian part of the 3x3 block matrix with
-Qa^H J Qb, Qb^H J Qc and Qc^H J Qa in the slots (1,2), (2,3) and (3,1).
-No chart, standardization or solve is involved.  Clerc and Orsted ("The
-Maslov index revisited", Transform. Groups 2001) show that this index
-covers the Shilov boundary of every tube-type domain; on SO(n, 2) it is
-0 when the three pairings of the unit lifts multiply to a negative
-number and 2 otherwise.  Only |r - 2i| is a well-defined invariant; the
-scalar ``maslov_index`` reports i as min(i, r - i) alongside it.
+L1 + L2 + L3 (Kashiwara-Schapira, Sheaves on Manifolds, App. A.3), the
+Hermitian part H of the 3x3 block matrix with Mab = Qa^H J Qb,
+Mbc = Qb^H J Qc and Mca = Qc^H J Qa in the slots (1,2), (2,3) and (3,1).
+No chart or standardization is involved.  The hyperbolic (a, b) block of H
+has counts (d, d), so H has those plus the counts of the d x d Schur
+complement S = -(P + P^H) / 2, P = Mca Mab^-H Mbc (Haynsworth inertia
+additivity): one solve and one d x d ``eigvalsh`` per triple, and one
+``eigvalsh`` of H on the rows whose bound does not certify S's counts.
+Clerc and Orsted ("The Maslov index revisited", Transform. Groups 2001)
+show that this index covers the Shilov boundary of every tube-type domain;
+on SO(n, 2) it is 0 when the three pairings of the unit lifts multiply to
+a negative number and 2 otherwise.  Only |r - 2i| is a well-defined
+invariant; the scalar ``maslov_index`` reports i as min(i, r - i) alongside it.
 """
 
 from __future__ import annotations
@@ -51,6 +55,13 @@ def maslov_indices(model: GroupModel, A, B, C):
     the three pairwise transversality margins, and a mask that is False
     where a margin is not above TRANSVERSALITY_TOL (NaN included) or where an
     eigenvalue of Kashiwara's form falls in its zero band (linalg._sign_counts).
+
+    The frames are orthonormal and J is orthogonal, so |H| <= 1 and the zero
+    band is 1e-9; sigma_min(Mab) >= m_ab, the (a, b) margin, so
+    min |lambda(H)| >= 1 / ((1 + sqrt(2) / m_ab)^2 max(2 / m_ab, 1 / min |lambda(S)|)).
+    A row whose bound is above 2e-9 takes the counts of S; every other row
+    (a margin in the band, or no certificate) those of H itself, so each
+    verdict is that of the whole form.
     """
     # the three margins; on SO(n, 2) the three pairings, whose absolute values are the margins
     pair = transversality_margins if model.is_lagrangian else _pairings
@@ -61,11 +72,23 @@ def maslov_indices(model: GroupModel, A, B, C):
         return np.where(ab * bc * ac < 0, 0, 2), margin, valid
     J = model.form()
     d = A.shape[-1]
-    T = np.zeros(A.shape[:-2] + (3 * d, 3 * d), dtype=np.result_type(A, B, C, J))
-    T[..., :d, d : 2 * d] = adjoint(A) @ J @ B
-    T[..., d : 2 * d, 2 * d :] = adjoint(B) @ J @ C
-    T[..., 2 * d :, :d] = adjoint(C) @ J @ A
-    pos, neg = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
+    Mab, Mbc, Mca = adjoint(A) @ J @ B, adjoint(B) @ J @ C, adjoint(C) @ J @ A
+    pos, neg = (np.zeros(np.shape(valid), dtype=int) for _ in range(2))
+    # transverse rows: (d, d) plus the counts of the Schur complement S, where its bound certifies them
+    on_s = np.array(valid)
+    m = ab[on_s]
+    P = Mca[on_s] @ np.linalg.solve(adjoint(Mab[on_s]), Mbc[on_s])
+    lam = np.linalg.eigvalsh(-0.5 * (P + adjoint(P)))
+    w = 2e-9 * (1 + np.sqrt(2) / m) ** 2  # the bound is above 2e-9 iff 2 w < m and w < min |lambda(S)|
+    certified = (2 * w < m) & (w < np.min(np.abs(lam), axis=-1))
+    on_s[on_s] = certified
+    n_s = np.sum(lam[certified] < 0, axis=-1)
+    pos[on_s], neg[on_s] = 2 * d - n_s, d + n_s
+    # every other row: the sign counts of the whole 3d x 3d form
+    full = ~on_s
+    T = np.zeros((np.count_nonzero(full), 3 * d, 3 * d), dtype=Mab.dtype)
+    T[:, :d, d : 2 * d], T[:, d : 2 * d, 2 * d :], T[:, 2 * d :, :d] = (X[full] for X in (Mab, Mbc, Mca))
+    pos[full], neg[full] = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
     valid &= pos + neg == 3 * d
     return np.abs(pos - neg) // (2 if model.tag == QUATERNION else 1), margin, valid
 

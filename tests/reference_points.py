@@ -9,7 +9,9 @@ orthonormalized frames with reference_orthonormalize_frame, and
 reference_pingpong_certificate the former ping-pong check, one letter and
 one scanned angle at a time.  chart_maslov_index is the SO(n, 2) Maslov
 index by its chart definition, an oracle that shares no sign rule with
-maslov.maslov_indices.  reference_invisible_membership and
+maslov.maslov_indices, and kashiwara_full_form the former Lagrangian
+maslov_indices, one eigvalsh of the 3d x 3d Hermitian part of Kashiwara's
+form per triple.  reference_invisible_membership and
 reference_photon_margins are the former two invisibility rules of
 einstein (the membership test and the photon scan), each taking the
 pairings as one matrix product.  They work on
@@ -33,7 +35,9 @@ from causalflag.causal import classify_orbit
 from causalflag.einstein import negative_lifts
 from causalflag.groups import GroupElement
 from causalflag.kmat import _chi, _parts, adjoint, concat, norm, product
+from causalflag.linalg import _sign_counts
 from causalflag.reps import PINGPONG_HALF_WIDTH, PINGPONG_SCAN
+from causalflag.scalars import QUATERNION
 from causalflag.shilov import (
     ISOTROPY_TOL,
     TRANSVERSALITY_TOL,
@@ -42,6 +46,7 @@ from causalflag.shilov import (
     chart_coordinates,
     standardize_pair,
     transversality_margin,
+    transversality_margins,
 )
 
 
@@ -248,6 +253,22 @@ def chart_maslov_index(a, b, c):
     """
     v = chart_coordinates(act(standardize_pair(a, c), b))
     return 2 if classify_orbit(a.model, v) in ((2, 0), (0, 2)) else 0
+
+
+def kashiwara_full_form(model, A, B, C):
+    """(idx, margin, valid) of each Lagrangian triple from the sign counts of the whole 3d x 3d form."""
+    ab, bc, ac = (transversality_margins(model, X, Y) for X, Y in ((A, B), (B, C), (A, C)))
+    margin = np.minimum(np.minimum(np.abs(ab), np.abs(bc)), np.abs(ac))
+    valid = margin > TRANSVERSALITY_TOL
+    J = model.form()
+    d = A.shape[-1]
+    T = np.zeros(A.shape[:-2] + (3 * d, 3 * d), dtype=np.result_type(A, B, C, J))
+    T[..., :d, d : 2 * d] = adjoint(A) @ J @ B
+    T[..., d : 2 * d, 2 * d :] = adjoint(B) @ J @ C
+    T[..., 2 * d :, :d] = adjoint(C) @ J @ A
+    pos, neg = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
+    valid &= pos + neg == 3 * d
+    return np.abs(pos - neg) // (2 if model.tag == QUATERNION else 1), margin, valid
 
 
 def reference_invisible_membership(limit_pts, x):

@@ -1,5 +1,7 @@
 """Maslov index: oracles, symmetries, the stacked kernel against the chart reference."""
 
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
@@ -14,7 +16,7 @@ from causalflag.errors import (
 )
 from causalflag.groups import group_exp, model_preset, random_lie_element
 from causalflag.causal import _random_hermitian
-from causalflag.kmat import embed_real, in_layout, norm
+from causalflag.kmat import embed_real, hermitian_draw, in_layout, norm, product
 from causalflag.linalg import signature
 from causalflag.maslov import (
     TripleType,
@@ -26,6 +28,7 @@ from causalflag.reps import preset, sample_limit_set, verify_maslov_zero
 from causalflag.shilov import (
     TRANSVERSALITY_TOL,
     ShilovPoint,
+    _graph_frames,
     act,
     base_points,
     chart_coordinates,
@@ -33,6 +36,7 @@ from causalflag.shilov import (
     standardize_pair,
     transversality_margin,
 )
+from reference_points import kashiwara_full_form
 
 LAGRANGIAN = ["sp4", "su22", "sostar8"]
 ALL_MODELS = ["sp2", "sp4", "sp6", "su22", "su33", "sostar8", "so32", "so42"]
@@ -172,6 +176,122 @@ def test_kernel_band_rejects_a_nearly_degenerate_form():
     with pytest.raises(DegenerateSignature):
         maslov_index(a, b, line(1.5e-9))
     assert maslov_index(a, b, line(3e-9)).idx == 1
+
+
+def _lifted_lines(t1, t2):
+    """The sp4 frame of the direct sum of the sp2 lines at angles t1 and t2, in the (x1, x2, y1, y2) layout."""
+    return np.array([[np.cos(t1), 0.0], [0.0, np.cos(t2)], [np.sin(t1), 0.0], [0.0, np.sin(t2)]])
+
+
+def test_band_edge_lines_lifted_to_rank_two():
+    # the band-edge sp2 triple summed with a well separated one: the small eigenvalue of the form,
+    # about 0.75e-9 or 1.5e-9, stays, so the Schur bound cannot certify it and the full form decides
+    model = model_preset("sp4")
+    second = (0.0, 2 * np.pi / 3, np.pi / 3)  # pairwise margins sin(pi / 3)
+    for t, ok in ((1.5e-9, False), (3e-9, True)):
+        A, B, C = (_lifted_lines(t1, t2)[None] for t1, t2 in zip((0.0, np.pi / 2, t), second))
+        for triple in ((A, B, C), (C, A, B), (B, C, A)):  # the small margin in each slot, (a, b) too
+            idx, margin, valid = maslov_indices(model, *triple)
+            assert margin[0] > TRANSVERSALITY_TOL
+            assert valid[0] == ok
+            _assert_matches_full_form(model, *triple)
+    assert idx[0] == 2  # the two summands' signatures share a sign
+
+
+def _oracle_triples(model, n, rng):
+    """Four stacks of n frame triples, each chart point moved by one group element g.
+
+    (A, B, C) are random chart points; (A, B, D), (D, A, B) and (B, D, A) are
+    near-degenerate, D's chart coordinate within 10^-k of A's, k in [1, 12].
+    """
+    X, Y, W, noise = (hermitian_draw(model.tag, (n, model.rank, model.rank), rng) for _ in range(4))
+    near = X + 10.0 ** -rng.integers(1, 13, size=n)[:, None, None] * noise
+    Z = random_lie_element(model, rng)
+    g = group_exp(model, Z / max(norm(Z, model.tag), 1e-300)).g
+    A, B, C, D = (np.linalg.qr(product(g, _graph_frames(model, V), model.tag))[0] for V in (X, Y, W, near))
+    return (A, B, C), (A, B, D), (D, A, B), (B, D, A)
+
+
+def _assert_matches_full_form(model, A, B, C):
+    for got, want in zip(maslov_indices(model, A, B, C), kashiwara_full_form(model, A, B, C)):
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert np.array_equal(got, want)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["sp2", "sp4", "su22", "sostar8", "sp8"]), seed=st.integers(0, 2**32 - 1))
+def test_kernel_matches_the_full_kashiwara_form(name, seed):
+    # idx, margin and valid bit for bit, on random and near-degenerate triples moved off the chart,
+    # stacks with two leading axes, and one frame broadcast against a stack
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    for A, B, C in _oracle_triples(model, 48, rng):
+        _assert_matches_full_form(model, A, B, C)
+        _assert_matches_full_form(model, *(F.reshape((4, 12) + F.shape[1:]) for F in (A, B, C)))
+        _assert_matches_full_form(model, np.broadcast_to(A[0], A.shape), B, C)
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
+def test_repeated_points_fail_closed_in_a_stack(name):
+    # A = B (Mab singular), B = C and A = C rows among good ones: no LinAlgError from the solve,
+    # the repeated rows invalid, the good rows as on their own
+    model = model_preset(name)
+    (A, B, C), *_ = _oracle_triples(model, 12, np.random.default_rng(7))
+    good = maslov_indices(model, A, B, C)
+    A2, B2, C2 = A.copy(), B.copy(), C.copy()
+    B2[::4], C2[1::4], A2[2::4] = A[::4], B[1::4], C[2::4]
+    idx, margin, valid = maslov_indices(model, A2, B2, C2)
+    repeated = np.arange(12) % 4 < 3
+    assert not valid[repeated].any()
+    for got, want in zip((idx, margin, valid), good):
+        assert np.array_equal(got[~repeated], want[~repeated])
+    _assert_matches_full_form(model, A2, B2, C2)
+
+
+def test_nan_margins_in_a_stack_fail_closed(monkeypatch):
+    # NaN margins on some rows keep those rows off the Schur bound; the others keep their verdicts
+    import causalflag.maslov as maslov_module
+
+    model = model_preset("sp4")
+    A, B, C = _oracle_triples(model, 8, np.random.default_rng(3))[0]
+    good = maslov_indices(model, A, B, C)
+    real = maslov_module.transversality_margins
+
+    def nan_rows(model, X, Y):
+        m = real(model, X, Y)
+        m[::2] = np.nan
+        return m
+
+    monkeypatch.setattr(maslov_module, "transversality_margins", nan_rows)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        idx, margin, valid = maslov_indices(model, A, B, C)
+    assert not valid[::2].any()
+    for got, want in zip((idx, margin, valid), good):
+        assert np.array_equal(got[1::2], want[1::2])
+
+
+def test_nan_frames_warn_and_raise_as_the_full_form_does():
+    # a NaN frame row warns in the margins' det and stops the full form's eigvalsh, as it always did;
+    # the Schur bound adds no warning of its own
+    import causalflag.maslov as maslov_module
+
+    model = model_preset("su22")
+    A, B, C = _oracle_triples(model, 8, np.random.default_rng(5))[0]
+    A[3] = np.nan
+    seen = {}
+    for kernel in (maslov_indices, kashiwara_full_form):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(RuntimeWarning, match="invalid value encountered in det"):
+                kernel(model, A, B, C)
+        with warnings.catch_warnings(record=True) as seen[kernel]:
+            warnings.simplefilter("always")
+            with pytest.raises(np.linalg.LinAlgError):
+                kernel(model, A, B, C)
+    assert [(w.category, str(w.message)) for w in seen[maslov_indices]] == \
+        [(w.category, str(w.message)) for w in seen[kashiwara_full_form]]
+    assert not any(w.filename == maslov_module.__file__ for w in seen[maslov_indices])
 
 
 def test_mixed_models_rejected():
