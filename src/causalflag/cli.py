@@ -315,7 +315,7 @@ def _cmd_hilbert(args, tol):
     x = np.array([float(v) for v in args.x.split(",")])
     y = np.array([float(v) for v in args.y.split(",")])
     if args.domain == "interval":
-        domain = lambda p: bool(np.all(np.abs(p) < 1.0)) and p.shape == (1,)
+        domain = lambda p: bool(np.all(np.abs(p) < 1.0))
         if x.shape != (1,) or y.shape != (1,):
             raise SystemExit("interval domain expects 1-D points")
     elif args.domain == "disk":

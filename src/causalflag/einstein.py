@@ -7,8 +7,14 @@ ein_maslov_sign and lightcone_membership are batches of one of
 maslov_index and shilov.transverse.  Negativity three by three is one
 Gram matrix: flip each lift so that it pairs negatively with lift 0, and
 the family is negative iff every pairing is then negative.  One
-invisibility margin against those negative lifts (_invisible_margins)
+invisibility margin against those negative lifts (_one_sign_margins)
 decides the invisible domain and the photon scan.
+
+A photon through [u], u = (x, t) a unit lift, is {[cos s u + sin s w]}
+with w = (z, Jt), z orthogonal to x with |z| = |t| and J the quarter
+turn of R^2: w is a unit isotropic lift, b- and Euclidean-orthogonal to
+u.  As b(l, cos s u + sin s w) = cos s b(l, u) + sin s b(l, w), the photon
+scan reads two pairings per negative lift l and builds no points.
 """
 
 from __future__ import annotations
@@ -17,11 +23,12 @@ import numpy as np
 
 from .errors import BoundaryNotBracketed, LimitSetNotNegative, ModelMismatch, NotInDomain
 from .groups import SO_N2, GroupModel
-from .linalg import frobenius_norms, null_space
 from .maslov import maslov_index
 from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _pairings, transverse
 
 PHOTON_SCAN = 1000  # points per photon in photon_convexity_check
+_SCAN_ANGLES = np.linspace(0.0, np.pi, PHOTON_SCAN, endpoint=False)
+_SCAN_COS_SIN = np.stack([np.cos(_SCAN_ANGLES), np.sin(_SCAN_ANGLES)])  # (2, PHOTON_SCAN)
 HILBERT_T_SPAN = 1e8  # largest affine parameter searched for a boundary point
 HILBERT_TOL = 1e-12  # relative bisection width of a boundary point
 
@@ -64,8 +71,12 @@ def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
 
 
 def _invisible_margins(model: GroupModel, lifts, V) -> np.ndarray:
-    """min_i |b(u_i, v)| of each lift v of a stack V if its pairings with the u_i share one sign, else minus it."""
-    vals = _pairings(model, lifts[:, None], V[None])  # (limit, k) pairings
+    """_one_sign_margins of the pairings of each lift v of a stack V with the negative lifts u_i."""
+    return _one_sign_margins(_pairings(model, lifts[:, None], V[None]))
+
+
+def _one_sign_margins(vals) -> np.ndarray:
+    """min |b| over each column of (limit, k) pairings b if the column shares one sign, else minus it."""
     smallest = np.min(np.abs(vals), axis=0)
     one_sign = np.all(vals < 0, axis=0) | np.all(vals > 0, axis=0)
     return np.where(one_sign, smallest, -smallest)
@@ -111,30 +122,23 @@ def random_ein_point(model: GroupModel, rng) -> ShilovPoint:
 
 
 def random_photon(model: GroupModel, rng):
-    """A totally isotropic 2-plane, as a pair of b-orthogonal isotropic lifts."""
+    """The photon (u, w) of the module docstring through random_ein_point; a z below 1e-6 is redrawn."""
     _check_model(model)
-    b = model.form()
+    n = model.rank
     u = random_ein_point(model, rng).frame
-    N = null_space((b @ u).reshape(1, -1))
-    for _ in range(100):
-        # random 2-plane in u-perp; solve for an isotropic direction inside it
-        y = N @ rng.standard_normal(N.shape[1])
-        z = N @ rng.standard_normal(N.shape[1])
-        # b(y + t z) = 0 quadratic in t
-        aa, yz, cc = _pairings(model, np.stack([z, y, y]), np.stack([z, z, y]))
-        bb = 2 * yz
-        disc = bb * bb - 4 * aa * cc
-        if abs(aa) < 1e-12 or disc <= 0:
-            continue
-        t = (-bb + np.sqrt(disc)) / (2 * aa)
-        w = y + t * z
-        w = w - (u @ w) / (u @ u) * u  # make independent of u (Euclidean projection is fine here)
-        if np.linalg.norm(w) < 1e-8:
-            continue
-        w = w / np.linalg.norm(w)
-        if np.all(np.abs(_pairings(model, np.stack([w, u]), w)) < 1e-8):
-            return u, w
-    return None
+    x, t = u[:n], u[n:]
+    while True:
+        z = rng.standard_normal(n)
+        for _ in range(2):  # projected twice, so that x.z stays at rounding level for a short z
+            z -= (z @ x) / (x @ x) * x
+        nz = np.linalg.norm(z)
+        if nz >= 1e-6:
+            return u, np.concatenate([z * (np.linalg.norm(t) / nz), [-t[1], t[0]]])
+
+
+def _photon_margins(model: GroupModel, lifts, u, w) -> np.ndarray:
+    """_one_sign_margins at the photon scan's angles s, from b(l, u) and b(l, w) of each lift l."""
+    return _one_sign_margins(_pairings(model, lifts[:, None], np.stack([u, w])[None]) @ _SCAN_COS_SIN)
 
 
 def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
@@ -150,16 +154,7 @@ def photon_convexity_check(limit_pts, n_photons: int, seed) -> dict:
     scanned = 0
     band = 1e-8
     for _ in range(n_photons):
-        ph = random_photon(model, rng)
-        if ph is None:
-            vacuous += 1
-            continue
-        u, w = ph
-        thetas = np.linspace(0.0, np.pi, PHOTON_SCAN, endpoint=False)
-        # photon points cos(th) u + sin(th) w, margins vectorized over the scan
-        pts = np.outer(np.cos(thetas), u) + np.outer(np.sin(thetas), w)
-        pts = pts / np.maximum(frobenius_norms(pts[..., None], model.tag), 1e-300)[:, None]
-        margins = _invisible_margins(model, lifts, pts)
+        margins = _photon_margins(model, lifts, *random_photon(model, rng))
         if np.any(np.abs(margins) <= band):
             within_tol += 1
             continue
@@ -188,10 +183,12 @@ def hilbert_distance(domain, x, y) -> float:
     """log cross ratio distance for a convex membership oracle on a line.
 
     domain(p) -> bool must be convex along the affine line p(t) = x + t (y - x);
-    the two boundary points are located by bisection.
+    the two boundary points are located by bisection.  Points of two shapes are a ValueError.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
+    if x.shape != y.shape:
+        raise ValueError(f"points of shapes {x.shape} and {y.shape}")
     if not domain(x):
         raise NotInDomain("x outside the domain")
     if not domain(y):

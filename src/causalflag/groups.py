@@ -13,6 +13,7 @@ on SP and SO(n, 2), complex on SU, the 4r x 4r adjoint matrix on SO*.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from math import factorial
 
@@ -33,8 +34,6 @@ LEVI_TOL = 1e-8  # off-diagonal block norm allowed in Levi block form, relative 
 SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the largest
 
 _FAMILY_TAG = {SP: REAL, SU: COMPLEX, SOSTAR: QUATERNION, SO_N2: REAL}
-
-_FORM_CACHE = {}
 
 # Higham (2005): the largest 1-norm at which the [m/m] Pade approximant
 # keeps exp's backward error below the unit roundoff
@@ -74,19 +73,17 @@ class GroupModel:
         """Matrix size of the model."""
         return 2 * self.rank if self.is_lagrangian else self.rank + 2
 
+    @functools.cache
     def form(self) -> np.ndarray:
         """The preserved form as an embedded array (read-only, built once per model)."""
-        key = (self.family, self.rank)
-        if key not in _FORM_CACHE:
-            r = self.rank
-            if self.is_lagrangian:
-                J = np.block([[np.zeros((r, r)), -np.eye(r)], [np.eye(r), np.zeros((r, r))]])
-                F = embed_real(J, self.tag)
-            else:
-                F = np.diag([1.0] * r + [-1.0, -1.0])
-            F.flags.writeable = False
-            _FORM_CACHE[key] = F
-        return _FORM_CACHE[key]
+        r = self.rank
+        if self.is_lagrangian:
+            Z, I = np.zeros((r, r)), np.eye(r)
+            F = embed_real(np.block([[Z, -I], [I, Z]]), self.tag)
+        else:
+            F = np.diag([1.0] * r + [-1.0, -1.0])
+        F.flags.writeable = False
+        return F
 
     def to_json(self):
         return {"family": self.family, "rank": self.rank}

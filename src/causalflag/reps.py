@@ -585,6 +585,8 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     (EXCLUSION_REASONS; a word both near and under the margin counts as
     near); with the kept points they add up to the words drawn.
     """
+    if per_length_cap < 1:
+        raise ValueError("per_length_cap must be at least 1")
     if max_len < 3:
         raise TooFewPoints(f"words are drawn from length 3 on; max_len {max_len} draws none")
     model = rep.model
@@ -680,6 +682,8 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     touches fixed Lagrangians of block-diagonal elements, so it comes
     second.  An empty sample raises TooFewPoints.
     """
+    if probe_count < 0:
+        raise ValueError("probe_count must be at least 0")
     if not len(sample):
         raise TooFewPoints("need at least 1 limit point, have 0")
     model = rep.model

@@ -9,6 +9,8 @@ vectors on SO(n, 2)).
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from .errors import (
@@ -207,23 +209,15 @@ def _view(model: GroupModel, frame, ortho) -> ShilovPoint:
 # ------------------------------------------------------------------ basepoints
 
 
-_BASE_CACHE = {}
-
-
+@functools.cache
 def base_points(model: GroupModel):
-    """The standard transverse pair (p_plus, p_minus)."""
-    key = (model.family, model.rank)
-    if key in _BASE_CACHE:
-        return _BASE_CACHE[key]
+    """The standard transverse pair (p_plus, p_minus), built once per model."""
     if model.is_lagrangian:
         r = model.rank
         I = np.eye(2 * r)
-        pair = tuple(ShilovPoint(model, embed_real(F, model.tag)) for F in (I[:, :r], I[:, r:]))
-    else:
-        S = _standard_basis(model)
-        pair = ShilovPoint(model, S[:, 0]), ShilovPoint(model, S[:, -1])
-    _BASE_CACHE[key] = pair
-    return pair
+        return tuple(ShilovPoint(model, embed_real(F, model.tag)) for F in (I[:, :r], I[:, r:]))
+    S = _standard_basis(model)
+    return ShilovPoint(model, S[:, 0]), ShilovPoint(model, S[:, -1])
 
 
 def _standard_basis(model: GroupModel):

@@ -101,6 +101,14 @@ def test_hilbert_oracle():
     assert "seed" not in report
 
 
+@pytest.mark.parametrize("points", [["--domain", "disk", "--x", "0,0", "--y", "0.5"],
+                                    ["--x", "0,0", "--y", "0,0.5"]], ids=["disk", "interval"])
+def test_hilbert_points_of_two_dimensions_exit_1(capsys, points):
+    # points of two dimensions, or 2-D points on the interval, are usage errors, not a distance
+    assert cli.main(["hilbert", *points]) == 1
+    assert capsys.readouterr().out == ""
+
+
 def test_rep_build_roundtrip(tmp_path):
     out = tmp_path / "rep"
     r = run_cli(["rep-build", "--rep", "f2-fuchsian-sl2", "--out", str(out)])
@@ -538,6 +546,9 @@ def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
     ["rep-verify-maslov0", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--triples", "0"],
     ["chart-independence", "--model", "sp4", "--probes", "0"],
     ["ein-photon-convexity", "--model", "so42", "--photons", "0"],
+    ["rep-certificate", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--probes", "-2"],
+    ["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "0"],
+    ["rep-core", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "-3"],
 ], ids=lambda command: command[0])
 def test_runs_without_trials_exit_1(tmp_path, capsys, command):
     if command[0] == "ein-photon-convexity":

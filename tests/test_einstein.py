@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from causalflag.einstein import (
+    PHOTON_SCAN,
     _invisible_margins,
+    _photon_margins,
     ein_maslov_sign,
     hilbert_distance,
     invisible_domain_membership,
@@ -30,14 +32,14 @@ from reference_points import chart_maslov_index, reference_invisible_membership,
 MODEL = model_preset("so42")
 
 
-def time_slice_family(n, seed):
+def time_slice_family(n, seed, model=MODEL):
     """Pairwise non-lightcone points on a fixed time slice; negative 3 by 3."""
     rng = np.random.default_rng(seed)
     pts = []
     while len(pts) < n:
-        x = rng.standard_normal(4)
+        x = rng.standard_normal(model.rank)
         x = x / np.linalg.norm(x)
-        p = ShilovPoint(MODEL, np.concatenate([x, [1.0, 0.0]]))
+        p = ShilovPoint(model, np.concatenate([x, [1.0, 0.0]]))
         if all(abs(pairing(p, q)) > 1e-3 for q in pts):
             pts.append(p)
     return pts
@@ -235,23 +237,55 @@ def test_negative_lifts_of_two_models_is_a_model_mismatch():
 
 
 def test_random_photon_is_isotropic_pair():
-    rng = np.random.default_rng(3)
-    b = MODEL.form()
-    for _ in range(10):
-        ph = random_photon(MODEL, rng)
-        if ph is None:
-            continue
-        u, w = ph
-        assert abs(u @ b @ u) < 1e-7
-        assert abs(w @ b @ w) < 1e-7
-        assert abs(u @ b @ w) < 1e-7
+    # the closed form is exact to rounding on every model, so22 (where z is orthogonal to x in R^2) included
+    for name in ["so22", "so32", "so42"]:
+        model = model_preset(name)
+        rng = np.random.default_rng(3)
+        b = model.form()
+        for _ in range(500):
+            u, w = random_photon(model, rng)
+            assert max(abs(u @ b @ u), abs(w @ b @ w), abs(u @ b @ w), abs(u @ w)) <= 1e-15
+            assert abs(w @ w - 1.0) <= 1e-15
+
+
+def photon_counts(margins, counts, band=1e-8):
+    """Count one photon's scan margins as photon_convexity_check does: within_tol, vacuous, then scanned."""
+    inside = margins > 0
+    if np.any(np.abs(margins) <= band):
+        counts["within_tol"] += 1
+    elif not inside.any():
+        counts["vacuous"] += 1
+    else:
+        counts["scanned"] += 1
+        counts["violations"] += int(np.sum(inside != np.roll(inside, 1)) > 2)
+
+
+@pytest.mark.parametrize("name", ["so22", "so32", "so42"])
+def test_photon_scan_matches_the_built_points(name):
+    # two pairings per lift against the margins of the explicitly built scan points, which are unit vectors
+    model = model_preset(name)
+    pts = time_slice_family(6, seed=31, model=model)
+    lifts = negative_lifts(pts)
+    s = np.linspace(0.0, np.pi, PHOTON_SCAN, endpoint=False)
+    rng = np.random.default_rng(37)
+    counts = dict.fromkeys(["scanned", "vacuous", "within_tol", "violations"], 0)
+    for _ in range(100):
+        u, w = random_photon(model, rng)
+        V = np.outer(np.cos(s), u) + np.outer(np.sin(s), w)
+        np.testing.assert_allclose(np.linalg.norm(V, axis=1), 1.0, rtol=0, atol=1e-15)
+        built = _invisible_margins(model, lifts, V)
+        np.testing.assert_allclose(_photon_margins(model, lifts, u, w), built, rtol=0, atol=1e-12)
+        photon_counts(built, counts)
+    assert photon_convexity_check(pts, 100, seed=37) == {"photons": 100, **counts}
+    assert counts["violations"] == 0
 
 
 def test_photon_convexity_small():
-    pts = time_slice_family(8, seed=23)
-    report = photon_convexity_check(pts, 100, seed=29)
-    assert report["violations"] == 0
-    assert report["scanned"] > 0
+    for name in ["so22", "so32", "so42"]:
+        pts = time_slice_family(8, seed=23, model=model_preset(name))
+        report = photon_convexity_check(pts, 100, seed=29)
+        assert report["violations"] == 0
+        assert report["scanned"] > 0
 
 
 @pytest.mark.parametrize("photons", [0, -3])
@@ -296,6 +330,8 @@ def test_hilbert_projective_invariance_interval():
 
 def test_hilbert_error_cases():
     domain = lambda p: bool(np.all(np.abs(p) < 1.0))
+    with pytest.raises(ValueError, match="shapes"):
+        hilbert_distance(lambda p: bool(p @ p < 1.0), np.array([0.0, 0.0]), np.array([0.5]))
     with pytest.raises(NotInDomain):
         hilbert_distance(domain, np.array([2.0]), np.array([0.0]))
     unbounded = lambda p: True
