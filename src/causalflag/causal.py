@@ -325,6 +325,8 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
+    if not points:
+        raise ValueError("need at least one point")
     model = chart_a.base.model
     for x in points:
         if not (chart_a.contains(x) and chart_b.contains(x)):
@@ -379,11 +381,11 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
 
 
 def _in_probe_order(run, n):
-    """run(n) on the first n probes, raising the error that a loop over the probes would raise first.
+    """run(n) on the first n items (probes, queries), raising the error that a loop over them would raise first.
 
-    Each stacked step raises for its first failing probe, but an earlier
-    probe may fail at a later step.  On an error, bisection finds the
-    shortest failing prefix, whose last probe is the loop's first failure,
+    Each stacked step raises for its first failing item, but an earlier
+    item may fail at a later step.  On an error, bisection finds the
+    shortest failing prefix, whose last item is the loop's first failure,
     and raises that prefix's error.
     """
     try:

@@ -24,9 +24,9 @@ import sys
 import numpy as np
 
 from . import kmat, reps
-from .causal import (ChartedChart, causal_hull, chart_independence_check, random_positive_coord,
-                     sylvester_orbit_check)
-from .einstein import hilbert_distance, invisible_domain_membership, photon_convexity_check
+from .causal import (ChartedChart, _in_probe_order, _relations, _stack, causal_hull, chart_independence_check,
+                     random_positive_coord, sylvester_orbit_check)
+from .einstein import _invisible_memberships, hilbert_distance, photon_convexity_check
 from .errors import CausalFlagError, ModelMismatch
 from .groups import GroupModel, model_preset
 from .maslov import maslov_index, maslov_invariance_report
@@ -257,6 +257,8 @@ def _cmd_rep_certificate(args, tol):
 
 
 def _cmd_rep_core(args, tol):
+    if args.max_word_len < 1:
+        raise SystemExit("--max-word-len must be at least 1")
     sample = _limit_sample(args, tol, max(args.max_word_len, 4))
     out = reps.convex_core_sample(args.rep, sample, [reps.domain_center(args.rep.model)], args.max_word_len)
     report = {
@@ -279,8 +281,12 @@ def _cmd_hull(args, tol):
     report = {"n_points": len(hull.points), "n_pairs": len(hull.pairs)}
     if args.query:
         queries = _load_coords(args.model, args.query)
-        report["memberships"] = [bool(hull.membership(q)) for q in queries]
-        report["margins"] = [float(hull.margin(q)) for q in queries]
+
+        def run(n):  # Hull.margin and zero_band of the first n queries, one stacked pass each
+            return hull.margins(queries[:n]), _relations(args.model, _stack(args.model, queries[:n]))[2]
+        margins, bands = _in_probe_order(run, len(queries))  # raising as a loop of Hull.membership would
+        report["memberships"] = (margins >= -bands).tolist()
+        report["margins"] = margins.tolist()
     return report, True
 
 
@@ -301,7 +307,7 @@ def _cmd_chart_independence(args, tol):
 def _cmd_ein_invisible(args, tol):
     limits = [ShilovPoint(args.model, v) for v in _load_vectors(args.limit)]
     queries = [ShilovPoint(args.model, v) for v in _load_vectors(args.query)]
-    members = [bool(invisible_domain_membership(limits, q)) for q in queries]
+    members = _invisible_memberships(limits, queries).tolist() if queries else []
     return {"n_limit": len(limits), "memberships": members}, True
 
 

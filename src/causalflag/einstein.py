@@ -60,14 +60,18 @@ def ein_maslov_sign(a: ShilovPoint, b_: ShilovPoint, c: ShilovPoint) -> int:
 
 
 def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
-    """True iff x is transverse to every limit point with index 0 against every pair.
+    """True iff x is transverse to every limit point with index 0 against every pair: _invisible_memberships of one.
 
-    With negative lifts u_i, the sign of (u_i, x, u_j) is 0 iff
-    b(u_i, x) b(u_j, x) > 0: _invisible_margins of a batch of one, above TRANSVERSALITY_TOL.
+    With negative lifts u_i, the sign of (u_i, x, u_j) is 0 iff b(u_i, x) b(u_j, x) > 0.
     """
+    return bool(_invisible_memberships(limit_pts, [x])[0])
+
+
+def _invisible_memberships(limit_pts, points) -> np.ndarray:
+    """invisible_domain_membership of each of points: their _invisible_margins above TRANSVERSALITY_TOL."""
     lifts = negative_lifts(limit_pts)
-    _check_model(x.model, limit_pts[:1])
-    return bool(_invisible_margins(x.model, lifts, x.frame[None])[0] > TRANSVERSALITY_TOL)
+    _check_model(limit_pts[0].model, points)
+    return _invisible_margins(limit_pts[0].model, lifts, np.stack([x.frame for x in points])) > TRANSVERSALITY_TOL
 
 
 def _invisible_margins(model: GroupModel, lifts, V) -> np.ndarray:

@@ -35,13 +35,10 @@ SINGULAR_FLOOR = 1e-12  # smallest singular value allowed, relative to the large
 
 _FAMILY_TAG = {SP: REAL, SU: COMPLEX, SOSTAR: QUATERNION, SO_N2: REAL}
 
-# Higham (2005): the largest 1-norm at which the [m/m] Pade approximant
+# Higham (2005): the largest 1-norm at which the [13/13] Pade approximant
 # keeps exp's backward error below the unit roundoff
-_PADE_THETA = {3: 1.495585217958292e-2, 5: 2.539398330063230e-1, 7: 9.504178996162932e-1,
-               9: 2.097847961257068e0, 13: 5.371920351148152e0}
-# the approximants' coefficients b_j = (2m - j)! / (j! (m - j)!), j = 0..m, exact integers rounded once
-_PADE_B = {m: [float(factorial(2 * m - j) // (factorial(j) * factorial(m - j))) for j in range(m + 1)]
-           for m in _PADE_THETA}
+_PADE_THETA = 5.371920351148152e0
+_PADE_B = [float(factorial(26 - j) // (factorial(j) * factorial(13 - j))) for j in range(14)]
 
 
 @dataclass(frozen=True)
@@ -326,27 +323,24 @@ def random_lie_element(model: GroupModel, rng) -> np.ndarray:
 def exp_stack(model: GroupModel, Z) -> np.ndarray:
     """exp of a stack (N, d, d) of embedded Lie algebra elements: Higham's (2005) scaling and squaring.
 
-    Each item takes the Pade order m and the scaling power s that its
-    1-norm selects against _PADE_THETA.  The items that share (m, s) run as
-    one stack: stacked matmuls, one stacked solve, then s squarings, each
-    of them one LAPACK or BLAS call per item, so an element's bits do not
-    depend on the stack it comes in.  The real families compute in real
+    Every item takes the [13/13] Pade approximant of Z / 2^s, s the least
+    power that brings its 1-norm to _PADE_THETA.  The items that share s
+    run as one stack: stacked matmuls, one stacked solve, then s squarings,
+    each of them one LAPACK or BLAS call per item, so an element's bits do
+    not depend on the stack it comes in.  The real families compute in real
     arithmetic and SU in complex; SO* computes on the chi array and its
     result is laid out again from its top blocks.  An item whose norm or
     result is not finite comes out as NaN, without a floating point warning.
     """
     Z = np.asarray(Z, dtype=float if model.tag == REAL else complex)
     E = np.full_like(Z, np.nan)
-    orders = np.array(list(_PADE_THETA))
-    thetas = np.array(list(_PADE_THETA.values()))
     with np.errstate(all="ignore"):
         norm1 = np.max(np.sum(np.abs(Z), axis=-2), axis=-1, initial=0.0)
         finite = np.isfinite(norm1)
-        m = orders[np.minimum(np.searchsorted(thetas, np.where(finite, norm1, 0.0)), len(orders) - 1)]
-        s = np.where(finite & (norm1 > thetas[-1]), np.ceil(np.log2(norm1 / thetas[-1])), 0.0).astype(int)
-        for mk, sk in sorted(set(zip(m[finite].tolist(), s[finite].tolist()))):
-            sel = np.flatnonzero(finite & (m == mk) & (s == sk))
-            R = _pade(Z[sel] / 2.0**sk, mk)
+        s = np.where(finite & (norm1 > _PADE_THETA), np.ceil(np.log2(norm1 / _PADE_THETA)), 0.0).astype(int)
+        for sk in np.unique(s[finite]).tolist():
+            sel = np.flatnonzero(finite & (s == sk))
+            R = _pade(Z[sel] / 2.0**sk)
             for _ in range(sk):
                 R = R @ R
             E[sel] = R
@@ -354,22 +348,15 @@ def exp_stack(model: GroupModel, Z) -> np.ndarray:
     return _chi(*_parts(E)) if model.tag == QUATERNION else E
 
 
-def _pade(A, m):
-    """The [m/m] Pade approximant of exp on a stack A: (V - U)^-1 (V + U), U odd and V even in A."""
-    b = _PADE_B[m]
+def _pade(A):
+    """The [13/13] Pade approximant of exp on a stack A: (V - U)^-1 (V + U), U odd and V even in A."""
+    b = _PADE_B
     eye = np.eye(A.shape[-1])
     A2 = A @ A
-    if m == 13:
-        A4 = A2 @ A2
-        A6 = A4 @ A2
-        U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
-        V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
-    else:
-        powers = [eye, A2]  # the even powers I, A^2, ..., A^(m-1)
-        while len(powers) <= m // 2:
-            powers.append(powers[-1] @ A2)
-        U = A @ sum(b[2 * k + 1] * P for k, P in enumerate(powers))
-        V = sum(b[2 * k] * P for k, P in enumerate(powers))
+    A4 = A2 @ A2
+    A6 = A4 @ A2
+    U = A @ (A6 @ (b[13] * A6 + b[11] * A4 + b[9] * A2) + b[7] * A6 + b[5] * A4 + b[3] * A2 + b[1] * eye)
+    V = A6 @ (b[12] * A6 + b[10] * A4 + b[8] * A2) + b[6] * A6 + b[4] * A4 + b[2] * A2 + b[0] * eye
     return np.linalg.solve(V - U, V + U)
 
 

@@ -348,6 +348,8 @@ def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_C
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
+    if cap < 1:
+        raise ValueError("cap must be at least 1")
     expected = _free_ball_count(len(rep.gen_names), max_len)
     if expected > cap:
         raise BallTooLarge(f"free ball size {expected} exceeds the cap {cap}")
@@ -696,18 +698,17 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
         z = np.broadcast_to(z0.ortho, targets.shape)
         return float(np.min(transversality_margins(model, targets, z)))
 
-    candidates = [("dual_center", dual_center(model))]
-    _, p_minus = base_points(model)
-    candidates.append(("p_minus", p_minus))
-    rng = np.random.default_rng(seed)
-    for k in range(probe_count):
-        if model.is_lagrangian:
-            z = chart_point(model, 4.0 * _random_hermitian(model, rng))
-        else:
-            z = random_ein_point(model, rng)
-        candidates.append((f"probe_{k}", z))
+    def candidates():
+        # built one at a time, so that no probe is drawn past the first passing candidate
+        yield "dual_center", dual_center(model)
+        yield "p_minus", base_points(model)[1]
+        rng = np.random.default_rng(seed)
+        for k in range(probe_count):
+            yield f"probe_{k}", (chart_point(model, 4.0 * _random_hermitian(model, rng)) if model.is_lagrangian
+                                 else random_ein_point(model, rng))
+
     best = None
-    for label, z0 in candidates:
+    for label, z0 in candidates():
         m = margin_against(z0)
         if best is None or m > best[2]:
             best = (label, z0, m)

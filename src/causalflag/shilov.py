@@ -138,10 +138,10 @@ class ShilovPoint:
     A Lagrangian frame is given as an embedded array (see kmat), which
     the point holds.  Construction runs the
     stacked point guards (_guard) on a batch of one; a Lagrangian frame
-    must also be isotropic for the model's form.  The
-    points of act and of the limit samplers are views of guarded stacks
-    (_view) and skip that isotropy check: their frames are images of
-    points, or attracting subspaces, of form-preserving elements.
+    must also be isotropic for the model's form.  The points of act,
+    chart_point and the limit samplers are views of guarded stacks (_view)
+    and skip that isotropy check: their frames are images of points, or
+    attracting subspaces, of form-preserving elements, or Hermitian graphs.
     """
 
     __slots__ = ("model", "frame", "_ortho")
@@ -292,17 +292,16 @@ def chart_point(model: GroupModel, X) -> ShilovPoint:
 def _chart_point_stack(model: GroupModel, X):
     """The (frames, orthos) of the standard chart's points with a stack of coordinates X.
 
-    X is an embedded (k, d, d) stack on the Lagrangian families, whose
-    frames [I; X] pass check_hermitian and the isotropy check first, or a
-    (k, n) Minkowski stack on SO(n, 2), whose frames are the unit lifts.
-    The point guards (_guard) run on the whole stack.
+    X is an embedded (k, d, d) stack on the Lagrangian families, which
+    passes check_hermitian first (E^H J E = X^H - X bit for bit for E = [I; X],
+    so no isotropy check is needed), or a (k, n) Minkowski stack on SO(n, 2),
+    whose frames are the unit lifts.  The point guards run on the whole stack.
     """
     if not model.is_lagrangian:
         V = _guard(model, _socharts_lift(model, X))
         return V, V
     check_hermitian(X, model.tag)
     E = _graph_frames(model, X)
-    _check_isotropy(model, E)
     return E, _guard(model, E)
 
 

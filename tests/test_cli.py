@@ -11,9 +11,11 @@ import numpy as np
 import pytest
 
 from causalflag import cli
+from causalflag.causal import causal_hull
+from causalflag.einstein import invisible_domain_membership, random_ein_point
 from causalflag.groups import model_preset
 from causalflag.kmat import embed_real, hermitian_draw, to_json
-from causalflag.shilov import chart_point
+from causalflag.shilov import ShilovPoint, chart_point
 
 
 def run_cli(args):
@@ -165,6 +167,29 @@ def test_hull_queries(tmp_path):
     assert r.returncode == 0
     report = json.loads(r.stdout)
     assert report["report"]["memberships"] == [True, False]
+
+
+def test_hull_queries_equal_the_per_query_loop(tmp_path, capsys):
+    # one margins pass gives the margins and memberships of Hull.margin and Hull.membership, query by query
+    model = model_preset("sp4")
+    rng = np.random.default_rng(3)
+    points = [np.zeros((2, 2)), 2.0 * np.eye(2), np.diag([1.0, 3.0])]
+    points += [hermitian_draw("R", (2, 2), rng) for _ in range(3)]
+    queries = [np.eye(2) + hermitian_draw("R", (2, 2), rng) for _ in range(40)] + points
+    pts, q = tmp_path / "pts.json", tmp_path / "q.json"
+    pts.write_text(json.dumps([X.tolist() for X in points]))
+    q.write_text(json.dumps([X.tolist() for X in queries]))
+    assert cli.main(["hull", "--model", "sp4", "--points", str(pts), "--query", str(q)]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    hull = causal_hull(model, points)
+    assert report["memberships"] == [bool(hull.membership(Z)) for Z in queries]
+    assert report["margins"] == [float(hull.margin(Z)) for Z in queries]
+    assert True in report["memberships"] and False in report["memberships"]
+    # on a one-point hull the first query fails its zero band and the second its margin: the loop names the first
+    pts.write_text("[[[0.0, 0.0], [0.0, 0.0]]]")
+    q.write_text("[[[0.0, 1.0], [0.0, 0.0]], [[1e200, 0.0], [0.0, 1e200]]]")
+    assert cli.main(["hull", "--model", "sp4", "--points", str(pts), "--query", str(q)]) == 2
+    assert json.loads(capsys.readouterr().out)["error"] == "NotHermitian"
 
 
 @pytest.mark.parametrize("bad", ["1e309", "NaN"])
@@ -499,6 +524,27 @@ def test_margin_floor_reaches_the_limit_sampler(tmp_path, monkeypatch, capsys, c
         assert sparse["n_limit_points"] < dense["n_limit_points"]
 
 
+def test_invisibility_queries_equal_the_per_query_loop(tmp_path, capsys):
+    # one pass over the negative lifts decides every query as invisible_domain_membership does one at a time;
+    # with no query, the limit set is not read
+    model = model_preset("so42")
+    rng = np.random.default_rng(5)
+    limits = [np.append(v / np.linalg.norm(v), [1.0, 0.0]) for v in rng.standard_normal((6, 4))]
+    queries = [random_ein_point(model, rng).frame for _ in range(60)] + limits
+    limit, query = tmp_path / "limit.json", tmp_path / "query.json"
+    limit.write_text(json.dumps([v.tolist() for v in limits]))
+    query.write_text(json.dumps([v.tolist() for v in queries]))
+    assert cli.main(["ein-invisible", "--model", "so42", "--limit", str(limit), "--query", str(query)]) == 0
+    members = json.loads(capsys.readouterr().out)["report"]["memberships"]
+    pts = [ShilovPoint(model, v) for v in limits]
+    assert members == [invisible_domain_membership(pts, ShilovPoint(model, v)) for v in queries]
+    assert True in members and False in members
+    limit.write_text(json.dumps([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 2))  # lightcone-related: not negative
+    query.write_text("[]")
+    assert cli.main(["ein-invisible", "--model", "so42", "--limit", str(limit), "--query", str(query)]) == 0
+    assert json.loads(capsys.readouterr().out)["report"]["memberships"] == []
+
+
 def test_ein_commands(tmp_path):
     rng = np.random.default_rng(23)
     pts = []
@@ -549,6 +595,9 @@ def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
     ["rep-certificate", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--probes", "-2"],
     ["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "0"],
     ["rep-core", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "-3"],
+    pytest.param(["rep-core", "--rep", "tau0-sp4-f2", "--max-word-len", "0"], id="rep-core-without-words"),
+    ["rep-gap", "--rep", "tau0-sp4-f2", "--cap", "0"],
+    pytest.param(["chart-independence", "--model", "sp4", "--n-points", "0"], id="chart-independence-without-points"),
 ], ids=lambda command: command[0])
 def test_runs_without_trials_exit_1(tmp_path, capsys, command):
     if command[0] == "ein-photon-convexity":

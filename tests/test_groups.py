@@ -8,6 +8,7 @@ from causalflag.groups import (
     SO_N2,
     SP,
     SOSTAR,
+    _PADE_THETA,
     GroupElement,
     GroupModel,
     cartan_projection,
@@ -152,13 +153,16 @@ def test_lyapunov_underflow_is_masked_in_a_stack_and_raised_for_one():
         lyapunov_projection(GroupElement(model, E[0]))
 
 
-EXP_NORMS = [1e-3, 1e-2, 0.1, 0.5, 1.0, 2.0, 5.0, 10.0, 20.0]  # every Pade order, and the squaring path
+# embedded 1-norms: 1e-8, both sides of the thresholds of the [m/m] Pade approximants for m = 3, 5, 7, 9
+# and 13 (Higham 2005), and scaling powers s = 1 to 4 of the [13/13] approximant
+_THETAS = [1.495585217958292e-2, 2.539398330063230e-1, 9.504178996162932e-1, 2.097847961257068e0, _PADE_THETA]
+EXP_NORMS = [1e-8] + [t * f for t in _THETAS for f in (0.99, 1.01)] + [1.5 * 2**s * _PADE_THETA for s in range(4)]
 
 
 def _lie_stack(model, rng, norms, per_norm):
-    """per_norm Lie algebra elements of Frobenius norm n (in the field's units) for each n of norms."""
+    """per_norm Lie algebra elements of embedded 1-norm n for each n of norms."""
     Z = np.stack([random_lie_element(model, rng) for _ in range(len(norms) * per_norm)])
-    scale = np.repeat(norms, per_norm) / np.array([norm(z, model.tag) for z in Z])
+    scale = np.repeat(norms, per_norm) / np.max(np.sum(np.abs(Z), axis=-2), axis=-1)
     return Z * scale[:, None, None]
 
 
@@ -190,7 +194,7 @@ def test_stacked_kernels_equal_per_element_references(name):
 
 @pytest.mark.parametrize("name", FAMILIES)
 def test_exp_bits_do_not_depend_on_the_stack(name):
-    # an element's exp is the same in a stack of one and in a stack whose norms select other Pade orders
+    # an element's exp is the same in a stack of one and in a stack whose norms select other scaling powers
     model = model_preset(name)
     rng = np.random.default_rng(4)
     Z = _lie_stack(model, rng, EXP_NORMS, 3)[rng.permutation(3 * len(EXP_NORMS))]

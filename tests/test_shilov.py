@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 from causalflag.einstein import random_ein_point
 from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
-from causalflag.kmat import _chi, _parts, draw, embed_real, norm, product
+from causalflag.kmat import _chi, _parts, adjoint, draw, embed_real, hermitian_draw, norm, product
+from causalflag.linalg import HERMITIAN_TOL, frobenius_norms
 from reference_points import (
     ReferencePoint,
     reference_act,
@@ -15,7 +16,9 @@ from reference_points import (
     reference_standardize_pair,
 )
 from causalflag.shilov import (
+    ISOTROPY_TOL,
     ShilovPoint,
+    _graph_frames,
     _pairings,
     act,
     act_stack,
@@ -361,6 +364,22 @@ def test_action_composes(name, seed):
     x = random_point(model, rng)
     g, h = random_element(model, rng, scale=1.5), random_element(model, rng, scale=1.5)
     assert np.linalg.norm(act(g, act(h, x)).projector() - act(g @ h, x).projector()) <= 1e-9
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN)
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(seed=seeds, scale=st.floats(-3.0, 8.0), skew=st.floats(-12.0, 0.0))
+def test_graph_frame_isotropy_defect_is_the_hermitian_defect(name, seed, scale, skew):
+    # chart points skip the isotropy check: for E = [I; X], |E^H J E| = |X - X^H| bit for bit, and
+    # check_hermitian bounds that by HERMITIAN_TOL * max(1, |X|), within ISOTROPY_TOL * max(1, |E|^2)
+    assert HERMITIAN_TOL <= ISOTROPY_TOL
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    shape = (model.rank, model.rank)
+    X = 10.0**scale * (hermitian_draw(model.tag, shape, rng) + 10.0**skew * draw(model.tag, shape, rng))
+    E = _graph_frames(model, X[None])
+    iso = frobenius_norms(product(product(adjoint(E), model.form(), model.tag), E, model.tag), model.tag)
+    assert np.array_equal(iso, frobenius_norms((X - adjoint(X))[None], model.tag))
 
 
 @pytest.mark.parametrize("name", ["so22", "so32", "so42"])
