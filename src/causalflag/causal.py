@@ -363,7 +363,7 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
     def run(n):
         # the steps of the loop on the first n probes, each one stacked kernel
         frames, orthos = _act_frames(model, chart_a.transporter.g, _chart_point_stack(model, Z[:n])[0])
-        stays = transversality_margins(model, orthos, np.broadcast_to(base_b, orthos.shape)) > 1e-6
+        stays = transversality_margins(model, base_b, orthos) > 1e-6
         Zb = chart_coordinates_stack(model, *_act_frames(model, to_b, frames[stays]))
         return stays, hull_a.margins(Z[:n][stays]), hull_b.margins(Zb)
 

@@ -6,8 +6,9 @@ Lagrangian families it is Kashiwara's index: the signature of the
 quadratic form q(x1, x2, x3) = w(x1, x2) + w(x2, x3) + w(x3, x1) on
 L1 + L2 + L3 (Kashiwara-Schapira, Sheaves on Manifolds, App. A.3), the
 Hermitian part H of the 3x3 block matrix with Mab = Qa^H J Qb,
-Mbc = Qb^H J Qc and Mca = Qc^H J Qa in the slots (1,2), (2,3) and (3,1).
-No chart or standardization is involved.  The hyperbolic (a, b) block of H
+Mbc = Qb^H J Qc and Mca = Qc^H J Qa = -Mac^H in the slots (1,2), (2,3) and
+(3,1); the three pairings are shilov._pairings, and the pairwise margins
+are read off them.  No chart or standardization is involved.  The hyperbolic (a, b) block of H
 has counts (d, d), so H has those plus the counts of the d x d Schur
 complement S = -(P + P^H) / 2, P = Mca Mab^-H Mbc (Haynsworth inertia
 additivity): one solve and one d x d ``eigvalsh`` per triple, and one
@@ -30,8 +31,7 @@ from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
 from .linalg import _sign_counts, frobenius_norms
 from .scalars import QUATERNION
-from .shilov import (TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _pairings, _socharts_lift,
-                     transversality_margins)
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _margins, _pairings, _socharts_lift
 
 _SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
@@ -63,20 +63,19 @@ def maslov_indices(model: GroupModel, A, B, C):
     (a margin in the band, or no certificate) those of H itself, so each
     verdict is that of the whole form.
     """
-    # the three margins; on SO(n, 2) the three pairings, whose absolute values are the margins
-    pair = transversality_margins if model.is_lagrangian else _pairings
-    ab, bc, ac = pair(model, A, B), pair(model, B, C), pair(model, A, C)
-    margin = np.minimum(np.minimum(np.abs(ab), np.abs(bc)), np.abs(ac))
+    # the three pairings and their margins; Mca = -Mac^H, as J^H = -J
+    Mab, Mbc, Mac = _pairings(model, A, B), _pairings(model, B, C), _pairings(model, A, C)
+    m_ab = _margins(model, Mab)
+    margin = np.minimum(np.minimum(m_ab, _margins(model, Mbc)), _margins(model, Mac))
     valid = margin > TRANSVERSALITY_TOL
     if not model.is_lagrangian:
-        return np.where(ab * bc * ac < 0, 0, 2), margin, valid
-    J = model.form()
+        return np.where(Mab * Mbc * Mac < 0, 0, 2), margin, valid
+    Mca = -adjoint(Mac)
     d = A.shape[-1]
-    Mab, Mbc, Mca = adjoint(A) @ J @ B, adjoint(B) @ J @ C, adjoint(C) @ J @ A
     pos, neg = (np.zeros(np.shape(valid), dtype=int) for _ in range(2))
     # transverse rows: (d, d) plus the counts of the Schur complement S, where its bound certifies them
     on_s = np.array(valid)
-    m = ab[on_s]
+    m = m_ab[on_s]
     P = Mca[on_s] @ np.linalg.solve(adjoint(Mab[on_s]), Mbc[on_s])
     lam = np.linalg.eigvalsh(-0.5 * (P + adjoint(P)))
     w = 2e-9 * (1 + np.sqrt(2) / m) ** 2  # the bound is above 2e-9 iff 2 w < m and w < min |lambda(S)|

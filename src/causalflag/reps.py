@@ -108,6 +108,9 @@ class Representation:
             defect = norm(prod.g - np.eye(len(prod.g)), self.model.tag)
             if not (defect <= 1e-9):
                 raise ModelMismatch(f"inverse pairing defect {defect:.3e} for {name!r}")
+        for letter in self.relator or ():
+            if letter not in self.gens:
+                raise ModelMismatch(f"relator letter {letter!r} is not a generator")
 
     @property
     def letters(self):
@@ -612,8 +615,7 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
         k = len(kept)
         if (frobenius_norms(kept_P[:k] - projectors[i], COMPLEX) < 1e-6).any():
             reason[c] = _NEAR
-        elif (transversality_margins(model, np.broadcast_to(orthos[i], kept_Q[:k].shape), kept_Q[:k])
-              <= margin_floor).any():
+        elif (transversality_margins(model, orthos[i], kept_Q[:k]) <= margin_floor).any():
             reason[c] = _MARGIN
         else:
             kept_P[k], kept_Q[k] = projectors[i], orthos[i]
@@ -695,8 +697,7 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     targets = np.concatenate([center.ortho[None], orbit] + [pt.ortho[None] for pt in sample.points])
 
     def margin_against(z0):
-        z = np.broadcast_to(z0.ortho, targets.shape)
-        return float(np.min(transversality_margins(model, targets, z)))
+        return float(np.min(transversality_margins(model, targets, z0.ortho)))
 
     def candidates():
         # built one at a time, so that no probe is drawn past the first passing candidate

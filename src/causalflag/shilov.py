@@ -118,10 +118,9 @@ def _check_isotropy(model: GroupModel, E):
 
     A frame E is isotropic when |E^H F E| is at most ISOTROPY_TOL * max(1, |E|^2).
     """
-    tag = model.tag
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect fails the check
-        iso = frobenius_norms(product(product(adjoint(E), model.form(), tag), E, tag), tag)
-        scale = np.maximum(1.0, frobenius_norms(E, tag) ** 2)
+        iso = frobenius_norms(_pairings(model, E, E), model.tag)
+        scale = np.maximum(1.0, frobenius_norms(E, model.tag) ** 2)
     _raise_first([(iso <= ISOTROPY_TOL * scale, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}"))])
 
 
@@ -244,27 +243,33 @@ def _minkowski_psi(v):
 
 
 def transversality_margin(x: ShilovPoint, y: ShilovPoint) -> float:
-    """Scale-free margin: |det| of the stacked orthonormal frames (or |b(u,v)|)."""
+    """Scale-free margin: |det X^H J Y| of the orthonormal frames (or |b(u,v)|)."""
     if x.model != y.model:
         raise ModelMismatch("points belong to different models")
     return float(transversality_margins(x.model, x.ortho[None], y.ortho[None])[0])
 
 
 def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
-    """transversality_margin of each pair (X[k], Y[k]) of orthonormal representatives.
-
-    X and Y are stacks of ``ortho`` arrays: one LAPACK det per pair for the
-    Lagrangian families, one dot per pair for SO(n, 2).
-    """
-    if model.is_lagrangian:
-        d = np.abs(np.linalg.det(np.concatenate([X, Y], axis=-1)))
-        return np.sqrt(d) if model.tag == QUATERNION else d
-    return np.abs(_pairings(model, X, Y))
+    """transversality_margin of each pair of orthonormal representatives in broadcast stacks (a single point too)."""
+    return _margins(model, _pairings(model, X, Y))
 
 
 def _pairings(model: GroupModel, X, Y) -> np.ndarray:
-    """b(X[k], Y[k]) of each pair of broadcast SO(n, 2) lift stacks (..., n+2), one dot per pair."""
+    """The form pairing of each pair of broadcast stacks: X^H J Y (..., d, d) of frames, b(x, y) of lifts (..., n+2)."""
+    if model.is_lagrangian:
+        return adjoint(X) @ model.form() @ Y
     return ((X @ model.form())[..., None, :] @ Y[..., :, None])[..., 0, 0]
+
+
+def _margins(model: GroupModel, P) -> np.ndarray:
+    """The margin of each _pairings value P of orthonormal representatives: |det P|, or |b| on SO(n, 2).
+
+    |det X^H J Y| = |det [X, Y]|, as [X, JX] is unitary; over H its square root, as chi doubles singular values.
+    """
+    if not model.is_lagrangian:
+        return np.abs(P)
+    d = np.abs(np.linalg.det(P))
+    return np.sqrt(d) if model.tag == QUATERNION else d
 
 
 def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
@@ -344,7 +349,7 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     would raise them.
     """
     _, p_minus = base_points(model)
-    margins = transversality_margins(model, orthos, np.broadcast_to(p_minus.ortho, orthos.shape))
+    margins = transversality_margins(model, p_minus.ortho, orthos)
     in_chart = margins >= TRANSVERSALITY_TOL
     checks = [(in_chart, lambda k: NotInChart("point is not transverse to the chart base"))]
     if not model.is_lagrangian:
@@ -416,20 +421,14 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
             A, C = _chi(*_quat_frame_from_embedded(np.stack([a.ortho, c.ortho])))
         else:
             A, C = (x.ortho.real if tag == REAL else x.ortho for x in (a, c))
+        # P's singular values are at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair
         P = product(product(adjoint(A), model.form(), tag), C, tag)
-        cond = np.linalg.cond(P)
-        if cond > 1e12:
-            raise IllConditioned(f"pairing condition number {cond:.3e}")
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
         T = concat([A, product(C, -np.linalg.inv(P), tag)], -1, tag)
         return GroupElement(model, T, _check=False).inv()
     b = model.form()
-    u = a.frame.copy()
-    w = c.frame.copy()
-    pairing = _pairings(model, u, w)
-    if abs(pairing) < 1e-12:
-        raise NotTransverse("degenerate pairing")
-    w = w * (2.0 / pairing)
+    u = a.frame  # the frames are the unit orthos, so |b(u, c)| > TRANSVERSALITY_TOL
+    w = c.frame * (2.0 / _pairings(model, u, c.frame))
     # b-orthogonal complement of span(u, w), with its (n-1, 1) Gram diagonalized
     N = null_space(np.vstack([u @ b, w @ b]))
     G = N.T @ b @ N

@@ -15,6 +15,7 @@ from causalflag.causal import causal_hull
 from causalflag.einstein import invisible_domain_membership, random_ein_point
 from causalflag.groups import model_preset
 from causalflag.kmat import embed_real, hermitian_draw, to_json
+from causalflag.reps import preset
 from causalflag.shilov import ShilovPoint, chart_point
 
 
@@ -138,6 +139,20 @@ def test_rep_build_non_finite_entry_exits_2(tmp_path, entry):
     report = json.loads((tmp_path / "bad" / "report.json").read_text())
     assert report["passed"] is False
     assert report["error"] == "NonFiniteInput"
+
+
+@pytest.mark.parametrize("command,flags", [("rep-build", []), ("rep-deform", ["--eps", "1e-3"]), ("rep-gap", [])])
+def test_relator_letter_outside_the_generators_exits_2(tmp_path, capsys, command, flags):
+    # the loader names the letter, where rep-build and rep-deform ended on a KeyError (exit 1)
+    # and rep-gap deduplicated its ball by a relator that is not a word in the generators
+    data = preset("tau0-sp4-genus2").to_json()
+    data["relator"][3] = "zz"
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main([command, "--rep", str(bad), *flags]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["passed"]) == ("ModelMismatch", False)
+    assert "'zz'" in report["message"]
 
 
 def test_rep_limitset_csv(tmp_path, capsys):

@@ -155,15 +155,15 @@ def test_nan_margin_in_any_slot_is_rejected(monkeypatch, slot):
     model = model_preset("sp4")
     a, b, c = (chart_point(model, v * np.eye(2)) for v in (-2.0, 0.0, 2.0))
     assert maslov_index(a, b, c).idx == 2
-    real = maslov_module.transversality_margins
+    real = maslov_module._margins
     calls = []
 
-    def nan_in_slot(model, X, Y):
+    def nan_in_slot(model, P):
         calls.append(None)
-        m = real(model, X, Y)
+        m = real(model, P)
         return np.full_like(m, np.nan) if len(calls) - 1 == slot else m
 
-    monkeypatch.setattr(maslov_module, "transversality_margins", nan_in_slot)
+    monkeypatch.setattr(maslov_module, "_margins", nan_in_slot)
     with pytest.raises(NotPairwiseTransverse):
         maslov_index(a, b, c)
 
@@ -255,14 +255,14 @@ def test_nan_margins_in_a_stack_fail_closed(monkeypatch):
     model = model_preset("sp4")
     A, B, C = _oracle_triples(model, 8, np.random.default_rng(3))[0]
     good = maslov_indices(model, A, B, C)
-    real = maslov_module.transversality_margins
+    real = maslov_module._margins
 
-    def nan_rows(model, X, Y):
-        m = real(model, X, Y)
+    def nan_rows(model, P):
+        m = real(model, P)
         m[::2] = np.nan
         return m
 
-    monkeypatch.setattr(maslov_module, "transversality_margins", nan_rows)
+    monkeypatch.setattr(maslov_module, "_margins", nan_rows)
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         idx, margin, valid = maslov_indices(model, A, B, C)

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.einstein import random_ein_point
-from causalflag.errors import InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
+from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
 from causalflag.kmat import _chi, _parts, adjoint, draw, embed_real, hermitian_draw, norm, product
 from causalflag.linalg import HERMITIAN_TOL, frobenius_norms
@@ -17,6 +17,7 @@ from reference_points import (
 )
 from causalflag.shilov import (
     ISOTROPY_TOL,
+    TRANSVERSALITY_TOL,
     ShilovPoint,
     _graph_frames,
     _pairings,
@@ -382,10 +383,66 @@ def test_graph_frame_isotropy_defect_is_the_hermitian_defect(name, seed, scale, 
     assert np.array_equal(iso, frobenius_norms((X - adjoint(X))[None], model.tag))
 
 
+def _random_orthos(model, n, rng):
+    """Orthos of n random points: unit lifts on SO(n, 2), chart points moved by one element otherwise."""
+    if not model.is_lagrangian:
+        return np.stack([random_ein_point(model, rng).ortho for _ in range(n)])
+    F = _graph_frames(model, hermitian_draw(model.tag, (n, model.rank, model.rank), rng))
+    return np.linalg.qr(product(random_element(model, rng).g, F, model.tag))[0]
+
+
+def _assert_broadcasts(model, X, Y):
+    # the pairwise-broadcast diagonal is the stacked form, and one point broadcasts as its stacked copies
+    k = np.arange(len(X))
+    assert np.array_equal(_pairings(model, X[:, None], Y[None])[k, k], _pairings(model, X, Y))
+    assert np.array_equal(transversality_margins(model, X[0], Y),
+                          transversality_margins(model, np.broadcast_to(X[0], Y.shape), Y))
+
+
 @pytest.mark.parametrize("name", ["so22", "so32", "so42"])
 def test_so_margins_are_the_absolute_pairings(name):
     model = model_preset(name)
     rng = np.random.default_rng(4)
-    X, Y = (np.stack([random_ein_point(model, rng).ortho for _ in range(200)]) for _ in range(2))
+    X, Y = _random_orthos(model, 200, rng), _random_orthos(model, 200, rng)
     assert np.array_equal(transversality_margins(model, X, Y), np.abs(_pairings(model, X, Y)))
-    assert np.array_equal(_pairings(model, X[:, None], Y[None]).diagonal(), _pairings(model, X, Y))
+    _assert_broadcasts(model, X, Y)
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
+def test_lagrangian_margins_are_the_side_by_side_dets(name):
+    # for orthonormal isotropic X, [X, JX] is unitary, so |det X^H J Y| is |det [X, Y]| of the two
+    # frames side by side (the former margin; its square root over H)
+    model = model_preset(name)
+    rng = np.random.default_rng(4)
+    X, Y = _random_orthos(model, 200, rng), _random_orthos(model, 200, rng)
+    side_by_side = np.abs(np.linalg.det(np.concatenate([X, Y], axis=-1)))
+    old = np.sqrt(side_by_side) if model.tag == "H" else side_by_side
+    assert np.allclose(transversality_margins(model, X, Y), old, rtol=1e-12, atol=0)
+    _assert_broadcasts(model, X, Y)
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
+def test_pairs_just_above_the_band_standardize(name):
+    # P = A^H J C has singular values at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair,
+    # and standardize_pair needs no pairing condition guard: chart points whose difference has one
+    # small eigenvalue, moved by one element, with margins in (TRANSVERSALITY_TOL, 10 TRANSVERSALITY_TOL]
+    model = model_preset(name)
+    rng = np.random.default_rng(11)
+    eye = embed_real(np.eye(model.rank), model.tag)
+    done = 0
+    while done < 40:
+        X, W = (random_hermitian(model, rng) for _ in range(2))
+        W = W - np.min(np.linalg.eigvalsh(W)) * eye
+        g = random_element(model, rng)
+        pair = lambda eps: (act(g, chart_point(model, X)), act(g, chart_point(model, X + W + eps * eye)))
+        m0 = transversality_margin(*pair(1e-4))
+        a, c = pair(1e-4 * 10.0 ** rng.uniform(-8.9, -8.1) / m0)
+        margin = transversality_margin(a, c)
+        if not TRANSVERSALITY_TOL < margin <= 10 * TRANSVERSALITY_TOL:
+            continue
+        done += 1
+        assert np.linalg.cond(_pairings(model, a.ortho, c.ortho)) * margin <= 1.0 + 1e-9
+        try:
+            standardize_pair(a, c)
+        except IllConditioned as e:  # a pair may be refused for its result, never for its pairing's condition
+            assert "pairing condition" not in str(e)
