@@ -39,13 +39,15 @@ from .groups import (
 )
 from .causal import _random_hermitian, causal_hull
 from .einstein import random_ein_point
-from .kmat import _chi, embed_real, norm, product
+from .kmat import _chi, adjoint, embed_real, norm, product
 from .linalg import frobenius_norms
 from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
 from .scalars import COMPLEX, QUATERNION, REAL
 from .shilov import (
     ShilovPoint,
+    _form_rows,
     _guard,
+    _margins,
     _projectors,
     _quat_frame_from_embedded,
     _view,
@@ -68,6 +70,7 @@ CORE_HULL_CAP = 150  # orbit points the convex core's hull is built on
 EXCLUSION_REASONS = ("no_gap", "no_convergence", "residual", "near", "margin")
 _NO_GAP, _NO_CONVERGENCE, _RESIDUAL, _NEAR, _MARGIN = range(len(EXCLUSION_REASONS))
 _UNDERFLOW = len(EXCLUSION_REASONS)  # an eigenvalue modulus below 1e-300; counted as no_convergence
+_NEAR_PREFILTER = (2e-6) ** 2  # squared projector distance below which the dedup takes the exact norm
 PINGPONG_HALF_WIDTH = 0.36  # must sit in (arctan(1/3) complement bound, pi/8); see certificate
 PINGPONG_SCAN = 128  # sampled angles per letter in the ping-pong contraction scan
 
@@ -571,6 +574,48 @@ class LimitSample:
         return len(self.points)
 
 
+def _dedup(model: GroupModel, orthos, margin_floor) -> np.ndarray:
+    """The greedy keep/merge scan of sample_limit_set over a stack of orthos, in stack order.
+
+    Returns the verdict on each point: -1 where it is kept, _NEAR where its
+    projector is within 1e-6 of a point kept before it (frobenius_norms of
+    the difference, tag COMPLEX), else _MARGIN where its transversality
+    margin to one is at most margin_floor.  The kept orthos sit side by
+    side as the columns of one buffer, so one GEMM of a point's rows
+    [X^H; X^H J] against them gives the overlaps X^H Y and the pairings
+    X^H J Y with every kept Y.  For orthonormal frames
+    |P_X - P_Y|^2 = 2d - 2 |X^H Y|^2, which flags every kept point within
+    2e-6; the projector norm decides on the flagged ones only, and the
+    margins are _margins of the pairings.
+    """
+    Q = orthos if model.is_lagrangian else orthos[..., None]  # lifts as one-column frames
+    n, D, d = Q.shape
+    rows = np.concatenate([adjoint(Q), _form_rows(model, Q)], axis=-2)
+    cols = np.empty((D, n * d), Q.dtype)
+    # the real components of one kept point's overlap block; summed by a matvec, which beats a short-row sum
+    ones = np.ones(2 * d if Q.dtype == complex else d)
+    projectors = _projectors(model, orthos)
+    verdicts = np.full(n, -1)
+    kept = np.empty(n, dtype=int)
+    k = 0
+    for i in range(n):
+        if k:
+            G = rows[i] @ cols[:, :k * d]
+            overlaps = G[:d].view(float) if Q.dtype == complex else G[:d]
+            dist2 = 2.0 * d - 2.0 * (np.square(overlaps).sum(axis=0).reshape(k, -1) @ ones)
+            close = kept[:k][dist2 < _NEAR_PREFILTER]
+            if len(close) and (frobenius_norms(projectors[close] - projectors[i], COMPLEX) < 1e-6).any():
+                verdicts[i] = _NEAR
+                continue
+            if (_margins(model, np.swapaxes(G[d:].reshape(d, k, d), 0, 1)) <= margin_floor).any():
+                verdicts[i] = _MARGIN
+                continue
+        cols[:, k * d:(k + 1) * d] = Q[i]
+        kept[k] = i
+        k += 1
+    return verdicts
+
+
 def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed=0,
                      margin_floor=1e-6) -> LimitSample:
     """Attracting points of seed-sampled words, deduplicated by separation.
@@ -578,15 +623,17 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     Up to per_length_cap words per length from 3 on are drawn (a max_len
     below 3 draws none and raises TooFewPoints), and their attracting
     points come from one stacked power iteration
-    (_attracting_frames); the converged ones are guarded, orthonormalized
-    and projected in one stacked pass, and only the kept points become
-    ShilovPoint objects.  In candidate order, a point is kept only when it
-    is at least 1e-6 away in frame distance (ShilovPoint.distance: chi
-    units on SO*, where that is 1e-6 / sqrt(2) in field units) and more
+    (_attracting_frames); the converged ones are guarded and
+    orthonormalized in one stacked pass, and only the kept points become
+    ShilovPoint objects.  In candidate order (_dedup), a point is kept only
+    when it is at least 1e-6 away in frame distance (ShilovPoint.distance:
+    chi units on SO*, where that is 1e-6 / sqrt(2) in field units) and more
     than margin_floor away in transversality margin from every point kept
     before it; the second clause merges boundary points so close that
     downstream triple computations would sit inside the tolerance band
-    anyway.  excluded counts the dropped words by reason
+    anyway.  Each candidate costs one GEMM against the kept points, and
+    the distance is the projector norm wherever the GEMM's overlaps put a
+    kept point within 2e-6.  excluded counts the dropped words by reason
     (EXCLUSION_REASONS; a word both near and under the margin counts as
     near); with the kept points they add up to the words drawn.
     """
@@ -607,19 +654,8 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     Z, res, reason = _attracting_frames(model, ball.stack[chosen], seed)
     live = np.flatnonzero(reason < 0)
     frames, orthos = _limit_frames(model, Z[live])
-    projectors = _projectors(model, orthos)
-    # the kept points' projectors and orthos, in keeping order
-    kept_P, kept_Q = np.empty_like(projectors), np.empty_like(orthos)
-    kept = []
-    for i, c in enumerate(live):
-        k = len(kept)
-        if (frobenius_norms(kept_P[:k] - projectors[i], COMPLEX) < 1e-6).any():
-            reason[c] = _NEAR
-        elif (transversality_margins(model, orthos[i], kept_Q[:k]) <= margin_floor).any():
-            reason[c] = _MARGIN
-        else:
-            kept_P[k], kept_Q[k] = projectors[i], orthos[i]
-            kept.append(i)
+    reason[live] = _dedup(model, orthos, margin_floor)
+    kept = np.flatnonzero(reason[live] < 0)
     points = [_view(model, frames[i], orthos[i]) for i in kept]
     words = [ball.words[chosen[c]] for c in live[kept]]
     residuals = [float(res[c]) for c in live[kept]]

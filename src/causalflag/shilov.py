@@ -254,10 +254,27 @@ def transversality_margins(model: GroupModel, X, Y) -> np.ndarray:
     return _margins(model, _pairings(model, X, Y))
 
 
+@functools.cache
+def _form_permutation(model: GroupModel):
+    """(perm, sign) with form()[:, j] = sign[j] e_perm[j]: every embedded form has one +-1 per column.
+
+    So M @ form() is M[..., perm] * sign, bit for bit up to signed zeros.
+    """
+    F = model.form()
+    perm = np.argmax(np.abs(F), axis=0)
+    return perm, F[perm, np.arange(len(perm))].real
+
+
+def _form_rows(model: GroupModel, X) -> np.ndarray:
+    """X^H J of a stack of embedded frames (lifts as (..., n+2, 1) columns), by the form's signed permutation."""
+    perm, sign = _form_permutation(model)
+    return adjoint(X)[..., perm] * sign
+
+
 def _pairings(model: GroupModel, X, Y) -> np.ndarray:
     """The form pairing of each pair of broadcast stacks: X^H J Y (..., d, d) of frames, b(x, y) of lifts (..., n+2)."""
     if model.is_lagrangian:
-        return adjoint(X) @ model.form() @ Y
+        return _form_rows(model, X) @ Y
     return ((X @ model.form())[..., None, :] @ Y[..., :, None])[..., 0, 0]
 
 
@@ -407,12 +424,25 @@ def _act_frames(model: GroupModel, G, frames):
     return E, _guard(model, E)
 
 
+def _keeping_form(elem: GroupElement, at: str) -> GroupElement:
+    """A standardizing element, exact in theory; IllConditioned where roundoff left a form defect above 1e-8."""
+    if not elem.form_defect() <= 1e-8:
+        raise IllConditioned(f"standardization lost the form at {at}")
+    return elem
+
+
 def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
-    """Group element sending the transverse pair (a, c) to (p_plus, p_minus)."""
+    """Group element sending the transverse pair (a, c) to (p_plus, p_minus).
+
+    Raises NotTransverse for a pair in the band, and IllConditioned where the
+    element loses the form: its defect grows like 1 / margin on the
+    Lagrangian families and with the condition of the basis on SO(n, 2).
+    """
     model = a.model
     if c.model != model:
         raise ModelMismatch("points belong to different models")
-    if not transverse(a, c):
+    margin = transversality_margin(a, c)
+    if not margin > TRANSVERSALITY_TOL:
         raise NotTransverse("standardize_pair requires a transverse pair")
     if model.is_lagrangian:
         # orthonormal frames with the spans of a and c: their orthos, over the field
@@ -425,7 +455,7 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
         P = product(product(adjoint(A), model.form(), tag), C, tag)
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
         T = concat([A, product(C, -np.linalg.inv(P), tag)], -1, tag)
-        return GroupElement(model, T, _check=False).inv()
+        return _keeping_form(GroupElement(model, T, _check=False).inv(), f"margin {margin:.3e}")
     b = model.form()
     u = a.frame  # the frames are the unit orthos, so |b(u, c)| > TRANSVERSALITY_TOL
     w = c.frame * (2.0 / _pairings(model, u, c.frame))
@@ -440,8 +470,4 @@ def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     if cond > 1e12:
         raise IllConditioned(f"basis condition number {cond:.3e}")
     S = _standard_basis(model) @ np.linalg.inv(B_pair)
-    elem = GroupElement(model, S, _check=False)
-    if elem.form_defect() > 1e-8:
-        # roundoff grows with cond(B_pair); the element is exact in theory
-        raise IllConditioned(f"standardization lost the form at condition {cond:.3e}")
-    return elem
+    return _keeping_form(GroupElement(model, S, _check=False), f"condition {cond:.3e}")

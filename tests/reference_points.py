@@ -14,11 +14,16 @@ maslov_indices, one eigvalsh of the 3d x 3d Hermitian part of Kashiwara's
 form per triple.  reference_invisible_membership and
 reference_photon_margins are the former two invisibility rules of
 einstein (the membership test and the photon scan), each taking the
-pairings as one matrix product.  They work on
+pairings as one matrix product.  dense_pairings is the Lagrangian form
+pairing as a product with the dense embedded form, and sp2_exact_margin
+the rank-one margin in rational arithmetic.  They work on
 the embedded arrays the library holds (see causalflag.kmat), with the
 quaternionic product kmat.product.  The library's batched paths must
 match them bit for bit.
 """
+
+import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -285,3 +290,19 @@ def reference_photon_margins(model, lifts, pts):
     smallest = np.min(np.abs(vals), axis=0)
     one_sign = np.all(vals < 0, axis=0) | np.all(vals > 0, axis=0)
     return np.where(one_sign, smallest, -smallest)
+
+
+def dense_pairings(model, X, Y):
+    """X^H J Y of broadcast stacks of Lagrangian frames, through the dense embedded form."""
+    return adjoint(X) @ model.form() @ Y
+
+
+def sp2_exact_margin(x, y):
+    """The sp2 margin |det [x, y]| / (|x| |y|) of two real 2-vectors, exact until the one final square root.
+
+    Each float is a rational, so the determinant and the squared norms are
+    exact Fractions; float() and sqrt round once each.
+    """
+    x1, x2, y1, y2 = (Fraction(float(t)) for t in (*x, *y))
+    det = x1 * y2 - x2 * y1
+    return math.sqrt(det * det / ((x1 * x1 + x2 * x2) * (y1 * y1 + y2 * y2)))

@@ -25,7 +25,7 @@ from causalflag.groups import (
     random_lie_element,
     tau_p,
 )
-from causalflag.kmat import norm, product
+from causalflag.kmat import embed_real, norm, product
 from causalflag.reps import (
     EXCLUSION_REASONS,
     GAP_FLOOR,
@@ -351,8 +351,11 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
     """
     model = g.model
     mods = np.sort(np.abs(np.linalg.eigvals(g.g)))[::-1][:: 2 if model.tag == "H" else 1]
-    boundary = model.rank if model.is_lagrangian else 2
-    if 2.0 * max(np.log(mods[boundary - 1]), 0.0) <= GAP_FLOOR:
+    if model.is_lagrangian:
+        gap = 2.0 * max(np.log(mods[model.rank - 1]), 0.0)
+    else:
+        gap = np.log(mods[0]) - np.log(mods[1])
+    if gap <= GAP_FLOOR:
         raise NoGap("no eigenvalue-modulus gap at the boundary rank")
     E = g.g * (1.0 / np.max(np.abs(g.g)))
     if model.is_lagrangian:
@@ -383,6 +386,20 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
     return ReferencePoint(model, Z.real if model.tag == "R" else Z), residual
 
 
+def reference_dedup(points, margin_floor=1e-6):
+    """The per-pair keep/merge scan: -1 for a kept point, else why it was dropped (near first, then margin)."""
+    kept, verdicts = [], []
+    for pt in points:
+        if any(pt.distance(q) < 1e-6 for q in kept):
+            verdicts.append(reps._NEAR)
+        elif any(transversality_margin(pt, q) <= margin_floor for q in kept):
+            verdicts.append(reps._MARGIN)
+        else:
+            verdicts.append(-1)
+            kept.append(pt)
+    return verdicts
+
+
 def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6):
     """Words, residuals, points and exclusion counts of the per-word keep/merge scan."""
     ball = library_ball(rep, max_len)
@@ -393,7 +410,7 @@ def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor
         if len(idx) > per_length_cap:
             idx = np.sort(rng.choice(idx, size=per_length_cap, replace=False))
         chosen.extend(int(i) for i in idx)
-    points, words, residuals = [], [], []
+    settled = []
     excluded = dict.fromkeys(EXCLUSION_REASONS, 0)
     for i in chosen:
         try:
@@ -404,23 +421,20 @@ def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor
         except NonConvergence as err:
             excluded["residual" if "residual" in str(err) else "no_convergence"] += 1
             continue
-        if any(pt.distance(q) < 1e-6 for q in points):
-            excluded["near"] += 1
-            continue
-        if any(transversality_margin(pt, q) <= margin_floor for q in points):
-            excluded["margin"] += 1
-            continue
-        points.append(pt)
-        words.append(ball.words[i])
-        residuals.append(res)
+        settled.append((pt, ball.words[i], res))
+    verdicts = reference_dedup([pt for pt, _, _ in settled], margin_floor)
+    for v in verdicts:
+        if v >= 0:
+            excluded[EXCLUSION_REASONS[v]] += 1
+    points, words, residuals = ([item[k] for item, v in zip(settled, verdicts) if v < 0] for k in range(3))
     return {"words": words, "residuals": residuals, "points": points, "excluded": excluded,
             "drawn": len(chosen)}
 
 
-def check_limit_sample_against_reference(pid, seed):
+def check_limit_sample_against_reference(rep, seed, max_len=None):
     """sample_limit_set equals the per-word scan: words, residuals, points and exclusion counts."""
-    rep = preset(pid)
-    max_len = 4 if rep.relator else 6
+    if max_len is None:
+        max_len = 4 if rep.relator else 6
     sample = sample_limit_set(rep, max_len, seed=seed)
     ref = reference_limit_words(rep, max_len, seed=seed)
     assert sample.words == ref["words"]
@@ -434,14 +448,57 @@ def check_limit_sample_against_reference(pid, seed):
 
 @pytest.mark.parametrize("pid", ["tau0-sp4-f2", "tau0-sostar8-f2", "tau0-sp4-genus2"])
 def test_limit_sample_keeps_the_reference_words(pid):
-    assert len(check_limit_sample_against_reference(pid, 0)) >= 20
-    check_limit_sample_against_reference(pid, 3)
+    assert len(check_limit_sample_against_reference(preset(pid), 0)) >= 20
+    check_limit_sample_against_reference(preset(pid), 3)
 
 
 @pytest.mark.parametrize("pid", ["f2-fuchsian-sl2", "tau0-su22-f2", "genus2-sl2"])
 def test_limit_sample_equals_per_word_reference(pid):
     for seed in (0, 3):
-        check_limit_sample_against_reference(pid, seed)
+        check_limit_sample_against_reference(preset(pid), seed)
+
+
+def _bisect(f, target, lo=0.0, hi=1e-3):
+    """A parameter in [lo, hi] where f, increasing through target there, meets it: 100 halvings."""
+    assert f(lo) < target < f(hi)
+    for _ in range(100):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if f(mid) < target else (lo, mid)
+    return 0.5 * (lo + hi)
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "so22", "so42"])
+def test_dedup_gives_the_per_pair_verdicts_at_both_thresholds(name):
+    # a point, two copies of it at projector distance 1e-6 (1 -+ 1e-9), and two points at margin
+    # margin_floor (1 -+ 1e-9) from it: kept, near, margin (not near, but not transverse), margin, kept
+    model = model_preset(name)
+    rng = np.random.default_rng(8)
+    floor = 1e-6
+    if model.is_lagrangian:
+        X = 0.5 * _random_hermitian(model, rng)
+        H, W = _random_hermitian(model, rng), _random_hermitian(model, rng)
+        eye = embed_real(np.eye(model.rank), model.tag)
+        W = W - np.min(np.linalg.eigvalsh(W)) * eye  # one zero eigenvalue: not transverse to X's point
+        copy, apart = (lambda s: X + s * H), (lambda e: X + W + e * eye)
+    else:
+        X = 0.5 * rng.standard_normal(model.rank)
+        H = rng.standard_normal(model.rank)
+        light = np.zeros(model.rank)
+        light[[0, -1]] = 1.0  # a lightlike chart vector
+        copy, apart = (lambda s: X + s * H), (lambda e: X + light + e * np.eye(model.rank)[0])
+    p = chart_point(model, X)
+    distance = lambda s: p.distance(chart_point(model, copy(s)))
+    margin = lambda e: transversality_margin(p, chart_point(model, apart(e)))
+    points = [p] + [chart_point(model, copy(_bisect(distance, 1e-6 * (1 + t)))) for t in (-1e-9, 1e-9)]
+    points += [chart_point(model, apart(_bisect(margin, floor * (1 + t)))) for t in (-1e-9, 1e-9)]
+    verdicts = reference_dedup(points, floor)
+    assert verdicts == [-1, reps._NEAR, reps._MARGIN, reps._MARGIN, -1]
+    orthos = np.stack([pt.ortho for pt in points])
+    assert reps._dedup(model, orthos, floor).tolist() == verdicts
+    # in another order the first copy is kept, and the point and the second copy are near it
+    swapped = [points[k] for k in (1, 0, 2)]
+    assert reference_dedup(swapped, floor) == [-1, reps._NEAR, reps._NEAR]
+    assert reps._dedup(model, orthos[[1, 0, 2]], floor).tolist() == [-1, reps._NEAR, reps._NEAR]
 
 
 def _so22_element(A, B):
@@ -468,6 +525,14 @@ def _so22_rep(pairs):
 
 SCHOTTKY = reps._free_pair_sl2()  # diag(3, 1/3) and its pi/4 rotation
 DRAWN_L6 = 36 + 3 * 100  # the words sample_limit_set draws from a free pair at max_len 6
+
+
+@pytest.mark.parametrize("twist", [np.eye(2), np.diag([1.0, -1.0])], ids=["diagonal", "twisted"])
+def test_so22_limit_sample_equals_per_word_reference(twist):
+    # the SO(2, 2) groups (A, A) and (A, sAs): the dedup's lifts, against the per-word scan
+    rep = _so22_rep({k: (A, twist @ A @ twist) for k, A in SCHOTTKY.items()})
+    for seed in (0, 3):
+        assert len(check_limit_sample_against_reference(rep, seed)) >= 20
 
 
 def _reports(rep, max_len):

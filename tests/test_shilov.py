@@ -11,15 +11,19 @@ from causalflag.kmat import _chi, _parts, adjoint, draw, embed_real, hermitian_d
 from causalflag.linalg import HERMITIAN_TOL, frobenius_norms
 from reference_points import (
     ReferencePoint,
+    dense_pairings,
     reference_act,
     reference_chart_coordinates,
     reference_standardize_pair,
+    sp2_exact_margin,
 )
 from causalflag.shilov import (
     ISOTROPY_TOL,
     TRANSVERSALITY_TOL,
     ShilovPoint,
+    _form_permutation,
     _graph_frames,
+    _guard,
     _pairings,
     act,
     act_stack,
@@ -421,22 +425,26 @@ def test_lagrangian_margins_are_the_side_by_side_dets(name):
     _assert_broadcasts(model, X, Y)
 
 
+def _pair_near_the_band(model, rng, log_margins):
+    """Chart points whose difference has one small eigenvalue, moved by one element, at a margin drawn log-uniform."""
+    eye = embed_real(np.eye(model.rank), model.tag)
+    X, W = (random_hermitian(model, rng) for _ in range(2))
+    W = W - np.min(np.linalg.eigvalsh(W)) * eye
+    g = random_element(model, rng)
+    pair = lambda eps: (act(g, chart_point(model, X)), act(g, chart_point(model, X + W + eps * eye)))
+    m0 = transversality_margin(*pair(1e-4))
+    return pair(1e-4 * 10.0 ** rng.uniform(*log_margins) / m0)
+
+
 @pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
 def test_pairs_just_above_the_band_standardize(name):
     # P = A^H J C has singular values at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair,
-    # and standardize_pair needs no pairing condition guard: chart points whose difference has one
-    # small eigenvalue, moved by one element, with margins in (TRANSVERSALITY_TOL, 10 TRANSVERSALITY_TOL]
+    # and standardize_pair needs no pairing condition guard: margins in (TRANSVERSALITY_TOL, 10 TRANSVERSALITY_TOL]
     model = model_preset(name)
     rng = np.random.default_rng(11)
-    eye = embed_real(np.eye(model.rank), model.tag)
     done = 0
     while done < 40:
-        X, W = (random_hermitian(model, rng) for _ in range(2))
-        W = W - np.min(np.linalg.eigvalsh(W)) * eye
-        g = random_element(model, rng)
-        pair = lambda eps: (act(g, chart_point(model, X)), act(g, chart_point(model, X + W + eps * eye)))
-        m0 = transversality_margin(*pair(1e-4))
-        a, c = pair(1e-4 * 10.0 ** rng.uniform(-8.9, -8.1) / m0)
+        a, c = _pair_near_the_band(model, rng, (-8.9, -8.1))
         margin = transversality_margin(a, c)
         if not TRANSVERSALITY_TOL < margin <= 10 * TRANSVERSALITY_TOL:
             continue
@@ -446,3 +454,67 @@ def test_pairs_just_above_the_band_standardize(name):
             standardize_pair(a, c)
         except IllConditioned as e:  # a pair may be refused for its result, never for its pairing's condition
             assert "pairing condition" not in str(e)
+
+
+@pytest.mark.parametrize("name", ["su22", "sostar8"])
+def test_standardization_near_the_band_fails_closed(name):
+    # at margins about 1e-8 the element's form defect grows past 1e-8 (up to 0.88 on su22 and 1.5 on
+    # sostar8 without the check): every pair standardizes within the form or raises
+    model = model_preset(name)
+    rng = np.random.default_rng(11)
+    refused = 0
+    for _ in range(20):
+        a, c = _pair_near_the_band(model, rng, (-8.0, -8.0))
+        try:
+            S = standardize_pair(a, c)
+        except IllConditioned as e:
+            assert str(e).startswith("standardization lost the form at margin")
+            refused += 1
+        else:
+            assert S.form_defect() <= 1e-8
+    assert refused >= 10
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8", "so22", "so32", "so42"])
+def test_form_is_a_signed_permutation(name):
+    model = model_preset(name)
+    perm, sign = _form_permutation(model)
+    rng = np.random.default_rng(2)
+    shape = (40, 3, model.form().shape[0])
+    X = rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    if model.tag != "R":
+        X = X + 1j * rng.standard_normal(shape) * 10.0 ** rng.integers(-150, 150, shape)
+    assert np.array_equal(X @ model.form(), X[..., perm] * sign)
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8"])
+def test_lagrangian_pairings_equal_the_dense_product(name):
+    model = model_preset(name)
+    rng = np.random.default_rng(3)
+    X, Y = _random_orthos(model, 300, rng), _random_orthos(model, 300, rng)
+    assert np.array_equal(_pairings(model, X, Y), dense_pairings(model, X, Y))
+    assert np.array_equal(_pairings(model, X[:, None], Y[None]), dense_pairings(model, X[:, None], Y[None]))
+    assert np.array_equal(_pairings(model, X[0], Y), dense_pairings(model, X[0], Y))
+
+
+def test_sp2_margins_against_rational_determinants():
+    # the margin of two rational frames, exact but for one rounding, on pairs at the band edge
+    # TRANSVERSALITY_TOL, at margin_floor 1e-6 and far from both: normalizing a frame costs a few ulp
+    # absolute, 1e-10 relative where the margin is 1e-5 or more; a pair 1e-5 relative off the band
+    # edge gets the exact verdict
+    model = model_preset("sp2")
+    rng = np.random.default_rng(6)
+    eps = np.finfo(float).eps
+    for target in (TRANSVERSALITY_TOL, 1e-6, 1e-5, 1e-2, 0.7):
+        t = rng.uniform(0.0, np.pi, 100)
+        turn = target * (1.0 + rng.choice([-1e-5, 1e-5], 100)) * rng.choice([-1.0, 1.0], 100)
+        x = 10.0 ** rng.uniform(-3, 3, (100, 1)) * np.stack([np.cos(t), np.sin(t)], axis=1)
+        y = 10.0 ** rng.uniform(-3, 3, (100, 1)) * np.stack([np.cos(t + turn), np.sin(t + turn)], axis=1)
+        margins = transversality_margins(model, *(_guard(model, v[..., None]) for v in (x, y)))
+        exact = np.array([sp2_exact_margin(p, q) for p, q in zip(x, y)])
+        assert np.all(np.abs(margins - exact) <= 1e-10 * exact + 4 * eps)
+        if target >= 1e-5:
+            assert np.all(np.abs(margins - exact) <= 1e-10 * exact)
+        if target == TRANSVERSALITY_TOL:
+            assert np.array_equal(margins > TRANSVERSALITY_TOL, exact > TRANSVERSALITY_TOL)
+            assert 20 < np.sum(exact > TRANSVERSALITY_TOL) < 80
