@@ -434,9 +434,9 @@ def _keeping_form(elem: GroupElement, at: str) -> GroupElement:
 def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
     """Group element sending the transverse pair (a, c) to (p_plus, p_minus).
 
-    Raises NotTransverse for a pair in the band, and IllConditioned where the
-    element loses the form: its defect grows like 1 / margin on the
-    Lagrangian families and with the condition of the basis on SO(n, 2).
+    Raises NotTransverse for a pair in the band, and IllConditioned where
+    roundoff leaves the element a form defect above 1e-8; the defect grows
+    as the pair nears the band (on SO(n, 2), with the basis's condition).
     """
     model = a.model
     if c.model != model:

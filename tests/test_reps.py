@@ -431,10 +431,9 @@ def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor
             "drawn": len(chosen)}
 
 
-def check_limit_sample_against_reference(rep, seed, max_len=None):
+def check_limit_sample_against_reference(rep, seed):
     """sample_limit_set equals the per-word scan: words, residuals, points and exclusion counts."""
-    if max_len is None:
-        max_len = 4 if rep.relator else 6
+    max_len = 4 if rep.relator else 6
     sample = sample_limit_set(rep, max_len, seed=seed)
     ref = reference_limit_words(rep, max_len, seed=seed)
     assert sample.words == ref["words"]
