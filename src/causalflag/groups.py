@@ -178,10 +178,10 @@ class GroupElement:
         return cls(model, E)
 
 
-def form_defect(model: GroupModel, g) -> float:
-    """|g^H F g - F| / |F| for an embedded matrix g (norms in the field's units)."""
+def form_defect(model: GroupModel, g):
+    """|g^H F g - F| / |F| of an embedded matrix g, or of each of a stack (norms in the field's units)."""
     F, tag = model.form(), model.tag
-    return norm(product(product(adjoint(g), F, tag), g, tag) - F, tag) / norm(F, tag)
+    return frobenius_norms(product(product(adjoint(g), F, tag), g, tag) - F, tag) / norm(F, tag)
 
 
 # ---------------------------------------------------------------- projections

@@ -126,9 +126,3 @@ def eig_moduli(E, tag):
         vals = vals[..., ::2]
     return vals
 
-
-def null_space(A):
-    """Orthonormal basis (columns) of ker A; singular values up to eps * max(A.shape) * s_max count as zero."""
-    _, s, vh = np.linalg.svd(A, full_matrices=True)
-    rank = int(np.sum(s > np.max(s, initial=0.0) * np.finfo(float).eps * max(A.shape)))
-    return vh[rank:].conj().T

@@ -22,9 +22,9 @@ from .errors import (
     NotInChart,
     NotTransverse,
 )
-from .groups import GroupElement, GroupModel, _levi_index
+from .groups import GroupElement, GroupModel, _levi_index, form_defect
 from .kmat import _chi, _parts, adjoint, as_embedded, concat, embed_real, from_json, product, to_json
-from .linalg import check_hermitian, frobenius_norms, null_space
+from .linalg import check_hermitian, frobenius_norms
 from .scalars import COMPLEX, QUATERNION, REAL
 
 ISOTROPY_TOL = 1e-8
@@ -87,10 +87,9 @@ def _guard(model: GroupModel, E):
 
     Raises NonFiniteInput for a non-finite entry or an SO(n, 2) vector whose
     norm overflows, without a floating point warning, then InvalidFrame for a
-    zero vector or an isotropy defect on SO(n, 2), or for a rank-deficient
-    frame (read off the R factors of one batched QR), as a loop over the
-    points would raise.  The orthos are the QR's Q factors, and the unit
-    vectors on SO(n, 2).
+    zero vector on SO(n, 2), or for a rank-deficient frame (read off the R
+    factors of one batched QR), as a loop over the points would raise.  The
+    orthos are the QR's Q factors, and the unit vectors on SO(n, 2).
     """
     kind = "frame" if model.is_lagrangian else "vector"
     _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
@@ -98,12 +97,8 @@ def _guard(model: GroupModel, E):
     if not model.is_lagrangian:
         with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
             nv = frobenius_norms(E[..., None], model.tag)
-            iso = np.abs(_pairings(model, E, E))
-        _raise_first([
-            (np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
-            (nv >= 1e-12, lambda k: InvalidFrame("zero vector")),
-            (iso <= ISOTROPY_TOL * nv**2, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}")),
-        ])
+        _raise_first([(np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
+                      (nv >= 1e-12, lambda k: InvalidFrame("zero vector"))])
         return E / nv[:, None]
     # complex on every Lagrangian family: the margins, projectors and indices read complex orthos
     Q, R = np.linalg.qr(E.astype(complex, copy=False))
@@ -114,13 +109,17 @@ def _guard(model: GroupModel, E):
 
 
 def _check_isotropy(model: GroupModel, E):
-    """Raise InvalidFrame for the first frame of an embedded stack that is not isotropic.
+    """Raise InvalidFrame for the first frame (lift on SO(n, 2)) of an embedded stack that is not isotropic.
 
-    A frame E is isotropic when |E^H F E| is at most ISOTROPY_TOL * max(1, |E|^2).
+    A frame E is isotropic when |E^H F E| is at most ISOTROPY_TOL * max(1, |E|^2),
+    a lift v when |b(v, v)| is at most ISOTROPY_TOL * |v|^2.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect fails the check
-        iso = frobenius_norms(_pairings(model, E, E), model.tag)
-        scale = np.maximum(1.0, frobenius_norms(E, model.tag) ** 2)
+        if model.is_lagrangian:
+            iso = frobenius_norms(_pairings(model, E, E), model.tag)
+            scale = np.maximum(1.0, frobenius_norms(E, model.tag) ** 2)
+        else:
+            iso, scale = np.abs(_pairings(model, E, E)), frobenius_norms(E[..., None], model.tag) ** 2
     _raise_first([(iso <= ISOTROPY_TOL * scale, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}"))])
 
 
@@ -136,11 +135,11 @@ class ShilovPoint:
 
     A Lagrangian frame is given as an embedded array (see kmat), which
     the point holds.  Construction runs the
-    stacked point guards (_guard) on a batch of one; a Lagrangian frame
+    stacked point guards (_guard) on a batch of one; the frame (vector)
     must also be isotropic for the model's form.  The points of act,
     chart_point and the limit samplers are views of guarded stacks (_view)
     and skip that isotropy check: their frames are images of points, or
-    attracting subspaces, of form-preserving elements, or Hermitian graphs.
+    attracting subspaces, of form-preserving elements, or chart graphs and lifts.
     """
 
     __slots__ = ("model", "frame", "_ortho")
@@ -161,6 +160,7 @@ class ShilovPoint:
             if v.shape != (model.dim,):
                 raise InvalidFrame(f"expected a vector of length {model.dim}")
             self.frame = self._ortho = _guard(model, v[None])[0]
+            _check_isotropy(model, v[None])  # past the guard, v is finite, nonzero and its norm finite
 
     @property
     def ortho(self):
@@ -414,8 +414,8 @@ def _act_frames(model: GroupModel, G, frames):
     G and frames broadcast over their stacks.  Each image frame is
     kmat.product of its element and frame (the unit lift on SO(n, 2)),
     and its ortho comes from the point guards (_guard) run on the whole
-    stack; the Lagrangian isotropy check does not run, since the action
-    preserves the form.
+    stack; the isotropy check does not run, since the action preserves the
+    form (a short image of a long element rounds far above its bound).
     """
     if not model.is_lagrangian:
         V = _guard(model, (G @ frames[..., None])[..., 0])
@@ -424,50 +424,55 @@ def _act_frames(model: GroupModel, G, frames):
     return E, _guard(model, E)
 
 
-def _keeping_form(elem: GroupElement, at: str) -> GroupElement:
-    """A standardizing element, exact in theory; IllConditioned where roundoff left a form defect above 1e-8."""
-    if not elem.form_defect() <= 1e-8:
-        raise IllConditioned(f"standardization lost the form at {at}")
-    return elem
-
-
 def standardize_pair(a: ShilovPoint, c: ShilovPoint) -> GroupElement:
-    """Group element sending the transverse pair (a, c) to (p_plus, p_minus).
-
-    Raises NotTransverse for a pair in the band, and IllConditioned where
-    roundoff leaves the element a form defect above 1e-8; the defect grows
-    as the pair nears the band (on SO(n, 2), with the basis's condition).
-    """
-    model = a.model
-    if c.model != model:
+    """Element sending a transverse pair (a, c) to (p_plus, p_minus), or raising: _standardize_stack of one."""
+    if c.model != a.model:
         raise ModelMismatch("points belong to different models")
-    margin = transversality_margin(a, c)
-    if not margin > TRANSVERSALITY_TOL:
-        raise NotTransverse("standardize_pair requires a transverse pair")
+    return GroupElement(a.model, _standardize_stack(a.model, a.ortho[None], c.ortho[None])[0], _check=False)
+
+
+def _standardize_stack(model: GroupModel, A, C):
+    """The elements (N, D, D) sending pairs of orthos (unit lifts on SO(n, 2)) to (p_plus, p_minus).
+
+    Lagrangian: T^{-1} = J^H T^H J for T = [A, -C P^{-1}], A and C orthonormal
+    over the field, P = A^H J C.  SO(n, 2): with c's lift w scaled to
+    b(u, w) = 2, the Gram M = b - (bu (bw)^T + bw (bu)^T) / 2 of the
+    b-projected unit vectors has one negative eigenvalue, two zeros and n - 1
+    positives, in order; an eigenpair (l, q), l != 0, gives the complement
+    vector sign(l) sqrt|l| b q, whose row of G_0^{-1} B^T b is sqrt|l| q^T,
+    and S = S_0 G_0^{-1} B^T b for B = [u, complement, w] and the standard
+    basis S_0 with Gram G_0.  Raises NotTransverse (margin not above
+    TRANSVERSALITY_TOL), then IllConditioned where roundoff leaves a form
+    defect above 1e-8 or an image of the pair more than 1e-8 from the base
+    pair, as a loop over the pairs would.
+    """
+    margins = transversality_margins(model, A, C)
+    ok = margins > TRANSVERSALITY_TOL
+    A, C, F, tag = A[ok], C[ok], model.form(), model.tag
     if model.is_lagrangian:
-        # orthonormal frames with the spans of a and c: their orthos, over the field
-        tag = model.tag
-        if tag == QUATERNION:
-            A, C = _chi(*_quat_frame_from_embedded(np.stack([a.ortho, c.ortho])))
-        else:
-            A, C = (x.ortho.real if tag == REAL else x.ortho for x in (a, c))
-        # P's singular values are at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair
-        P = product(product(adjoint(A), model.form(), tag), C, tag)
+        if tag == QUATERNION:  # orthonormal frames over the field with the spans of the orthos
+            A, C = np.split(_chi(*_quat_frame_from_embedded(np.concatenate([A, C]))), 2)
+        elif tag == REAL:
+            A, C = A.real, C.real
+        # P's singular values are at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair;
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
+        P = product(product(adjoint(A), F, tag), C, tag)
         T = concat([A, product(C, -np.linalg.inv(P), tag)], -1, tag)
-        return _keeping_form(GroupElement(model, T, _check=False).inv(), f"margin {margin:.3e}")
-    b = model.form()
-    u = a.frame  # the frames are the unit orthos, so |b(u, c)| > TRANSVERSALITY_TOL
-    w = c.frame * (2.0 / _pairings(model, u, c.frame))
-    # b-orthogonal complement of span(u, w), with its (n-1, 1) Gram diagonalized
-    N = null_space(np.vstack([u @ b, w @ b]))
-    G = N.T @ b @ N
-    vals, vecs = np.linalg.eigh(G)
-    order = np.argsort(-vals)  # positives first, the single negative last
-    cols = [N @ vecs[:, k] / np.sqrt(abs(vals[k])) for k in order]
-    B_pair = np.column_stack([u] + cols + [w])
-    cond = np.linalg.cond(B_pair)
-    if cond > 1e12:
-        raise IllConditioned(f"basis condition number {cond:.3e}")
-    S = _standard_basis(model) @ np.linalg.inv(B_pair)
-    return _keeping_form(GroupElement(model, S, _check=False), f"condition {cond:.3e}")
+        G = adjoint(_form_rows(model, _form_rows(model, T)))
+    else:
+        s = np.diagonal(F)
+        bu, bw = A * s, C * s * (2.0 / _pairings(model, A, C))[:, None]
+        vals, Q = np.linalg.eigh(np.diag(s) - 0.5 * (bu[:, :, None] * bw[:, None] + bw[:, :, None] * bu[:, None]))
+        rows = np.sqrt(np.abs(vals))[:, :, None] * np.swapaxes(Q, 1, 2)
+        G = _standard_basis(model) @ np.concatenate([0.5 * bw[:, None], rows[:, 3:], rows[:, :1], 0.5 * bu[:, None]], 1)
+    images = np.split(_act_frames(model, np.concatenate([G, G]), np.concatenate([A, C]))[1], 2)
+    S, defect, miss = np.zeros((len(ok),) + F.shape, F.dtype), np.zeros(len(ok)), np.zeros(len(ok))
+    S[ok], defect[ok] = G, form_defect(model, G)
+    miss[ok] = np.maximum(*(frobenius_norms(_projectors(model, Y) - p.projector(), COMPLEX)
+                            for Y, p in zip(images, base_points(model))))
+    _raise_first([
+        (ok, lambda k: NotTransverse("standardize_pair requires a transverse pair")),
+        (~ok | (defect <= 1e-8), lambda k: IllConditioned(f"standardization lost the form at margin {margins[k]:.3e}")),
+        (~ok | (miss <= 1e-8), lambda k: IllConditioned(f"standardization missed the pair at margin {margins[k]:.3e}")),
+    ])
+    return S

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from causalflag.causal import ChartedChart
 from causalflag.einstein import random_ein_point
 from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
@@ -25,6 +26,7 @@ from causalflag.shilov import (
     _graph_frames,
     _guard,
     _pairings,
+    _standardize_stack,
     act,
     act_stack,
     base_points,
@@ -473,6 +475,106 @@ def test_standardization_near_the_band_fails_closed(name):
         else:
             assert S.form_defect() <= 1e-8
     assert refused >= 10
+
+
+def _so_pair_near_the_band(model, rng, log_margin):
+    """Chart points whose difference is nearly lightlike, moved by one element, at about the given log margin."""
+    x, d = rng.standard_normal(model.rank), rng.standard_normal(model.rank)
+    g = random_element(model, rng)
+
+    def pair(eta):  # psi(d) = eta
+        d[-1] = np.sqrt(np.sum(d[:-1] ** 2) - eta)
+        return act(g, chart_point(model, x)), act(g, chart_point(model, x + d))
+
+    d[:-1] *= 2.0 / np.linalg.norm(d[:-1])
+    m0 = transversality_margin(*pair(1e-4))
+    return pair(1e-4 * 10.0 ** log_margin / m0)
+
+
+def _standardizes_or_refuses(a, c):
+    """Whether (a, c) standardizes within the form and onto the base pair; False where it raises IllConditioned."""
+    p_plus, p_minus = base_points(a.model)
+    try:
+        S = standardize_pair(a, c)
+    except IllConditioned:
+        return False
+    assert S.form_defect() <= 1e-8
+    assert act(S, a).distance(p_plus) <= 1e-8 and act(S, c).distance(p_minus) <= 1e-8
+    return True
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
+def test_standardization_near_the_band_reaches_the_pair(name):
+    # at margins 1e-8 to 1e-6 roundoff can leave an element within 1e-8 of the form that sends c up to
+    # 1.2 from p_minus: every pair standardizes onto the base pair or raises IllConditioned, and so does
+    # the chart built on it (never ModelMismatch from the chart's own transporter check)
+    model = model_preset(name)
+    rng = np.random.default_rng(11)
+    for _ in range(20):
+        a, c = _pair_near_the_band(model, rng, (-8.0, -6.0))
+        _standardizes_or_refuses(a, c)
+        try:
+            ChartedChart.at_point(c, a)
+        except IllConditioned:
+            pass
+
+
+@pytest.mark.parametrize("name", ["so22", "so32", "so42"])
+def test_so_standardization_near_the_band_fails_closed(name):
+    model = model_preset(name)
+    rng = np.random.default_rng(12)
+    done = {}
+    for log_margin in (-3.0, -4.0, -5.0, -6.0, -7.0, -8.0):
+        for _ in range(10):
+            a, c = _so_pair_near_the_band(model, rng, log_margin)
+            assert 0.5 * 10.0 ** log_margin < transversality_margin(a, c) < 2.0 * 10.0 ** log_margin
+            done[log_margin] = done.get(log_margin, 0) + _standardizes_or_refuses(a, c)
+    assert done[-3.0] == 10 and done[-8.0] == 0
+
+
+@pytest.mark.parametrize("name", ["sp4", "su22", "sostar8", "sp8", "so22", "so42"])
+def test_stacked_standardization_equals_the_pairs(name):
+    model = model_preset(name)
+    rng = np.random.default_rng(19)
+    pairs = []
+    while len(pairs) < 12:
+        a, c = random_point(model, rng), random_point(model, rng)
+        if transversality_margin(a, c) > 1e-3:
+            pairs.append((a, c))
+    A, C = (np.stack([p[i].ortho for p in pairs]) for i in (0, 1))
+    S = _standardize_stack(model, A, C)
+    for k, (a, c) in enumerate(pairs):
+        assert np.array_equal(S[k], standardize_pair(a, c).g)
+    # a refused row and a non-transverse row: the stack raises for the first, as a loop would
+    near = _pair_near_the_band(model, rng, (-8.0, -8.0)) if model.is_lagrangian else _so_pair_near_the_band(
+        model, rng, -8.0)
+    with pytest.raises(IllConditioned):
+        standardize_pair(*near)
+    for first, error in ((2, IllConditioned), (5, NotTransverse)):
+        A2, C2 = A.copy(), C.copy()
+        A2[first], C2[first] = near[0].ortho, near[1].ortho
+        A2[7 - first] = C2[7 - first]
+        with pytest.raises(error):
+            _standardize_stack(model, A2, C2)
+
+
+def test_act_on_so_n2_keeps_images_of_a_long_element():
+    # a boost of rapidity 9.5 keeps the form within 4.2e-9; the images of lifts near p_minus are short, and
+    # their rounding lies above the isotropy bound 1e-8 |gx|^2, which only points from outside must meet
+    model = model_preset("so22")
+    n, t = model.rank, 9.5
+    g = np.eye(n + 2)
+    g[np.ix_([0, n], [0, n])] = [[np.cosh(t), np.sinh(t)], [np.sinh(t), np.cosh(t)]]
+    boost = GroupElement(model, g)
+    _, p_minus = base_points(model)
+    rng = np.random.default_rng(0)
+    for theta in np.exp(-t) * rng.uniform(0.5, 2.0, 200):
+        x = p_minus.frame.copy()
+        x[[0, 1]] = np.cos(theta) * x[0], np.sin(theta) * x[0]
+        y = act(boost, ShilovPoint(model, x))
+        assert abs(_pairings(model, y.frame, y.frame)) < 1e-6
+    with pytest.raises(InvalidFrame, match="isotropy"):
+        ShilovPoint(model, [1.0, 0.0, 0.0, 0.0])
 
 
 @pytest.mark.parametrize("name", ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8", "so22", "so32", "so42"])
