@@ -71,6 +71,7 @@ EXCLUSION_REASONS = ("no_gap", "no_convergence", "residual", "near", "margin")
 _NO_GAP, _NO_CONVERGENCE, _RESIDUAL, _NEAR, _MARGIN = range(len(EXCLUSION_REASONS))
 _UNDERFLOW = len(EXCLUSION_REASONS)  # an eigenvalue modulus below 1e-300; counted as no_convergence
 _NEAR_PREFILTER = (2e-6) ** 2  # squared projector distance below which the dedup takes the exact norm
+_DEDUP_BLOCK = 16  # candidates the dedup decides per GEMM; a larger block holds a larger GEMM result
 PINGPONG_HALF_WIDTH = 0.36  # must sit in (arctan(1/3) complement bound, pi/8); see certificate
 PINGPONG_SCAN = 128  # sampled angles per letter in the ping-pong contraction scan
 
@@ -580,39 +581,85 @@ def _dedup(model: GroupModel, orthos, margin_floor) -> np.ndarray:
     Returns the verdict on each point: -1 where it is kept, _NEAR where its
     projector is within 1e-6 of a point kept before it (frobenius_norms of
     the difference, tag COMPLEX), else _MARGIN where its transversality
-    margin to one is at most margin_floor.  The kept orthos sit side by
-    side as the columns of one buffer, so one GEMM of a point's rows
-    [X^H; X^H J] against them gives the overlaps X^H Y and the pairings
-    X^H J Y with every kept Y.  For orthonormal frames
-    |P_X - P_Y|^2 = 2d - 2 |X^H Y|^2, which flags every kept point within
-    2e-6; the projector norm decides on the flagged ones only, and the
-    margins are _margins of the pairings.
+    margin to one is at most margin_floor.
+
+    The points are decided in blocks of _DEDUP_BLOCK.  The kept orthos sit
+    side by side as the columns of one buffer, followed by the block's
+    own, so one GEMM of the block's rows [X^H; X^H J] gives the overlaps
+    A = X^H Y and the pairings P = X^H J Y of every pair a block point
+    meets: each point kept before the block, and each block point before
+    it.  For orthonormal frames |P_X - P_Y|^2 = 2d - 2 |A|^2, which flags
+    every pair within 2e-6; the projector norm decides on the flagged ones
+    only.  The margins are _margins of the pairings, skipped where the
+    overlaps clear the floor: [X, JX] is unitary up to the isotropy defect
+    e = |X^H J X| (read off the block's own pairings), so
+    P^H P >= (1 - e) I - A^H A, and the margin, a product of r sines, is at
+    least (1 - e - |A|^2)^(r/2) with |A|^2 in field units; a pair with
+    |A|^2 < 1 - (2 margin_floor)^(2/r) - 1e-9 - e is above the floor.
+    SO(n, 2) lifts take |b| on every pair.  Each point first takes the
+    margin of its largest overlap, and the others only if that one and its
+    projector norms leave it open.  Then the block's points are decided in
+    stack order against the points kept before them, in the block too.
     """
     Q = orthos if model.is_lagrangian else orthos[..., None]  # lifts as one-column frames
     n, D, d = Q.shape
     rows = np.concatenate([adjoint(Q), _form_rows(model, Q)], axis=-2)
     cols = np.empty((D, n * d), Q.dtype)
-    # the real components of one kept point's overlap block; summed by a matvec, which beats a short-row sum
+    # the real components of one overlap block; summed by a matvec, which beats a short-row sum
     ones = np.ones(2 * d if Q.dtype == complex else d)
     projectors = _projectors(model, orthos)
+    if model.is_lagrangian:
+        field = 2.0 if model.tag == QUATERNION else 1.0  # chi doubles |A|^2 over H
+        clear = 1.0 - (2.0 * max(margin_floor, 0.0)) ** (2.0 / model.rank) - 1e-9
+
+    def under_floor(P):
+        return _margins(model, P if model.is_lagrangian else P[:, 0, 0]) <= margin_floor
+
     verdicts = np.full(n, -1)
     kept = np.empty(n, dtype=int)
     k = 0
-    for i in range(n):
-        if k:
-            G = rows[i] @ cols[:, :k * d]
-            overlaps = G[:d].view(float) if Q.dtype == complex else G[:d]
-            dist2 = 2.0 * d - 2.0 * (np.square(overlaps).sum(axis=0).reshape(k, -1) @ ones)
-            close = kept[:k][dist2 < _NEAR_PREFILTER]
-            if len(close) and (frobenius_norms(projectors[close] - projectors[i], COMPLEX) < 1e-6).any():
-                verdicts[i] = _NEAR
-                continue
-            if (_margins(model, np.swapaxes(G[d:].reshape(d, k, d), 0, 1)) <= margin_floor).any():
-                verdicts[i] = _MARGIN
-                continue
-        cols[:, k * d:(k + 1) * d] = Q[i]
-        kept[k] = i
-        k += 1
+    for start in range(0, n, _DEDUP_BLOCK):
+        block = np.arange(start, min(start + _DEDUP_BLOCK, n))
+        b, m = len(block), k + len(block)
+        cols[:, k * d:m * d] = np.swapaxes(Q[block], 0, 1).reshape(D, b * d)
+        G = (rows[block].reshape(2 * b * d, D) @ cols[:, :m * d]).reshape(b, 2 * d, m * d)
+        A = G[:, :d].view(float) if Q.dtype == complex else G[:, :d]
+        overlap = (np.square(A).sum(axis=1).reshape(b * m, -1) @ ones).reshape(b, m)
+        pairings = G[:, d:].reshape(b, d, m, d)
+        met = np.ones((b, m), bool)
+        met[:, k:] = np.tri(b, k=-1, dtype=bool)
+        points = np.concatenate([kept[:k], block])
+        near = np.zeros((b, m), bool)
+        i, j = np.nonzero(met & (2.0 * d - 2.0 * overlap < _NEAR_PREFILTER))
+        near[i, j] = frobenius_norms(projectors[points[j]] - projectors[block[i]], COMPLEX) < 1e-6
+        if model.is_lagrangian:
+            defect = frobenius_norms(pairings[np.arange(b), :, k + np.arange(b)], COMPLEX)
+            met &= overlap / field >= clear - defect[:, None]
+        low = np.zeros((b, m), bool)
+        i = np.flatnonzero(met.any(axis=1))
+        j = np.where(met[i], overlap[i], -1.0).argmax(axis=1)
+        low[i, j] = under_floor(pairings[i, :, j])
+        met[i, j] = False
+        met[near[:, :k].any(axis=1) | low[:, :k].any(axis=1)] = False
+        i, j = np.nonzero(met)
+        low[i, j] = under_floor(pairings[i, :, j])
+        # per block point: near to (under the floor against) a point kept before the block, and the bit
+        # mask of the block points it is near to (under the floor against); keep is the mask of those kept
+        bits = 1 << np.arange(b)
+        near_before, near_in = near[:, :k].any(axis=1).tolist(), (near[:, k:] @ bits).tolist()
+        low_before, low_in = low[:, :k].any(axis=1).tolist(), (low[:, k:] @ bits).tolist()
+        keep = 0
+        for c in range(b):
+            if near_before[c] or near_in[c] & keep:
+                verdicts[block[c]] = _NEAR
+            elif low_before[c] or low_in[c] & keep:
+                verdicts[block[c]] = _MARGIN
+            else:
+                keep |= 1 << c
+        new = block[(keep & bits) > 0]
+        cols[:, k * d:(k + len(new)) * d] = np.swapaxes(Q[new], 0, 1).reshape(D, len(new) * d)
+        kept[k:k + len(new)] = new
+        k += len(new)
     return verdicts
 
 
@@ -631,9 +678,11 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     than margin_floor away in transversality margin from every point kept
     before it; the second clause merges boundary points so close that
     downstream triple computations would sit inside the tolerance band
-    anyway.  Each candidate costs one GEMM against the kept points, and
-    the distance is the projector norm wherever the GEMM's overlaps put a
-    kept point within 2e-6.  excluded counts the dropped words by reason
+    anyway.  The candidates are decided in blocks of _DEDUP_BLOCK, one
+    GEMM each against the kept points and the block's own; the distance is
+    the projector norm wherever the GEMM's overlaps put a pair within 2e-6,
+    and the margin a determinant wherever they cannot clear margin_floor.
+    excluded counts the dropped words by reason
     (EXCLUSION_REASONS; a word both near and under the margin counts as
     near); with the kept points they add up to the words drawn.
     """
@@ -666,16 +715,40 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     return LimitSample(points, word_lengths, residuals, words, excluded)
 
 
+def _distinct_triples(rng, n: int, m: int) -> np.ndarray:
+    """m triples of distinct indices below n (n >= 3), as m calls of rng.choice(n, 3, replace=False) draw them.
+
+    That call runs Floyd's algorithm and then shuffles: it draws u0 <= n - 3,
+    u1 <= n - 2 (n - 2 where it equals u0) and u2 <= n - 1 (n - 1 where it
+    equals either), then swaps position 2 with a position drawn <= 2 and
+    position 1 with one drawn <= 1.  Every draw is a bounded integer of the
+    generator, so one integers call with the five bounds of each triple
+    in turn gives the same stream.
+    """
+    u = rng.integers(0, np.tile([n - 3, n - 2, n - 1, 2, 1], m), endpoint=True).reshape(m, 5)
+    t = u[:, :3].copy()
+    t[t[:, 1] == t[:, 0], 1] = n - 2
+    t[(t[:, 2] == t[:, 0]) | (t[:, 2] == t[:, 1]), 2] = n - 1
+    rows = np.arange(m)
+    for pos, swap in ((2, u[:, 3]), (1, u[:, 4])):
+        t[rows, pos], t[rows, swap] = t[rows, swap], t[rows, pos]
+    return t
+
+
 def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
-    """Random transverse triples from the sample should all have index zero; those in a guard band are skipped."""
+    """Random transverse triples from the sample should all have index zero; those in a guard band are skipped.
+
+    The triples are those of n_triples calls of
+    default_rng(seed).choice(len(sample), 3, replace=False), drawn in one
+    stacked call (_distinct_triples), and one maslov_indices call decides them.
+    """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
     n = len(sample)
     if n < 3:
         raise TooFewPoints(f"need at least 3 limit points, have {n}")
-    rng = np.random.default_rng(seed)
-    triples = np.array([rng.choice(n, size=3, replace=False) for _ in range(n_triples)], dtype=int)
-    Q = np.stack([p.ortho for p in sample.points])[triples.reshape(-1, 3)]
+    triples = _distinct_triples(np.random.default_rng(seed), n, n_triples)
+    Q = np.stack([p.ortho for p in sample.points])[triples]
     idx, margin, valid = maslov_indices(sample.points[0].model, Q[:, 0], Q[:, 1], Q[:, 2])
     margins = margin[valid]
     skipped = np.bincount(_skip_reasons([margin], valid)[~valid], minlength=2)

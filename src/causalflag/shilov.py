@@ -91,15 +91,10 @@ def _guard(model: GroupModel, E):
     factors of one batched QR), as a loop over the points would raise.  The
     orthos are the QR's Q factors, and the unit vectors on SO(n, 2).
     """
-    kind = "frame" if model.is_lagrangian else "vector"
-    _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
-                   lambda k: NonFiniteInput(f"{kind} has a non-finite entry"))])
     if not model.is_lagrangian:
-        with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
-            nv = frobenius_norms(E[..., None], model.tag)
-        _raise_first([(np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
-                      (nv >= 1e-12, lambda k: InvalidFrame("zero vector"))])
-        return E / nv[:, None]
+        return _guard_lifts(model, E)[0]
+    _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
+                   lambda k: NonFiniteInput("frame has a non-finite entry"))])
     # complex on every Lagrangian family: the margins, projectors and indices read complex orthos
     Q, R = np.linalg.qr(E.astype(complex, copy=False))
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
@@ -108,18 +103,29 @@ def _guard(model: GroupModel, E):
     return Q
 
 
-def _check_isotropy(model: GroupModel, E):
+def _guard_lifts(model: GroupModel, E):
+    """_guard on SO(n, 2): the unit vectors of a stack of lifts, and the norms it divided them by."""
+    _raise_first([(np.isfinite(E).all(axis=1), lambda k: NonFiniteInput("vector has a non-finite entry"))])
+    with np.errstate(over="ignore", invalid="ignore"):  # an overflowing norm is named below
+        nv = frobenius_norms(E[..., None], model.tag)
+    _raise_first([(np.isfinite(nv), lambda k: NonFiniteInput("vector overflows")),
+                  (nv >= 1e-12, lambda k: InvalidFrame("zero vector"))])
+    return E / nv[:, None], nv
+
+
+def _check_isotropy(model: GroupModel, E, lift_norms=None):
     """Raise InvalidFrame for the first frame (lift on SO(n, 2)) of an embedded stack that is not isotropic.
 
     A frame E is isotropic when |E^H F E| is at most ISOTROPY_TOL * max(1, |E|^2),
-    a lift v when |b(v, v)| is at most ISOTROPY_TOL * |v|^2.
+    a lift v when |b(v, v)| is at most ISOTROPY_TOL * |v|^2, with |v| from
+    lift_norms, the norms _guard_lifts gave.
     """
     with np.errstate(over="ignore", invalid="ignore"):  # an overflowing defect fails the check
         if model.is_lagrangian:
             iso = frobenius_norms(_pairings(model, E, E), model.tag)
             scale = np.maximum(1.0, frobenius_norms(E, model.tag) ** 2)
         else:
-            iso, scale = np.abs(_pairings(model, E, E)), frobenius_norms(E[..., None], model.tag) ** 2
+            iso, scale = np.abs(_pairings(model, E, E)), lift_norms ** 2
     _raise_first([(iso <= ISOTROPY_TOL * scale, lambda k: InvalidFrame(f"isotropy defect {iso[k]:.3e}"))])
 
 
@@ -159,8 +165,9 @@ class ShilovPoint:
             v = np.ascontiguousarray(frame, dtype=float).reshape(-1)
             if v.shape != (model.dim,):
                 raise InvalidFrame(f"expected a vector of length {model.dim}")
-            self.frame = self._ortho = _guard(model, v[None])[0]
-            _check_isotropy(model, v[None])  # past the guard, v is finite, nonzero and its norm finite
+            units, norms = _guard_lifts(model, v[None])
+            self.frame = self._ortho = units[0]
+            _check_isotropy(model, v[None], norms)  # past the guard, v is finite, nonzero and its norm finite
 
     @property
     def ortho(self):

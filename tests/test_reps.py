@@ -500,6 +500,54 @@ def test_dedup_gives_the_per_pair_verdicts_at_both_thresholds(name):
     assert reps._dedup(model, orthos[[1, 0, 2]], floor).tolist() == [-1, reps._NEAR, reps._NEAR]
 
 
+def _margin_curve(model, rng, X):
+    """Chart coordinates apart(e) whose margin to the point of X rises from 0 at e = 0."""
+    if model.is_lagrangian:
+        eye = embed_real(np.eye(model.rank), model.tag)
+        W = _random_hermitian(model, rng)
+        W = W - np.min(np.linalg.eigvalsh(W)) * eye  # one zero eigenvalue: not transverse at e = 0
+        return lambda e: X + W + e * eye
+    light = np.zeros(model.rank)
+    light[[0, -1]] = 1.0  # a lightlike chart vector
+    return lambda e: X + light + e * np.eye(model.rank)[0]
+
+
+@pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "so42"])
+@pytest.mark.parametrize("floor", [1e-5, 1e-3])  # above 1e-6: in rank one a margin is a distance over sqrt(2)
+def test_dedup_decides_conflicts_across_and_within_blocks(name, floor):
+    # 70 points, more than four blocks, with near copies and points under the floor planted against a
+    # kept point of the same block and of an earlier block; point 53 is near point 50, kept earlier in
+    # its block, and under the floor against point 7, kept before the block: near wins
+    model = model_preset(name)
+    rng = np.random.default_rng(21)
+    draw = (lambda: _random_hermitian(model, rng)) if model.is_lagrangian else (
+        lambda: rng.standard_normal(model.rank))
+    coords = [2.0 * draw() for _ in range(70)]
+
+    def at_margin(partner, targets):
+        p, apart = chart_point(model, coords[partner]), _margin_curve(model, rng, coords[partner])
+        margin = lambda e: transversality_margin(p, chart_point(model, apart(e)))
+        return [apart(_bisect(margin, t * floor, hi=0.1)) for t in targets]
+
+    coords[5] = coords[2] + 1e-8 * draw()
+    coords[9], = at_margin(3, [0.9])
+    coords[20] = coords[4] + 1e-8 * draw()
+    coords[37], = at_margin(6, [0.9])
+    coords[50], coords[53] = at_margin(7, [1.0 + 1e-8 / floor, 1.0 - 1e-8 / floor])
+    coords[55], = at_margin(50, [0.9])
+    points = [chart_point(model, X) for X in coords]
+    assert reps._DEDUP_BLOCK == 16
+    assert max(points[i].distance(points[j]) for i, j in ((5, 2), (20, 4), (53, 50))) < 1e-6
+    assert transversality_margin(points[53], points[7]) <= floor < transversality_margin(points[50], points[7])
+    verdicts = reference_dedup(points, floor)
+    planted = {5: reps._NEAR, 9: reps._MARGIN, 20: reps._NEAR, 37: reps._MARGIN, 50: -1, 53: reps._NEAR,
+               55: reps._MARGIN}
+    assert {i: verdicts[i] for i in planted} == planted
+    assert [verdicts[i] for i in (2, 3, 4, 6, 7)] == [-1] * 5
+    orthos = np.stack([pt.ortho for pt in points])
+    assert reps._dedup(model, orthos, floor).tolist() == verdicts
+
+
 def _so22_element(A, B):
     """X -> A X B^-1 on M_2(R), in the coordinates (p, s, q, r) in which det X = p^2 + s^2 - q^2 - r^2."""
     def coords(X):
@@ -904,6 +952,15 @@ def test_dual_center_is_past_of_center():
 def test_limit_sample_needs_words_of_length_3():
     with pytest.raises(TooFewPoints, match="from length 3 on"):
         sample_limit_set(preset("tau0-sp4-f2"), 2)
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 7, 157, 188, 1000, 20000, 2**33])
+def test_stacked_triples_are_the_choice_draws(n):
+    # one integers call replays numpy's choice(n, 3, replace=False), Floyd's draws and then the shuffle
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        expected = np.array([rng.choice(n, size=3, replace=False) for _ in range(200)])
+        assert np.array_equal(reps._distinct_triples(np.random.default_rng(seed), n, 200), expected)
 
 
 def test_verify_maslov_zero_needs_a_triple():

@@ -438,6 +438,26 @@ def _pair_near_the_band(model, rng, log_margins):
     return pair(1e-4 * 10.0 ** rng.uniform(*log_margins) / m0)
 
 
+@pytest.mark.parametrize("name", ["sp2", "sp4", "sp6", "sp8", "su22", "su33", "sostar8"])
+@PROPERTY
+@given(seed=seeds)
+def test_overlaps_bound_the_margin_from_below(name, seed):
+    # for orthonormal Lagrangian frames [X, JX] is unitary, so A = X^H Y and P = X^H J Y have
+    # A^H A + P^H P = I, and the margin, a product of r sines, is at least (1 - |A|^2)^(r/2), |A|^2 in
+    # field units; the limit-set dedup skips the determinant of pairs this bound clears.  Random pairs
+    # moved by one element, pairs near the band, and near-coincident chart points
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    x = random_point(model, rng)
+    near = chart_point(model, chart_coordinates(x) + 10.0 ** rng.uniform(-9, -4) * random_hermitian(model, rng))
+    pairs = [tuple(_random_orthos(model, 2, rng)), tuple(p.ortho for p in _pair_near_the_band(model, rng, (-8, -1))),
+             (x.ortho, near.ortho)]
+    X, Y = (np.stack(side) for side in zip(*pairs))
+    overlap = frobenius_norms(adjoint(X) @ Y, model.tag) ** 2  # the chi norm over sqrt(2) on H: field units
+    bound = np.maximum(0.0, 1.0 - overlap - 1e-12) ** (model.rank / 2)  # 1e-12: the rounding of |A|^2
+    assert np.all(bound <= transversality_margins(model, X, Y))
+
+
 @pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
 def test_pairs_just_above_the_band_standardize(name):
     # P = A^H J C has singular values at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair,
