@@ -466,6 +466,18 @@ def _bisect(f, target, lo=0.0, hi=1e-3):
     return 0.5 * (lo + hi)
 
 
+def _margin_curve(model, rng, X):
+    """Chart coordinates apart(e) whose margin to the point of X rises from 0 at e = 0."""
+    if model.is_lagrangian:
+        eye = embed_real(np.eye(model.rank), model.tag)
+        W = _random_hermitian(model, rng)
+        W = W - np.min(np.linalg.eigvalsh(W)) * eye  # one zero eigenvalue: not transverse at e = 0
+        return lambda e: X + W + e * eye
+    light = np.zeros(model.rank)
+    light[[0, -1]] = 1.0  # a lightlike chart vector
+    return lambda e: X + light + e * np.eye(model.rank)[0]
+
+
 @pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "so22", "so42"])
 def test_dedup_gives_the_per_pair_verdicts_at_both_thresholds(name):
     # a point, two copies of it at projector distance 1e-6 (1 -+ 1e-9), and two points at margin
@@ -473,18 +485,11 @@ def test_dedup_gives_the_per_pair_verdicts_at_both_thresholds(name):
     model = model_preset(name)
     rng = np.random.default_rng(8)
     floor = 1e-6
-    if model.is_lagrangian:
-        X = 0.5 * _random_hermitian(model, rng)
-        H, W = _random_hermitian(model, rng), _random_hermitian(model, rng)
-        eye = embed_real(np.eye(model.rank), model.tag)
-        W = W - np.min(np.linalg.eigvalsh(W)) * eye  # one zero eigenvalue: not transverse to X's point
-        copy, apart = (lambda s: X + s * H), (lambda e: X + W + e * eye)
-    else:
-        X = 0.5 * rng.standard_normal(model.rank)
-        H = rng.standard_normal(model.rank)
-        light = np.zeros(model.rank)
-        light[[0, -1]] = 1.0  # a lightlike chart vector
-        copy, apart = (lambda s: X + s * H), (lambda e: X + light + e * np.eye(model.rank)[0])
+    draw = (lambda: _random_hermitian(model, rng)) if model.is_lagrangian else (
+        lambda: rng.standard_normal(model.rank))
+    X = 0.5 * draw()
+    H = draw()
+    copy, apart = (lambda s: X + s * H), _margin_curve(model, rng, X)
     p = chart_point(model, X)
     distance = lambda s: p.distance(chart_point(model, copy(s)))
     margin = lambda e: transversality_margin(p, chart_point(model, apart(e)))
@@ -498,18 +503,6 @@ def test_dedup_gives_the_per_pair_verdicts_at_both_thresholds(name):
     swapped = [points[k] for k in (1, 0, 2)]
     assert reference_dedup(swapped, floor) == [-1, reps._NEAR, reps._NEAR]
     assert reps._dedup(model, orthos[[1, 0, 2]], floor).tolist() == [-1, reps._NEAR, reps._NEAR]
-
-
-def _margin_curve(model, rng, X):
-    """Chart coordinates apart(e) whose margin to the point of X rises from 0 at e = 0."""
-    if model.is_lagrangian:
-        eye = embed_real(np.eye(model.rank), model.tag)
-        W = _random_hermitian(model, rng)
-        W = W - np.min(np.linalg.eigvalsh(W)) * eye  # one zero eigenvalue: not transverse at e = 0
-        return lambda e: X + W + e * eye
-    light = np.zeros(model.rank)
-    light[[0, -1]] = 1.0  # a lightlike chart vector
-    return lambda e: X + light + e * np.eye(model.rank)[0]
 
 
 @pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "so42"])
