@@ -213,7 +213,7 @@ def _cmd_rep_limitset(args, tol):
     sample = _limit_sample(args, tol)
     min_margin = None
     if len(sample) > 1:
-        Q = np.stack([p.ortho for p in sample.points])
+        Q = sample._orthos
         i, j = np.triu_indices(len(Q), 1)
         min_margin = float(np.min(transversality_margins(args.rep.model, Q[i], Q[j])))
     report = {

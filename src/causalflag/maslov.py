@@ -12,7 +12,10 @@ are read off them.  No chart or standardization is involved.  The hyperbolic (a,
 has counts (d, d), so H has those plus the counts of the d x d Schur
 complement S = -(P + P^H) / 2, P = Mca Mab^-H Mbc (Haynsworth inertia
 additivity): one solve and one d x d ``eigvalsh`` per triple, and one
-``eigvalsh`` of H on the rows whose bound does not certify S's counts.
+``eigvalsh`` of H on the rows whose bound does not certify S's counts.  At
+d = 2 (sp4, su22) the solve, the margins' dets and S's spectrum are closed
+forms (``_schur_spectra``, ``shilov._margins``); the orthos, and so the
+whole kernel, are real on SP and complex on SU and SO*.
 Clerc and Orsted ("The Maslov index revisited", Transform. Groups 2001)
 show that this index covers the Shilov boundary of every tube-type domain;
 on SO(n, 2) it is 0 when the three pairings of the unit lifts multiply to
@@ -31,10 +34,11 @@ from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
 from .linalg import _sign_counts, frobenius_norms
 from .scalars import QUATERNION
-from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _graph_frames, _margins, _pairings, _socharts_lift
+from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _det2, _graph_frames, _margins, _pairings, _socharts_lift
 
 _SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
+_ADJ_SIGNS = np.array([[1.0, -1.0], [-1.0, 1.0]])  # adj(M)^H = conj(M[::-1, ::-1]) * _ADJ_SIGNS for 2 x 2 M
 
 
 @dataclass(frozen=True)
@@ -76,8 +80,7 @@ def maslov_indices(model: GroupModel, A, B, C):
     # transverse rows: (d, d) plus the counts of the Schur complement S, where its bound certifies them
     on_s = np.array(valid)
     m = m_ab[on_s]
-    P = Mca[on_s] @ np.linalg.solve(adjoint(Mab[on_s]), Mbc[on_s])
-    lam = np.linalg.eigvalsh(-0.5 * (P + adjoint(P)))
+    lam = _schur_spectra(Mab[on_s], Mbc[on_s], Mca[on_s])
     w = 2e-9 * (1 + np.sqrt(2) / m) ** 2  # the bound is above 2e-9 iff 2 w < m and w < min |lambda(S)|
     certified = (2 * w < m) & (w < np.min(np.abs(lam), axis=-1))
     on_s[on_s] = certified
@@ -85,11 +88,34 @@ def maslov_indices(model: GroupModel, A, B, C):
     pos[on_s], neg[on_s] = 2 * d - n_s, d + n_s
     # every other row: the sign counts of the whole 3d x 3d form
     full = ~on_s
-    T = np.zeros((np.count_nonzero(full), 3 * d, 3 * d), dtype=Mab.dtype)
-    T[:, :d, d : 2 * d], T[:, d : 2 * d, 2 * d :], T[:, 2 * d :, :d] = (X[full] for X in (Mab, Mbc, Mca))
-    pos[full], neg[full] = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
+    if full.any():
+        T = np.zeros((np.count_nonzero(full), 3 * d, 3 * d), dtype=Mab.dtype)
+        T[:, :d, d : 2 * d], T[:, d : 2 * d, 2 * d :], T[:, 2 * d :, :d] = (X[full] for X in (Mab, Mbc, Mca))
+        pos[full], neg[full] = _sign_counts(np.linalg.eigvalsh(0.5 * (T + adjoint(T))))
     valid &= pos + neg == 3 * d
     return np.abs(pos - neg) // (2 if model.tag == QUATERNION else 1), margin, valid
+
+
+def _schur_spectra(Mab, Mbc, Mca):
+    """The eigenvalues of each Schur complement S = -(P + P^H) / 2, P = Mca Mab^-H Mbc, of a stack of pairings.
+
+    Pairings of any other size take one solve and one eigvalsh per row.  At
+    d = 2, Mab^-H = adj(Mab)^H / conj(det Mab), and the Hermitian S has the
+    eigenvalues mean +- hypot((S00 - S11) / 2, |S01|): the one of larger
+    modulus is taken so, the other as det S over it, which keeps its
+    relative accuracy where the two nearly cancel.  The pair is unordered.
+    """
+    if Mab.shape[-1] != 2:
+        P = Mca @ np.linalg.solve(adjoint(Mab), Mbc)
+        return np.linalg.eigvalsh(-0.5 * (P + adjoint(P)))
+    adj_h = np.conj(Mab[..., ::-1, ::-1]) * _ADJ_SIGNS
+    P = Mca @ adj_h @ Mbc / np.conj(_det2(Mab))[..., None, None]
+    s00, s11, s01 = -P[..., 0, 0].real, -P[..., 1, 1].real, -0.5 * (P[..., 0, 1] + np.conj(P[..., 1, 0]))
+    mean = 0.5 * (s00 + s11)
+    big = mean + np.copysign(np.hypot(0.5 * (s00 - s11), np.abs(s01)), mean)
+    det = s00 * s11 - (np.square(s01.real) + np.square(s01.imag))
+    small = np.divide(det, big, out=np.zeros_like(big), where=big != 0)  # big = 0 only where S = 0
+    return np.stack([small, big], axis=-1)
 
 
 def maslov_index(a: ShilovPoint, b: ShilovPoint, c: ShilovPoint) -> TripleType:

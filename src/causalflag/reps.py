@@ -479,7 +479,8 @@ def _attracting_frames(model: GroupModel, E, seed):
     steps of a power iteration of its own: the gap test
     shilov_root(lyapunov_projection(g)) > GAP_FLOOR (2 log|lambda_r| on the
     Lagrangian families, log|lambda_1| - log|lambda_2| on SO(n, 2)), one
-    starting frame drawn from default_rng(seed), QR steps until the
+    complex starting frame drawn from default_rng(seed) (its real part on
+    SP and SO(n, 2), whose frames stay real), QR steps until the
     projector moves less than ATTRACT_TOL (an element that has settled is
     frozen), at most ATTRACT_MAX_ITER steps, and a residual of at most
     ATTRACT_RESIDUAL.  Projector moves are in the units of
@@ -494,7 +495,7 @@ def _attracting_frames(model: GroupModel, E, seed):
     ncols = model.rank * (2 if model.tag == QUATERNION else 1) if model.is_lagrangian else 1
     rng = np.random.default_rng(seed)
     Z0 = rng.standard_normal((d, ncols)) + 1j * rng.standard_normal((d, ncols))
-    Z0, _ = np.linalg.qr(Z0)
+    Z0, _ = np.linalg.qr(Z0.real if model.tag == REAL else Z0)  # a real start keeps SP and SO(n, 2) real
     live = np.flatnonzero(reason < 0)
     # times the reciprocal of the largest modulus, as numpy divides complex by real: real stacks scale alike
     En = E[live] * (1.0 / np.max(np.abs(E[live]), axis=(1, 2), keepdims=True))
@@ -517,7 +518,7 @@ def _attracting_frames(model: GroupModel, E, seed):
     settled[active] = False
     reason[live[~settled]] = _NO_CONVERGENCE
     reason[live[settled & (residuals[live] > ATTRACT_RESIDUAL)]] = _RESIDUAL
-    frames = np.zeros((N, d, ncols), complex)
+    frames = np.zeros((N, d, ncols), Z.dtype)
     frames[live] = Z
     return frames, residuals, reason
 
@@ -526,17 +527,14 @@ def _limit_frames(model: GroupModel, Z):
     """The points spanned by a stack of settled power-iteration frames, as (frames, orthos) arrays.
 
     frames are embedded frames (unit lifts on SO(n, 2)), as act_stack gives
-    them: the real part of the frame over R, the quaternionic frame
-    recovered from the j-invariant span over H.  The point guards run on
-    the whole stack.
+    them: the frame itself over R and C, the quaternionic frame recovered
+    from the j-invariant span over H.  The point guards run on the whole
+    stack.
     """
     if not model.is_lagrangian:
-        V = _guard(model, np.ascontiguousarray(Z[:, :, 0].real))
+        V = _guard(model, np.ascontiguousarray(Z[:, :, 0]))
         return V, V
-    if model.tag == QUATERNION:
-        E = _chi(*_quat_frame_from_embedded(Z))
-    else:
-        E = Z.real if model.tag == REAL else Z
+    E = _chi(*_quat_frame_from_embedded(Z)) if model.tag == QUATERNION else Z
     return E, _guard(model, E)
 
 
@@ -573,6 +571,11 @@ class LimitSample:
 
     def __len__(self):
         return len(self.points)
+
+    @functools.cached_property
+    def _orthos(self):
+        """The points' orthos as one stack, built on first use."""
+        return np.stack([p.ortho for p in self.points])
 
 
 def _dedup(model: GroupModel, orthos, margin_floor) -> np.ndarray:
@@ -748,7 +751,7 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     if n < 3:
         raise TooFewPoints(f"need at least 3 limit points, have {n}")
     triples = _distinct_triples(np.random.default_rng(seed), n, n_triples)
-    Q = np.stack([p.ortho for p in sample.points])[triples]
+    Q = sample._orthos[triples]
     idx, margin, valid = maslov_indices(sample.points[0].model, Q[:, 0], Q[:, 1], Q[:, 2])
     margins = margin[valid]
     skipped = np.bincount(_skip_reasons([margin], valid)[~valid], minlength=2)
@@ -803,7 +806,7 @@ def proper_domain_certificate(rep: Representation, sample: LimitSample, probe_co
     ball = _pipeline_ball(rep, CERT_ORBIT_LEN)
     center = domain_center(model)
     _, orbit = act_stack(ball.stack, center)
-    targets = np.concatenate([center.ortho[None], orbit] + [pt.ortho[None] for pt in sample.points])
+    targets = np.concatenate([center.ortho[None], orbit, sample._orthos])
 
     def margin_against(z0):
         return float(np.min(transversality_margins(model, targets, z0.ortho)))
@@ -859,7 +862,7 @@ def convex_core_sample(rep: Representation, sample: LimitSample, base_pts, max_l
     else:
         # how far the sampled ideal points still are from the finite orbit (ShilovPoint.distance,
         # one orbit point at a time); nonincreasing in max_len since the orbit only grows
-        S = _projectors(model, np.stack([pt.ortho for pt in sample.points]))
+        S = _projectors(model, sample._orthos)
         nearest = np.full(len(S), np.inf)
         for P in _projectors(model, orthos):
             nearest = np.minimum(nearest, frobenius_norms(S - P, COMPLEX))

@@ -25,7 +25,7 @@ from .errors import (
 from .groups import GroupElement, GroupModel, _levi_index, form_defect
 from .kmat import _chi, _parts, adjoint, as_embedded, concat, embed_real, from_json, product, to_json
 from .linalg import check_hermitian, frobenius_norms
-from .scalars import COMPLEX, QUATERNION, REAL
+from .scalars import COMPLEX, QUATERNION
 
 ISOTROPY_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-9
@@ -89,14 +89,15 @@ def _guard(model: GroupModel, E):
     norm overflows, without a floating point warning, then InvalidFrame for a
     zero vector on SO(n, 2), or for a rank-deficient frame (read off the R
     factors of one batched QR), as a loop over the points would raise.  The
-    orthos are the QR's Q factors, and the unit vectors on SO(n, 2).
+    orthos are the QR's Q factors, in the frames' own field (real on SP,
+    complex on SU and SO*), and the unit vectors on SO(n, 2).
     """
     if not model.is_lagrangian:
         return _guard_lifts(model, E)[0]
     _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
                    lambda k: NonFiniteInput("frame has a non-finite entry"))])
-    # complex on every Lagrangian family: the margins, projectors and indices read complex orthos
-    Q, R = np.linalg.qr(E.astype(complex, copy=False))
+    # the QR in the frames' own field: on SP the margins, projectors and indices then run in real BLAS/LAPACK
+    Q, R = np.linalg.qr(E)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     _raise_first([(np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
                    lambda k: InvalidFrame("rank-deficient frame"))])
@@ -171,7 +172,7 @@ class ShilovPoint:
 
     @property
     def ortho(self):
-        """Orthonormal embedded representative (complex on every Lagrangian family, or the unit vector)."""
+        """Orthonormal embedded representative in the frame's field (real on SP), or the unit vector on SO(n, 2)."""
         return self._ortho
 
     def projector(self):
@@ -289,11 +290,22 @@ def _margins(model: GroupModel, P) -> np.ndarray:
     """The margin of each _pairings value P of orthonormal representatives: |det P|, or |b| on SO(n, 2).
 
     |det X^H J Y| = |det [X, Y]|, as [X, JX] is unitary; over H its square root, as chi doubles singular values.
+    A 2 x 2 P (sp4, su22) takes |P00 P11 - P01 P10| (_det2), a few ulps of |P00 P11| + |P01 P10| from
+    np.linalg.det, and larger P np.linalg.det; so does a 2 x 2 stack with a non-finite result, which then
+    warns and gives NaN as it always has.
     """
     if not model.is_lagrangian:
         return np.abs(P)
-    d = np.abs(np.linalg.det(P))
+    with np.errstate(all="ignore"):  # a non-finite closed form is left to det's own warnings
+        d = np.abs(_det2(P)) if P.shape[-2:] == (2, 2) else None
+    if d is None or not np.isfinite(d).all():
+        d = np.abs(np.linalg.det(P))
     return np.sqrt(d) if model.tag == QUATERNION else d
+
+
+def _det2(P):
+    """P00 P11 - P01 P10 of each matrix of a stack of 2 x 2 matrices."""
+    return P[..., 0, 0] * P[..., 1, 1] - P[..., 0, 1] * P[..., 1, 0]
 
 
 def transverse(x: ShilovPoint, y: ShilovPoint) -> bool:
@@ -459,8 +471,6 @@ def _standardize_stack(model: GroupModel, A, C):
     if model.is_lagrangian:
         if tag == QUATERNION:  # orthonormal frames over the field with the spans of the orthos
             A, C = np.split(_chi(*_quat_frame_from_embedded(np.concatenate([A, C]))), 2)
-        elif tag == REAL:
-            A, C = A.real, C.real
         # P's singular values are at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair;
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
         P = product(product(adjoint(A), F, tag), C, tag)

@@ -74,7 +74,7 @@ class ReferencePoint:
                 iso = norm(product(product(adjoint(E), model.form(), tag), E, tag), tag)
                 if not (iso <= ISOTROPY_TOL * max(1.0, norm(E, tag) ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            Q, R = np.linalg.qr(E.astype(complex))  # the complex QR on every field
+            Q, R = np.linalg.qr(E)  # the QR in the frame's own field: real on SP
             diag = np.abs(np.diag(R))
             if not (np.min(diag) >= 1e-10 * max(1.0, np.max(diag))):
                 raise InvalidFrame("rank-deficient frame")
@@ -181,7 +181,7 @@ def reference_quat_frame(E):
 
 def reference_orthonormalize_frame(E, tag):
     """An orthonormal embedded frame with the span of the embedded frame E."""
-    Q, R = np.linalg.qr(E.astype(complex))
+    Q, R = np.linalg.qr(E)  # the QR in the frame's own field: real on SP
     if np.min(np.abs(np.diag(R))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(R)))):
         raise InvalidFrame("rank-deficient frame")
     if tag == "H":

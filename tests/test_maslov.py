@@ -198,6 +198,26 @@ def test_band_edge_lines_lifted_to_rank_two():
     assert idx[0] == 2  # the two summands' signatures share a sign
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(name=st.sampled_from(["sp4", "su22"]), seed=st.integers(0, 2**32 - 1))
+def test_closed_form_schur_matches_the_full_form_at_the_band_edge(name, seed):
+    # 2 x 2 pairings take the closed-form Schur spectrum: lifted sp2 lines whose small angle t, drawn
+    # log-uniform in [10^-9.5, 10^-6], moves the Schur complement's small eigenvalue across the bound's
+    # edge 2e-9 (1 + sqrt(2) / m)^2, summed with a second triple at random angles, the small margin in
+    # each slot, moved by one element and given random representatives (complex on su22): idx, margin
+    # and valid bit for bit against the whole form
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    t, second = 10.0 ** rng.uniform(-9.5, -6, 32), rng.uniform(0.0, np.pi, (3, 32))
+    Z = random_lie_element(model, rng)
+    g = group_exp(model, Z / max(norm(Z, model.tag), 1e-300)).g
+    A, B, C = (np.stack([_change_representative(model, np.linalg.qr(g @ _lifted_lines(t1, t2))[0], rng)
+                         for t1, t2 in zip(first, angles)])
+               for first, angles in zip((np.zeros(32), np.full(32, np.pi / 2), t), second))
+    for triple in ((A, B, C), (C, A, B), (B, C, A)):
+        _assert_matches_full_form(model, *triple)
+
+
 def _oracle_triples(model, n, rng):
     """Four stacks of n frame triples, each chart point moved by one group element g.
 

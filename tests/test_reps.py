@@ -342,12 +342,14 @@ def test_gap_reports_equal_per_element_references(pid, max_len):
     assert levi_gap_report(rep, max_len) == reference_levi_report(rep, max_len)
 
 
-def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
+def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000, field=None):
     """Per-word power iteration: (attracting point, invariance residual) of one element.
 
     One QR, projector and norm per step, after the gap test on this
     element's own eigenvalue moduli; the stacked iteration must match it
-    bit for bit.
+    bit for bit.  field is the arithmetic of the iteration and of the
+    point's QR, float on the real families and complex on the others by
+    default; complex on a real family is the complex construction.
     """
     model = g.model
     mods = np.sort(np.abs(np.linalg.eigvals(g.g)))[::-1][:: 2 if model.tag == "H" else 1]
@@ -364,7 +366,8 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
         ncols = 1
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((E.shape[0], ncols)) + 1j * rng.standard_normal((E.shape[0], ncols))
-    Z, _ = np.linalg.qr(Z)
+    field = field or (float if model.tag == "R" else complex)
+    Z, _ = np.linalg.qr(Z.real if field is float else Z)  # the real starting frame in real arithmetic
     P_prev = Z @ np.conj(Z).T
     for _ in range(max_iter):
         Z, _ = np.linalg.qr(E @ Z)
@@ -383,7 +386,7 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000):
         return ReferencePoint(model, np.real(Z[:, 0])), residual
     if model.tag == "H":
         return ReferencePoint(model, reference_quat_frame(Z)), residual
-    return ReferencePoint(model, Z.real if model.tag == "R" else Z), residual
+    return ReferencePoint(model, (Z.real if model.tag == "R" else Z).astype(field)), residual
 
 
 def reference_dedup(points, margin_floor=1e-6):
@@ -400,8 +403,8 @@ def reference_dedup(points, margin_floor=1e-6):
     return verdicts
 
 
-def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6):
-    """Words, residuals, points and exclusion counts of the per-word keep/merge scan."""
+def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor=1e-6, field=None):
+    """Words, residuals, points and exclusion counts of the per-word keep/merge scan (reference_attract's field)."""
     ball = library_ball(rep, max_len)
     rng = np.random.default_rng(seed)
     chosen = []
@@ -414,7 +417,7 @@ def reference_limit_words(rep, max_len, seed=0, per_length_cap=100, margin_floor
     excluded = dict.fromkeys(EXCLUSION_REASONS, 0)
     for i in chosen:
         try:
-            pt, res = reference_attract(ball.element(i), seed=seed)
+            pt, res = reference_attract(ball.element(i), seed=seed, field=field)
         except NoGap:
             excluded["no_gap"] += 1
             continue
@@ -573,6 +576,23 @@ def test_so22_limit_sample_equals_per_word_reference(twist):
     rep = _so22_rep({k: (A, twist @ A @ twist) for k, A in SCHOTTKY.items()})
     for seed in (0, 3):
         assert len(check_limit_sample_against_reference(rep, seed)) >= 20
+
+
+@pytest.mark.parametrize("pid", ["f2-fuchsian-sl2", "tau0-sp4-f2", "tau0-sp4-genus2", "genus2-sl2", "so22"])
+def test_real_samples_match_the_complex_construction(pid):
+    # SP and SO(n, 2) iterate and orthonormalize in real arithmetic, from the real part of the seeded
+    # starting frame; the complex construction (the complex starting frame, iteration and QR, and
+    # complex orthos in the dedup) is the reference: the same words and excluded counts, and every
+    # point within projector distance 1e-10 of the reference's
+    rep = _so22_rep({k: (A, A) for k, A in SCHOTTKY.items()}) if pid == "so22" else preset(pid)
+    max_len = 4 if rep.relator else 6
+    for seed in (1, 4):
+        sample = sample_limit_set(rep, max_len, seed=seed)
+        ref = reference_limit_words(rep, max_len, seed=seed, field=complex)
+        assert (sample.words, sample.excluded) == (ref["words"], ref["excluded"])
+        assert sample._orthos.dtype == float
+        assert all(np.iscomplexobj(q.ortho) for q in ref["points"]) == rep.model.is_lagrangian
+        assert max(np.linalg.norm(p.projector() - q.projector()) for p, q in zip(sample.points, ref["points"])) <= 1e-10
 
 
 def _reports(rep, max_len):

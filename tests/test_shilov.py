@@ -25,6 +25,7 @@ from causalflag.shilov import (
     _form_permutation,
     _graph_frames,
     _guard,
+    _margins,
     _pairings,
     _standardize_stack,
     act,
@@ -456,6 +457,28 @@ def test_overlaps_bound_the_margin_from_below(name, seed):
     overlap = frobenius_norms(adjoint(X) @ Y, model.tag) ** 2  # the chi norm over sqrt(2) on H: field units
     bound = np.maximum(0.0, 1.0 - overlap - 1e-12) ** (model.rank / 2)  # 1e-12: the rounding of |A|^2
     assert np.all(bound <= transversality_margins(model, X, Y))
+
+
+@pytest.mark.parametrize("name", ["sp4", "su22"])
+@PROPERTY
+@given(seed=seeds)
+def test_two_by_two_margins_stay_within_ulps_of_the_lapack_det(name, seed):
+    # _margins takes |P00 P11 - P01 P10| on 2 x 2 pairings: within 8 eps (|P00 P11| + |P01 P10|) of
+    # |np.linalg.det| on random stacks, near-singular ones (det 1e-14 to 1e-8 of entries about 1) and
+    # stacks scaled by 0.1 to 10, real on sp4 and complex on su22.  np.linalg.det returns
+    # sign * exp(logdet), whose own error grows as eps |logdet| |det|, so wider scales are checked by
+    # the closed form's exact covariance under 2^k instead
+    model = model_preset(name)
+    rng = np.random.default_rng(seed)
+    u, v = draw(model.tag, (2, 64, 2, 1), rng)
+    near = u @ adjoint(v) + 10.0 ** rng.uniform(-14, -8, (64, 1, 1)) * draw(model.tag, (64, 2, 2), rng)
+    P = np.concatenate([draw(model.tag, (64, 2, 2), rng), near,
+                        10.0 ** rng.uniform(-1, 1, (64, 1, 1)) * draw(model.tag, (64, 2, 2), rng)])
+    scale = np.abs(P[:, 0, 0] * P[:, 1, 1]) + np.abs(P[:, 0, 1] * P[:, 1, 0])
+    margins = _margins(model, P)
+    assert np.all(np.abs(margins - np.abs(np.linalg.det(P))) <= 8 * np.finfo(float).eps * scale)
+    k = rng.integers(-200, 201, len(P)).astype(float)
+    assert np.array_equal(_margins(model, P * 2.0 ** k[:, None, None]), margins * 4.0 ** k)
 
 
 @pytest.mark.parametrize("name", ["sp2", "sp4", "su22", "sostar8", "sp8"])
