@@ -144,6 +144,24 @@ def _skip_reasons(margins, valid, base_ok=None):
     return np.select(fails, range(len(fails)), -1)
 
 
+def _trial_report(reason, bad, margin, n_reasons):
+    """Violations among the kept trials, skips by the first n_reasons of _SKIP_REASONS, and the kept margins.
+
+    reason is each trial's _skip_reasons code, bad its violation flag and
+    margin the margin it reports.
+    """
+    kept = reason < 0
+    margins = margin[kept]
+    skipped = np.bincount(reason[~kept], minlength=n_reasons)
+    return {
+        "violations": int(np.sum(bad & kept)),
+        "skipped": int(np.sum(skipped)),
+        "skipped_by_reason": dict(zip(_SKIP_REASONS[:n_reasons], skipped.tolist())),
+        "min_margin": float(np.min(margins)) if len(margins) else None,
+        "median_margin": float(np.median(margins)) if len(margins) else None,
+    }
+
+
 def _chart_frames(model: GroupModel, n, rng):
     """Frames of n random chart points; on SO(n, 2), their lifts as (n+2) x 1 columns."""
     if model.is_lagrangian:
@@ -172,9 +190,7 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
     if n_trials < 1:
         raise ValueError("n_trials must be at least 1")
     rng = np.random.default_rng(seed)
-    violations = 0
-    reasons = np.zeros(len(_SKIP_REASONS), dtype=int)
-    margins_all = []
+    trials = []
     for start in range(0, n_trials, _CHUNK):
         n = min(_CHUNK, n_trials - start)
         F = [_chart_frames(model, n, rng) for _ in range(3)]
@@ -187,18 +203,6 @@ def maslov_invariance_report(model: GroupModel, n_trials: int, seed) -> dict:
         swap_idx, swap_margin, swap_ok = maslov_indices(model, A, C, B)
         reason = _skip_reasons([base_margin, moved_margin, swap_margin], base_ok & moved_ok & swap_ok,
                                base_margin > 1e-6)
-        valid = reason < 0
-        bad = valid & ((moved_idx != base_idx) | (swap_idx != base_idx))
-        violations += int(np.sum(bad))
-        reasons += np.bincount(reason[~valid], minlength=len(_SKIP_REASONS))
-        margins_all.append(base_margin[valid])
-    margins = np.concatenate(margins_all) if margins_all else np.array([])
-    return {
-        "model": model.to_json(),
-        "trials": n_trials,
-        "violations": violations,
-        "skipped": int(np.sum(reasons)),
-        "skipped_by_reason": dict(zip(_SKIP_REASONS, reasons.tolist())),
-        "min_margin": float(np.min(margins)) if len(margins) else None,
-        "median_margin": float(np.median(margins)) if len(margins) else None,
-    }
+        trials.append((reason, (moved_idx != base_idx) | (swap_idx != base_idx), base_margin))
+    reason, bad, margin = (np.concatenate(part) for part in zip(*trials))
+    return {"model": model.to_json(), "trials": n_trials, **_trial_report(reason, bad, margin, len(_SKIP_REASONS))}

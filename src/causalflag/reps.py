@@ -41,7 +41,7 @@ from .causal import _random_hermitian, causal_hull
 from .einstein import random_ein_point
 from .kmat import _chi, adjoint, embed_real, norm, product
 from .linalg import frobenius_norms
-from .maslov import _SKIP_REASONS, _skip_reasons, maslov_indices
+from .maslov import _skip_reasons, _trial_report, maslov_indices
 from .scalars import COMPLEX, QUATERNION, REAL
 from .shilov import (
     ShilovPoint,
@@ -190,7 +190,6 @@ def _genus2_sl2():
     return {"a1": c, "b1": inv(q), "a2": inv(s), "b2": p}
 
 
-_F2_RELATOR = None
 _GENUS2_RELATOR = ("a1", "b1", "A1", "B1", "a2", "b2", "A2", "B2")
 
 
@@ -719,31 +718,26 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
 
 
 def _distinct_triples(rng, n: int, m: int) -> np.ndarray:
-    """m triples of distinct indices below n (n >= 3), as m calls of rng.choice(n, 3, replace=False) draw them.
+    """m ordered triples of distinct indices below n (n >= 3), each uniform over all n (n - 1) (n - 2).
 
-    That call runs Floyd's algorithm and then shuffles: it draws u0 <= n - 3,
-    u1 <= n - 2 (n - 2 where it equals u0) and u2 <= n - 1 (n - 1 where it
-    equals either), then swaps position 2 with a position drawn <= 2 and
-    position 1 with one drawn <= 1.  Every draw is a bounded integer of the
-    generator, so one integers call with the five bounds of each triple
-    in turn gives the same stream.
+    One integers call draws i < n, j < n - 1 and k < n - 2 per triple; j
+    steps over i, and k over the smaller of i and j, then over the larger.
+    This is the distribution of rng.choice(n, 3, replace=False).
     """
-    u = rng.integers(0, np.tile([n - 3, n - 2, n - 1, 2, 1], m), endpoint=True).reshape(m, 5)
-    t = u[:, :3].copy()
-    t[t[:, 1] == t[:, 0], 1] = n - 2
-    t[(t[:, 2] == t[:, 0]) | (t[:, 2] == t[:, 1]), 2] = n - 1
-    rows = np.arange(m)
-    for pos, swap in ((2, u[:, 3]), (1, u[:, 4])):
-        t[rows, pos], t[rows, swap] = t[rows, swap], t[rows, pos]
+    t = rng.integers(0, [n, n - 1, n - 2], size=(m, 3))
+    i, j, k = t.T
+    j += j >= i
+    k += k >= np.minimum(i, j)
+    k += k >= np.maximum(i, j)
     return t
 
 
 def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     """Random transverse triples from the sample should all have index zero; those in a guard band are skipped.
 
-    The triples are those of n_triples calls of
-    default_rng(seed).choice(len(sample), 3, replace=False), drawn in one
-    stacked call (_distinct_triples), and one maslov_indices call decides them.
+    The n_triples triples of distinct points come from one stacked draw
+    (_distinct_triples on default_rng(seed)), and one maslov_indices call
+    decides them.
     """
     if n_triples < 1:
         raise ValueError("n_triples must be at least 1")
@@ -753,16 +747,7 @@ def verify_maslov_zero(sample: LimitSample, n_triples: int, seed=0) -> dict:
     triples = _distinct_triples(np.random.default_rng(seed), n, n_triples)
     Q = sample._orthos[triples]
     idx, margin, valid = maslov_indices(sample.points[0].model, Q[:, 0], Q[:, 1], Q[:, 2])
-    margins = margin[valid]
-    skipped = np.bincount(_skip_reasons([margin], valid)[~valid], minlength=2)
-    return {
-        "triples": n_triples,
-        "violations": int(np.sum(valid & (idx != 0))),
-        "skipped": int(np.sum(skipped)),
-        "skipped_by_reason": dict(zip(_SKIP_REASONS[:2], skipped.tolist())),
-        "min_margin": float(np.min(margins)) if len(margins) else None,
-        "median_margin": float(np.median(margins)) if len(margins) else None,
-    }
+    return {"triples": n_triples, **_trial_report(_skip_reasons([margin], valid), idx != 0, margin, 2)}
 
 
 # ---------------------------------------------------------------- certificates

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from causalflag import reps
 from causalflag.causal import classify_orbit
 from causalflag.errors import (
     CausalFlagError,
@@ -420,7 +421,7 @@ def test_verify_maslov_zero_matches_per_triple_reference(pid, max_len):
         skipped = {"not_transverse": 0, "degenerate_form": 0}
         margins = []
         for _ in range(200):
-            i, j, k = rng.choice(len(sample), size=3, replace=False)
+            i, j, k = reps._distinct_triples(rng, len(sample), 1)[0]
             a, b, c = pts[i], pts[j], pts[k]
             m = min(transversality_margin(a, b), transversality_margin(b, c), transversality_margin(a, c))
             if not m > TRANSVERSALITY_TOL:

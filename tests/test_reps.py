@@ -968,12 +968,24 @@ def test_limit_sample_needs_words_of_length_3():
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 157, 188, 1000, 20000, 2**33])
-def test_stacked_triples_are_the_choice_draws(n):
-    # one integers call replays numpy's choice(n, 3, replace=False), Floyd's draws and then the shuffle
+def test_stacked_triples_are_per_triple_draws_of_distinct_indices(n):
+    # one integers call draws the same triples as one call per triple on the same generator
     for seed in range(5):
         rng = np.random.default_rng(seed)
-        expected = np.array([rng.choice(n, size=3, replace=False) for _ in range(200)])
-        assert np.array_equal(reps._distinct_triples(np.random.default_rng(seed), n, 200), expected)
+        expected = np.concatenate([reps._distinct_triples(rng, n, 1) for _ in range(200)])
+        t = reps._distinct_triples(np.random.default_rng(seed), n, 200)
+        assert np.array_equal(t, expected)
+        assert t.min() >= 0 and t.max() < n
+        assert np.all((t[:, 0] != t[:, 1]) & (t[:, 1] != t[:, 2]) & (t[:, 0] != t[:, 2]))
+
+
+def test_stacked_triples_are_uniform():
+    # each of the 60 ordered triples of distinct indices below 5 within 5 % of its expected 10,000 in 600,000
+    t = reps._distinct_triples(np.random.default_rng(0), 5, 600_000)
+    counts = np.bincount((t[:, 0] * 5 + t[:, 1]) * 5 + t[:, 2], minlength=125)
+    distinct = [(i * 5 + j) * 5 + k for i in range(5) for j in range(5) for k in range(5) if len({i, j, k}) == 3]
+    assert np.sum(counts[distinct]) == 600_000
+    assert np.all(np.abs(counts[distinct] - 10_000) <= 500)
 
 
 def test_verify_maslov_zero_needs_a_triple():
