@@ -17,7 +17,6 @@ from enum import Enum
 import numpy as np
 
 from .errors import (
-    CausalFlagError,
     EmptyInput,
     ModelMismatch,
     NonFiniteInput,
@@ -320,8 +319,9 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
     Hull.margins call per hull.  A probe that leaves chart B, or whose
     margin lies inside the tolerance band in either chart, is flagged
     WITHIN_TOL and not counted as a disagreement; within_tol_by_reason
-    counts the two cases.  Errors are raised as a loop over the probes
-    would raise them.
+    counts the two cases.  Each stacked step runs once on all the probes
+    and raises for its own first failing probe, so the error is that of the
+    first step that any probe fails.
     """
     if n_probe < 1:
         raise ValueError("n_probe must be at least 1")
@@ -357,17 +357,10 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
                 Z = X + 0.5 * rng.standard_normal(len(X))
         probes.append(Z)
     Z = np.array(probes)
-    to_b = chart_b.transporter.inv().g
-    base_b = chart_b.base.ortho
-
-    def run(n):
-        # the steps of the loop on the first n probes, each one stacked kernel
-        frames, orthos = _act_frames(model, chart_a.transporter.g, _chart_point_stack(model, Z[:n])[0])
-        stays = transversality_margins(model, base_b, orthos) > 1e-6
-        Zb = chart_coordinates_stack(model, *_act_frames(model, to_b, frames[stays]))
-        return stays, hull_a.margins(Z[:n][stays]), hull_b.margins(Zb)
-
-    stays, ma, mb = _in_probe_order(run, n_probe)
+    frames, orthos = _act_frames(model, chart_a.transporter.g, _chart_point_stack(model, Z)[0])
+    stays = transversality_margins(model, chart_b.base.ortho, orthos) > 1e-6
+    Zb = chart_coordinates_stack(model, *_act_frames(model, chart_b.transporter.inv().g, frames[stays]))
+    ma, mb = hull_a.margins(Z[stays]), hull_b.margins(Zb)
     in_band = (np.abs(ma) <= band) | (np.abs(mb) <= band)
     disagree = ~in_band & ((ma > 0) != (mb > 0))
     left, near = int(np.sum(~stays)), int(np.sum(in_band))
@@ -378,28 +371,6 @@ def chart_independence_check(points, chart_a: ChartedChart, chart_b: ChartedChar
         "within_tol_by_reason": {"left_chart_b": left, "margin_in_band": near},
         "max_disagreement_margin": float(np.max(np.minimum(np.abs(ma), np.abs(mb))[disagree], initial=0.0)),
     }
-
-
-def _in_probe_order(run, n):
-    """run(n) on the first n items (probes, queries), raising the error that a loop over them would raise first.
-
-    Each stacked step raises for its first failing item, but an earlier
-    item may fail at a later step.  On an error, bisection finds the
-    shortest failing prefix, whose last item is the loop's first failure,
-    and raises that prefix's error.
-    """
-    try:
-        return run(n)
-    except CausalFlagError as error:
-        good, bad, first = 0, n, error
-        while bad - good > 1:
-            mid = (good + bad) // 2
-            try:
-                run(mid)
-                good = mid
-            except CausalFlagError as shorter:
-                bad, first = mid, shorter
-        raise first
 
 
 # --------------------------------------------------------------- Sylvester law

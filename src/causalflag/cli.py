@@ -2,8 +2,9 @@
 
 Exit codes: 0 for a passing run, 2 for a property violation or a
 structured library error (a report is still written), 1 for usage or
-unexpected runtime errors.  All floats in reports are rendered at 17
-significant digits so identical inputs give byte-identical files.
+unexpected runtime errors.  Reports are json.dumps text with sorted keys,
+and every float is written in its shortest exact form (Python's repr), so
+identical inputs give byte-identical files.
 
 --out DIR also writes report.json there, and rep.json (rep-build,
 rep-deform) or limitset.csv (rep-limitset).  Only the nine subcommands
@@ -24,8 +25,8 @@ import sys
 import numpy as np
 
 from . import kmat, reps
-from .causal import (ChartedChart, _in_probe_order, _relations, _stack, causal_hull, chart_independence_check,
-                     random_positive_coord, sylvester_orbit_check)
+from .causal import (ChartedChart, _relations, _stack, causal_hull, chart_independence_check, random_positive_coord,
+                     sylvester_orbit_check)
 from .einstein import _invisible_memberships, hilbert_distance, photon_convexity_check
 from .errors import CausalFlagError, ModelMismatch
 from .groups import GroupModel, model_preset
@@ -38,44 +39,16 @@ TOLERANCE_KEYS = {"margin_floor"}
 # ------------------------------------------------------- deterministic output
 
 
-def _fmt_float(x: float) -> str:
-    if x != x:
-        return "NaN"
-    if x in (float("inf"), float("-inf")):
-        return '"Infinity"' if x > 0 else '"-Infinity"'
-    return format(x, ".17g")
-
-
-def dumps_det(obj, indent=0) -> str:
-    """JSON with sorted keys and fixed float rendering."""
-    pad = "  " * indent
-    if obj is None:
-        return "null"
-    if obj is True:
-        return "true"
-    if obj is False:
-        return "false"
-    if isinstance(obj, (int, np.integer)):
-        return str(int(obj))
-    if isinstance(obj, (float, np.floating)):
-        return _fmt_float(float(obj))
-    if isinstance(obj, str):
-        return json.dumps(obj)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = []
-        for k in sorted(obj, key=str):
-            items.append(f'{pad}  {json.dumps(str(k))}: {dumps_det(obj[k], indent + 1)}')
-        return "{\n" + ",\n".join(items) + "\n" + pad + "}"
-    if isinstance(obj, (list, tuple)):
-        if not len(obj):
-            return "[]"
-        items = [f"{pad}  {dumps_det(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + "\n" + pad + "]"
-    if isinstance(obj, np.ndarray):
-        return dumps_det(obj.tolist(), indent)
+def _plain(obj):
+    """The Python value of a numpy scalar or array, for json.dumps."""
+    if isinstance(obj, (np.generic, np.ndarray)):
+        return obj.tolist()
     raise TypeError(f"cannot render {type(obj)!r}")
+
+
+def dumps_det(obj) -> str:
+    """JSON with sorted keys, two-space indents and floats in their shortest exact form (repr)."""
+    return json.dumps(obj, sort_keys=True, indent=2, default=_plain)
 
 
 def _open_out(out_dir, name):
@@ -229,8 +202,7 @@ def _cmd_rep_limitset(args, tol):
             w.writerow(["word", "length", "residual", "frame"])
             for word, L, res, pt in zip(sample.words, sample.word_lengths,
                                         sample.residuals, sample.points):
-                w.writerow(["".join(word), L, _fmt_float(res),
-                            dumps_det(pt.to_json()["frame"]).replace("\n", " ")])
+                w.writerow(["".join(word), L, repr(res), json.dumps(pt.to_json()["frame"])])
     ok = len(sample) >= 1 and (not sample.residuals or max(sample.residuals) <= 1e-8)
     return report, ok
 
@@ -281,10 +253,8 @@ def _cmd_hull(args, tol):
     report = {"n_points": len(hull.points), "n_pairs": len(hull.pairs)}
     if args.query:
         queries = _load_coords(args.model, args.query)
-
-        def run(n):  # Hull.margin and zero_band of the first n queries, one stacked pass each
-            return hull.margins(queries[:n]), _relations(args.model, _stack(args.model, queries[:n]))[2]
-        margins, bands = _in_probe_order(run, len(queries))  # raising as a loop of Hull.membership would
+        # Hull.margin and zero_band of every query, one stacked pass each
+        margins, bands = hull.margins(queries), _relations(args.model, _stack(args.model, queries))[2]
         report["memberships"] = (margins >= -bands).tolist()
         report["margins"] = margins.tolist()
     return report, True

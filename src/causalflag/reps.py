@@ -612,7 +612,7 @@ def _dedup(model: GroupModel, orthos, margin_floor) -> np.ndarray:
     projectors = _projectors(model, orthos)
     if model.is_lagrangian:
         field = 2.0 if model.tag == QUATERNION else 1.0  # chi doubles |A|^2 over H
-        clear = 1.0 - (2.0 * max(margin_floor, 0.0)) ** (2.0 / model.rank) - 1e-9
+        clear = 1.0 - (2.0 * margin_floor) ** (2.0 / model.rank) - 1e-9
 
     def under_floor(P):
         return _margins(model, P if model.is_lagrangian else P[:, 0, 0]) <= margin_floor
@@ -690,6 +690,8 @@ def sample_limit_set(rep: Representation, max_len: int, per_length_cap=100, seed
     """
     if per_length_cap < 1:
         raise ValueError("per_length_cap must be at least 1")
+    if not 0.0 <= margin_floor < np.inf:
+        raise ValueError(f"margin_floor must be finite and nonnegative, got {margin_floor!r}")
     if max_len < 3:
         raise TooFewPoints(f"words are drawn from length 3 on; max_len {max_len} draws none")
     model = rep.model

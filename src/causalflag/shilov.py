@@ -71,15 +71,14 @@ def _quat_frame_from_embedded(E):
 
 
 def _raise_first(checks):
-    """Raise as a loop of per-point guards would: the first failing point, its first failing check.
+    """Raise for the first check, in the order given, that some item fails, naming its first failing item.
 
-    checks lists (ok, error) pairs in guard order: ok is a mask over the
-    stack and error(k) builds the exception for point k.
+    checks lists (ok, error) pairs: ok is a mask over the stack and
+    error(k) builds the exception for item k.
     """
-    firsts = [int(np.argmin(ok)) if not ok.all() else len(ok) for ok, _ in checks]
-    k = min(firsts)
-    if k < len(checks[0][0]):
-        raise checks[firsts.index(k)][1](k)
+    for ok, error in checks:
+        if not ok.all():
+            raise error(int(np.argmin(ok)))
 
 
 def _guard(model: GroupModel, E):
@@ -88,7 +87,8 @@ def _guard(model: GroupModel, E):
     Raises NonFiniteInput for a non-finite entry or an SO(n, 2) vector whose
     norm overflows, without a floating point warning, then InvalidFrame for a
     zero vector on SO(n, 2), or for a rank-deficient frame (read off the R
-    factors of one batched QR), as a loop over the points would raise.  The
+    factors of one batched QR): the first of these checks that any point
+    fails, naming its first failing point (_raise_first).  The
     orthos are the QR's Q factors, in the frames' own field (real on SP,
     complex on SU and SO*), and the unit vectors on SO(n, 2).
     """
@@ -379,17 +379,15 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
     The Lagrangian families take one batched solve X = solve(top^T, bot^T)^T
     and give the Hermitian parts of the coordinates as an embedded (k, d, d)
     stack, the form causal works on; SO(n, 2) gives a
-    (k, n) Minkowski stack.  NotInChart (margin to p_minus below
-    TRANSVERSALITY_TOL) and NotHermitian (|X - X^H| not within
-    1e-7 * max(1, |X|), NaN included) are raised as a loop over the points
-    would raise them.
+    (k, n) Minkowski stack.  Raises NotInChart (margin to p_minus below
+    TRANSVERSALITY_TOL) for the first point outside the chart before the
+    solve, then NotHermitian (|X - X^H| not within 1e-7 * max(1, |X|), NaN
+    included) for the first coordinate that fails it.
     """
     _, p_minus = base_points(model)
-    margins = transversality_margins(model, p_minus.ortho, orthos)
-    in_chart = margins >= TRANSVERSALITY_TOL
-    checks = [(in_chart, lambda k: NotInChart("point is not transverse to the chart base"))]
+    _raise_first([(transversality_margins(model, p_minus.ortho, orthos) >= TRANSVERSALITY_TOL,
+                   lambda k: NotInChart("point is not transverse to the chart base"))])
     if not model.is_lagrangian:
-        _raise_first(checks)
         n = model.rank
         # the pairings of each lift with the standard basis, rescaled so that its pairing with p_minus is 2
         W = frames @ model.form() @ _standard_basis(model)
@@ -397,17 +395,14 @@ def chart_coordinates_stack(model: GroupModel, frames, orthos):
         return np.concatenate([W[:, 1:n], -W[:, n:n + 1]], axis=1)
     r = model.rank
     rows = _levi_index(model)
-    F = frames[in_chart]
-    top, bot = F[:, rows], F[:, rows + r]
-    X = np.zeros((len(frames),) + top.shape[1:], frames.dtype)
-    X[in_chart] = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
+    top, bot = frames[:, rows], frames[:, rows + r]
+    X = np.swapaxes(np.linalg.solve(np.swapaxes(top, -1, -2), np.swapaxes(bot, -1, -2)), -1, -2)
     if model.tag == QUATERNION:
         X = _chi(*_parts(X))  # the solve need not return the chi layout
     XH = adjoint(X)
     defect = frobenius_norms(X - XH, model.tag)
-    checks.append((~in_chart | (defect <= 1e-7 * np.maximum(1.0, frobenius_norms(X, model.tag))),
-                   lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}")))
-    _raise_first(checks)
+    _raise_first([(defect <= 1e-7 * np.maximum(1.0, frobenius_norms(X, model.tag)),
+                   lambda k: NotHermitian(f"chart coordinate defect {defect[k]:.3e}"))])
     return 0.5 * (X + XH)
 
 
@@ -461,13 +456,15 @@ def _standardize_stack(model: GroupModel, A, C):
     vector sign(l) sqrt|l| b q, whose row of G_0^{-1} B^T b is sqrt|l| q^T,
     and S = S_0 G_0^{-1} B^T b for B = [u, complement, w] and the standard
     basis S_0 with Gram G_0.  Raises NotTransverse (margin not above
-    TRANSVERSALITY_TOL), then IllConditioned where roundoff leaves a form
-    defect above 1e-8 or an image of the pair more than 1e-8 from the base
-    pair, as a loop over the pairs would.
+    TRANSVERSALITY_TOL) before it builds any element, then IllConditioned
+    where roundoff leaves a form defect above 1e-8, and only then, after the
+    action, where it leaves an image of the pair more than 1e-8 from the base
+    pair; each check names its first failing pair.
     """
     margins = transversality_margins(model, A, C)
-    ok = margins > TRANSVERSALITY_TOL
-    A, C, F, tag = A[ok], C[ok], model.form(), model.tag
+    _raise_first([(margins > TRANSVERSALITY_TOL,
+                   lambda k: NotTransverse("standardize_pair requires a transverse pair"))])
+    F, tag = model.form(), model.tag
     if model.is_lagrangian:
         if tag == QUATERNION:  # orthonormal frames over the field with the spans of the orthos
             A, C = np.split(_chi(*_quat_frame_from_embedded(np.concatenate([A, C]))), 2)
@@ -482,14 +479,11 @@ def _standardize_stack(model: GroupModel, A, C):
         vals, Q = np.linalg.eigh(np.diag(s) - 0.5 * (bu[:, :, None] * bw[:, None] + bw[:, :, None] * bu[:, None]))
         rows = np.sqrt(np.abs(vals))[:, :, None] * np.swapaxes(Q, 1, 2)
         G = _standard_basis(model) @ np.concatenate([0.5 * bw[:, None], rows[:, 3:], rows[:, :1], 0.5 * bu[:, None]], 1)
+    _raise_first([(form_defect(model, G) <= 1e-8,
+                   lambda k: IllConditioned(f"standardization lost the form at margin {margins[k]:.3e}"))])
     images = np.split(_act_frames(model, np.concatenate([G, G]), np.concatenate([A, C]))[1], 2)
-    S, defect, miss = np.zeros((len(ok),) + F.shape, F.dtype), np.zeros(len(ok)), np.zeros(len(ok))
-    S[ok], defect[ok] = G, form_defect(model, G)
-    miss[ok] = np.maximum(*(frobenius_norms(_projectors(model, Y) - p.projector(), COMPLEX)
-                            for Y, p in zip(images, base_points(model))))
-    _raise_first([
-        (ok, lambda k: NotTransverse("standardize_pair requires a transverse pair")),
-        (~ok | (defect <= 1e-8), lambda k: IllConditioned(f"standardization lost the form at margin {margins[k]:.3e}")),
-        (~ok | (miss <= 1e-8), lambda k: IllConditioned(f"standardization missed the pair at margin {margins[k]:.3e}")),
-    ])
-    return S
+    miss = np.maximum(*(frobenius_norms(_projectors(model, Y) - p.projector(), COMPLEX)
+                        for Y, p in zip(images, base_points(model))))
+    _raise_first([(miss <= 1e-8,
+                   lambda k: IllConditioned(f"standardization missed the pair at margin {margins[k]:.3e}"))])
+    return G

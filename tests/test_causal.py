@@ -21,7 +21,7 @@ from causalflag.causal import (
     sylvester_orbit_check,
     zero_band,
 )
-from causalflag.errors import EmptyInput, NonFiniteInput, NotHermitian, NotTransverse
+from causalflag.errors import EmptyInput, NonFiniteInput, NotHermitian, NotTransverse, PointsNotInBothCharts
 from causalflag.groups import model_preset
 from causalflag.kmat import adjoint, draw, embed_real, hermitian_draw, norm, product
 from causalflag.linalg import signature
@@ -222,26 +222,13 @@ def test_chart_independence_equals_the_per_probe_loop(name):
     assert chart_independence_check(pts, chart_a, near_probe, 120, seed=4) == expected
 
 
-def test_probe_errors_are_raised_in_probe_order():
-    # a stacked step raises for its first failing probe; the check raises the loop's first failure
-    from causalflag.causal import _in_probe_order
-    from causalflag.errors import NotInChart
-
-    failures = [(1, 9), (2, 7)]  # (step, probe): probe 9 fails the first step, probe 7 the second
-
-    def run(n):
-        for step in (1, 2):
-            failed = [k for s, k in failures if s == step and k < n]
-            if failed:
-                raise NotInChart(f"probe {min(failed)}")
-        return n
-
-    with pytest.raises(NotInChart, match="probe 7"):
-        _in_probe_order(run, 12)
-    assert _in_probe_order(run, 7) == 7
-    failures[:] = [(1, 2), (2, 5)]  # the stacked run already raises the loop's first failure
-    with pytest.raises(NotInChart, match="probe 2"):
-        _in_probe_order(run, 12)
+@pytest.mark.parametrize("name", LAGRANGIAN + ["so42"])
+def test_chart_independence_refuses_the_base_of_chart_b(name):
+    model = model_preset(name)
+    chart_a = ChartedChart.standard(model)
+    chart_b = ChartedChart.at_point(dual_center(model), domain_center(model))
+    with pytest.raises(PointsNotInBothCharts):
+        chart_independence_check([dual_center(model)], chart_a, chart_b, 10, seed=0)
 
 
 def test_charted_chart_roundtrip():

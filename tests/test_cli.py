@@ -200,11 +200,13 @@ def test_hull_queries_equal_the_per_query_loop(tmp_path, capsys):
     assert report["memberships"] == [bool(hull.membership(Z)) for Z in queries]
     assert report["margins"] == [float(hull.margin(Z)) for Z in queries]
     assert True in report["memberships"] and False in report["memberships"]
-    # on a one-point hull the first query fails its zero band and the second its margin: the loop names the first
+    # on a one-point hull the first query fails its zero band and the second its margin: the margins run
+    # first, so the stack names the distance that overflows
     pts.write_text("[[[0.0, 0.0], [0.0, 0.0]]]")
     q.write_text("[[[0.0, 1.0], [0.0, 0.0]], [[1e200, 0.0], [0.0, 1e200]]]")
     assert cli.main(["hull", "--model", "sp4", "--points", str(pts), "--query", str(q)]) == 2
-    assert json.loads(capsys.readouterr().out)["error"] == "NotHermitian"
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["message"]) == ("NonFiniteInput", "a distance to a hull point overflows")
 
 
 @pytest.mark.parametrize("bad", ["1e309", "NaN"])

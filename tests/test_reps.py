@@ -9,6 +9,7 @@ from causalflag.errors import (
     BallTooLarge,
     IllConditioned,
     ModelMismatch,
+    NoCertificate,
     NoGap,
     NonConvergence,
     NotInLevi,
@@ -827,6 +828,15 @@ def test_proper_domain_certificate(monkeypatch):
     assert cert["candidate"] == "dual_center"
 
 
+@pytest.mark.parametrize("pid", ["tau0-sp4-f2", "tau0-sostar8-f2"])
+def test_certificate_without_a_transverse_candidate_raises(pid):
+    # the sample holds both fixed candidates, and no probe is drawn: each candidate meets itself
+    model = preset(pid).model
+    sample = LimitSample([dual_center(model), base_points(model)[1]], [], [], [])
+    with pytest.raises(NoCertificate, match="best candidate dual_center has margin"):
+        proper_domain_certificate(preset(pid), sample, probe_count=0)
+
+
 def reference_certificate(rep, sample, probe_count, seed, orbit_len=4):
     """proper_domain_certificate with one act per orbit element."""
     model = rep.model
@@ -965,6 +975,13 @@ def test_dual_center_is_past_of_center():
 def test_limit_sample_needs_words_of_length_3():
     with pytest.raises(TooFewPoints, match="from length 3 on"):
         sample_limit_set(preset("tau0-sp4-f2"), 2)
+
+
+@pytest.mark.parametrize("floor", [float("nan"), float("inf"), -1e-6])
+def test_limit_sample_refuses_a_margin_floor_that_is_not_finite_and_nonnegative(floor):
+    # a NaN floor would turn the margin merge off, an infinite one merge every point into the first
+    with pytest.raises(ValueError, match="margin_floor"):
+        sample_limit_set(preset("tau0-sp4-f2"), 6, seed=3, margin_floor=floor)
 
 
 @pytest.mark.parametrize("n", [3, 4, 5, 7, 157, 188, 1000, 20000, 2**33])

@@ -6,7 +6,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from causalflag.causal import ChartedChart
 from causalflag.einstein import random_ein_point
-from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotInChart, NotTransverse
+from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotHermitian, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
 from causalflag.kmat import _chi, _parts, adjoint, draw, embed_real, hermitian_draw, norm, product
 from causalflag.linalg import HERMITIAN_TOL, frobenius_norms
@@ -320,6 +320,34 @@ def test_stacked_orbit_guards(name):
         chart_coordinates_stack(model, frames, np.stack([p_plus.ortho, p_minus.ortho]))
 
 
+@pytest.mark.parametrize("name", FAMILIES)
+def test_stacked_guard_raises_its_first_failing_check(name):
+    # a degenerate frame (zero lift) and then a NaN one: the stack fails the non-finite check, which runs
+    # first, although the first frame alone fails the rank (zero-vector) check
+    model = model_preset(name)
+    D = len(model.form())
+    zero, bad = np.zeros((D, D // 2) if model.is_lagrangian else D), base_points(model)[1].frame.copy()
+    bad[0] = np.nan
+    with pytest.raises(InvalidFrame):
+        _guard(model, zero[None])
+    with pytest.raises(NonFiniteInput):
+        _guard(model, np.stack([zero, bad]))
+
+
+@pytest.mark.parametrize("name", LAGRANGIAN)
+def test_stacked_chart_coordinates_raise_their_first_failing_check(name):
+    # the graph [I; X] of a non-Hermitian X (so not isotropic) and then p_minus: the stack fails the chart
+    # check, which runs before the solve, although the first frame alone fails the Hermitian check
+    model = model_preset(name)
+    X = embed_real(np.triu(np.ones((model.rank, model.rank))), model.tag)
+    frames = np.concatenate([_graph_frames(model, X[None]), base_points(model)[1].frame[None]])
+    orthos = _guard(model, frames)
+    with pytest.raises(NotHermitian):
+        chart_coordinates_stack(model, frames[:1], orthos[:1])
+    with pytest.raises(NotInChart):
+        chart_coordinates_stack(model, frames, orthos)
+
+
 # Derandomized property tests: hypothesis draws the seeds of the random points, frames and elements.
 PROPERTY = settings(derandomize=True, max_examples=30, deadline=None)
 seeds = st.integers(0, 2**32 - 1)
@@ -588,16 +616,16 @@ def test_stacked_standardization_equals_the_pairs(name):
     S = _standardize_stack(model, A, C)
     for k, (a, c) in enumerate(pairs):
         assert np.array_equal(S[k], standardize_pair(a, c).g)
-    # a refused row and a non-transverse row: the stack raises for the first, as a loop would
+    # a refused row and a non-transverse row: the stack raises NotTransverse, its first check, in either order
     near = _pair_near_the_band(model, rng, (-8.0, -8.0)) if model.is_lagrangian else _so_pair_near_the_band(
         model, rng, -8.0)
     with pytest.raises(IllConditioned):
         standardize_pair(*near)
-    for first, error in ((2, IllConditioned), (5, NotTransverse)):
+    for first in (2, 5):
         A2, C2 = A.copy(), C.copy()
         A2[first], C2[first] = near[0].ortho, near[1].ortho
         A2[7 - first] = C2[7 - first]
-        with pytest.raises(error):
+        with pytest.raises(NotTransverse):
             _standardize_stack(model, A2, C2)
 
 
