@@ -5,7 +5,6 @@ from .errors import CausalFlagError
 from .groups import (
     GroupElement,
     GroupModel,
-    cartan_projection,
     group_exp,
     lyapunov_projection,
     model_preset,
@@ -31,10 +30,7 @@ from .causal import (
     Hull,
     causal_hull,
     chart_independence_check,
-    classify_orbit,
-    diamond_membership,
     future_membership,
-    in_cone,
     sylvester_orbit_check,
 )
 from .maslov import TripleType, maslov_index, maslov_invariance_report
@@ -43,13 +39,11 @@ from .reps import (
     Representation,
     WordBall,
     anosov_gap_report,
-    attracting_point,
     convex_core_sample,
     deform,
     domain_center,
     dual_center,
     enumerate_ball,
-    levi_gap_report,
     pingpong_certificate,
     preset,
     proper_domain_certificate,

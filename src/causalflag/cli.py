@@ -171,7 +171,7 @@ def _cmd_rep_build(args, tol):
 
 
 def _cmd_rep_gap(args, tol):
-    report = reps.anosov_gap_report(args.rep, args.max_word_len, cap=args.cap)
+    report = reps.anosov_gap_report(args.rep, args.max_word_len)
     return report, report["passed"]
 
 
@@ -277,7 +277,7 @@ def _cmd_chart_independence(args, tol):
 def _cmd_ein_invisible(args, tol):
     limits = [ShilovPoint(args.model, v) for v in _load_vectors(args.limit)]
     queries = [ShilovPoint(args.model, v) for v in _load_vectors(args.query)]
-    members = _invisible_memberships(limits, queries).tolist() if queries else []
+    members = _invisible_memberships(limits, queries).tolist()
     return {"n_limit": len(limits), "memberships": members}, True
 
 
@@ -325,8 +325,7 @@ _COMMANDS = {
     "maslov-invariance": (_cmd_maslov_invariance, dict(model=_REQUIRED, trials=(int, 10_000, False),
                                                        seed=_SEED), False),
     "rep-build": (_cmd_rep_build, dict(rep=_REQUIRED), False),
-    "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False),
-                                   cap=(int, reps.BALL_CAP, False)), False),
+    "rep-gap": (_cmd_rep_gap, dict(rep=_REQUIRED, max_word_len=(int, 6, False)), False),
     "rep-limitset": (_cmd_rep_limitset, _limit_flags(8, 100), True),
     "rep-verify-maslov0": (_cmd_rep_verify_maslov0, _limit_flags(8, 100, triples=(int, 1000, False)), True),
     "rep-certificate": (_cmd_rep_certificate, _limit_flags(8, 100, probes=(int, 50, False)), True),

@@ -68,10 +68,12 @@ def invisible_domain_membership(limit_pts, x: ShilovPoint) -> bool:
 
 
 def _invisible_memberships(limit_pts, points) -> np.ndarray:
-    """invisible_domain_membership of each of points: their _invisible_margins above TRANSVERSALITY_TOL."""
+    """invisible_domain_membership of each of points (none or more): their _invisible_margins above
+    TRANSVERSALITY_TOL.  The limit set is checked negative whatever the number of points."""
     lifts = negative_lifts(limit_pts)
     _check_model(limit_pts[0].model, points)
-    return _invisible_margins(limit_pts[0].model, lifts, np.stack([x.frame for x in points])) > TRANSVERSALITY_TOL
+    V = np.reshape([x.frame for x in points], (len(points), *lifts.shape[1:]))
+    return _invisible_margins(limit_pts[0].model, lifts, V) > TRANSVERSALITY_TOL
 
 
 def _invisible_margins(model: GroupModel, lifts, V) -> np.ndarray:

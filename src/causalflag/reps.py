@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import inspect
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -87,9 +88,9 @@ class Representation:
     gens maps letter names to group elements and is closed under formal
     inverses (name.swapcase() is the inverse letter); relator is a word
     whose product is the identity for surface presets.  A representation
-    is treated as immutable: it caches its longest word ball per dedup
-    tolerance (see enumerate_ball) and its gap reports (see _memoised),
-    which a change to gens would leave stale.
+    is treated as immutable: its one memo holds every word ball and gap
+    report computed on it, one entry per call (see _memoised), which a
+    change to gens would leave stale.
     """
 
     model: GroupModel
@@ -98,10 +99,8 @@ class Representation:
     preset_id: str = None
     deformation: dict = None
     relator: tuple = None
-    # dedup_tol -> (longest ball built, words removed per length)
-    _balls: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    # (report name, arguments) -> that report
-    _reports: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    # (function name, its arguments after rep) -> that function's result
+    _memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for name in self.gen_names:
@@ -289,14 +288,37 @@ def pingpong_certificate(rep: Representation) -> dict:
 # ------------------------------------------------------------------ word balls
 
 
+def _memoised(fn):
+    """fn computed once per representation and arguments, memoised on rep._memo.
+
+    The key is fn's name and its arguments after rep, bound to fn's
+    signature (taken once, here) with defaults applied, so every spelling
+    of one call shares one entry.  A representation is immutable, so a
+    repeated call returns a deep copy of the first result (a WordBall's
+    deep copy is the ball itself); a call that raises keeps nothing.
+    """
+    signature = inspect.signature(fn)
+
+    @functools.wraps(fn)
+    def memoised(rep, *args, **kwargs):
+        bound = signature.bind(rep, *args, **kwargs)
+        bound.apply_defaults()
+        key = (fn.__name__, *list(bound.arguments.values())[1:])
+        if key not in rep._memo:
+            rep._memo[key] = fn(rep, *args, **kwargs)
+        return copy.deepcopy(rep._memo[key])
+    return memoised
+
+
 @dataclass
 class WordBall:
     """Reduced words up to max_len and their matrices as one embedded stack.
 
     stack[i] is the embedded array of the product of words[i] (see kmat);
     element(i) wraps one entry as a group element without copying it.
-    A ball from enumerate_ball is shared with every later caller of the
-    same representation, so its stack and lengths are read-only.
+    A ball from enumerate_ball is the one its representation's memo holds,
+    shared with every later call of the same arguments: its stack and
+    lengths are read-only, and a deep copy is the ball itself.
     """
 
     max_len: int
@@ -308,6 +330,9 @@ class WordBall:
 
     def element(self, i) -> GroupElement:
         return GroupElement(self.model, self.stack[i], _check=False)
+
+    def __deepcopy__(self, memo):
+        return self
 
 
 def _free_ball_count(n_gens: int, max_len: int) -> int:
@@ -334,44 +359,27 @@ def _bucket_keys(stack: np.ndarray, tol: float) -> list:
     return cells.view(np.dtype((np.void, cells.shape[1] * 8))).ravel().tolist()
 
 
-def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None, cap=BALL_CAP) -> WordBall:
+@_memoised
+def enumerate_ball(rep: Representation, max_len: int, dedup_tol=None) -> WordBall:
     """All reduced words up to max_len, lexicographic within each length.
 
     Each length is one batched product frontier[parent] gen[letter]
     (kmat.product, so each matrix is that of word_element) over the
     (parent, letter) grid without inverse letters; the grid is read
-    row-major, which keeps the (length, word) order.  With dedup_tol set,
-    words whose matrices land in the same rounding bucket as an earlier
-    word are dropped (surface relators force such coincidences; free
-    presets are unaffected).
-
-    rep caches its longest ball per dedup_tol, built only when a caller
-    asks for a longer one: a repeated call returns the cached ball itself,
-    and a shorter ball is its prefix view (the first words, stack rows and
-    lengths), exact because the dedup of one length reads only the
-    lengths up to it, so a ball's prefix is bit-identical whatever length
-    it was built to.  The cached stack and lengths are read-only.
+    row-major, which keeps the (length, word) order.  With dedup_tol set
+    (positive and finite), words whose matrices land in the same rounding
+    bucket as an earlier word are dropped (surface relators force such
+    coincidences; free presets are unaffected).  A free ball of more than
+    BALL_CAP words raises BallTooLarge.  The ball is memoised on rep like
+    the gap reports (see _memoised); its stack and lengths are read-only.
     """
     if max_len < 1:
         raise ValueError("max_len must be at least 1")
-    if cap < 1:
-        raise ValueError("cap must be at least 1")
+    if dedup_tol is not None and not 0.0 < dedup_tol < np.inf:
+        raise ValueError(f"dedup_tol must be None or positive and finite, got {dedup_tol!r}")
     expected = _free_ball_count(len(rep.gen_names), max_len)
-    if expected > cap:
-        raise BallTooLarge(f"free ball size {expected} exceeds the cap {cap}")
-    memo = rep._balls.get(dedup_tol)
-    if memo is None or memo[0].max_len < max_len:
-        memo = rep._balls[dedup_tol] = _build_ball(rep, max_len, dedup_tol)
-    ball, removed = memo
-    if ball.max_len == max_len:
-        return ball
-    n = int(np.searchsorted(ball.lengths, max_len, side="right"))
-    return WordBall(max_len, ball.words[:n], ball.stack[:n], ball.lengths[:n], ball.model,
-                    dedup={**ball.dedup, "removed": sum(removed[:max_len])})
-
-
-def _build_ball(rep: Representation, max_len: int, dedup_tol):
-    """The ball of enumerate_ball, read-only, and the words its dedup removed at each length."""
+    if expected > BALL_CAP:
+        raise BallTooLarge(f"free ball size {expected} exceeds the cap {BALL_CAP}")
     letters = sorted(rep.letters)
     inverse = np.array([letters.index(_inverse_name(l)) for l in letters])
     gens = np.stack([rep.gens[l].g for l in letters])
@@ -379,19 +387,17 @@ def _build_ball(rep: Representation, max_len: int, dedup_tol):
     last = np.array([-1])  # letter index ending each frontier word
     frontier_words = [()]
     seen = set(_bucket_keys(frontier, dedup_tol)) if dedup_tol else None
-    words, levels = [], []
-    removed = [0] * max_len
-    for k in range(max_len):
+    words, levels, removed = [], [], 0
+    for _ in range(max_len):
         parent, letter = np.nonzero(inverse[None, :] != last[:, None])
         level = product(frontier[parent], gens[letter], rep.model.tag)
         if dedup_tol:
             keep = []
             for i, key in enumerate(_bucket_keys(level, dedup_tol)):
-                if key in seen:
-                    removed[k] += 1
-                else:
+                if key not in seen:
                     seen.add(key)
                     keep.append(i)
+            removed += len(level) - len(keep)
             parent, letter, level = parent[keep], letter[keep], level[keep]
         frontier_words = [frontier_words[p] + (letters[l],)
                           for p, l in zip(parent.tolist(), letter.tolist())]
@@ -401,35 +407,20 @@ def _build_ball(rep: Representation, max_len: int, dedup_tol):
     stack = np.concatenate(levels)
     lengths = np.repeat(np.arange(1, max_len + 1), [len(level) for level in levels])
     stack.flags.writeable = lengths.flags.writeable = False
-    dedup = {"enabled": bool(dedup_tol), "tol": dedup_tol, "removed": sum(removed)}
-    return WordBall(max_len, words, stack, lengths, rep.model, dedup=dedup), removed
+    dedup = {"enabled": bool(dedup_tol), "tol": dedup_tol, "removed": removed}
+    return WordBall(max_len, words, stack, lengths, rep.model, dedup=dedup)
 
 
 # ------------------------------------------------------------------ gap report
 
 
-def _pipeline_ball(rep: Representation, max_len: int, cap=BALL_CAP) -> WordBall:
+def _pipeline_ball(rep: Representation, max_len: int) -> WordBall:
     """The ball every pipeline enumerates: deduplicated at DEDUP_TOL when rep has a relator."""
-    return enumerate_ball(rep, max_len, dedup_tol=DEDUP_TOL if rep.relator else None, cap=cap)
-
-
-def _memoised(report):
-    """A gap report computed once per representation and arguments, memoised on rep.
-
-    The reports read only rep's cached ball, which is immutable, so a repeated
-    call returns a copy of the first result; a call that raises keeps nothing.
-    """
-    @functools.wraps(report)
-    def memoised(rep, *args, **kwargs):
-        key = (report.__name__, args, tuple(sorted(kwargs.items())))
-        if key not in rep._reports:
-            rep._reports[key] = report(rep, *args, **kwargs)
-        return copy.deepcopy(rep._reports[key])
-    return memoised
+    return enumerate_ball(rep, max_len, dedup_tol=DEDUP_TOL if rep.relator else None)
 
 
 @_memoised
-def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
+def anosov_gap_report(rep: Representation, max_len: int) -> dict:
     """Fit a linear lower bound for the Shilov root of mu(w) over the word ball.
 
     The root is groups.shilov_root: 2 mu_r on the Lagrangian families and
@@ -437,7 +428,7 @@ def anosov_gap_report(rep: Representation, max_len: int, cap=BALL_CAP) -> dict:
     the fitted slope over the per-length minima exceeds 0.05 and no word
     past the identity has a vanishing gap.
     """
-    ball = _pipeline_ball(rep, max_len, cap=cap)
+    ball = _pipeline_ball(rep, max_len)
     alphas = shilov_root(rep.model, cartan_projections(rep.model, ball.stack))
     lengths = ball.lengths
     per_length_min = {}

@@ -542,8 +542,7 @@ def test_margin_floor_reaches_the_limit_sampler(tmp_path, monkeypatch, capsys, c
 
 
 def test_invisibility_queries_equal_the_per_query_loop(tmp_path, capsys):
-    # one pass over the negative lifts decides every query as invisible_domain_membership does one at a time;
-    # with no query, the limit set is not read
+    # one pass over the negative lifts decides every query as invisible_domain_membership does one at a time
     model = model_preset("so42")
     rng = np.random.default_rng(5)
     limits = [np.append(v / np.linalg.norm(v), [1.0, 0.0]) for v in rng.standard_normal((6, 4))]
@@ -556,10 +555,20 @@ def test_invisibility_queries_equal_the_per_query_loop(tmp_path, capsys):
     pts = [ShilovPoint(model, v) for v in limits]
     assert members == [invisible_domain_membership(pts, ShilovPoint(model, v)) for v in queries]
     assert True in members and False in members
-    limit.write_text(json.dumps([[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 2))  # lightcone-related: not negative
     query.write_text("[]")
     assert cli.main(["ein-invisible", "--model", "so42", "--limit", str(limit), "--query", str(query)]) == 0
     assert json.loads(capsys.readouterr().out)["report"]["memberships"] == []
+
+
+@pytest.mark.parametrize("limits", [[[1.0, 0.0, 0.0, 0.0, 1.0, 0.0]] * 2, []], ids=["lightcone-related", "empty"])
+def test_invisibility_without_queries_still_checks_the_limit_set(tmp_path, capsys, limits):
+    # an empty query list decides nothing, but the limit set must still be negative, as it must with one query
+    limit, query = tmp_path / "limit.json", tmp_path / "query.json"
+    limit.write_text(json.dumps(limits))
+    query.write_text("[]")
+    assert cli.main(["ein-invisible", "--model", "so42", "--limit", str(limit), "--query", str(query)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["passed"]) == ("LimitSetNotNegative", False)
 
 
 def test_ein_commands(tmp_path):
@@ -613,7 +622,7 @@ def test_model_commands_pass_or_report_on_every_preset(capsys, model, command):
     ["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "0"],
     ["rep-core", "--rep", "tau0-sp4-f2", "--max-word-len", "4", "--per-length-cap", "-3"],
     pytest.param(["rep-core", "--rep", "tau0-sp4-f2", "--max-word-len", "0"], id="rep-core-without-words"),
-    ["rep-gap", "--rep", "tau0-sp4-f2", "--cap", "0"],
+    ["rep-gap", "--rep", "tau0-sp4-f2", "--max-word-len", "0"],
     pytest.param(["chart-independence", "--model", "sp4", "--n-points", "0"], id="chart-independence-without-points"),
 ], ids=lambda command: command[0])
 def test_runs_without_trials_exit_1(tmp_path, capsys, command):

@@ -231,7 +231,7 @@ def test_surface_ball_dedup_matches_per_word_reference(pid):
 def test_ball_cap():
     rep = preset("tau0-sp4-f2")
     with pytest.raises(BallTooLarge):
-        enumerate_ball(rep, 30, cap=10**4)
+        enumerate_ball(rep, 30)
 
 
 def assert_same_ball(ball, fresh):
@@ -252,19 +252,17 @@ def test_cached_ball_serves_every_shorter_ball_as_a_fresh_build(pid, order):
     for L in lengths:
         # a fresh rep builds the ball from scratch
         assert_same_ball(enumerate_ball(rep, L, dedup_tol=tol), enumerate_ball(preset(pid), L, dedup_tol=tol))
-    assert rep._balls[tol][0].max_len == top
 
 
 def test_cached_ball_is_shared_read_only_and_still_capped():
     rep = preset("tau0-sp4-f2")
     ball = enumerate_ball(rep, 10)
     assert enumerate_ball(rep, 10) is ball
-    assert enumerate_ball(rep, 4).stack.base is not None  # a prefix view, not a copy
     for array in (ball.stack, enumerate_ball(rep, 4).stack, ball.lengths):
         with pytest.raises(ValueError):
             array[0] = 0
-    with pytest.raises(BallTooLarge):
-        enumerate_ball(rep, 10, cap=10)
+    with pytest.raises(BallTooLarge):  # 2 (3^16 - 1) free words, past BALL_CAP
+        enumerate_ball(rep, 16)
 
 
 def test_cached_ball_stays_with_its_representation():
@@ -273,10 +271,33 @@ def test_cached_ball_stays_with_its_representation():
     before = repr(rep.to_json())
     assert rep == twin
     reps._pipeline_ball(rep, 3)
-    assert rep._balls and rep == twin and repr(rep.to_json()) == before
+    assert rep._memo and rep == twin and repr(rep.to_json()) == before
     h = GroupElement.identity(rep.model)
     for other in (deform(rep, 1e-3), conjugate(rep, h), Representation.from_json(rep.to_json())):
-        assert other._balls == {}
+        assert other._memo == {}
+
+
+def test_every_spelling_of_a_call_shares_one_memo_entry(monkeypatch):
+    # positional, keyword and default arguments bind to one key: one ball, one report and one SVD pass
+    rep = preset("tau0-sp4-f2")
+    rows = []
+    svd = np.linalg.svd
+    monkeypatch.setattr(np.linalg, "svd", lambda E, **kw: rows.append(len(E)) or svd(E, **kw))
+    balls = [enumerate_ball(rep, 6), enumerate_ball(rep, max_len=6), enumerate_ball(rep, 6, dedup_tol=None),
+             enumerate_ball(rep, max_len=6, dedup_tol=None)]
+    assert all(ball is balls[0] for ball in balls)
+    reports = [anosov_gap_report(rep, 6), anosov_gap_report(rep, max_len=6)]
+    assert reports[0] == reports[1] and reports[0] is not reports[1]
+    assert len(rows) == 1
+    assert sorted(key[0] for key in rep._memo) == ["anosov_gap_report", "enumerate_ball"]
+
+
+@pytest.mark.parametrize("tol", [float("nan"), 0.0, -1e-9])
+def test_dedup_tol_must_be_none_or_positive_and_finite(tol):
+    rep = preset("genus2-sl2")
+    with pytest.raises(ValueError, match="dedup_tol"):
+        enumerate_ball(rep, 3, dedup_tol=tol)
+    assert rep._memo == {}
 
 
 def test_gap_reports_pass():
