@@ -47,8 +47,10 @@ class GroupModel:
     rank: int  # r for the Lagrangian families, n for SO(n, 2)
 
     def __post_init__(self):
-        if self.family not in _FAMILY_TAG:
+        if not (isinstance(self.family, str) and self.family in _FAMILY_TAG):
             raise ModelMismatch(f"unknown family {self.family!r}")
+        if type(self.rank) is not int:  # a bool is not a rank
+            raise ModelMismatch(f"rank {self.rank!r} is not an integer")
         if self.rank < (2 if self.family == SO_N2 else 1):
             raise ModelMismatch(f"rank {self.rank} is too small for family {self.family}")
 

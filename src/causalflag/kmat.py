@@ -148,10 +148,12 @@ def from_json(obj, tag):
 
     A matrix over a smaller field is promoted R -> C -> H, as embed_real
     does.  Raises ValueError for an unknown tag, a larger field than tag's,
-    or an entry count other than rows * cols.
+    rows or cols that are not non-negative integers, or an entry count other than rows * cols.
     """
     src, rows, cols, entries = obj["tag"], obj["rows"], obj["cols"], obj["entries"]
-    if src not in _WIDTH:
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValueError(f"rows and cols must be non-negative integers, got {rows!r} and {cols!r}")
+    if not (isinstance(src, str) and src in _WIDTH):
         raise ValueError(f"unknown scalar tag {src!r}")
     if _WIDTH[src] > _WIDTH[tag]:
         raise ValueError(f"cannot convert {src} matrix to {tag}")

@@ -15,7 +15,8 @@ additivity): one solve and one d x d ``eigvalsh`` per triple, and one
 ``eigvalsh`` of H on the rows whose bound does not certify S's counts.  At
 d = 2 (sp4, su22) the solve, the margins' dets and S's spectrum are closed
 forms (``_schur_spectra``, ``shilov._margins``); the orthos, and so the
-whole kernel, are real on SP and complex on SU and SO*.
+whole kernel, are real on SP and complex on SU and SO*, where they are
+chi frames from one interleaved QR (``shilov._orthonormalize``).
 Clerc and Orsted ("The Maslov index revisited", Transform. Groups 2001)
 show that this index covers the Shilov boundary of every tube-type domain;
 on SO(n, 2) it is 0 when the three pairings of the unit lifts multiply to
@@ -34,7 +35,8 @@ from .groups import GroupModel, exp_stack, lie_projection
 from .kmat import adjoint, draw, hermitian_draw, product
 from .linalg import _sign_counts, frobenius_norms
 from .scalars import QUATERNION
-from .shilov import TRANSVERSALITY_TOL, ShilovPoint, _det2, _graph_frames, _margins, _pairings, _socharts_lift
+from .shilov import (TRANSVERSALITY_TOL, ShilovPoint, _det2, _graph_frames, _margins, _orthonormalize, _pairings,
+                     _socharts_lift)
 
 _SKIP_REASONS = ("not_transverse", "degenerate_form", "base_margin")
 _CHUNK = 512  # trials per stacked batch of the invariance report; fixes the draw order
@@ -170,9 +172,9 @@ def _chart_frames(model: GroupModel, n, rng):
 
 
 def _orthonormal(model: GroupModel, F):
-    """The ``ShilovPoint.ortho`` stack of a stack of frames (or lift columns)."""
+    """The ``ShilovPoint.ortho`` stack of a stack of frames (or lift columns): chi frames on SO*."""
     if model.is_lagrangian:
-        return np.linalg.qr(F)[0]
+        return _orthonormalize(model.tag, F)[0]
     return F[..., 0] / frobenius_norms(F, model.tag)[..., None]
 
 

@@ -40,17 +40,17 @@ from .groups import (
 )
 from .causal import _random_hermitian, causal_hull
 from .einstein import random_ein_point
-from .kmat import _chi, adjoint, embed_real, norm, product
+from .kmat import adjoint, draw, embed_real, norm, product
 from .linalg import frobenius_norms
 from .maslov import _skip_reasons, _trial_report, maslov_indices
-from .scalars import COMPLEX, QUATERNION, REAL
+from .scalars import COMPLEX, QUATERNION
 from .shilov import (
     ShilovPoint,
     _form_rows,
     _guard,
     _margins,
+    _orthonormalize,
     _projectors,
-    _quat_frame_from_embedded,
     _view,
     act_stack,
     base_points,
@@ -469,23 +469,22 @@ def _attracting_frames(model: GroupModel, E, seed):
     steps of a power iteration of its own: the gap test
     shilov_root(lyapunov_projection(g)) > GAP_FLOOR (2 log|lambda_r| on the
     Lagrangian families, log|lambda_1| - log|lambda_2| on SO(n, 2)), one
-    complex starting frame drawn from default_rng(seed) (its real part on
-    SP and SO(n, 2), whose frames stay real), QR steps until the
+    starting frame kmat.draw(tag, (dim, r), default_rng(seed)) (one column on
+    SO(n, 2); real on SP and SO(n, 2), whose frames stay real),
+    _orthonormalize steps (chi frames from one interleaved QR on SO*) until the
     projector moves less than ATTRACT_TOL (an element that has settled is
     frozen), at most ATTRACT_MAX_ITER steps, and a residual of at most
     ATTRACT_RESIDUAL.  Projector moves are in the units of
     ShilovPoint.distance: chi units on SO*, where ATTRACT_TOL is
     ATTRACT_TOL / sqrt(2) in field units.
     """
-    N, d = len(E), E.shape[-1]
+    N = len(E)
     reason = np.full(N, -1)
     lam, underflow = lyapunov_projections(model, E)
     reason[~(shilov_root(model, lam) > GAP_FLOOR)] = _NO_GAP
     reason[underflow] = _UNDERFLOW
-    ncols = model.rank * (2 if model.tag == QUATERNION else 1) if model.is_lagrangian else 1
-    rng = np.random.default_rng(seed)
-    Z0 = rng.standard_normal((d, ncols)) + 1j * rng.standard_normal((d, ncols))
-    Z0, _ = np.linalg.qr(Z0.real if model.tag == REAL else Z0)  # a real start keeps SP and SO(n, 2) real
+    shape = (model.dim, model.rank if model.is_lagrangian else 1)
+    Z0, _ = _orthonormalize(model.tag, draw(model.tag, shape, np.random.default_rng(seed)))
     live = np.flatnonzero(reason < 0)
     # times the reciprocal of the largest modulus, as numpy divides complex by real: real stacks scale alike
     En = E[live] * (1.0 / np.max(np.abs(E[live]), axis=(1, 2), keepdims=True))
@@ -495,7 +494,7 @@ def _attracting_frames(model: GroupModel, E, seed):
     for _ in range(ATTRACT_MAX_ITER):
         if not len(active):
             break
-        Zk, _ = np.linalg.qr(En[active] @ Z[active])
+        Zk, _ = _orthonormalize(model.tag, En[active] @ Z[active])
         Pk = Zk @ np.conj(np.swapaxes(Zk, -1, -2))
         moved = ~(frobenius_norms(Pk - P[active], COMPLEX) < ATTRACT_TOL)
         Z[active], P[active] = Zk, Pk
@@ -508,7 +507,7 @@ def _attracting_frames(model: GroupModel, E, seed):
     settled[active] = False
     reason[live[~settled]] = _NO_CONVERGENCE
     reason[live[settled & (residuals[live] > ATTRACT_RESIDUAL)]] = _RESIDUAL
-    frames = np.zeros((N, d, ncols), Z.dtype)
+    frames = np.zeros((N,) + Z0.shape, Z.dtype)
     frames[live] = Z
     return frames, residuals, reason
 
@@ -517,15 +516,13 @@ def _limit_frames(model: GroupModel, Z):
     """The points spanned by a stack of settled power-iteration frames, as (frames, orthos) arrays.
 
     frames are embedded frames (unit lifts on SO(n, 2)), as act_stack gives
-    them: the frame itself over R and C, the quaternionic frame recovered
-    from the j-invariant span over H.  The point guards run on the whole
-    stack.
+    them: the settled frames themselves, chi frames on SO*.  The point
+    guards run on the whole stack.
     """
     if not model.is_lagrangian:
         V = _guard(model, np.ascontiguousarray(Z[:, :, 0]))
         return V, V
-    E = _chi(*_quat_frame_from_embedded(Z)) if model.tag == QUATERNION else Z
-    return E, _guard(model, E)
+    return Z, _guard(model, Z)
 
 
 def attracting_point(g: GroupElement, seed=0) -> ShilovPoint:

@@ -31,43 +31,20 @@ ISOTROPY_TOL = 1e-8
 TRANSVERSALITY_TOL = 1e-9
 
 
-def _quat_frame_from_embedded(E):
-    """Quaternionic frame parts (A, B) of each j-invariant complex column span in a stack E.
+def _orthonormalize(tag, F):
+    """(Q, R) of one QR per frame of an embedded stack (..., D, k): np.linalg.qr over R and C.
 
-    E is (N, 2n, k) and the frames are A + B j, each (N, n, k / 2).  Per
-    item this is a greedy Gram-Schmidt: every step takes the first column
-    whose residual against the basis so far is longer than 1e-8, and then
-    its image under right multiplication by j.  The dots and norms are
-    those of np.vdot and np.linalg.norm per column, so every item gets the
-    bits a loop over the items would.
+    Over H the QR runs on the chi frame's columns interleaved with their
+    j-images, [c0, jc0, c1, jc1, ...], read off the quaternionic parts (the
+    top blocks); each leading column pair spans a j-invariant plane, so the
+    even columns x of Q are orthonormal over H, and Q is the chi frame
+    _chi(x_top, -conj(x_bottom)) of the same span, with R that of this QR.
     """
-    N, d, k = E.shape
-    n = d // 2
-    # the columns as contiguous rows, (N, k, 2n): a dot over a strided view rounds differently
-    cols = np.ascontiguousarray(np.swapaxes(E, 1, 2))
-    items = np.arange(N)
-
-    def deflate(W, basis):
-        # W -= b * vdot(b, W) for each basis vector b in turn, on every row of W
-        for b in basis:
-            W = W - b[:, None, :] * np.matmul(np.conj(b)[:, None, None, :], W[..., None])[..., 0]
-        return W
-
-    basis, parts_a, parts_b = [], [], []
-    for _ in range(k // 2):
-        W = deflate(cols, basis)
-        nw = frobenius_norms(W[..., None], COMPLEX)
-        long = nw > 1e-8
-        if not long.any(axis=1).all():
-            raise InvalidFrame("embedded span is not j-invariant of the expected dimension")
-        first = np.argmax(long, axis=1)
-        v = W[items, first] / nw[items, first][:, None]
-        jv = deflate(np.concatenate([-np.conj(v[:, n:]), np.conj(v[:, :n])], axis=1)[:, None], basis)[:, 0]
-        jv = jv / frobenius_norms(jv[..., None], COMPLEX)[:, None]
-        basis += [v, jv]
-        parts_a.append(v[:, :n])
-        parts_b.append(-np.conj(v[:, n:]))
-    return np.stack(parts_a, axis=-1), np.stack(parts_b, axis=-1)
+    if tag != QUATERNION:
+        return np.linalg.qr(F)
+    n, k = F.shape[-2] // 2, F.shape[-1] // 2
+    Q, R = np.linalg.qr(_chi(*_parts(F))[..., np.arange(2 * k).reshape(2, k).T.ravel()])  # [c0, jc0, c1, ...]
+    return _chi(Q[..., :n, ::2], -np.conj(Q[..., n:, ::2])), R
 
 
 def _raise_first(checks):
@@ -88,16 +65,16 @@ def _guard(model: GroupModel, E):
     norm overflows, without a floating point warning, then InvalidFrame for a
     zero vector on SO(n, 2), or for a rank-deficient frame (read off the R
     factors of one batched QR): the first of these checks that any point
-    fails, naming its first failing point (_raise_first).  The
-    orthos are the QR's Q factors, in the frames' own field (real on SP,
-    complex on SU and SO*), and the unit vectors on SO(n, 2).
+    fails, naming its first failing point (_raise_first).  The orthos are
+    the Q factors of _orthonormalize in the frames' own field (real on SP,
+    complex on SU, chi frames on SO*), and the unit vectors on SO(n, 2).
     """
     if not model.is_lagrangian:
         return _guard_lifts(model, E)[0]
     _raise_first([(np.isfinite(E).all(axis=tuple(range(1, E.ndim))),
                    lambda k: NonFiniteInput("frame has a non-finite entry"))])
     # the QR in the frames' own field: on SP the margins, projectors and indices then run in real BLAS/LAPACK
-    Q, R = np.linalg.qr(E)
+    Q, R = _orthonormalize(model.tag, E)
     diag = np.abs(np.diagonal(R, axis1=-2, axis2=-1))
     _raise_first([(np.min(diag, axis=-1) >= 1e-10 * np.maximum(1.0, np.max(diag, axis=-1)),
                    lambda k: InvalidFrame("rank-deficient frame"))])
@@ -172,7 +149,7 @@ class ShilovPoint:
 
     @property
     def ortho(self):
-        """Orthonormal embedded representative in the frame's field (real on SP), or the unit vector on SO(n, 2)."""
+        """The orthonormal embedded representative (real on SP, a chi frame on SO*), or the unit vector on SO(n, 2)."""
         return self._ortho
 
     def projector(self):
@@ -449,25 +426,24 @@ def _standardize_stack(model: GroupModel, A, C):
     """The elements (N, D, D) sending pairs of orthos (unit lifts on SO(n, 2)) to (p_plus, p_minus).
 
     Lagrangian: T^{-1} = J^H T^H J for T = [A, -C P^{-1}], A and C orthonormal
-    over the field, P = A^H J C.  SO(n, 2): with c's lift w scaled to
-    b(u, w) = 2, the Gram M = b - (bu (bw)^T + bw (bu)^T) / 2 of the
-    b-projected unit vectors has one negative eigenvalue, two zeros and n - 1
-    positives, in order; an eigenpair (l, q), l != 0, gives the complement
-    vector sign(l) sqrt|l| b q, whose row of G_0^{-1} B^T b is sqrt|l| q^T,
-    and S = S_0 G_0^{-1} B^T b for B = [u, complement, w] and the standard
-    basis S_0 with Gram G_0.  Raises NotTransverse (margin not above
-    TRANSVERSALITY_TOL) before it builds any element, then IllConditioned
-    where roundoff leaves a form defect above 1e-8, and only then, after the
-    action, where it leaves an image of the pair more than 1e-8 from the base
-    pair; each check names its first failing pair.
+    over the field (chi frames on SO*, as _guard gives them), P = A^H J C.
+    SO(n, 2): with c's lift w scaled to b(u, w) = 2, the Gram
+    M = b - (bu (bw)^T + bw (bu)^T) / 2 of the b-projected unit vectors has
+    one negative eigenvalue, two zeros and n - 1 positives, in order; an
+    eigenpair (l, q), l != 0, gives the complement vector sign(l) sqrt|l| b q,
+    whose row of G_0^{-1} B^T b is sqrt|l| q^T, and S = S_0 G_0^{-1} B^T b for
+    B = [u, complement, w] and the standard basis S_0 with Gram G_0.  Raises
+    NotTransverse (margin not above TRANSVERSALITY_TOL) before it builds any
+    element, then IllConditioned where roundoff leaves a form defect above
+    1e-8, and only then, after the action, where it leaves an image of the
+    pair more than 1e-8 from the base pair; each check names its first
+    failing pair.
     """
     margins = transversality_margins(model, A, C)
     _raise_first([(margins > TRANSVERSALITY_TOL,
                    lambda k: NotTransverse("standardize_pair requires a transverse pair"))])
     F, tag = model.form(), model.tag
     if model.is_lagrangian:
-        if tag == QUATERNION:  # orthonormal frames over the field with the spans of the orthos
-            A, C = np.split(_chi(*_quat_frame_from_embedded(np.concatenate([A, C]))), 2)
         # P's singular values are at most 1, so cond(P) <= 1 / margin < 1e9 on a transverse pair;
         # product reads only the quaternionic parts (the top blocks) of LAPACK's inverse
         P = product(product(adjoint(A), F, tag), C, tag)

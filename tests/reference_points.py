@@ -3,9 +3,12 @@
 ReferencePoint is the former ShilovPoint constructor (checked=False skips
 the isotropy check, as the former act did), reference_act and
 reference_chart_coordinates the former scalar act and chart_coordinates,
-reference_quat_frame the former per-item quaternionic frame recovery, and
-reference_standardize_pair the former Lagrangian standardize_pair, which
-orthonormalized frames with reference_orthonormalize_frame, and
+reference_quat_qr the per-item QR of a quaternionic frame (its columns
+interleaved with their j-images), reference_quat_frame the former per-item
+quaternionic frame recovery, a greedy Gram-Schmidt kept as an oracle of
+spans, and reference_standardize_pair the former Lagrangian
+standardize_pair, which orthonormalized frames with
+reference_orthonormalize_frame, and
 reference_pingpong_certificate the former ping-pong check, one letter and
 one scanned angle at a time.  chart_maslov_index is the SO(n, 2) Maslov
 index by its chart definition, an oracle that shares no sign rule with
@@ -74,7 +77,8 @@ class ReferencePoint:
                 iso = norm(product(product(adjoint(E), model.form(), tag), E, tag), tag)
                 if not (iso <= ISOTROPY_TOL * max(1.0, norm(E, tag) ** 2)):
                     raise InvalidFrame(f"isotropy defect {iso:.3e}")
-            Q, R = np.linalg.qr(E)  # the QR in the frame's own field: real on SP
+            # the QR in the frame's own field: real on SP, interleaved on SO*
+            Q, R = reference_quat_qr(E) if tag == "H" else np.linalg.qr(E)
             diag = np.abs(np.diag(R))
             if not (np.min(diag) >= 1e-10 * max(1.0, np.max(diag))):
                 raise InvalidFrame("rank-deficient frame")
@@ -179,13 +183,26 @@ def reference_quat_frame(E):
     return _chi(np.stack(cols_a, axis=1), np.stack(cols_b, axis=1))
 
 
+def reference_quat_qr(E):
+    """(Q, R) of one quaternionic frame E (2n, 2k): the complex QR of [c0, jc0, c1, jc1, ...].
+
+    The columns c are those of the chi frame of E's quaternionic parts (its
+    top blocks); Q is the chi frame of the QR's even columns.
+    """
+    n, k = E.shape[0] // 2, E.shape[1] // 2
+    E = _chi(*_parts(E))
+    cols = []
+    for i in range(k):
+        cols += [E[:, i], _jmap(E[:, i])]
+    Q, R = np.linalg.qr(np.column_stack(cols))
+    return _chi(Q[:n, 0::2], -np.conj(Q[n:, 0::2])), R
+
+
 def reference_orthonormalize_frame(E, tag):
-    """An orthonormal embedded frame with the span of the embedded frame E."""
-    Q, R = np.linalg.qr(E)  # the QR in the frame's own field: real on SP
+    """An orthonormal embedded frame with the span of the embedded frame E (a chi frame over H)."""
+    Q, R = reference_quat_qr(E) if tag == "H" else np.linalg.qr(E)  # the QR in the frame's own field: real on SP
     if np.min(np.abs(np.diag(R))) < 1e-12 * max(1.0, np.max(np.abs(np.diag(R)))):
         raise InvalidFrame("rank-deficient frame")
-    if tag == "H":
-        return reference_quat_frame(Q)
     return Q.real if tag == "R" else Q
 
 

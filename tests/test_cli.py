@@ -155,6 +155,28 @@ def test_relator_letter_outside_the_generators_exits_2(tmp_path, capsys, command
     assert "'zz'" in report["message"]
 
 
+@pytest.mark.parametrize("field,value", [("rank", 2.5), ("rank", "2"), ("rank", True), ("family", ["SP"])])
+def test_malformed_model_fields_exit_2(tmp_path, capsys, field, value):
+    # each ended on a TypeError traceback (exit 1) or built a model of rank 2.5
+    data = preset("tau0-sp4-f2").to_json()
+    data["model"][field] = value
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(data))
+    assert cli.main(["rep-build", "--rep", str(bad)]) == 2
+    report = json.loads(capsys.readouterr().out)
+    assert (report["error"], report["passed"]) == ("ModelMismatch", False)
+
+
+def test_hull_point_of_a_float_row_count_exits_1(tmp_path):
+    # a codec entry whose rows is 2.0 ended on a TypeError traceback
+    entry = to_json(np.eye(2), "R")
+    pts = tmp_path / "pts.json"
+    pts.write_text(json.dumps([dict(entry, rows=2.0)]))
+    r = run_cli(["hull", "--model", "sp4", "--points", str(pts)])
+    assert (r.returncode, r.stdout) == (1, "")
+    assert r.stderr == "error: rows and cols must be non-negative integers, got 2.0 and 2\n"
+
+
 def test_rep_limitset_csv(tmp_path, capsys):
     # --out writes the CSV beside the report; there is no flag to ask for it
     assert cli.main(["rep-limitset", "--rep", "tau0-sp4-f2", "--max-word-len", "3", "--csv"]) == 1

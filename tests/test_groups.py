@@ -56,6 +56,14 @@ def test_model_rank_guard():
     assert GroupModel(SP, 1).dim == 2
 
 
+@pytest.mark.parametrize("family,rank", [(SP, 2.5), (SP, "2"), (SP, True), (["SP"], 2)],
+                         ids=["float-rank", "str-rank", "bool-rank", "list-family"])
+def test_model_refuses_malformed_json_fields(family, rank):
+    # a rank that is not an integer, or a family that is not a name, is a model mismatch, not a TypeError
+    with pytest.raises(ModelMismatch):
+        GroupModel.from_json({"family": family, "rank": rank})
+
+
 def test_form_squares():
     for name in ["sp4", "su22", "sostar8"]:
         model = model_preset(name)

@@ -113,10 +113,19 @@ def test_promotion_ladder():
 
 def test_bad_tag_rejected():
     H = to_json(draw(QUATERNION, (2, 2), rng), QUATERNION)
-    with pytest.raises(ValueError):
-        from_json(dict(H, tag="X"), QUATERNION)
+    for tag in ("X", ["H"]):
+        with pytest.raises(ValueError, match="unknown scalar tag"):
+            from_json(dict(H, tag=tag), QUATERNION)
     with pytest.raises(ValueError):
         from_json(dict(H, rows=3), QUATERNION)
+
+
+@pytest.mark.parametrize("rows,cols", [(2.0, 2), (2, "2"), (True, 4), (-2, -2)])
+def test_malformed_shape_rejected(rows, cols):
+    # each pair has rows * cols == 4 entries, so only the shape check refuses it
+    H = to_json(draw(QUATERNION, (2, 2), rng), QUATERNION)
+    with pytest.raises(ValueError, match="rows and cols must be non-negative integers"):
+        from_json(dict(H, rows=rows, cols=cols), QUATERNION)
 
 
 def test_sampled_coordinate_reads_as_its_array():

@@ -26,7 +26,7 @@ from causalflag.groups import (
     random_lie_element,
     tau_p,
 )
-from causalflag.kmat import embed_real, norm, product
+from causalflag.kmat import _chi, embed_real, in_layout, norm, product
 from causalflag.reps import (
     EXCLUSION_REASONS,
     GAP_FLOOR,
@@ -56,6 +56,7 @@ from reference_points import (
     reference_chart_coordinates,
     reference_pingpong_certificate,
     reference_quat_frame,
+    reference_quat_qr,
 )
 from causalflag.shilov import (
     act,
@@ -364,14 +365,18 @@ def test_gap_reports_equal_per_element_references(pid, max_len):
     assert levi_gap_report(rep, max_len) == reference_levi_report(rep, max_len)
 
 
-def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000, field=None):
+def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000, field=None, greedy=False):
     """Per-word power iteration: (attracting point, invariance residual) of one element.
 
     One QR, projector and norm per step, after the gap test on this
     element's own eigenvalue moduli; the stacked iteration must match it
     bit for bit.  field is the arithmetic of the iteration and of the
     point's QR, float on the real families and complex on the others by
-    default; complex on a real family is the complex construction.
+    default; complex on a real family is the complex construction.  On SO*
+    the start is a chi frame and each step the interleaved QR
+    (reference_quat_qr); greedy=True runs the former SO* construction
+    instead: a complex start of 2r columns, complex QR steps, and the point
+    of the greedy j-span recovery (reference_quat_frame).
     """
     model = g.model
     mods = np.sort(np.abs(np.linalg.eigvals(g.g)))[::-1][:: 2 if model.tag == "H" else 1]
@@ -382,17 +387,22 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000, field=None):
     if gap <= GAP_FLOOR:
         raise NoGap("no eigenvalue-modulus gap at the boundary rank")
     E = g.g * (1.0 / np.max(np.abs(g.g)))
-    if model.is_lagrangian:
-        ncols = model.rank * (2 if model.tag == "H" else 1)
-    else:
-        ncols = 1
+    ncols = model.rank if model.is_lagrangian else 1
     rng = np.random.default_rng(seed)
-    Z = rng.standard_normal((E.shape[0], ncols)) + 1j * rng.standard_normal((E.shape[0], ncols))
     field = field or (float if model.tag == "R" else complex)
-    Z, _ = np.linalg.qr(Z.real if field is float else Z)  # the real starting frame in real arithmetic
+    if model.tag == "H" and not greedy:  # a chi start from the quaternionic parts, and the interleaved QR
+        shape = (E.shape[0] // 2, ncols)
+        a = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        Z = _chi(a, rng.standard_normal(shape) + 1j * rng.standard_normal(shape))
+        qr = reference_quat_qr
+    else:
+        ncols *= 2 if greedy else 1
+        Z = rng.standard_normal((E.shape[0], ncols)) + 1j * rng.standard_normal((E.shape[0], ncols))
+        Z, qr = (Z.real if field is float else Z), np.linalg.qr  # the real starting frame in real arithmetic
+    Z, _ = qr(Z)
     P_prev = Z @ np.conj(Z).T
     for _ in range(max_iter):
-        Z, _ = np.linalg.qr(E @ Z)
+        Z, _ = qr(E @ Z)
         P = Z @ np.conj(Z).T
         move = np.linalg.norm(P - P_prev)
         P_prev = P
@@ -407,7 +417,7 @@ def reference_attract(g, seed=0, tol=1e-12, max_iter=10_000, field=None):
     if not model.is_lagrangian:
         return ReferencePoint(model, np.real(Z[:, 0])), residual
     if model.tag == "H":
-        return ReferencePoint(model, reference_quat_frame(Z)), residual
+        return ReferencePoint(model, reference_quat_frame(Z) if greedy else Z), residual
     return ReferencePoint(model, (Z.real if model.tag == "R" else Z).astype(field)), residual
 
 
@@ -474,6 +484,19 @@ def check_limit_sample_against_reference(rep, seed):
 def test_limit_sample_keeps_the_reference_words(pid):
     assert len(check_limit_sample_against_reference(preset(pid), 0)) >= 20
     check_limit_sample_against_reference(preset(pid), 3)
+
+
+@pytest.mark.parametrize("seed", [0, 3])
+def test_sostar_limit_points_are_the_greedy_recoverys(seed):
+    # the chi orthos of the interleaved QR span the points of the former SO* construction: complex QR steps
+    # and the greedy j-span recovery (reference_quat_frame), whose orthonormal frame gives the projector
+    rep = preset("tau0-sostar8-f2")
+    sample = sample_limit_set(rep, 6, seed=seed)
+    assert len(sample) >= 20
+    for word, p in zip(sample.words, sample.points):
+        assert in_layout(p.ortho) and in_layout(p.frame)
+        F = reference_attract(rep.word_element(word), seed=seed, greedy=True)[0].frame
+        assert np.linalg.norm(p.projector() - F @ np.conj(F).T) <= 1e-13
 
 
 @pytest.mark.parametrize("pid", ["f2-fuchsian-sl2", "tau0-su22-f2", "genus2-sl2"])

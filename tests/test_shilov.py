@@ -8,7 +8,7 @@ from causalflag.causal import ChartedChart
 from causalflag.einstein import random_ein_point
 from causalflag.errors import IllConditioned, InvalidFrame, NonFiniteInput, NotHermitian, NotInChart, NotTransverse
 from causalflag.groups import GroupElement, group_exp, model_preset, random_lie_element
-from causalflag.kmat import _chi, _parts, adjoint, draw, embed_real, hermitian_draw, norm, product
+from causalflag.kmat import _chi, _parts, adjoint, concat, draw, embed_real, hermitian_draw, in_layout, norm, product
 from causalflag.linalg import HERMITIAN_TOL, frobenius_norms
 from reference_points import (
     ReferencePoint,
@@ -26,8 +26,10 @@ from causalflag.shilov import (
     _graph_frames,
     _guard,
     _margins,
+    _orthonormalize,
     _pairings,
     _standardize_stack,
+    _view,
     act,
     act_stack,
     base_points,
@@ -416,6 +418,54 @@ def test_graph_frame_isotropy_defect_is_the_hermitian_defect(name, seed, scale, 
     E = _graph_frames(model, X[None])
     iso = frobenius_norms(product(product(adjoint(E), model.form(), model.tag), E, model.tag), model.tag)
     assert np.array_equal(iso, frobenius_norms((X - adjoint(X))[None], model.tag))
+
+
+def _graded_chi_frames(rng, m, n, k, spread):
+    """m chi frames of quaternionic shape (n, k), their columns scaled by 10^-u, u uniform in [0, spread]."""
+    F = draw("H", (m, n, k), rng)
+    return product(F, embed_real(np.diag(10.0 ** -rng.uniform(0.0, spread, k)), "H"), "H")
+
+
+quat_shapes = st.integers(1, 5).flatmap(lambda n: st.tuples(st.just(n), st.integers(1, n)))
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=seeds, shape=quat_shapes, spread=st.floats(0.0, 8.0))
+def test_quaternionic_orthonormalize_gives_orthonormal_chi_frames(seed, shape, spread):
+    # random frames (spread 0) and ill-conditioned ones, up to cond 1e8 by a grading of their columns
+    rng = np.random.default_rng(seed)
+    F = _graded_chi_frames(rng, 3, *shape, spread)
+    Q, R = _orthonormalize("H", F)
+    assert in_layout(Q) and R.shape == (3, 2 * shape[1], 2 * shape[1])
+    assert np.max(np.linalg.norm(adjoint(Q) @ Q - np.eye(2 * shape[1]), axis=(1, 2))) <= 1e-14
+    C = np.linalg.qr(F)[0]  # the complex QR of the same span
+    assert np.max(np.linalg.norm(Q @ adjoint(Q) - C @ adjoint(C), axis=(1, 2))) <= 1e-13
+
+
+@settings(derandomize=True, max_examples=60, deadline=None)
+@given(seed=seeds, shape=quat_shapes, spread=st.floats(0.0, 8.0))
+def test_quaternionic_orthonormalize_of_mixed_columns_loses_at_most_eps_cond(seed, shape, spread):
+    # a graded frame times a random quaternionic matrix is ill-conditioned by no column scaling: the
+    # j-invariance of each leading column pair then holds to about eps * cond, and so does orthonormality
+    rng = np.random.default_rng(seed)
+    F = product(_graded_chi_frames(rng, 3, *shape, spread), draw("H", (shape[1], shape[1]), rng), "H")
+    Q, _ = _orthonormalize("H", F)
+    defect = np.linalg.norm(adjoint(Q) @ Q - np.eye(2 * shape[1]), axis=(1, 2))
+    assert in_layout(Q) and np.all(defect <= 1e-14 * np.linalg.cond(F))
+
+
+def test_quaternionic_frame_of_a_repeated_column_is_rank_deficient():
+    # the second quaternionic column is the first times a unit quaternion: one quaternionic dimension
+    model = model_preset("sostar8")
+    rng = np.random.default_rng(9)
+    c0 = _chi(*(p[:, :1] for p in _parts(random_point(model, rng).frame)))
+    q = draw("H", (1, 1), rng)
+    F = concat([c0, product(c0, q / norm(q, "H"), "H")], -1, "H")
+    assert in_layout(F) and np.linalg.matrix_rank(F) == 2
+    with pytest.raises(InvalidFrame, match="rank-deficient"):
+        ShilovPoint(model, F)
+    with pytest.raises(InvalidFrame, match="rank-deficient"):
+        act_stack(ball_stack(model, rng, 3)[0], _view(model, F, None))
 
 
 def _random_orthos(model, n, rng):
